@@ -4,7 +4,7 @@
 // the real CLI binary at 1, 2 and 4 worker processes (--jobs 1 each, so the
 // scaling measured is the process decomposition, not the in-process thread
 // pool), and verifies the headline invariant while at it: the merged
-// campaign artifact must be byte-identical at every shard count. The
+// campaign plan entry must be byte-identical at every shard count. The
 // acceptance bar from the sharding work is >= 2x at 4 shards on lulesh.
 //
 // Knobs: EPVF_SCALE, EPVF_FI_RUNS, EPVF_SEED, EPVF_JITTER_PAGES (via the
@@ -56,12 +56,12 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return buffer.str();
 }
 
-/// The one merged campaign artifact inside `dir` (shard slices are removed
-/// by the merge, so exactly one *.campaign.epvfa remains).
+/// The one merged campaign plan entry inside `dir` (shard slices are
+/// removed by the merge, so exactly one *.plan.epvfa remains).
 std::string MergedArtifactBytes(const std::string& dir) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
-    if (name.find(".campaign.epvfa") != std::string::npos &&
+    if (name.find(".plan.epvfa") != std::string::npos &&
         name.find("-shard-") == std::string::npos) {
       return ReadFileOrEmpty(entry.path().string());
     }
@@ -109,7 +109,7 @@ int main() {
       return 1;
     }
     // Warm the analysis untimed — the bench measures campaign execution, and
-    // a merged-campaign cache hit is impossible (the campaign entry does not
+    // a merged-campaign cache hit is impossible (the plan entry does not
     // exist yet in a fresh directory).
     RunOrDie("analyze " + app + " --scale " + std::to_string(epvf::bench::Scale()) +
              " --cache-dir " + dir);

@@ -1,14 +1,11 @@
 #include "fi/campaign.h"
 
 #include <algorithm>
-#include <numeric>
-#include <stdexcept>
+#include <memory>
 
 #include "fi/memory_scenario.h"
-#include "fi/shard.h"
-#include "obs/progress.h"
+#include "fi/planner.h"
 #include "obs/timing.h"
-#include "support/thread_pool.h"
 
 namespace epvf::fi {
 
@@ -75,201 +72,78 @@ std::vector<std::uint64_t> CheckpointSites(std::uint64_t trace_length, std::uint
   return sites;
 }
 
-CampaignStats RunCampaign(const ir::Module& module, const ddg::Graph& graph,
-                          const vm::RunResult& golden, const CampaignOptions& options) {
-  const obs::TraceSpan campaign_span("injection", "campaign");
-  const bool memory = options.injector.scenario == Scenario::kMemory;
-  std::shared_ptr<const MemoryScenario> scenario;
-  if (memory) scenario = std::make_shared<MemoryScenario>(graph);
-  const std::vector<FaultSite> sites =
-      memory ? scenario->FaultSites() : EnumerateFaultSites(graph);
-  if (sites.empty()) throw std::runtime_error("RunCampaign: no injectable fault sites");
+void CampaignPerf::Add(const CampaignPerf& other) {
+  checkpoints += other.checkpoints;
+  checkpointed_runs += other.checkpointed_runs;
+  full_runs += other.full_runs;
+  skipped_instructions += other.skipped_instructions;
+  statically_masked_runs += other.statically_masked_runs;
+  checkpoint_seconds += other.checkpoint_seconds;
+  inject_seconds += other.inject_seconds;
+  resumed_records += other.resumed_records;
+  persist_seconds += other.persist_seconds;
+  cache_load_seconds += other.cache_load_seconds;
+  cache_store_seconds += other.cache_store_seconds;
+}
 
-  Injector injector(module, golden, options.injector);
-  if (memory) injector.AttachMemoryScenario(scenario);
-  Rng rng(options.seed);
-
-  // Register scenario: sample uniformly over the *register-bit* population of
-  // the trace — site probability proportional to operand width, bit uniform
-  // within the operand. This makes campaign rates directly comparable to the
-  // bit-ratio metrics (PVF/ePVF/crash-rate estimates) they are plotted
-  // against. Memory scenario: sites are dwell-weighted (dwell x 8 bits), so
-  // a byte exposed for a million instructions is sampled a million times more
-  // often than one consumed immediately — the Jaulmes FIT weighting.
-  std::vector<std::uint64_t> cumulative_bits(sites.size());
-  std::uint64_t running = 0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    running += memory ? scenario->sites()[i].WeightBits() : sites[i].width;
-    cumulative_bits[i] = running;
-  }
-
-  // Pre-draw every run from the seed so outcomes are identical regardless of
-  // how many workers execute them.
-  struct PlannedRun {
-    FaultSite site;
-    std::uint8_t bit;
-    mem::LayoutJitter jitter;
-  };
-  std::vector<PlannedRun> plan;
-  plan.reserve(static_cast<std::size_t>(options.num_runs));
-  for (int i = 0; i < options.num_runs; ++i) {
-    const std::uint64_t r = rng.Below(running);
-    const std::size_t index = static_cast<std::size_t>(
-        std::upper_bound(cumulative_bits.begin(), cumulative_bits.end(), r) -
-        cumulative_bits.begin());
-    const FaultSite& site = sites[index];
-    const auto bit = static_cast<std::uint8_t>(rng.Below(site.width));
-    plan.push_back(PlannedRun{site, bit, injector.DrawJitter(rng)});
-  }
-
-  CampaignStats stats;
-  stats.records.resize(plan.size());
-
-  // Resume from a persisted campaign artifact: adopt every completed plan
-  // index whose recorded (site, bit) matches the deterministically re-drawn
-  // plan. A single mismatch means the artifact belongs to different options
-  // or a different seed, so the whole resume payload is discarded — outcomes
-  // are always those of an uninterrupted campaign.
-  std::vector<std::uint8_t> completed(plan.size(), 0);
-  if (options.resume_records != nullptr && options.resume_completed != nullptr &&
-      options.resume_records->size() == plan.size() &&
-      options.resume_completed->size() == plan.size()) {
-    bool consistent = true;
-    for (std::size_t i = 0; i < plan.size() && consistent; ++i) {
-      if ((*options.resume_completed)[i] == 0) continue;
-      const FaultRecord& r = (*options.resume_records)[i];
-      consistent = r.site.dyn_index == plan[i].site.dyn_index &&
-                   r.site.slot == plan[i].site.slot && r.bit == plan[i].bit;
-    }
-    if (consistent) {
-      for (std::size_t i = 0; i < plan.size(); ++i) {
-        if ((*options.resume_completed)[i] == 0) continue;
-        stats.records[i] = (*options.resume_records)[i];
-        completed[i] = 1;
-        stats.perf.resumed_records += 1;
-      }
-    }
-  }
-
+void PrepareCheckpoints(Injector& injector, const CampaignOptions& options, CampaignPerf& perf) {
   // Suffix-replay fast path: one extra golden replay drops evenly spaced
   // checkpoints, and each zero-jitter injection then executes only the trace
   // suffix from the nearest checkpoint at or before its site. Jittered
   // campaigns skip it entirely — every run diverges from instruction zero.
-  const std::uint64_t interval =
-      options.injector.jitter_pages == 0
-          ? ResolveCheckpointInterval(options.checkpoint_interval, golden.instructions_executed)
-          : 0;
-  std::vector<std::uint32_t> order(plan.size());
-  std::iota(order.begin(), order.end(), 0u);
-  if (interval > 0) {
-    // Execute in site order so neighbouring runs resume from the same
-    // checkpoint (warm snapshot pages); records still land at plan index.
-    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return plan[a].site.dyn_index < plan[b].site.dyn_index;
-    });
-  }
-  // The shard window: a contiguous slice of plan indices (the whole plan for
-  // shard_count 1). Everything outside the window is someone else's work —
-  // never executed, never marked complete, never counted.
-  const ShardRange window = ShardSlice(plan.size(), options.shard_count, options.shard_index);
-  std::vector<std::uint32_t> pending;
-  pending.reserve(window.Size());
-  for (const std::uint32_t i : order) {
-    if (completed[i] == 0 && window.Contains(i)) pending.push_back(i);
-  }
-  if (interval > 0 && !pending.empty()) {
+  if (options.injector.jitter_pages != 0 || injector.NumCheckpoints() > 0) return;
+  const std::uint64_t length = injector.golden().instructions_executed;
+  const std::uint64_t interval = ResolveCheckpointInterval(options.checkpoint_interval, length);
+  if (interval == 0) return;
+  double seconds = 0;
+  {
     const obs::TimedSection timed("injection", "checkpoint-build", "campaign.checkpoint_build.us",
-                                  &stats.perf.checkpoint_seconds);
-    stats.perf.checkpoints =
-        injector.BuildCheckpoints(CheckpointSites(golden.instructions_executed, interval));
+                                  &seconds);
+    perf.checkpoints += injector.BuildCheckpoints(CheckpointSites(length, interval));
   }
+  perf.checkpoint_seconds += seconds;
+}
 
-  // Dynamically scheduled on the shared pool, one run per task: runs that
-  // crash (or trap early) finish far sooner than benign runs that execute to
-  // completion, so a free worker immediately claims the next planned run
-  // instead of idling behind a statically chunked tail. Grain 1 is right
-  // here — each task is a whole program execution, dwarfing the scheduling
-  // atomics. This also removes the old static-chunk hazard where
-  // plan.size() < workers produced zero-width ranges. Records land at their
-  // plan index, so outcomes are bit-identical for every thread count, every
-  // checkpoint setting, and every progress-batch size.
-  //
-  // When a progress callback is set, the pending runs execute in batches with
-  // a persistence call (from this coordinating thread) after each: an
-  // interrupted process loses at most one batch of work. Each run is a whole
-  // program execution, so the batch barriers cost noise.
-  std::vector<std::uint64_t> resumed_from(plan.size(), 0);
-  std::vector<std::uint8_t> statically_masked(plan.size(), 0);
-  const std::size_t batch =
-      options.on_progress && options.progress_interval > 0
-          ? static_cast<std::size_t>(options.progress_interval)
-          : (pending.empty() ? std::size_t{1} : pending.size());
-
-  // Periodic visibility into a long campaign: workers tick lock-free atomics,
-  // a reporter thread prints runs/sec + outcome tallies + ETA to stderr (only
-  // when stderr is a terminal or EPVF_PROGRESS=1 — stdout never changes).
-  obs::ProgressReporter::Options progress_options;
-  progress_options.label = "campaign";
-  progress_options.total = pending.size();
-  progress_options.snapshot_path = options.progress_file;
-  progress_options.enable = options.progress_enable;
-  progress_options.categories.reserve(kNumOutcomes);
+obs::ProgressReporter::Options CampaignProgressOptions(std::uint64_t total) {
+  obs::ProgressReporter::Options options;
+  options.label = "campaign";
+  options.total = total;
+  options.categories.reserve(kNumOutcomes);
   for (int o = 0; o < kNumOutcomes; ++o) {
-    progress_options.categories.emplace_back(OutcomeName(static_cast<Outcome>(o)));
+    options.categories.emplace_back(OutcomeName(static_cast<Outcome>(o)));
   }
-  obs::ProgressReporter progress(std::move(progress_options));
+  return options;
+}
 
-  obs::TimedSection inject_timed("injection", "inject-loop", "campaign.inject.us");
-  for (std::size_t begin = 0; begin < pending.size(); begin += batch) {
-    const std::size_t end = std::min(begin + batch, pending.size());
-    ParallelFor(begin, end, ParallelOptions{.jobs = options.num_threads, .grain = 1},
-                [&](std::size_t k) {
-                  const std::size_t i = pending[k];
-                  const PlannedRun& r = plan[i];
-                  const auto result = injector.Inject(r.site, r.bit, r.jitter);
-                  resumed_from[i] = result.resumed_from;
-                  statically_masked[i] = result.statically_masked ? 1 : 0;
-                  stats.records[i] = FaultRecord{r.site, r.bit, result.outcome};
-                  completed[i] = 1;
-                  progress.Tick(static_cast<std::size_t>(result.outcome));
-                });
-    if (options.on_progress) {
-      double batch_persist_seconds = 0;
-      {
-        const obs::TimedSection timed("store", "persist-progress", "campaign.persist.us",
-                                      &batch_persist_seconds);
-        options.on_progress(stats.records, completed);
-      }
-      stats.perf.persist_seconds += batch_persist_seconds;
-    }
+CampaignStats RunCampaign(const ir::Module& module, const ddg::Graph& graph,
+                          const vm::RunResult& golden, const CampaignOptions& options) {
+  const obs::TraceSpan campaign_span("injection", "campaign");
+  Injector injector(module, golden, options.injector);
+  if (options.injector.scenario == Scenario::kMemory) {
+    injector.AttachMemoryScenario(std::make_shared<MemoryScenario>(graph));
   }
-  stats.perf.inject_seconds = inject_timed.Stop() - stats.perf.persist_seconds;
-  progress.Finish();
-
-  // Count completed indices only: in a shard run the records outside this
-  // shard's window are default-initialized placeholders, not outcomes. A
-  // full campaign has every index complete here, so nothing changes for it.
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (completed[i] == 0) continue;
-    stats.counts[static_cast<int>(stats.records[i].outcome)] += 1;
+  CampaignPlanner planner(graph, injector, options.seed,
+                          static_cast<std::uint32_t>(std::max(0, options.num_runs)));
+  CampaignPerf perf;
+  if (!planner.Done()) {
+    const std::vector<PlannedInjection> queue = planner.BeginRound();
+    PrepareCheckpoints(injector, options, perf);
+    // Periodic visibility into a long campaign: a reporter thread prints
+    // runs/sec + outcome tallies + ETA to stderr (only when stderr is a
+    // terminal or EPVF_PROGRESS=1 — stdout never changes).
+    obs::ProgressReporter::Options progress_options = CampaignProgressOptions(queue.size());
+    progress_options.enable = options.progress_enable;
+    obs::ProgressReporter progress(std::move(progress_options));
+    ExecuteOptions exec;
+    exec.num_threads = options.num_threads;
+    exec.progress = &progress;
+    const ExecuteResult result = ExecutePlannedRuns(injector, queue, exec);
+    progress.Finish();
+    planner.CommitRound(result.records);
+    perf.Add(result.perf);
   }
-  for (int o = 0; o < kNumOutcomes; ++o) {
-    if (stats.counts[o] != 0) {
-      obs::GetCounter(std::string("campaign.outcome.") +
-                      std::string(OutcomeName(static_cast<Outcome>(o))))
-          .Add(stats.counts[o]);
-    }
-  }
-  for (const std::uint32_t i : pending) {
-    if (statically_masked[i] != 0) {
-      stats.perf.statically_masked_runs += 1;
-    } else if (resumed_from[i] > 0) {
-      stats.perf.checkpointed_runs += 1;
-      stats.perf.skipped_instructions += resumed_from[i];
-    } else {
-      stats.perf.full_runs += 1;
-    }
-  }
+  CampaignStats stats = planner.Stats();
+  stats.perf = perf;
   return stats;
 }
 

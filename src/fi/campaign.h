@@ -13,10 +13,10 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "fi/injector.h"
+#include "obs/progress.h"
 #include "support/statistics.h"
 
 namespace epvf::fi {
@@ -48,45 +48,9 @@ struct CampaignOptions {
   /// instruction zero. Outcomes are bit-identical at every setting.
   std::int64_t checkpoint_interval = 0;
 
-  // --- sharding (multi-process campaign decomposition) ----------------------
-  /// Execute only the plan indices of shard `shard_index` of `shard_count`
-  /// contiguous slices (see fi/shard.h). The full plan is still drawn — the
-  /// slice is a window over the same deterministic run list, so per-shard
-  /// records recombine into exactly the single-process record stream.
-  /// Records outside the window stay default-initialized with their
-  /// completion-mask entries zero, and outcome counts cover only completed
-  /// indices. shard_count 1 (the default) is an ordinary full campaign.
-  int shard_index = 0;
-  int shard_count = 1;
-
-  /// When nonempty, the campaign's progress reporter atomically publishes
-  /// its counters to this file each interval (epvf-progress-v1), so a
-  /// supervising process can aggregate shard heartbeats into one
-  /// campaign-wide line. See obs::ProgressReporter::Options::snapshot_path.
-  std::string progress_file;
-  /// Progress-line gating, forwarded to the reporter: -1 = auto
+  /// Progress-line gating, forwarded to RunCampaign's reporter: -1 = auto
   /// (EPVF_PROGRESS env, else tty), 0 = force off, 1 = force on.
   int progress_enable = -1;
-
-  // --- interruption / resume (the artifact store's campaign persistence) ----
-  /// Records and per-plan-index completion mask persisted from an earlier,
-  /// interrupted campaign. Since the plan is pre-drawn deterministically from
-  /// `seed`, a completed index's (site, bit) must match the re-drawn plan;
-  /// matching indices are adopted without re-execution, and any mismatch (a
-  /// stale artifact for different options) discards the resume data wholesale
-  /// — outcomes are always identical to an uninterrupted campaign. Both
-  /// vectors must have num_runs entries.
-  const std::vector<FaultRecord>* resume_records = nullptr;
-  const std::vector<std::uint8_t>* resume_completed = nullptr;
-
-  /// Invoked from the coordinating thread after every `progress_interval`
-  /// completed runs with all records and the completion mask so far — the
-  /// artifact store hooks atomic campaign persistence here so an interrupted
-  /// process can resume. 0 disables batching (one uninterrupted pass).
-  std::function<void(const std::vector<FaultRecord>& records,
-                     const std::vector<std::uint8_t>& completed)>
-      on_progress;
-  int progress_interval = 0;
 };
 
 /// Fast-path accounting for one campaign (not part of the outcome data; all
@@ -103,12 +67,16 @@ struct CampaignPerf {
   double inject_seconds = 0;               ///< wall time of the injection loop
 
   // Artifact-store accounting (zero unless the campaign ran through
-  // store::RunCampaignCached or with resume data).
-  std::uint64_t resumed_records = 0;  ///< plan indices adopted from a persisted campaign
-  double persist_seconds = 0;         ///< time inside on_progress persistence callbacks
+  // store::RunPlannedCampaign or was handed resume data).
+  std::uint64_t resumed_records = 0;  ///< runs adopted from a persisted plan or merged slices
+  double persist_seconds = 0;         ///< time spent persisting the plan entry
   bool cache_hit = false;             ///< every record served from the artifact store
   double cache_load_seconds = 0;      ///< artifact map + verify + deserialize
-  double cache_store_seconds = 0;     ///< final serialize + atomic publish
+  double cache_store_seconds = 0;     ///< serialize + atomic publish
+
+  /// Folds another batch of the same campaign (a round, a worker's window)
+  /// into this one: sums every counter and duration; cache_hit is kept.
+  void Add(const CampaignPerf& other);
 };
 
 struct CampaignStats {
@@ -146,7 +114,19 @@ struct CampaignStats {
 [[nodiscard]] std::vector<std::uint64_t> CheckpointSites(std::uint64_t trace_length,
                                                          std::uint64_t interval);
 
-/// Runs a campaign against a golden run whose DDG is `graph`.
+/// Loads the suffix-replay checkpoints `options` asks for into `injector`
+/// (ResolveCheckpointInterval over the golden trace; nothing for jittered
+/// campaigns or when snapshots are already loaded), adding the snapshot
+/// count and the extra replay's time to `perf`.
+void PrepareCheckpoints(Injector& injector, const CampaignOptions& options, CampaignPerf& perf);
+
+/// Progress-line options for a campaign: label "campaign", one tally per
+/// outcome class, `total` expected runs (0 = open-ended, no ETA).
+[[nodiscard]] obs::ProgressReporter::Options CampaignProgressOptions(std::uint64_t total);
+
+/// Runs a uniform campaign against a golden run whose DDG is `graph`: draws
+/// the one-round uniform plan (see CampaignPlanner's uniform constructor) and
+/// executes it with ExecutePlannedRuns.
 [[nodiscard]] CampaignStats RunCampaign(const ir::Module& module, const ddg::Graph& graph,
                                         const vm::RunResult& golden,
                                         const CampaignOptions& options);

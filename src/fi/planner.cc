@@ -10,8 +10,9 @@
 #include "ir/opcode.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
+#include "obs/timing.h"
 #include "support/statistics.h"
+#include "support/stopwatch.h"
 #include "support/thread_pool.h"
 
 namespace epvf::fi {
@@ -152,6 +153,39 @@ CampaignPlanner::CampaignPlanner(const ddg::Graph& graph, const ddg::AceResult& 
   RetireSweep(0);
 }
 
+CampaignPlanner::CampaignPlanner(const ddg::Graph& graph, const Injector& injector,
+                                 std::uint64_t seed, std::uint32_t num_runs)
+    : injector_(injector), kind_(PlanKind::kUniform) {
+  options_.max_runs = num_runs;
+  options_.round_size = num_runs;
+  const bool memory = injector.options().scenario == Scenario::kMemory;
+  if (memory && injector.memory_scenario() == nullptr) {
+    throw std::invalid_argument("CampaignPlanner: memory scenario not attached to the injector");
+  }
+  sites_ = memory ? injector.memory_scenario()->FaultSites() : EnumerateFaultSites(graph);
+  if (sites_.empty()) throw std::runtime_error("CampaignPlanner: no injectable fault sites");
+
+  // Register scenario: sample uniformly over the *register-bit* population of
+  // the trace — site probability proportional to operand width, bit uniform
+  // within the operand. This makes campaign rates directly comparable to the
+  // bit-ratio metrics (PVF/ePVF/crash-rate estimates) they are plotted
+  // against. Memory scenario: sites are dwell-weighted (dwell x 8 bits), so
+  // a byte exposed for a million instructions is sampled a million times more
+  // often than one consumed immediately — the Jaulmes FIT weighting.
+  StratumState s;
+  s.name = "all";
+  s.sites.resize(sites_.size());
+  std::iota(s.sites.begin(), s.sites.end(), 0u);
+  s.cumulative_bits.resize(sites_.size());
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    s.total_bits += memory ? injector.memory_scenario()->sites()[i].WeightBits() : sites_[i].width;
+    s.cumulative_bits[i] = s.total_bits;
+  }
+  s.weight = 1.0;
+  s.rng.Seed(seed);
+  strata_.push_back(std::move(s));
+}
+
 void CampaignPlanner::BuildMemoryStrata(const ddg::AceResult& ace,
                                         const crash::CrashBits& crash_bits,
                                         std::uint64_t seed) {
@@ -208,6 +242,7 @@ void CampaignPlanner::BuildMemoryStrata(const ddg::AceResult& ace,
 }
 
 bool CampaignPlanner::Done() const {
+  if (kind_ == PlanKind::kUniform) return TotalRuns() >= options_.max_runs;
   if (options_.max_runs > 0 && TotalRuns() >= options_.max_runs) return true;
   return LiveStrata() == 0;
 }
@@ -286,9 +321,9 @@ std::vector<PlannedInjection> CampaignPlanner::BeginRound() {
   for (std::size_t h = 0; h < strata_.size(); ++h) {
     StratumState& s = strata_[h];
     for (std::uint32_t j = 0; j < alloc[h]; ++j) {
-      // The draw sequence mirrors RunCampaign exactly — site probability
-      // proportional to operand width, bit uniform within the operand, then
-      // the jitter draws — but from this stratum's own persistent stream.
+      // Every stratum draws the same way — site probability proportional to
+      // its bits, bit uniform within the site, then the jitter draws — from
+      // its own persistent stream.
       const std::uint64_t r = s.rng.Below(s.total_bits);
       const std::size_t index = static_cast<std::size_t>(
           std::upper_bound(s.cumulative_bits.begin(), s.cumulative_bits.end(), r) -
@@ -338,6 +373,7 @@ void CampaignPlanner::CommitRound(std::span<const FaultRecord> records) {
 }
 
 void CampaignPlanner::RetireSweep(std::uint32_t round) {
+  if (kind_ == PlanKind::kUniform) return;  // a fixed budget never stops early
   for (std::size_t h = 0; h < strata_.size(); ++h) {
     StratumState& s = strata_[h];
     if (s.retired || s.runs < options_.min_per_stratum) continue;
@@ -454,10 +490,12 @@ PlanReplay ReplayPlan(CampaignPlanner& planner, std::span<const std::uint32_t> r
 
 ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInjection> queue,
                                  const ExecuteOptions& options) {
-  const obs::TraceSpan span("injection", "planner-round");
   ExecuteResult out;
   out.records.resize(queue.size());
   out.completed.assign(queue.size(), 0);
+  const auto tick = [&](Outcome outcome) {
+    if (options.progress != nullptr) options.progress->Tick(static_cast<std::size_t>(outcome));
+  };
   if (options.resume_records.size() == queue.size() &&
       options.resume_completed.size() == queue.size()) {
     for (std::size_t i = 0; i < queue.size(); ++i) {
@@ -465,6 +503,8 @@ ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInje
       if (!CampaignPlanner::Matches(queue[i], options.resume_records[i])) continue;
       out.records[i] = options.resume_records[i];
       out.completed[i] = 1;
+      out.perf.resumed_records += 1;
+      tick(out.records[i].outcome);
     }
   }
 
@@ -477,6 +517,8 @@ ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInje
       return queue[a].site.dyn_index < queue[b].site.dyn_index;
     });
   }
+  // The shard window: a contiguous slice of queue indices (the whole queue
+  // for shard_count 1). Everything outside it is someone else's work.
   const ShardRange window =
       ShardSlice(queue.size(), static_cast<int>(options.shard_count),
                  static_cast<int>(options.shard_index));
@@ -486,10 +528,23 @@ ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInje
     if (out.completed[i] == 0 && window.Contains(i)) pending.push_back(i);
   }
 
+  // Dynamically scheduled on the shared pool, one run per task: runs that
+  // crash (or trap early) finish far sooner than benign runs that execute to
+  // completion, so a free worker immediately claims the next planned run
+  // instead of idling behind a statically chunked tail. Grain 1 is right
+  // here — each task is a whole program execution, dwarfing the scheduling
+  // atomics. Records land at their queue index, so outcomes are bit-identical
+  // for every thread count, checkpoint setting and persistence batch size.
+  // With a persistence hook the pending runs execute in batches, with a call
+  // from this coordinating thread after each.
+  std::vector<std::uint64_t> resumed_from(queue.size(), 0);
+  std::vector<std::uint8_t> statically_masked(queue.size(), 0);
   const std::size_t batch =
       options.on_progress && options.progress_interval > 0
           ? static_cast<std::size_t>(options.progress_interval)
           : (pending.empty() ? std::size_t{1} : pending.size());
+  double hook_seconds = 0;
+  obs::TimedSection inject_timed("injection", "inject-loop", "campaign.inject.us");
   for (std::size_t begin = 0; begin < pending.size(); begin += batch) {
     const std::size_t end = std::min(begin + batch, pending.size());
     ParallelFor(begin, end, ParallelOptions{.jobs = options.num_threads, .grain = 1},
@@ -497,13 +552,38 @@ ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInje
                   const std::uint32_t i = pending[k];
                   const PlannedInjection& r = queue[i];
                   const auto result = injector.Inject(r.site, r.bit, r.jitter);
+                  resumed_from[i] = result.resumed_from;
+                  statically_masked[i] = result.statically_masked ? 1 : 0;
                   out.records[i] = FaultRecord{r.site, r.bit, result.outcome};
                   out.completed[i] = 1;
-                  if (options.progress != nullptr) {
-                    options.progress->Tick(static_cast<std::size_t>(result.outcome));
-                  }
+                  tick(result.outcome);
                 });
-    if (options.on_progress) options.on_progress(out.records, out.completed);
+    if (options.on_progress) {
+      const Stopwatch hook;
+      options.on_progress(out.records, out.completed);
+      hook_seconds += hook.ElapsedSeconds();
+    }
+  }
+  out.perf.inject_seconds = inject_timed.Stop() - hook_seconds;
+
+  std::array<std::uint64_t, kNumOutcomes> executed{};
+  for (const std::uint32_t i : pending) {
+    executed[static_cast<int>(out.records[i].outcome)] += 1;
+    if (statically_masked[i] != 0) {
+      out.perf.statically_masked_runs += 1;
+    } else if (resumed_from[i] > 0) {
+      out.perf.checkpointed_runs += 1;
+      out.perf.skipped_instructions += resumed_from[i];
+    } else {
+      out.perf.full_runs += 1;
+    }
+  }
+  for (int o = 0; o < kNumOutcomes; ++o) {
+    if (executed[o] != 0) {
+      obs::GetCounter(std::string("campaign.outcome.") +
+                      std::string(OutcomeName(static_cast<Outcome>(o))))
+          .Add(executed[o]);
+    }
   }
   return out;
 }

@@ -19,6 +19,12 @@
 // real counts only — pseudo-counts decide where to spend injections, never
 // what to report — so they stay unbiased even where the model is wrong.
 //
+// A uniform campaign (the paper's LLFI-style methodology) is the degenerate
+// plan: one stratum over every fault site, one round of a fixed number of
+// draws from the campaign seed, and no early stopping. Both kinds share the
+// executor, the record log and the replay below, so one resume, shard and
+// merge path serves every campaign.
+//
 // Everything is deterministic given (seed, options, analysis artifacts): the
 // round-r queue is a pure function of the committed outcomes of rounds
 // 0..r-1, so shard workers regenerate it independently, and a persisted
@@ -28,8 +34,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crash/propagation.h"
@@ -44,6 +52,22 @@ class ProgressReporter;
 }
 
 namespace epvf::fi {
+
+/// How a campaign samples its fault sites (`--plan uniform|stratified`).
+enum class PlanKind : std::uint8_t {
+  kUniform = 0,     ///< fixed run budget, one stratum, no early stopping
+  kStratified = 1,  ///< the stratified planner below
+};
+
+[[nodiscard]] constexpr std::string_view PlanKindName(PlanKind kind) {
+  return kind == PlanKind::kUniform ? "uniform" : "stratified";
+}
+
+[[nodiscard]] inline std::optional<PlanKind> ParsePlanKind(std::string_view name) {
+  if (name == "uniform") return PlanKind::kUniform;
+  if (name == "stratified") return PlanKind::kStratified;
+  return std::nullopt;
+}
 
 struct StratifiedOptions {
   /// Target 95% CI half-width; a stratum retires when both its SDC and crash
@@ -90,7 +114,9 @@ struct StratumState {
   std::array<std::uint64_t, kNumOutcomes> counts{};
   bool retired = false;
   std::uint32_t retired_round = kNeverRetired;
-  Rng rng;  ///< persistent draw stream, seeded from (campaign seed, stratum)
+  /// Persistent draw stream, seeded from (campaign seed, stratum); a uniform
+  /// plan's one stratum draws from the campaign seed itself.
+  Rng rng;
 
   static constexpr std::uint32_t kNeverRetired = 0xFFFFFFFFu;
 };
@@ -107,7 +133,19 @@ class CampaignPlanner {
                   const crash::CrashBits& crash_bits, const Injector& injector,
                   std::uint64_t seed, StratifiedOptions options);
 
-  /// True when every stratum retired or max_runs is exhausted.
+  /// A uniform plan: one stratum holding every site in enumeration order
+  /// (EnumerateFaultSites, or the attached MemoryScenario's sites), weighted
+  /// by operand width (memory: WeightBits), drawn from Rng(seed) in a single
+  /// round of `num_runs` injections with no retirement. The queue is the
+  /// classic LLFI-style campaign: site probability proportional to its bits,
+  /// bit uniform within the site, then the per-run jitter draws.
+  CampaignPlanner(const ddg::Graph& graph, const Injector& injector, std::uint64_t seed,
+                  std::uint32_t num_runs);
+
+  [[nodiscard]] PlanKind kind() const { return kind_; }
+
+  /// True when every stratum retired or max_runs is exhausted (uniform: once
+  /// its one round committed).
   [[nodiscard]] bool Done() const;
 
   /// Deterministic queue for the next round: strata in index order, each
@@ -173,6 +211,8 @@ class CampaignPlanner {
   [[nodiscard]] RateEstimate Composite(bool crash) const;
 
   const Injector& injector_;
+  PlanKind kind_ = PlanKind::kStratified;
+  /// Uniform plans: round_size = max_runs = the run budget.
   StratifiedOptions options_;
   std::vector<FaultSite> sites_;
   std::vector<StratumState> strata_;
@@ -211,29 +251,39 @@ struct PlanReplay {
 /// Options for executing one round queue (or a shard slice of it).
 struct ExecuteOptions {
   int num_threads = 0;
+  /// Execute only the contiguous ShardSlice window `shard_index` of
+  /// `shard_count` (1 = the whole queue).
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
   /// Full-length resume vectors for the queue (empty = nothing done yet).
+  /// A completed record whose (site, bit) matches its queue entry is adopted
+  /// without re-execution; anything else runs again.
   std::span<const FaultRecord> resume_records = {};
   std::span<const std::uint8_t> resume_completed = {};
-  /// Batched persistence hook, RunCampaign-style: called with the full-length
-  /// records/completed vectors after every `progress_interval` runs.
+  /// Batched persistence hook: called from the coordinating thread with the
+  /// full-length records/completed vectors after every `progress_interval`
+  /// runs, so an interrupted process loses at most one batch.
   std::function<void(const std::vector<FaultRecord>&, const std::vector<std::uint8_t>&)>
       on_progress;
   std::uint64_t progress_interval = 0;
-  /// Optional externally owned reporter ticked once per run by outcome.
+  /// Optional externally owned reporter ticked once per adopted or executed
+  /// run, by outcome.
   obs::ProgressReporter* progress = nullptr;
 };
 
 struct ExecuteResult {
   std::vector<FaultRecord> records;     ///< full queue length
   std::vector<std::uint8_t> completed;  ///< 1 = executed or adopted from resume
+  /// Per-run accounting of this call: adopted (resumed_records), checkpointed,
+  /// full and statically masked runs, skipped prefix, injection-loop time.
+  CampaignPerf perf;
 };
 
 /// Executes the shard window of `queue` on `injector` (which may have suffix
 /// checkpoints loaded — runs are then executed in site order for snapshot
 /// locality, landing at their queue index). Deterministic per record at every
-/// thread count, shard geometry, and engine.
+/// thread count, shard geometry, and engine. Records the `inject-loop` span
+/// and the campaign.* run metrics of the runs it executes.
 [[nodiscard]] ExecuteResult ExecutePlannedRuns(Injector& injector,
                                                std::span<const PlannedInjection> queue,
                                                const ExecuteOptions& options);

@@ -1,7 +1,7 @@
 // Shard decomposition for multi-process fault-injection campaigns.
 //
-// A campaign's plan is pre-drawn deterministically from its seed, so any
-// partition of the plan indices can execute anywhere — different threads,
+// A campaign round's queue is drawn deterministically from the seed, so any
+// partition of its indices can execute anywhere — different threads,
 // different processes, different machines — and recombine into the exact
 // record stream of a single-process run (the same observation FastFlip and
 // Hari et al.'s two-level model build on: injections are independent and
@@ -35,8 +35,7 @@ struct ShardRange {
 
 /// One shard's contribution: full-length (num_runs) record and completion
 /// vectors with only the shard's own indices marked complete — the exact
-/// shape the campaign artifact persists, so a shard artifact deserializes
-/// straight into this.
+/// shape a slice entry persists, so a slice deserializes straight into this.
 struct ShardRecords {
   std::vector<FaultRecord> records;
   std::vector<std::uint8_t> completed;

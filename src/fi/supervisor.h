@@ -4,7 +4,7 @@
 // them to completion: a worker that dies (nonzero exit, SIGKILL, OOM) or
 // hangs (no exit before its per-shard deadline) is killed if needed and
 // relaunched with exponential backoff, up to a bounded number of launches.
-// Relaunched workers are expected to resume from their shard's persisted
+// Relaunched workers are expected to resume from their slice's persisted
 // completion mask — the supervisor itself is oblivious to what the workers
 // compute; it only manages their lifecycle. Shards that exhaust their
 // launch budget are reported failed; the caller decides whether to execute

@@ -1,5 +1,6 @@
 #include "store/artifact.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace epvf::store {
@@ -333,6 +334,36 @@ std::optional<CampaignArtifact> ReadCampaignArtifact(const ArtifactReader& reade
 
 // --- plan artifact ------------------------------------------------------------
 
+PlanArtifact PlanArtifact::Identity(const fi::CampaignOptions& campaign,
+                                    const fi::StratifiedOptions& plan, fi::PlanKind kind) {
+  PlanArtifact id;
+  id.kind = static_cast<std::uint8_t>(kind);
+  id.seed = campaign.seed;
+  if (kind == fi::PlanKind::kUniform) {
+    id.num_runs = static_cast<std::uint32_t>(std::max(0, campaign.num_runs));
+  } else {
+    id.ci_target = plan.ci_target;
+    id.max_runs = plan.max_runs;
+    id.round_size = plan.round_size;
+    id.model_prior = plan.model_prior;
+    id.min_per_stratum = plan.min_per_stratum;
+  }
+  id.jitter_pages = campaign.injector.jitter_pages;
+  id.burst_length = campaign.injector.burst_length;
+  id.scenario = static_cast<std::uint8_t>(campaign.injector.scenario);
+  return id;
+}
+
+bool PlanArtifact::Matches(const fi::CampaignOptions& campaign, const fi::StratifiedOptions& plan,
+                           fi::PlanKind plan_kind) const {
+  const PlanArtifact id = Identity(campaign, plan, plan_kind);
+  return kind == id.kind && seed == id.seed && num_runs == id.num_runs &&
+         ci_target == id.ci_target && max_runs == id.max_runs && round_size == id.round_size &&
+         model_prior == id.model_prior && min_per_stratum == id.min_per_stratum &&
+         jitter_pages == id.jitter_pages && burst_length == id.burst_length &&
+         scenario == id.scenario;
+}
+
 std::uint64_t PlanArtifact::CompletedCount() const {
   std::uint64_t count = 0;
   for (const std::uint8_t c : completed) count += c != 0 ? 1 : 0;
@@ -341,7 +372,9 @@ std::uint64_t PlanArtifact::CompletedCount() const {
 
 void WritePlanArtifact(const PlanArtifact& plan, ArtifactWriter& writer) {
   ByteWriter& out = writer.Section(SectionId::kPlan);
+  out.U8(plan.kind);
   out.U64(plan.seed);
+  out.U32(plan.num_runs);
   out.F64(plan.ci_target);
   out.U32(plan.max_runs);
   out.U32(plan.round_size);
@@ -367,7 +400,9 @@ std::optional<PlanArtifact> ReadPlanArtifact(const ArtifactReader& reader) {
   auto in = reader.Section(SectionId::kPlan);
   if (!in) return std::nullopt;
   PlanArtifact plan;
+  plan.kind = in->U8();
   plan.seed = in->U64();
+  plan.num_runs = in->U32();
   plan.ci_target = in->F64();
   plan.max_runs = in->U32();
   plan.round_size = in->U32();
@@ -388,6 +423,7 @@ std::optional<PlanArtifact> ReadPlanArtifact(const ArtifactReader& reader) {
          return record;
        });
   if (!ok || !ReadU8Vec(*in, plan.completed) || !in->Finished()) return std::nullopt;
+  if (plan.kind > static_cast<std::uint8_t>(fi::PlanKind::kStratified)) return std::nullopt;
   std::uint64_t total = 0;
   for (const std::uint32_t size : plan.round_sizes) total += size;
   if (plan.records.size() != total || plan.completed.size() != total) return std::nullopt;

@@ -4,9 +4,11 @@
 // downstream consumers read: the golden-run trace metadata (vm::RunResult),
 // the full ddg::Graph storage, the ACE result, the crash-bit masks, and the
 // (lazily computed, expensive) use-weighted sums behind the crash-rate
-// estimate. One campaign artifact carries a fault-injection campaign's
-// records plus a per-plan-index completion mask, so an interrupted campaign
-// resumes by skipping completed indices.
+// estimate. One plan artifact carries a campaign's record log in round order
+// (uniform campaigns are one-round plans), and a campaign artifact carries
+// one shard worker's slice of a round plus its completion mask, so
+// interrupted campaigns and relaunched workers resume by skipping completed
+// runs.
 //
 // Readers return std::nullopt on any structural inconsistency — section
 // missing, short/overlong payload, cross-array size mismatch, reference out
@@ -57,8 +59,9 @@ struct AnalysisArtifactData {
 [[nodiscard]] std::optional<AnalysisArtifactData> ReadAnalysisArtifact(
     const ir::Module& module, const ArtifactReader& reader);
 
-/// A persisted campaign: identity fields (verified against the resuming
-/// campaign's options), per-plan-index records, and the completion mask.
+/// One shard worker's slice of a round queue: identity fields (verified
+/// against the resuming worker's options, with num_runs = the queue length),
+/// per-queue-index records, and the completion mask.
 struct CampaignArtifact {
   std::uint64_t seed = 0;
   std::uint32_t num_runs = 0;
@@ -75,22 +78,21 @@ struct CampaignArtifact {
            scenario == static_cast<std::uint8_t>(options.injector.scenario);
   }
   [[nodiscard]] std::uint64_t CompletedCount() const;
-  [[nodiscard]] bool Complete() const {
-    return !records.empty() && CompletedCount() == records.size();
-  }
 };
 
 void WriteCampaignArtifact(const CampaignArtifact& campaign, ArtifactWriter& writer);
 [[nodiscard]] std::optional<CampaignArtifact> ReadCampaignArtifact(const ArtifactReader& reader);
 
-/// A persisted stratified-campaign plan (epvf-plan-v1): the planner identity
-/// fields plus the committed/in-flight record log in round order. The records
-/// are validated by *replaying* them through a freshly built planner (see
+/// A persisted campaign plan (epvf-plan-v1): the plan identity fields plus
+/// the committed/in-flight record log in round order. The records are
+/// validated by *replaying* them through a freshly built planner (see
 /// fi::ReplayPlan) — round sizes and per-record (site, bit) must match the
-/// regenerated plan or the artifact is discarded wholesale, mirroring the
-/// campaign resume contract.
+/// regenerated plan or the artifact is discarded wholesale.
 struct PlanArtifact {
+  std::uint8_t kind = static_cast<std::uint8_t>(fi::PlanKind::kStratified);
   std::uint64_t seed = 0;
+  std::uint32_t num_runs = 0;  ///< uniform plans: the run budget (0 for stratified)
+  // Stratified planner options (all zero for uniform plans).
   double ci_target = 0.0;
   std::uint32_t max_runs = 0;
   std::uint32_t round_size = 0;
@@ -103,14 +105,13 @@ struct PlanArtifact {
   std::vector<fi::FaultRecord> records;  ///< sum(round_sizes) entries, round order
   std::vector<std::uint8_t> completed;   ///< 1 = records[i] is final
 
+  /// The identity fields of a `kind` plan over `campaign` (no records): a
+  /// uniform plan keeps its run budget, a stratified plan its planner options.
+  [[nodiscard]] static PlanArtifact Identity(const fi::CampaignOptions& campaign,
+                                             const fi::StratifiedOptions& plan,
+                                             fi::PlanKind kind);
   [[nodiscard]] bool Matches(const fi::CampaignOptions& campaign,
-                             const fi::StratifiedOptions& plan) const {
-    return seed == campaign.seed && jitter_pages == campaign.injector.jitter_pages &&
-           burst_length == campaign.injector.burst_length && ci_target == plan.ci_target &&
-           max_runs == plan.max_runs && round_size == plan.round_size &&
-           model_prior == plan.model_prior && min_per_stratum == plan.min_per_stratum &&
-           scenario == static_cast<std::uint8_t>(campaign.injector.scenario);
-  }
+                             const fi::StratifiedOptions& plan, fi::PlanKind kind) const;
   [[nodiscard]] std::uint64_t CompletedCount() const;
 };
 

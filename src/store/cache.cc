@@ -1,15 +1,15 @@
 #include "store/cache.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
 #include "fi/shard.h"
-
 #include "ir/printer.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
-#include "obs/trace.h"
+#include "obs/timing.h"
 #include "support/atomic_file.h"
 #include "support/hash.h"
 #include "support/logging.h"
@@ -85,43 +85,35 @@ std::string CanonicalKey(const AnalysisKey& key) {
   return std::move(out).str();
 }
 
-std::string CanonicalKey(const CampaignKey& key) {
-  std::ostringstream out;
-  out << CanonicalKey(key.analysis) << "|campaign|runs=" << key.options.num_runs
-      << "|seed=" << key.options.seed << "|jitter=" << key.options.injector.jitter_pages
-      << "|burst=" << static_cast<unsigned>(key.options.injector.burst_length)
-      << "|hang=" << key.options.injector.hang_factor
-      << "|scenario=" << fi::ScenarioName(key.options.injector.scenario)
-      << "|ientry=" << key.options.injector.entry;
-  AppendLayout(out, key.options.injector.layout);
-  return std::move(out).str();
-}
-
 std::string CanonicalKey(const PlanKey& key) {
-  // num_runs is the uniform campaign's flag; the planner decides its own
-  // total, so the flag must not split the plan's address.
-  CampaignKey campaign = key.campaign;
-  campaign.options.num_runs = 0;
+  // A uniform plan keys on its run budget; the stratified planner decides its
+  // own total, so --runs must not split its address.
+  const fi::CampaignOptions& c = key.campaign.options;
+  const bool uniform = key.kind == fi::PlanKind::kUniform;
   std::ostringstream out;
-  out.precision(17);
-  out << CanonicalKey(campaign) << "|plan=stratified|ci=" << key.plan.ci_target
-      << "|maxruns=" << key.plan.max_runs << "|round=" << key.plan.round_size
-      << "|prior=" << key.plan.model_prior << "|minper=" << key.plan.min_per_stratum;
+  out << CanonicalKey(key.campaign.analysis) << "|campaign|runs=" << (uniform ? c.num_runs : 0)
+      << "|seed=" << c.seed << "|jitter=" << c.injector.jitter_pages
+      << "|burst=" << static_cast<unsigned>(c.injector.burst_length)
+      << "|hang=" << c.injector.hang_factor << "|scenario=" << fi::ScenarioName(c.injector.scenario)
+      << "|ientry=" << c.injector.entry;
+  AppendLayout(out, c.injector.layout);
+  out << "|plan=" << fi::PlanKindName(key.kind);
+  if (!uniform) {
+    out.precision(17);
+    out << "|ci=" << key.plan.ci_target << "|maxruns=" << key.plan.max_runs
+        << "|round=" << key.plan.round_size << "|prior=" << key.plan.model_prior
+        << "|minper=" << key.plan.min_per_stratum;
+  }
   return std::move(out).str();
 }
 
 std::string CacheId(const AnalysisKey& key) { return Hex16(Fnv1a64(CanonicalKey(key))); }
-std::string CacheId(const CampaignKey& key) { return Hex16(Fnv1a64(CanonicalKey(key))); }
 std::string CacheId(const PlanKey& key) { return Hex16(Fnv1a64(CanonicalKey(key))); }
-
-std::string ShardCacheId(const std::string& campaign_id, int shard_index, int shard_count) {
-  return campaign_id + "-shard-" + std::to_string(shard_index) + "of" +
-         std::to_string(shard_count);
-}
 
 std::string PlanRoundShardId(const std::string& plan_id, std::uint32_t round, int shard_index,
                              int shard_count) {
-  return ShardCacheId(plan_id + "-round" + std::to_string(round), shard_index, shard_count);
+  return plan_id + "-round" + std::to_string(round) + "-shard-" + std::to_string(shard_index) +
+         "of" + std::to_string(shard_count);
 }
 
 // --- ArtifactCache ------------------------------------------------------------
@@ -342,85 +334,16 @@ core::Analysis RunAnalysisCached(const ir::Module& module, const core::AnalysisO
   return analysis;
 }
 
-fi::CampaignStats RunCampaignCached(const ir::Module& module, const ddg::Graph& graph,
-                                    const vm::RunResult& golden, fi::CampaignOptions options,
-                                    const CampaignKey& key, ArtifactCache& cache,
-                                    int persist_every) {
-  const std::string id = CacheId(key);
-  std::optional<CampaignArtifact> prior;
-  double load_seconds = 0;
-  if (cache.enabled()) {
-    const obs::TraceSpan span("store", "load-campaign");
-    Stopwatch load_watch;
-    if (auto reader = cache.Load(id, ArtifactKind::kCampaign)) {
-      prior = ReadCampaignArtifact(*reader);
-      if (prior.has_value() && !prior->Matches(options)) {
-        // A hash collision or hand-edited entry: identity fields disagree, so
-        // the records cannot be adopted.
-        LogWarn("cache: campaign entry " + id + " does not match options — recomputing");
-        prior.reset();
-      }
-      if (!prior.has_value()) cache.DemoteLastHit();
-    }
-    load_seconds = load_watch.ElapsedSeconds();
-  }
-
-  if (prior.has_value() && prior->Complete()) {
-    // Every record persisted: rebuild the stats without executing anything.
-    fi::CampaignStats stats;
-    stats.records = std::move(prior->records);
-    for (const fi::FaultRecord& r : stats.records) {
-      stats.counts[static_cast<int>(r.outcome)] += 1;
-    }
-    stats.perf.cache_hit = true;
-    stats.perf.cache_load_seconds = load_seconds;
-    stats.perf.resumed_records = stats.records.size();
-    return stats;
-  }
-
-  const auto persist = [&](const std::vector<fi::FaultRecord>& records,
-                           const std::vector<std::uint8_t>& completed) {
-    CampaignArtifact artifact;
-    artifact.seed = options.seed;
-    artifact.num_runs = static_cast<std::uint32_t>(options.num_runs);
-    artifact.jitter_pages = options.injector.jitter_pages;
-    artifact.burst_length = options.injector.burst_length;
-    artifact.scenario = static_cast<std::uint8_t>(options.injector.scenario);
-    artifact.records = records;
-    artifact.completed = completed;
-    ArtifactWriter writer(ArtifactKind::kCampaign);
-    WriteCampaignArtifact(artifact, writer);
-    cache.Store(id, writer);
-  };
-
-  if (prior.has_value()) {
-    options.resume_records = &prior->records;
-    options.resume_completed = &prior->completed;
-  }
-  if (cache.enabled()) {
-    options.on_progress = persist;
-    options.progress_interval = persist_every;
-  }
-  fi::CampaignStats stats = fi::RunCampaign(module, graph, golden, options);
-  stats.perf.cache_load_seconds = load_seconds;
-  if (cache.enabled()) {
-    // The batched on_progress already persisted the final state; its time is
-    // the campaign's serialization cost.
-    stats.perf.cache_store_seconds = stats.perf.persist_seconds;
-  }
-  return stats;
-}
-
-// --- sharded campaigns -------------------------------------------------------
+// --- campaigns ----------------------------------------------------------------
 
 namespace {
 
-/// One campaign artifact image from the current records + mask under
-/// `options`' identity fields.
-void PersistCampaignEntry(ArtifactCache& cache, const std::string& entry_id,
-                          const fi::CampaignOptions& options,
-                          const std::vector<fi::FaultRecord>& records,
-                          const std::vector<std::uint8_t>& completed) {
+/// One slice image from the current records + mask under `options`' identity
+/// fields (num_runs = the round queue's length).
+void PersistSliceEntry(ArtifactCache& cache, const std::string& entry_id,
+                       const fi::CampaignOptions& options,
+                       const std::vector<fi::FaultRecord>& records,
+                       const std::vector<std::uint8_t>& completed) {
   CampaignArtifact artifact;
   artifact.seed = options.seed;
   artifact.num_runs = static_cast<std::uint32_t>(options.num_runs);
@@ -434,169 +357,28 @@ void PersistCampaignEntry(ArtifactCache& cache, const std::string& entry_id,
   cache.Store(entry_id, writer);
 }
 
-/// Loads entry `entry_id` as a campaign artifact matching `options`;
-/// demotes the cache hit and returns std::nullopt on any mismatch.
-std::optional<CampaignArtifact> LoadMatchingCampaign(ArtifactCache& cache,
-                                                     const std::string& entry_id,
-                                                     const fi::CampaignOptions& options) {
+/// Loads slice entry `entry_id` matching `options`; demotes the cache hit and
+/// returns std::nullopt on any mismatch.
+std::optional<CampaignArtifact> LoadMatchingSlice(ArtifactCache& cache,
+                                                  const std::string& entry_id,
+                                                  const fi::CampaignOptions& options) {
   auto reader = cache.Load(entry_id, ArtifactKind::kCampaign);
   if (!reader.has_value()) return std::nullopt;
   std::optional<CampaignArtifact> artifact = ReadCampaignArtifact(*reader);
   if (artifact.has_value() && !artifact->Matches(options)) {
-    LogWarn("cache: campaign entry " + entry_id + " does not match options — ignoring");
+    LogWarn("cache: slice entry " + entry_id + " does not match options — ignoring");
     artifact.reset();
   }
   if (!artifact.has_value()) cache.DemoteLastHit();
   return artifact;
 }
 
-}  // namespace
-
-std::optional<fi::CampaignStats> LoadCompleteCampaign(const CampaignKey& key,
-                                                      ArtifactCache& cache) {
-  if (!cache.enabled()) return std::nullopt;
-  const obs::TraceSpan span("store", "load-campaign");
-  Stopwatch load_watch;
-  std::optional<CampaignArtifact> prior = LoadMatchingCampaign(cache, CacheId(key), key.options);
-  if (!prior.has_value() || !prior->Complete()) {
-    // This probe only serves complete campaigns; a partial artifact counts
-    // as a miss here and is picked up by the resuming paths instead.
-    if (prior.has_value()) cache.DemoteLastHit();
-    return std::nullopt;
-  }
-  fi::CampaignStats stats;
-  stats.records = std::move(prior->records);
-  for (const fi::FaultRecord& r : stats.records) {
-    stats.counts[static_cast<int>(r.outcome)] += 1;
-  }
-  stats.perf.cache_hit = true;
-  stats.perf.cache_load_seconds = load_watch.ElapsedSeconds();
-  stats.perf.resumed_records = stats.records.size();
-  return stats;
-}
-
-fi::CampaignStats RunCampaignShard(
-    const ir::Module& module, const ddg::Graph& graph, const vm::RunResult& golden,
-    fi::CampaignOptions options, const CampaignKey& key, ArtifactCache& cache,
-    int persist_every, const std::function<void(std::uint64_t completed)>& after_persist) {
-  if (!cache.enabled()) {
-    throw std::invalid_argument("RunCampaignShard: shard persistence needs an enabled cache");
-  }
-  const obs::TraceSpan span("store", "run-shard");
-  const std::string entry_id =
-      ShardCacheId(CacheId(key), options.shard_index, options.shard_count);
-
-  // A relaunched worker resumes from whatever its predecessor persisted; the
-  // records are validated index-by-index against the re-drawn plan inside
-  // RunCampaign, so a stale artifact degrades to a from-scratch shard.
-  Stopwatch load_watch;
-  const std::optional<CampaignArtifact> prior =
-      LoadMatchingCampaign(cache, entry_id, options);
-  const double load_seconds = load_watch.ElapsedSeconds();
-  if (prior.has_value()) {
-    options.resume_records = &prior->records;
-    options.resume_completed = &prior->completed;
-  }
-
-  options.on_progress = [&](const std::vector<fi::FaultRecord>& records,
-                            const std::vector<std::uint8_t>& completed) {
-    PersistCampaignEntry(cache, entry_id, options, records, completed);
-    if (after_persist) {
-      std::uint64_t done = 0;
-      for (const std::uint8_t c : completed) done += c;
-      after_persist(done);
-    }
-  };
-  options.progress_interval = persist_every;
-
-  fi::CampaignStats stats = fi::RunCampaign(module, graph, golden, options);
-  stats.perf.cache_load_seconds = load_seconds;
-  stats.perf.cache_store_seconds = stats.perf.persist_seconds;
-  return stats;
-}
-
-fi::CampaignStats MergeShardedCampaign(const ir::Module& module, const ddg::Graph& graph,
-                                       const vm::RunResult& golden,
-                                       fi::CampaignOptions options, const CampaignKey& key,
-                                       ArtifactCache& cache, int shard_count,
-                                       ShardMergeInfo* info) {
-  if (!cache.enabled()) {
-    throw std::invalid_argument("MergeShardedCampaign: shard merge needs an enabled cache");
-  }
-  const obs::TraceSpan span("store", "merge-shards");
-  const std::string id = CacheId(key);
-
-  ShardMergeInfo merge_info;
-  std::vector<fi::ShardRecords> shards;
-  shards.reserve(static_cast<std::size_t>(shard_count));
-  for (int i = 0; i < shard_count; ++i) {
-    std::optional<CampaignArtifact> artifact =
-        LoadMatchingCampaign(cache, ShardCacheId(id, i, shard_count), options);
-    if (!artifact.has_value()) continue;
-    merge_info.shards_loaded += 1;
-    shards.push_back(fi::ShardRecords{std::move(artifact->records),
-                                      std::move(artifact->completed)});
-  }
-  const fi::MergedRecords merged =
-      fi::MergeShards(static_cast<std::size_t>(options.num_runs), shards);
-  merge_info.merged = merged.merged;
-  merge_info.missing = merged.missing;
-  merge_info.conflicts = merged.conflicts;
-  if (merged.conflicts > 0) {
-    LogWarn("cache: " + std::to_string(merged.conflicts) +
-            " conflicting shard records discarded — re-executing those runs");
-  }
-
-  // The merge run: shard window = the whole plan, resume = the merged
-  // stream. RunCampaign validates every adopted record against the re-drawn
-  // plan and executes exactly the indices no shard delivered — for a clean
-  // sharded run that is zero injections, and the stats it rebuilds are
-  // byte-identical to a single-process campaign.
-  options.shard_index = 0;
-  options.shard_count = 1;
-  options.resume_records = &merged.records;
-  options.resume_completed = &merged.completed;
-  options.on_progress = nullptr;
-  options.progress_interval = 0;
-  fi::CampaignStats stats = fi::RunCampaign(module, graph, golden, options);
-  merge_info.revalidated = stats.perf.resumed_records;
-  if (stats.perf.resumed_records < merged.merged) {
-    LogWarn("cache: merged shard records failed plan validation — campaign re-executed");
-  }
-
-  Stopwatch store_watch;
-  {
-    std::vector<std::uint8_t> all_complete(stats.records.size(), 1);
-    PersistCampaignEntry(cache, id, options, stats.records, all_complete);
-  }
-  stats.perf.cache_store_seconds = store_watch.ElapsedSeconds();
-  for (int i = 0; i < shard_count; ++i) {
-    cache.RemoveEntry(ShardCacheId(id, i, shard_count), ArtifactKind::kCampaign);
-  }
-  if (info != nullptr) *info = merge_info;
-  return stats;
-}
-
-// --- stratified campaigns ----------------------------------------------------
-
-namespace {
-
-/// One epvf-plan-v1 image from the planner identity + record log.
-void PersistPlanEntry(ArtifactCache& cache, const std::string& entry_id,
-                      const fi::CampaignOptions& options, const fi::StratifiedOptions& plan,
+/// One epvf-plan-v1 image from the plan identity + record log.
+void PersistPlanEntry(ArtifactCache& cache, const std::string& entry_id, const PlanKey& key,
                       const std::vector<std::uint32_t>& round_sizes,
                       const std::vector<fi::FaultRecord>& records,
                       const std::vector<std::uint8_t>& completed) {
-  PlanArtifact artifact;
-  artifact.seed = options.seed;
-  artifact.ci_target = plan.ci_target;
-  artifact.max_runs = plan.max_runs;
-  artifact.round_size = plan.round_size;
-  artifact.model_prior = plan.model_prior;
-  artifact.min_per_stratum = plan.min_per_stratum;
-  artifact.jitter_pages = options.injector.jitter_pages;
-  artifact.burst_length = options.injector.burst_length;
-  artifact.scenario = static_cast<std::uint8_t>(options.injector.scenario);
+  PlanArtifact artifact = PlanArtifact::Identity(key.campaign.options, key.plan, key.kind);
   artifact.round_sizes = round_sizes;
   artifact.records = records;
   artifact.completed = completed;
@@ -606,12 +388,11 @@ void PersistPlanEntry(ArtifactCache& cache, const std::string& entry_id,
 }
 
 std::optional<PlanArtifact> LoadMatchingPlan(ArtifactCache& cache, const std::string& entry_id,
-                                             const fi::CampaignOptions& options,
-                                             const fi::StratifiedOptions& plan) {
+                                             const PlanKey& key) {
   auto reader = cache.Load(entry_id, ArtifactKind::kPlan);
   if (!reader.has_value()) return std::nullopt;
   std::optional<PlanArtifact> artifact = ReadPlanArtifact(*reader);
-  if (artifact.has_value() && !artifact->Matches(options, plan)) {
+  if (artifact.has_value() && !artifact->Matches(key.campaign.options, key.plan, key.kind)) {
     LogWarn("cache: plan entry " + entry_id + " does not match options — ignoring");
     artifact.reset();
   }
@@ -619,17 +400,18 @@ std::optional<PlanArtifact> LoadMatchingPlan(ArtifactCache& cache, const std::st
   return artifact;
 }
 
-/// Suffix checkpoints pay off for planned runs exactly as for uniform
-/// campaigns; jittered runs diverge from instruction zero and never
-/// checkpoint (same rule as RunCampaign).
-void MaybeBuildPlanCheckpoints(fi::Injector& injector, const vm::RunResult& golden,
-                               const fi::CampaignOptions& options) {
-  if (options.injector.jitter_pages != 0) return;
-  if (injector.NumCheckpoints() > 0) return;
-  const std::uint64_t interval =
-      fi::ResolveCheckpointInterval(options.checkpoint_interval, golden.instructions_executed);
-  if (interval == 0) return;
-  injector.BuildCheckpoints(fi::CheckpointSites(golden.instructions_executed, interval));
+/// Builds the planner `key` describes in `slot` — in place, because the
+/// planner holds a reference to the injector.
+fi::CampaignPlanner& EmplacePlanner(std::optional<fi::CampaignPlanner>& slot,
+                                    const core::Analysis& analysis, const fi::Injector& injector,
+                                    const PlanKey& key) {
+  const fi::CampaignOptions& options = key.campaign.options;
+  if (key.kind == fi::PlanKind::kUniform) {
+    return slot.emplace(analysis.graph(), injector, options.seed,
+                        static_cast<std::uint32_t>(std::max(0, options.num_runs)));
+  }
+  return slot.emplace(analysis.graph(), analysis.ace(), analysis.crash_bits(), injector,
+                      options.seed, key.plan);
 }
 
 std::vector<StratumRow> SummarizeStrata(const fi::CampaignPlanner& planner) {
@@ -668,21 +450,17 @@ std::string PlannerPhaseLine(const fi::CampaignPlanner& planner) {
 
 }  // namespace
 
-StratifiedResult RunStratifiedCampaign(const core::Analysis& analysis, fi::Injector& injector,
-                                       const fi::CampaignOptions& options,
-                                       const fi::StratifiedOptions& plan, const PlanKey& key,
-                                       ArtifactCache* cache, const RoundExecutor& executor,
-                                       obs::ProgressReporter* progress, int persist_every) {
-  const obs::TraceSpan span("store", "stratified-campaign");
+StratifiedResult RunPlannedCampaign(const core::Analysis& analysis, fi::Injector& injector,
+                                    const PlanKey& key, ArtifactCache* cache,
+                                    const RoundExecutor& executor,
+                                    obs::ProgressReporter* progress, int persist_every) {
+  const obs::TraceSpan span("injection", "campaign");
+  const fi::CampaignOptions& options = key.campaign.options;
   const bool persisting = cache != nullptr && cache->enabled();
   const std::string id = persisting ? CacheId(key) : std::string();
 
-  // The planner holds a reference to the injector, so a failed replay
-  // rebuilds it in place.
   std::optional<fi::CampaignPlanner> planner_slot;
-  planner_slot.emplace(analysis.graph(), analysis.ace(), analysis.crash_bits(), injector,
-                       options.seed, plan);
-  fi::CampaignPlanner* planner = &*planner_slot;
+  fi::CampaignPlanner* planner = &EmplacePlanner(planner_slot, analysis, injector, key);
 
   StratifiedResult result;
   std::vector<fi::PlannedInjection> queue;
@@ -694,7 +472,7 @@ StratifiedResult RunStratifiedCampaign(const core::Analysis& analysis, fi::Injec
 
   Stopwatch load_watch;
   if (persisting) {
-    if (std::optional<PlanArtifact> prior = LoadMatchingPlan(*cache, id, options, plan)) {
+    if (std::optional<PlanArtifact> prior = LoadMatchingPlan(*cache, id, key)) {
       fi::PlanReplay replay =
           fi::ReplayPlan(*planner, prior->round_sizes, prior->records, prior->completed);
       if (replay.consistent) {
@@ -706,37 +484,56 @@ StratifiedResult RunStratifiedCampaign(const core::Analysis& analysis, fi::Injec
       } else {
         LogWarn("cache: plan entry " + id + " fails replay validation — restarting campaign");
         cache->DemoteLastHit();
-        planner_slot.emplace(analysis.graph(), analysis.ace(), analysis.crash_bits(), injector,
-                             options.seed, plan);
-        planner = &*planner_slot;
+        planner = &EmplacePlanner(planner_slot, analysis, injector, key);
       }
     }
   }
   const double load_seconds = load_watch.ElapsedSeconds();
 
-  if (!queue.empty() || !planner->Done()) {
-    MaybeBuildPlanCheckpoints(injector, analysis.golden(), options);
-  }
-
-  double persist_seconds = 0;
+  fi::CampaignPerf perf;
   // Persists committed state plus (optionally) the open round's partial
   // progress — also the mid-round on_progress hook of the in-process path.
   const auto persist_plan = [&](const std::vector<fi::FaultRecord>& partial_records,
                                 const std::vector<std::uint8_t>& partial_completed) {
     if (!persisting) return;
-    Stopwatch watch;
-    std::vector<std::uint32_t> sizes = planner->round_sizes();
-    std::vector<fi::FaultRecord> records = planner->records();
-    std::vector<std::uint8_t> completed(records.size(), 1);
-    if (!partial_records.empty()) {
-      sizes.push_back(static_cast<std::uint32_t>(partial_records.size()));
-      records.insert(records.end(), partial_records.begin(), partial_records.end());
-      completed.insert(completed.end(), partial_completed.begin(), partial_completed.end());
+    double seconds = 0;
+    {
+      const obs::TimedSection timed("store", "persist-progress", "campaign.persist.us",
+                                    &seconds);
+      std::vector<std::uint32_t> sizes = planner->round_sizes();
+      std::vector<fi::FaultRecord> records = planner->records();
+      std::vector<std::uint8_t> completed(records.size(), 1);
+      if (!partial_records.empty()) {
+        sizes.push_back(static_cast<std::uint32_t>(partial_records.size()));
+        records.insert(records.end(), partial_records.begin(), partial_records.end());
+        completed.insert(completed.end(), partial_completed.begin(), partial_completed.end());
+      }
+      PersistPlanEntry(*cache, id, key, sizes, records, completed);
     }
-    PersistPlanEntry(*cache, id, options, plan, sizes, records, completed);
-    persist_seconds += watch.ElapsedSeconds();
+    perf.persist_seconds += seconds;
   };
 
+  const RoundExecutor in_process = [&](std::uint32_t,
+                                       const std::vector<fi::PlannedInjection>& round_queue,
+                                       std::span<const fi::FaultRecord> resume_records,
+                                       std::span<const std::uint8_t> resume_completed) {
+    fi::PrepareCheckpoints(injector, options, perf);
+    fi::ExecuteOptions exec;
+    exec.num_threads = options.num_threads;
+    exec.resume_records = resume_records;
+    exec.resume_completed = resume_completed;
+    exec.progress = progress;
+    if (persisting && persist_every > 0) {
+      exec.on_progress = persist_plan;
+      exec.progress_interval = static_cast<std::uint64_t>(persist_every);
+    }
+    return fi::ExecutePlannedRuns(injector, round_queue, exec);
+  };
+  const RoundExecutor& execute = executor ? executor : in_process;
+
+  // A uniform plan's progress line keeps its done/total head; a stratified
+  // plan's total is open-ended, so its head is the round/strata/CI state.
+  const bool show_phase = progress != nullptr && key.kind == fi::PlanKind::kStratified;
   bool executed_any = false;
   while (true) {
     if (queue.empty()) {
@@ -745,40 +542,28 @@ StratifiedResult RunStratifiedCampaign(const core::Analysis& analysis, fi::Injec
     }
     executed_any = true;
     const std::uint32_t round = planner->RoundsCommitted();
-    if (progress != nullptr) progress->SetPhase(PlannerPhaseLine(*planner));
+    if (show_phase) progress->SetPhase(PlannerPhaseLine(*planner));
     // Workers regenerate the round-`round` queue by replaying the persisted
     // plan entry, so it must be on disk before any fan-out.
     persist_plan(pending_records, pending_completed);
-
-    fi::ExecuteResult round_result;
-    if (executor) {
-      round_result = executor(round, queue, pending_records, pending_completed);
-    } else {
-      fi::ExecuteOptions exec;
-      exec.num_threads = options.num_threads;
-      exec.resume_records = pending_records;
-      exec.resume_completed = pending_completed;
-      exec.progress = progress;
-      if (persisting && persist_every > 0) {
-        exec.on_progress = persist_plan;
-        exec.progress_interval = static_cast<std::uint64_t>(persist_every);
-      }
-      round_result = fi::ExecutePlannedRuns(injector, queue, exec);
-    }
+    const fi::ExecuteResult round_result =
+        execute(round, queue, pending_records, pending_completed);
+    perf.Add(round_result.perf);
     planner->CommitRound(round_result.records);
     persist_plan({}, {});
     queue.clear();
     pending_records.clear();
     pending_completed.clear();
   }
-  if (progress != nullptr) progress->SetPhase(PlannerPhaseLine(*planner));
+  if (show_phase) progress->SetPhase(PlannerPhaseLine(*planner));
 
   result.stats = planner->Stats();
-  result.stats.perf.cache_load_seconds = load_seconds;
-  result.stats.perf.persist_seconds = persist_seconds;
-  result.stats.perf.cache_store_seconds = persist_seconds;
-  result.stats.perf.resumed_records = result.resumed_runs;
-  result.stats.perf.cache_hit = resumed_from_cache && !executed_any && planner->TotalRuns() > 0;
+  perf.cache_load_seconds = load_seconds;
+  perf.cache_store_seconds = perf.persist_seconds;
+  // Runs adopted from the plan entry; slices an executor merged are its own.
+  perf.resumed_records = result.resumed_runs;
+  perf.cache_hit = resumed_from_cache && !executed_any && planner->TotalRuns() > 0;
+  result.stats.perf = perf;
   result.sdc = planner->SdcEstimate();
   result.crash = planner->CrashEstimate();
   result.strata = SummarizeStrata(*planner);
@@ -787,18 +572,18 @@ StratifiedResult RunStratifiedCampaign(const core::Analysis& analysis, fi::Injec
   return result;
 }
 
-std::uint64_t RunStratifiedRoundShard(
-    const core::Analysis& analysis, fi::Injector& injector, const fi::CampaignOptions& options,
-    const fi::StratifiedOptions& plan, const PlanKey& key, ArtifactCache& cache,
-    std::uint32_t round, int shard_index, int shard_count, int persist_every,
-    const std::function<void(std::uint64_t completed)>& after_persist) {
+std::uint64_t RunPlanRoundShard(const core::Analysis& analysis, fi::Injector& injector,
+                                const PlanKey& key, ArtifactCache& cache, std::uint32_t round,
+                                int shard_index, int shard_count, int persist_every,
+                                const std::function<void(std::uint64_t completed)>& after_persist,
+                                obs::ProgressReporter* progress) {
   if (!cache.enabled()) {
-    throw std::invalid_argument("RunStratifiedRoundShard: needs an enabled cache");
+    throw std::invalid_argument("RunPlanRoundShard: needs an enabled cache");
   }
   const obs::TraceSpan span("store", "run-plan-shard");
   const std::string id = CacheId(key);
 
-  std::optional<PlanArtifact> prior = LoadMatchingPlan(cache, id, options, plan);
+  std::optional<PlanArtifact> prior = LoadMatchingPlan(cache, id, key);
   if (!prior.has_value() || prior->round_sizes.size() < round) {
     throw std::runtime_error("plan entry " + id + " missing or behind round " +
                              std::to_string(round));
@@ -813,8 +598,8 @@ std::uint64_t RunStratifiedRoundShard(
       throw std::runtime_error("plan entry " + id + " has an incomplete committed round");
     }
   }
-  fi::CampaignPlanner planner(analysis.graph(), analysis.ace(), analysis.crash_bits(), injector,
-                              options.seed, plan);
+  std::optional<fi::CampaignPlanner> planner_slot;
+  fi::CampaignPlanner& planner = EmplacePlanner(planner_slot, analysis, injector, key);
   const fi::PlanReplay replay = fi::ReplayPlan(
       planner, std::span(prior->round_sizes).first(round),
       std::span(prior->records).first(prefix), std::span(prior->completed).first(prefix));
@@ -823,26 +608,27 @@ std::uint64_t RunStratifiedRoundShard(
   }
   if (planner.Done()) return 0;
   const std::vector<fi::PlannedInjection> queue = planner.BeginRound();
-  MaybeBuildPlanCheckpoints(injector, analysis.golden(), options);
+  fi::CampaignPerf perf;
+  fi::PrepareCheckpoints(injector, key.campaign.options, perf);
 
-  // The slice entry is an ordinary campaign artifact over the round queue.
+  // The slice entry is a campaign artifact over the round queue.
   const std::string entry_id = PlanRoundShardId(id, round, shard_index, shard_count);
-  fi::CampaignOptions slice_options = options;
+  fi::CampaignOptions slice_options = key.campaign.options;
   slice_options.num_runs = static_cast<int>(queue.size());
-  const std::optional<CampaignArtifact> slice =
-      LoadMatchingCampaign(cache, entry_id, slice_options);
+  const std::optional<CampaignArtifact> slice = LoadMatchingSlice(cache, entry_id, slice_options);
 
   fi::ExecuteOptions exec;
-  exec.num_threads = options.num_threads;
+  exec.num_threads = slice_options.num_threads;
   exec.shard_index = static_cast<std::uint32_t>(shard_index);
   exec.shard_count = static_cast<std::uint32_t>(shard_count);
+  exec.progress = progress;
   if (slice.has_value()) {
     exec.resume_records = slice->records;
     exec.resume_completed = slice->completed;
   }
   const auto persist_slice = [&](const std::vector<fi::FaultRecord>& records,
                                  const std::vector<std::uint8_t>& completed) {
-    PersistCampaignEntry(cache, entry_id, slice_options, records, completed);
+    PersistSliceEntry(cache, entry_id, slice_options, records, completed);
     if (after_persist) {
       std::uint64_t done = 0;
       for (const std::uint8_t c : completed) done += c;

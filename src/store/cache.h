@@ -26,6 +26,7 @@
 
 #include "epvf/analysis.h"
 #include "fi/campaign.h"
+#include "fi/planner.h"
 #include "store/artifact.h"
 #include "store/serializer.h"
 
@@ -50,29 +51,19 @@ struct AnalysisKey {
 
 /// A campaign's identity: the analysis it runs against plus the
 /// outcome-affecting campaign options (seed, runs, jitter, burst, hang
-/// budget). Thread count and checkpoint spacing are excluded — outcomes are
-/// bit-identical at every setting.
+/// budget, scenario). Thread count and checkpoint spacing are excluded —
+/// outcomes are bit-identical at every setting.
 struct CampaignKey {
   AnalysisKey analysis;
   fi::CampaignOptions options;
 };
 
-/// The canonical key strings (hashed into the content address; also what
+/// The canonical key string (hashed into the content address; also what
 /// docs/STORE_FORMAT.md specifies).
 [[nodiscard]] std::string CanonicalKey(const AnalysisKey& key);
-[[nodiscard]] std::string CanonicalKey(const CampaignKey& key);
 
-/// 16-hex-digit content addresses.
+/// 16-hex-digit content address.
 [[nodiscard]] std::string CacheId(const AnalysisKey& key);
-[[nodiscard]] std::string CacheId(const CampaignKey& key);
-
-/// Entry id of one shard's slice of campaign `campaign_id` under a
-/// `shard_count`-way decomposition: "<id>-shard-<i>of<n>". Shard artifacts
-/// are ordinary campaign artifacts (full-length record and completion
-/// vectors, only the shard's own window completed), so every existing
-/// integrity/degradation path applies to them unchanged.
-[[nodiscard]] std::string ShardCacheId(const std::string& campaign_id, int shard_index,
-                                       int shard_count);
 
 /// Hit/miss and byte counters. Session counters are merged into the cache
 /// directory's persistent counters (read-modify-write of a tiny text file,
@@ -166,85 +157,26 @@ class ArtifactCache {
                                                const core::AnalysisOptions& options,
                                                const AnalysisKey& key, ArtifactCache& cache);
 
-/// Load-or-compute-or-resume for fault-injection campaigns. A complete
-/// persisted campaign is served entirely from the artifact (perf.cache_hit);
-/// a partial one resumes by skipping already-completed plan indices; in both
-/// cases outcomes are bit-identical to an uncached run. While running,
-/// progress is persisted atomically every `persist_every` runs (so an
-/// interrupted process loses at most one batch), and the completed campaign
-/// is written back at the end.
-[[nodiscard]] fi::CampaignStats RunCampaignCached(const ir::Module& module,
-                                                  const ddg::Graph& graph,
-                                                  const vm::RunResult& golden,
-                                                  fi::CampaignOptions options,
-                                                  const CampaignKey& key, ArtifactCache& cache,
-                                                  int persist_every = 64);
+// --- campaigns ----------------------------------------------------------------
 
-// --- sharded campaigns -------------------------------------------------------
-
-/// A fully persisted campaign artifact under `key`, rebuilt into stats
-/// without executing anything (perf.cache_hit set); std::nullopt when the
-/// entry is absent, partial, or does not match the options. Used by the
-/// shard supervisor to skip spawning workers for an already-complete
-/// campaign.
-[[nodiscard]] std::optional<fi::CampaignStats> LoadCompleteCampaign(const CampaignKey& key,
-                                                                    ArtifactCache& cache);
-
-/// Worker side of a sharded campaign: runs the shard window named by
-/// `options.shard_index` / `options.shard_count`, resuming from this shard's
-/// persisted completion mask when a previous (killed or hung) attempt left
-/// one behind, and persisting records + mask to the shard-scoped entry every
-/// `persist_every` completed runs — so a relaunched worker loses at most one
-/// batch. `after_persist(completed_so_far)` fires after each persisted batch
-/// (test hooks inject worker deaths there; pass nullptr otherwise). The
-/// cache must be enabled.
-[[nodiscard]] fi::CampaignStats RunCampaignShard(
-    const ir::Module& module, const ddg::Graph& graph, const vm::RunResult& golden,
-    fi::CampaignOptions options, const CampaignKey& key, ArtifactCache& cache,
-    int persist_every = 64,
-    const std::function<void(std::uint64_t completed)>& after_persist = nullptr);
-
-/// Supervisor side: merge diagnostics alongside the recombined stats.
-struct ShardMergeInfo {
-  int shards_loaded = 0;           ///< shard artifacts that decoded and matched
-  std::uint64_t merged = 0;        ///< plan indices adopted from shard artifacts
-  std::uint64_t missing = 0;       ///< indices no shard delivered (re-executed locally)
-  std::uint64_t conflicts = 0;     ///< disagreeing double-claims (re-executed locally)
-  std::uint64_t revalidated = 0;   ///< merged records that survived plan validation
-};
-
-/// Loads every shard entry of `key`'s campaign, merges the record streams,
-/// re-draws the plan and validates every merged record against it (any
-/// mismatch discards the resume data and re-executes — outcomes are always
-/// those of an uninterrupted single-process campaign), executes whatever
-/// indices no shard delivered, persists the merged campaign under the plain
-/// campaign id, and removes the now-redundant shard entries. The returned
-/// stats are byte-identical to a single-process run.
-[[nodiscard]] fi::CampaignStats MergeShardedCampaign(const ir::Module& module,
-                                                     const ddg::Graph& graph,
-                                                     const vm::RunResult& golden,
-                                                     fi::CampaignOptions options,
-                                                     const CampaignKey& key,
-                                                     ArtifactCache& cache, int shard_count,
-                                                     ShardMergeInfo* info = nullptr);
-
-// --- stratified campaigns ----------------------------------------------------
-
-/// A stratified plan's identity: the campaign identity (num_runs is forced to
-/// zero — the planner, not the flag, decides the total) plus the
-/// outcome-affecting planner options. Entries are named `<id>.plan.epvfa`.
+/// A campaign plan's identity and options: the campaign (its analysis and
+/// options), the plan kind, and for a stratified plan the outcome-affecting
+/// planner options. A uniform plan keys on its run budget (`--runs`); a
+/// stratified plan ignores it — the planner decides the total. Entries are
+/// named `<id>.plan.epvfa`.
 struct PlanKey {
   CampaignKey campaign;
-  fi::StratifiedOptions plan;
+  fi::StratifiedOptions plan;  ///< ignored by uniform plans
+  fi::PlanKind kind = fi::PlanKind::kStratified;
 };
 
 [[nodiscard]] std::string CanonicalKey(const PlanKey& key);
 [[nodiscard]] std::string CacheId(const PlanKey& key);
 
 /// Entry id of one shard's slice of planner round `round`:
-/// "<plan id>-round<r>-shard-<i>of<n>". Slices are ordinary campaign
-/// artifacts over the round queue (num_runs = queue length), so the existing
-/// integrity/degradation paths apply unchanged.
+/// "<plan id>-round<r>-shard-<i>of<n>". Slices are campaign artifacts over
+/// the round queue (num_runs = queue length, only the shard's window
+/// completed), so the integrity/degradation paths apply unchanged.
 [[nodiscard]] std::string PlanRoundShardId(const std::string& plan_id, std::uint32_t round,
                                            int shard_index, int shard_count);
 
@@ -261,6 +193,8 @@ struct StratumRow {
   std::uint32_t retired_round = 0;
 };
 
+/// A finished campaign. The estimates and strata rows describe a stratified
+/// plan; a uniform plan reports through `stats` alone.
 struct StratifiedResult {
   fi::CampaignStats stats;  ///< committed records in round order
   fi::RateEstimate sdc;     ///< composite stratum-weighted estimates
@@ -272,40 +206,59 @@ struct StratifiedResult {
 };
 
 /// Executes one round queue and returns the full-length records/completed
-/// vectors (every index complete). The CLI's sharded campaign plugs the
-/// worker-process fan-out in here; the default executor runs in process.
+/// vectors (every index complete) with the round's run accounting. The CLI's
+/// sharded campaign plugs the worker-process fan-out in here; the default
+/// executor runs in process.
 using RoundExecutor = std::function<fi::ExecuteResult(
     std::uint32_t round, const std::vector<fi::PlannedInjection>& queue,
     std::span<const fi::FaultRecord> resume_records,
     std::span<const std::uint8_t> resume_completed)>;
 
-/// Orchestrates a stratified campaign: builds the planner over the analysis
-/// artifacts, restores committed rounds from a persisted epvf-plan-v1 entry
-/// (validated by replay; a mismatch discards it wholesale), then loops
-/// BeginRound -> execute -> CommitRound until every stratum retires or
-/// max_runs is exhausted, persisting the plan entry after every commit (and,
-/// in process, every `persist_every` runs mid-round). `cache` may be null or
-/// disabled (no persistence, no resume); `executor` null = in process;
-/// `progress` is ticked per run and fed the round/strata/CI phase line.
-[[nodiscard]] StratifiedResult RunStratifiedCampaign(
+/// Orchestrates a campaign of either plan kind: builds the planner over the
+/// analysis artifacts, restores committed rounds from a persisted
+/// epvf-plan-v1 entry (validated by replay; a mismatch discards it
+/// wholesale), then loops BeginRound -> execute -> CommitRound until the plan
+/// is done, persisting the plan entry before and after every round (and, in
+/// process, every `persist_every` runs mid-round). A complete entry is
+/// served without executing anything (perf.cache_hit). `cache` may be null or
+/// disabled (no persistence, no resume); `executor` null = in process, with
+/// the suffix checkpoints the campaign options ask for; `progress` is ticked
+/// per run and, for a stratified plan, fed the round/strata/CI phase line.
+[[nodiscard]] StratifiedResult RunPlannedCampaign(const core::Analysis& analysis,
+                                                  fi::Injector& injector, const PlanKey& plan,
+                                                  ArtifactCache* cache,
+                                                  const RoundExecutor& executor = nullptr,
+                                                  obs::ProgressReporter* progress = nullptr,
+                                                  int persist_every = 64);
+
+/// The stratified planner with its options passed apart from the identity:
+/// RunPlannedCampaign over `options` and `plan`, keyed on `key`'s analysis.
+[[nodiscard]] inline StratifiedResult RunStratifiedCampaign(
     const core::Analysis& analysis, fi::Injector& injector, const fi::CampaignOptions& options,
     const fi::StratifiedOptions& plan, const PlanKey& key, ArtifactCache* cache,
     const RoundExecutor& executor = nullptr, obs::ProgressReporter* progress = nullptr,
-    int persist_every = 64);
+    int persist_every = 64) {
+  return RunPlannedCampaign(
+      analysis, injector,
+      PlanKey{CampaignKey{key.campaign.analysis, options}, plan, fi::PlanKind::kStratified}, cache,
+      executor, progress, persist_every);
+}
 
-/// Worker side of one sharded planner round: replays the first `round`
-/// committed rounds of the persisted plan entry (written by the supervisor
-/// before the fan-out), regenerates the round queue, executes this shard's
-/// window — resuming from a previous attempt's slice entry — and persists
-/// the slice under PlanRoundShardId every `persist_every` runs. Returns the
-/// number of runs this worker completed. Throws when the plan entry is
-/// absent or inconsistent (the supervisor treats the nonzero exit as a dead
-/// shard and relaunches).
-std::uint64_t RunStratifiedRoundShard(
-    const core::Analysis& analysis, fi::Injector& injector, const fi::CampaignOptions& options,
-    const fi::StratifiedOptions& plan, const PlanKey& key, ArtifactCache& cache,
-    std::uint32_t round, int shard_index, int shard_count, int persist_every = 64,
-    const std::function<void(std::uint64_t completed)>& after_persist = nullptr);
+/// Worker side of one sharded round: replays the first `round` committed
+/// rounds of the persisted plan entry (written by the supervisor before the
+/// fan-out), regenerates the round queue, executes this shard's window —
+/// resuming from a previous attempt's slice entry — and persists the slice
+/// under PlanRoundShardId every `persist_every` runs; `after_persist(done)`
+/// fires after each persisted batch (test hooks inject worker deaths there)
+/// and `progress` is ticked per run. Returns the number of runs of the window
+/// that are complete. Throws when the plan entry is absent or inconsistent
+/// (the supervisor treats the nonzero exit as a dead shard and relaunches).
+std::uint64_t RunPlanRoundShard(
+    const core::Analysis& analysis, fi::Injector& injector, const PlanKey& plan,
+    ArtifactCache& cache, std::uint32_t round, int shard_index, int shard_count,
+    int persist_every = 64,
+    const std::function<void(std::uint64_t completed)>& after_persist = nullptr,
+    obs::ProgressReporter* progress = nullptr);
 
 /// Supervisor side: loads every slice entry of `round`, merges them, and
 /// validates each adopted record against the regenerated `queue` (mismatches

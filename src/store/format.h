@@ -26,12 +26,14 @@ inline constexpr std::uint32_t kMagic = 0x46565045u;
 /// Bump on ANY change to the serialized layout of any artifact.
 /// v2: per-unit compositional artifacts (kUnitManifest / kUnit).
 /// v3: campaign/plan artifacts carry the fault scenario (register/memory).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: plan artifacts carry the plan kind; a uniform campaign persists as a
+///     one-round plan, and campaign artifacts are shard slices only.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 enum class ArtifactKind : std::uint32_t {
   kAnalysis = 1,      ///< golden trace metadata + DDG + ACE + crash bits (+ use-weighted sums)
-  kCampaign = 2,      ///< fault-injection campaign records + completion mask
-  kPlan = 3,          ///< stratified-campaign planner state (epvf-plan-v1)
+  kCampaign = 2,      ///< one shard's slice of a round: records + completion mask
+  kPlan = 3,          ///< campaign plan kind + identity + record log (epvf-plan-v1)
   kUnitManifest = 4,  ///< per-app latest compositional state (module text + unit key table)
   kUnit = 5,          ///< one unit's slice + backward results + sums
 };
@@ -44,8 +46,8 @@ enum class SectionId : std::uint32_t {
   kAce = 3,           ///< ddg::AceResult
   kCrashBits = 4,     ///< crash::CrashBits (allowed intervals + masks)
   kUseWeighted = 5,   ///< Analysis::UseWeightedBits (the rate-estimate pass)
-  kCampaign = 6,      ///< campaign meta + records + completion mask
-  kPlan = 7,          ///< planner identity + round sizes + records + completion mask
+  kCampaign = 6,      ///< slice meta + records + completion mask
+  kPlan = 7,          ///< plan kind + identity + round sizes + records + completion mask
   kUnitManifest = 8,  ///< module text, interns, segment order, unit key table + walks
   kUnitSlice = 9,     ///< core::UnitSlice flat storage
   kUnitBackward = 10, ///< core::UnitBackward (marks, masks, spill sets)

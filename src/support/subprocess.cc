@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -136,6 +137,7 @@ std::optional<Subprocess> Subprocess::Spawn(const SubprocessOptions& options) {
     }
   }
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     LogWarn(std::string("Subprocess: fork failed: ") + std::strerror(errno));
@@ -144,11 +146,23 @@ std::optional<Subprocess> Subprocess::Spawn(const SubprocessOptions& options) {
     return std::nullopt;
   }
   if (pid == 0) {
+    // Its own process group, so Kill reaches everything the child spawns
+    // (a shell's forked commands, a worker's helpers); and SIGKILL when the
+    // spawning thread dies, so a supervisor killed outright — or stopped by
+    // a terminal's Ctrl-C, which reaches the foreground group and not this
+    // one — never leaves its workers running. The getppid check closes the
+    // race with a parent that died before prctl.
+    ::setpgid(0, 0);
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) _exit(127);
     if (stdout_fd >= 0) ::dup2(stdout_fd, STDOUT_FILENO);
     if (stderr_fd >= 0) ::dup2(stderr_fd, STDERR_FILENO);
     ::execve(argv[0], argv.data(), envp.data());
     _exit(127);  // exec failed — the conventional shell "command not found" code
   }
+  // Set the group from this side too, so a Kill right after Spawn cannot
+  // race the child's own setpgid.
+  ::setpgid(pid, pid);
   if (stdout_fd >= 0) ::close(stdout_fd);
   if (stderr_fd >= 0 && stderr_fd != stdout_fd) ::close(stderr_fd);
 
@@ -261,7 +275,9 @@ ExitStatus Subprocess::Wait() {
 
 void Subprocess::Kill(int signal) {
   if (pid_ < 0 || status_.has_value()) return;
-  ::kill(pid_, signal);
+  // The whole group: the child and everything it spawned. Until reaped the
+  // child (even as a zombie) keeps its group id from being reused.
+  ::kill(-pid_, signal);
 }
 
 }  // namespace epvf

@@ -6,7 +6,9 @@
 // nonzero exit or a signal like SIGKILL from the OOM killer), and a hang
 // (no progress until a deadline passes). Subprocess wraps the POSIX
 // fork/execve/waitpid triple behind that contract: Spawn never blocks, Poll
-// reaps without waiting, and Kill + Wait tear a wedged child down. Extra
+// reaps without waiting, and Kill + Wait tear a wedged child down — the
+// child runs in its own process group, which Kill signals as a whole, and it
+// is SIGKILLed if the spawning thread dies first. Extra
 // environment variables and stdout/stderr redirection cover the worker
 // plumbing (per-shard log files, progress-snapshot paths) without touching
 // the parent's streams.
@@ -80,7 +82,8 @@ class Subprocess {
   /// Blocks until the child ends.
   ExitStatus Wait();
 
-  /// Sends `signal` (default SIGKILL). The child still must be reaped via
+  /// Sends `signal` (default SIGKILL) to the child's process group — the
+  /// child and every process it spawned. The child still must be reaped via
   /// Poll/Wait. No-op after the child was reaped.
   void Kill(int signal = 9);
 

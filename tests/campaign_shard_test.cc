@@ -1,11 +1,12 @@
 // Sharded-campaign property tests: the shard decomposition must be invisible
-// in the results. ShardSlice partitions the plan exactly; running every
-// shard's window separately and merging the per-shard record streams must
-// reproduce the single-process campaign byte for byte — same records, same
-// outcome counts, same confidence intervals — across applications, seeds,
-// shard counts, and checkpoint settings. The merge itself must survive
-// missing shards, wrong-shape shards, and conflicting double-claims by
-// falling back to re-execution, never to wrong answers.
+// in the results. ShardSlice partitions a round queue exactly; executing
+// every shard's window of a uniform plan separately and merging the
+// per-shard record streams must reproduce the single-process campaign byte
+// for byte — same records, same outcome counts, same confidence intervals —
+// across applications, seeds, shard counts, and checkpoint settings. The
+// merge itself must survive missing shards, wrong-shape shards, and
+// conflicting double-claims by falling back to re-execution, never to wrong
+// answers.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "apps/app.h"
 #include "epvf/analysis.h"
 #include "fi/campaign.h"
+#include "fi/planner.h"
 #include "fi/shard.h"
 
 namespace epvf::fi {
@@ -177,52 +179,65 @@ TEST_P(ShardIdentity, ShardedRunsRecombineIntoTheSingleProcessStream) {
 
   const CampaignStats full = RunCampaign(app.module, a.graph(), a.golden(), options);
   ASSERT_EQ(full.records.size(), static_cast<std::size_t>(options.num_runs));
+  const auto num_runs = static_cast<std::uint32_t>(options.num_runs);
 
   for (const int shard_count : {2, 4, 8}) {
-    // Run every shard window independently, as the worker processes would.
+    // Every worker regenerates the uniform plan's one round and executes only
+    // its own window, as the worker processes do.
     std::vector<ShardRecords> shards;
     shards.reserve(static_cast<std::size_t>(shard_count));
     for (int shard = 0; shard < shard_count; ++shard) {
-      CampaignOptions shard_options = options;
-      shard_options.shard_index = shard;
-      shard_options.shard_count = shard_count;
-      const CampaignStats stats =
-          RunCampaign(app.module, a.graph(), a.golden(), shard_options);
-      const ShardRange window =
-          ShardSlice(static_cast<std::size_t>(options.num_runs), shard_count, shard);
-      EXPECT_EQ(stats.Total(), window.Size())
-          << "a shard must count only its own window's outcomes";
-      ShardRecords contribution;
-      contribution.records = stats.records;
-      contribution.completed.assign(static_cast<std::size_t>(options.num_runs), 0);
-      for (std::size_t i = window.begin; i < window.end; ++i) contribution.completed[i] = 1;
-      shards.push_back(std::move(contribution));
+      Injector injector(app.module, a.golden(), options.injector);
+      CampaignPlanner planner(a.graph(), injector, options.seed, num_runs);
+      const std::vector<PlannedInjection> queue = planner.BeginRound();
+      CampaignPerf perf;
+      PrepareCheckpoints(injector, options, perf);
+      ExecuteOptions exec;
+      exec.num_threads = options.num_threads;
+      exec.shard_index = static_cast<std::uint32_t>(shard);
+      exec.shard_count = static_cast<std::uint32_t>(shard_count);
+      const ExecuteResult result = ExecutePlannedRuns(injector, queue, exec);
+      const ShardRange window = ShardSlice(num_runs, shard_count, shard);
+      std::size_t completed = 0;
+      for (std::size_t i = 0; i < result.completed.size(); ++i) {
+        completed += result.completed[i];
+        EXPECT_EQ(result.completed[i] != 0, window.Contains(i))
+            << "a shard must complete exactly its own window";
+      }
+      EXPECT_EQ(completed, window.Size());
+      shards.push_back(ShardRecords{result.records, result.completed});
     }
 
-    const MergedRecords merged =
-        MergeShards(static_cast<std::size_t>(options.num_runs), shards);
-    EXPECT_EQ(merged.merged, static_cast<std::uint64_t>(options.num_runs));
+    const MergedRecords merged = MergeShards(num_runs, shards);
+    EXPECT_EQ(merged.merged, num_runs);
     EXPECT_EQ(merged.missing, 0u);
     EXPECT_EQ(merged.conflicts, 0u);
     EXPECT_TRUE(SameRecords(merged.records, full.records))
         << param.app << " seed " << param.seed << " at " << shard_count << " shards";
 
-    // Feeding the merged stream back through the campaign as resume data is
+    // Feeding the merged stream back through the executor as resume data is
     // exactly what the supervisor's merge does: every record must validate
-    // against the re-drawn plan and the rebuilt statistics must match.
-    CampaignOptions resume_options = options;
-    resume_options.resume_records = &merged.records;
-    resume_options.resume_completed = &merged.completed;
-    const CampaignStats rebuilt =
-        RunCampaign(app.module, a.graph(), a.golden(), resume_options);
-    EXPECT_EQ(rebuilt.perf.resumed_records, static_cast<std::uint64_t>(options.num_runs))
+    // against the regenerated queue, nothing may re-execute, and the
+    // committed statistics must match.
+    Injector injector(app.module, a.golden(), options.injector);
+    CampaignPlanner planner(a.graph(), injector, options.seed, num_runs);
+    const std::vector<PlannedInjection> queue = planner.BeginRound();
+    ExecuteOptions exec;
+    exec.num_threads = options.num_threads;
+    exec.resume_records = merged.records;
+    exec.resume_completed = merged.completed;
+    const ExecuteResult rebuilt = ExecutePlannedRuns(injector, queue, exec);
+    EXPECT_EQ(rebuilt.perf.resumed_records, num_runs)
         << "every merged record must survive plan validation";
-    EXPECT_TRUE(SameRecords(rebuilt.records, full.records));
-    EXPECT_EQ(rebuilt.counts, full.counts);
+    EXPECT_EQ(rebuilt.perf.full_runs + rebuilt.perf.checkpointed_runs, 0u);
+    planner.CommitRound(rebuilt.records);
+    const CampaignStats stats = planner.Stats();
+    EXPECT_TRUE(SameRecords(stats.records, full.records));
+    EXPECT_EQ(stats.counts, full.counts);
     for (int o = 0; o < kNumOutcomes; ++o) {
       const auto outcome = static_cast<Outcome>(o);
-      EXPECT_DOUBLE_EQ(rebuilt.CI(outcome).rate, full.CI(outcome).rate);
-      EXPECT_DOUBLE_EQ(rebuilt.CI(outcome).half_width, full.CI(outcome).half_width);
+      EXPECT_DOUBLE_EQ(stats.CI(outcome).rate, full.CI(outcome).rate);
+      EXPECT_DOUBLE_EQ(stats.CI(outcome).half_width, full.CI(outcome).half_width);
     }
   }
 }

@@ -8,18 +8,21 @@
 // End-to-end level: the real `epvf campaign` binary (EPVF_CLI_PATH) with the
 // EPVF_TEST_WORKER_KILL_ONCE / EPVF_TEST_WORKER_STALL_ONCE hooks, asserting
 // that a SIGKILLed worker and a wedged worker are relaunched, resume from
-// their shard's persisted completion mask, and that the merged campaign is
-// byte-identical — stdout and the merged artifact — to an undisturbed run.
+// their slice's persisted completion mask, and that the merged campaign is
+// byte-identical — stdout and the merged plan entry — to an undisturbed run.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fi/supervisor.h"
@@ -254,20 +257,19 @@ CliResult RunCliStderr(const std::string& args, const std::string& env,
 
 constexpr const char* kCampaignArgs = "campaign mm --scale 0 --runs 36 --seed 5 --jobs 1";
 
-/// The merged campaign artifact's bytes inside `dir` (exactly one
-/// *.campaign.epvfa remains after a successful merge removes the shard
-/// slices).
+/// The merged campaign's plan entry bytes inside `dir` (exactly one
+/// *.plan.epvfa, and no shard slice left behind after a successful merge).
 std::string MergedArtifactBytes(const std::string& dir) {
   std::string found;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
-    if (name.find(".campaign.epvfa") == std::string::npos) continue;
     EXPECT_EQ(name.find("-shard-"), std::string::npos)
         << "shard slice " << name << " must be removed after the merge";
-    EXPECT_TRUE(found.empty()) << "more than one merged campaign artifact in " << dir;
+    if (name.find(".plan.epvfa") == std::string::npos) continue;
+    EXPECT_TRUE(found.empty()) << "more than one merged plan entry in " << dir;
     found = ReadFileOrEmpty(entry.path().string());
   }
-  EXPECT_FALSE(found.empty()) << "no merged campaign artifact in " << dir;
+  EXPECT_FALSE(found.empty()) << "no merged plan entry in " << dir;
   return found;
 }
 
@@ -327,6 +329,65 @@ TEST(CampaignFaultTolerance, WedgedWorkerIsKilledByTheDeadlineAndResumed) {
   const std::string diagnostics = ReadFileOrEmpty(stderr_path);
   EXPECT_NE(diagnostics.find("hung"), std::string::npos) << diagnostics;
   EXPECT_NE(diagnostics.find("relaunch"), std::string::npos) << diagnostics;
+}
+
+/// Pids of the live `epvf campaign` workers whose command line names
+/// `cache_dir` (zombies count as ended).
+std::vector<pid_t> LiveWorkers(const std::string& cache_dir) {
+  std::vector<pid_t> pids;
+  for (const auto& entry : fs::directory_iterator("/proc")) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    const std::string cmdline = ReadFileOrEmpty(entry.path().string() + "/cmdline");
+    if (cmdline.find("--worker-shard") == std::string::npos ||
+        cmdline.find(cache_dir) == std::string::npos) {
+      continue;
+    }
+    const std::string stat = ReadFileOrEmpty(entry.path().string() + "/stat");
+    const std::size_t close = stat.rfind(')');
+    if (close != std::string::npos && close + 2 < stat.size() && stat[close + 2] == 'Z') continue;
+    pids.push_back(static_cast<pid_t>(std::stol(name)));
+  }
+  return pids;
+}
+
+TEST(CampaignFaultTolerance, WorkersDieWithAnInterruptedSupervisor) {
+  // Workers run in their own process groups, so a terminal's Ctrl-C reaches
+  // the supervisor alone; its death must still take every worker with it.
+  TempDir cache_dir;
+  TempDir scratch;
+  SubprocessOptions command;
+  command.argv = {EPVF_CLI_PATH, "campaign", "mm",       "--scale",     "0",
+                  "--runs",      "36",       "--seed",   "5",           "--jobs",
+                  "1",           "--shards", "3",        "--cache-dir", cache_dir.path};
+  command.env = {"EPVF_PERSIST_EVERY=4",
+                 "EPVF_TEST_WORKER_STALL_ONCE=" + scratch.path + "/stall.marker"};
+  command.stdout_path = scratch.path + "/supervisor.log";
+  command.stderr_path = command.stdout_path;
+  std::optional<Subprocess> supervisor = Subprocess::Spawn(command);
+  ASSERT_TRUE(supervisor.has_value());
+
+  // Wait for a worker to wedge, then interrupt its supervisor the way a
+  // terminal does: SIGINT to the supervisor's process group.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!fs::exists(scratch.path + "/stall.marker") &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_TRUE(fs::exists(scratch.path + "/stall.marker")) << "no worker ever stalled";
+  EXPECT_FALSE(LiveWorkers(cache_dir.path).empty()) << "the stalled worker is not running";
+  supervisor->Kill(SIGINT);
+  const ExitStatus status = supervisor->Wait();
+  EXPECT_FALSE(status.exited);
+  EXPECT_EQ(status.signal, SIGINT);
+
+  std::vector<pid_t> survivors = LiveWorkers(cache_dir.path);
+  for (int i = 0; i < 500 && !survivors.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    survivors = LiveWorkers(cache_dir.path);
+  }
+  EXPECT_TRUE(survivors.empty()) << survivors.size() << " worker(s) outlived the supervisor";
+  for (const pid_t pid : survivors) ::kill(pid, SIGKILL);
 }
 
 }  // namespace

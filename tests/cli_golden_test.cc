@@ -11,13 +11,18 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace {
 
@@ -238,6 +243,22 @@ TEST(CliCampaign, EnvVarPicksTheShardCount) {
   EXPECT_EQ(env.stdout_text, flagged.stdout_text);
 }
 
+TEST(CliCampaign, CheckpointsMinusOneIsTheAutoDefault) {
+  // The usage text documents --checkpoints -1 as "auto": a negative number
+  // must parse as the flag's value, and the supervisor forwards it to its
+  // workers verbatim.
+  const CliResult fallback = RunCli("inject mm --scale 0 --runs 8 --no-cache");
+  const CliResult explicit_auto =
+      RunCli("inject mm --scale 0 --runs 8 --no-cache --checkpoints -1");
+  ASSERT_EQ(fallback.exit_code, 0);
+  ASSERT_EQ(explicit_auto.exit_code, 0);
+  EXPECT_EQ(explicit_auto.stdout_text, fallback.stdout_text);
+  const CliResult sharded =
+      RunCli("campaign mm --scale 0 --runs 40 --seed 7 --shards 2 --checkpoints -1");
+  ASSERT_EQ(sharded.exit_code, 0);
+  ExpectMatchesGolden("inject_mm.txt", sharded.stdout_text);
+}
+
 TEST(CliCampaign, ExitCodeContractsMatchTheOtherCommands) {
   EXPECT_EQ(RunCli("campaign").exit_code, 2);                      // no target
   EXPECT_EQ(RunCli("campaign mm --bogus-flag").exit_code, 4);      // unknown flag
@@ -284,16 +305,16 @@ TEST(CliEngine, UnknownEngineIsFour) {
             0);
 }
 
-/// The merged campaign artifact's bytes inside `dir` (shard slices are
-/// removed by a successful merge, leaving exactly one *.campaign.epvfa).
+/// The merged campaign's plan entry bytes inside `dir` (shard slices are
+/// removed by a successful merge, leaving exactly one *.plan.epvfa).
 std::string MergedCampaignArtifact(const std::string& dir) {
   std::string found;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().filename().string().find(".campaign.epvfa") == std::string::npos) continue;
-    EXPECT_TRUE(found.empty()) << "more than one merged campaign artifact in " << dir;
+    if (entry.path().filename().string().find(".plan.epvfa") == std::string::npos) continue;
+    EXPECT_TRUE(found.empty()) << "more than one merged plan entry in " << dir;
     found = ReadFileOrEmpty(entry.path().string());
   }
-  EXPECT_FALSE(found.empty()) << "no merged campaign artifact in " << dir;
+  EXPECT_FALSE(found.empty()) << "no merged plan entry in " << dir;
   return found;
 }
 
@@ -470,6 +491,83 @@ TEST(CliObservability, MetricsOutRoundTripsThroughMetricsCommand) {
   EXPECT_EQ(pretty.exit_code, 0);
   EXPECT_NE(pretty.stdout_text.find("analysis.runs"), std::string::npos);
   EXPECT_NE(pretty.stdout_text.find("analysis.ace.us"), std::string::npos);
+}
+
+/// The backticked `campaign.*` / `planner.*` metric names in
+/// docs/OBSERVABILITY.md.
+std::vector<std::string> DocumentedCampaignMetrics() {
+  const std::string doc = ReadFileOrEmpty(std::string(EPVF_DOCS_DIR) + "/OBSERVABILITY.md");
+  std::vector<std::string> names;
+  for (std::size_t at = doc.find('`'); at != std::string::npos; at = doc.find('`', at + 1)) {
+    const std::size_t end =
+        doc.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_.<>-", at + 1);
+    if (end == std::string::npos || doc[end] != '`') continue;
+    const std::string name = doc.substr(at + 1, end - at - 1);
+    if (name.rfind("campaign.", 0) == 0 || name.rfind("planner.", 0) == 0) names.push_back(name);
+  }
+  return names;
+}
+
+/// Whether `metric` is an instance of the documented name `documented`, where
+/// a `<placeholder>` segment stands for any one dot-free segment.
+bool IsInstanceOf(const std::string& metric, const std::string& documented) {
+  std::istringstream have(metric);
+  std::istringstream want(documented);
+  std::string a;
+  std::string b;
+  while (true) {
+    const bool more = static_cast<bool>(std::getline(have, a, '.'));
+    if (more != static_cast<bool>(std::getline(want, b, '.'))) return false;
+    if (!more) return true;
+    const bool placeholder = b.size() > 2 && b.front() == '<' && b.back() == '>';
+    if (a != b && !(placeholder && !a.empty())) return false;
+  }
+}
+
+TEST(CliObservability, CampaignMetricInventoryMatchesTheDocs) {
+  // Both plan kinds, with the store and the checkpoint fast path engaged so
+  // every engine metric registers; the registered and the documented
+  // campaign.* / planner.* names must then agree in both directions.
+  TempDir tmp;
+  ASSERT_EQ(RunCli("inject lulesh --scale 0 --runs 30 --seed 7 --jitter 0 --checkpoints 4 "
+                   "--cache-dir " + tmp.path + "/cache --metrics-out " + tmp.path +
+                   "/uniform.json")
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("inject mm --scale 0 --plan stratified --ci-target 0.2 --no-cache "
+                   "--metrics-out " + tmp.path + "/stratified.json")
+                .exit_code,
+            0);
+  std::set<std::string> registered;
+  for (const char* dump : {"/uniform.json", "/stratified.json"}) {
+    const std::optional<epvf::obs::MetricsSnapshot> snap =
+        epvf::obs::ParseMetricsJson(ReadFileOrEmpty(tmp.path + dump));
+    ASSERT_TRUE(snap.has_value()) << dump;
+    const auto add = [&](const std::string& metric) {
+      if (metric.rfind("campaign.", 0) == 0 || metric.rfind("planner.", 0) == 0) {
+        registered.insert(metric);
+      }
+    };
+    for (const auto& entry : snap->counters) add(entry.first);
+    for (const auto& entry : snap->gauges) add(entry.first);
+    for (const auto& entry : snap->histograms) add(entry.first);
+  }
+
+  const std::vector<std::string> documented = DocumentedCampaignMetrics();
+  ASSERT_FALSE(documented.empty()) << "no campaign metrics documented";
+  for (const std::string& metric : registered) {
+    EXPECT_TRUE(std::any_of(documented.begin(), documented.end(),
+                            [&](const std::string& d) { return IsInstanceOf(metric, d); }))
+        << metric << " is registered but not documented in docs/OBSERVABILITY.md";
+  }
+  // The shard supervisor's counters register only as their events happen (a
+  // launch, a relaunch, a timeout), so the reverse check covers the engine.
+  for (const std::string& d : documented) {
+    if (d.rfind("campaign.shard.", 0) == 0 || d.rfind("campaign.supervisor.", 0) == 0) continue;
+    EXPECT_TRUE(std::any_of(registered.begin(), registered.end(),
+                            [&](const std::string& metric) { return IsInstanceOf(metric, d); }))
+        << d << " is documented but neither plan kind registers it";
+  }
 }
 
 TEST(CliObservability, MetricsCommandRejectsGarbage) {

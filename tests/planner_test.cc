@@ -107,6 +107,29 @@ TEST(CampaignPlanner, StrataAreADisjointCoverOfTheSiteSpace) {
 
 // --- allocation --------------------------------------------------------------
 
+TEST(CampaignPlanner, UniformPlanIsOneUnstoppableRoundOverEverySite) {
+  const Pipeline& p = Mm();
+  Injector injector = MakeInjector(p);
+  CampaignPlanner planner(p.analysis.graph(), injector, 7, 50);
+  EXPECT_EQ(planner.kind(), PlanKind::kUniform);
+  ASSERT_EQ(planner.strata().size(), 1u);
+  EXPECT_EQ(planner.strata()[0].sites.size(), EnumerateFaultSites(p.analysis.graph()).size());
+  EXPECT_DOUBLE_EQ(planner.strata()[0].weight, 1.0);
+
+  ASSERT_FALSE(planner.Done());
+  const std::vector<PlannedInjection> queue = planner.BeginRound();
+  ASSERT_EQ(queue.size(), 50u);
+  planner.CommitRound(ExecutePlannedRuns(injector, queue, ExecuteOptions{}).records);
+  // A fixed budget: done after its one round, never by the stopping rule.
+  EXPECT_TRUE(planner.Done());
+  EXPECT_EQ(planner.RoundsCommitted(), 1u);
+  EXPECT_FALSE(planner.strata()[0].retired);
+  EXPECT_THROW((void)planner.BeginRound(), std::logic_error);
+
+  CampaignPlanner empty(p.analysis.graph(), injector, 7, 0);
+  EXPECT_TRUE(empty.Done()) << "a zero-run budget has nothing to draw";
+}
+
 TEST(CampaignPlanner, AllocationSumsToBudgetAndSkipsRetiredStrata) {
   const Pipeline& p = Mm();
   Injector injector = MakeInjector(p);
@@ -290,6 +313,7 @@ TEST(PlanArtifact, RoundTripsAndValidatesIdentity) {
   ASSERT_TRUE(reader.has_value());
   const auto loaded = store::ReadPlanArtifact(*reader);
   ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->kind, plan.kind);
   EXPECT_EQ(loaded->seed, plan.seed);
   EXPECT_EQ(loaded->ci_target, plan.ci_target);
   EXPECT_EQ(loaded->round_sizes, plan.round_sizes);
@@ -307,12 +331,25 @@ TEST(PlanArtifact, RoundTripsAndValidatesIdentity) {
   matching.ci_target = 0.12;
   matching.max_runs = 500;
   matching.round_size = 64;
-  EXPECT_TRUE(loaded->Matches(campaign, matching));
+  EXPECT_TRUE(loaded->Matches(campaign, matching, PlanKind::kStratified));
   StratifiedOptions mismatched = matching;
   mismatched.ci_target = 0.05;
-  EXPECT_FALSE(loaded->Matches(campaign, mismatched));
+  EXPECT_FALSE(loaded->Matches(campaign, mismatched, PlanKind::kStratified));
   campaign.seed = 8;
-  EXPECT_FALSE(loaded->Matches(campaign, matching));
+  EXPECT_FALSE(loaded->Matches(campaign, matching, PlanKind::kStratified));
+
+  // A uniform plan keys on its run budget and ignores planner options.
+  campaign.seed = 7;
+  campaign.num_runs = 200;
+  const store::PlanArtifact uniform =
+      store::PlanArtifact::Identity(campaign, matching, PlanKind::kUniform);
+  EXPECT_EQ(uniform.num_runs, 200u);
+  EXPECT_EQ(uniform.ci_target, 0.0);
+  EXPECT_TRUE(uniform.Matches(campaign, mismatched, PlanKind::kUniform));
+  EXPECT_FALSE(uniform.Matches(campaign, matching, PlanKind::kStratified));
+  EXPECT_FALSE(loaded->Matches(campaign, matching, PlanKind::kUniform));
+  campaign.num_runs = 201;
+  EXPECT_FALSE(uniform.Matches(campaign, matching, PlanKind::kUniform));
 
   // Truncated images must fail structurally, not crash.
   for (const std::size_t cut : {image.size() - 1, image.size() / 2}) {

@@ -77,6 +77,8 @@ int ValidateAllEntries(const std::string& dir) {
       kind = ArtifactKind::kAnalysis;
     } else if (name.size() > 15 && name.rfind(".campaign.epvfa") == name.size() - 15) {
       kind = ArtifactKind::kCampaign;
+    } else if (name.size() > 11 && name.rfind(".plan.epvfa") == name.size() - 11) {
+      kind = ArtifactKind::kPlan;
     } else {
       continue;
     }
@@ -183,7 +185,7 @@ TEST(StoreSoak, ProcessSwarmSharingOneCacheDirectory) {
     EXPECT_TRUE(child.Wait().Success()) << "a swarm member failed";
   }
 
-  // Two analysis entries (mm, nw) and two campaign entries survive, all
+  // Two analysis entries (mm, nw) and two campaign plan entries survive, all
   // valid; racing writers of the same key were invisible.
   EXPECT_EQ(ValidateAllEntries(dir.path), 4);
   ExpectNoTempDroppings(dir.path);

@@ -1,7 +1,7 @@
 // Artifact-store tests: primitive and artifact round-trips, corruption
 // fallback (bit flips, truncation, version/magic/kind mismatch — never a
 // crash, always identical recomputed results), the content-addressed cache
-// end to end, and campaign resume from a partially persisted artifact.
+// end to end, and campaign resume from a partially persisted plan entry.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,6 +12,7 @@
 #include "apps/app.h"
 #include "epvf/analysis.h"
 #include "fi/campaign.h"
+#include "fi/planner.h"
 #include "store/artifact.h"
 #include "store/cache.h"
 #include "store/format.h"
@@ -283,7 +284,6 @@ TEST(CampaignArtifact, RoundTripAndIdentity) {
   EXPECT_EQ(loaded->records[1].bit, 12);
   EXPECT_EQ(loaded->records[1].outcome, fi::Outcome::kSdc);
   EXPECT_EQ(loaded->CompletedCount(), 2u);
-  EXPECT_FALSE(loaded->Complete());
 
   fi::CampaignOptions options;
   options.num_runs = 3;
@@ -316,10 +316,14 @@ TEST(Cache, KeySeparatesIdentities) {
   EXPECT_NE(CacheId(other), base);
 
   fi::CampaignOptions campaign;
-  const std::string cbase = CacheId(CampaignKey{key, campaign});
+  const auto plan_id = [&](fi::PlanKind kind) {
+    return CacheId(PlanKey{CampaignKey{key, campaign}, {}, kind});
+  };
+  const std::string cbase = plan_id(fi::PlanKind::kUniform);
   EXPECT_NE(cbase, base);
+  EXPECT_NE(plan_id(fi::PlanKind::kStratified), cbase);
   campaign.seed += 1;
-  EXPECT_NE(CacheId(CampaignKey{key, campaign}), cbase);
+  EXPECT_NE(plan_id(fi::PlanKind::kUniform), cbase);
 }
 
 TEST(Cache, AnalysisHitServesIdenticalResults) {
@@ -403,11 +407,14 @@ TEST(Cache, CampaignFullHitAndResume) {
   const fi::CampaignStats reference = fi::RunCampaign(app.module, a.graph(), a.golden(), options);
 
   AnalysisKey akey{"lud", "scale=0", ModuleFingerprint(app.module), core::AnalysisOptions{}};
-  const CampaignKey key{akey, options};
+  const PlanKey key{CampaignKey{akey, options}, {}, fi::PlanKind::kUniform};
   ArtifactCache cache(dir.path);
+  fi::Injector injector(app.module, a.golden(), options.injector);
+  const auto run = [&](int persist_every) {
+    return RunPlannedCampaign(a, injector, key, &cache, nullptr, nullptr, persist_every).stats;
+  };
 
-  const fi::CampaignStats cold =
-      RunCampaignCached(app.module, a.graph(), a.golden(), options, key, cache, /*persist_every=*/8);
+  const fi::CampaignStats cold = run(/*persist_every=*/8);
   EXPECT_FALSE(cold.perf.cache_hit);
   EXPECT_EQ(cold.counts, reference.counts);
   ASSERT_EQ(cold.records.size(), reference.records.size());
@@ -417,32 +424,28 @@ TEST(Cache, CampaignFullHitAndResume) {
     EXPECT_EQ(cold.records[i].outcome, reference.records[i].outcome);
   }
 
-  // Second run: everything served from the artifact.
-  const fi::CampaignStats warm =
-      RunCampaignCached(app.module, a.graph(), a.golden(), options, key, cache);
+  // Second run: everything served from the plan entry.
+  const fi::CampaignStats warm = run(64);
   EXPECT_TRUE(warm.perf.cache_hit);
   EXPECT_EQ(warm.perf.resumed_records, reference.records.size());
   EXPECT_EQ(warm.counts, reference.counts);
 
-  // Interrupted-campaign simulation: persist only the even plan indices and
-  // resume — the odd ones re-execute, outcomes stay bit-identical.
-  CampaignArtifact partial;
-  partial.seed = options.seed;
-  partial.num_runs = static_cast<std::uint32_t>(options.num_runs);
-  partial.jitter_pages = options.injector.jitter_pages;
-  partial.burst_length = options.injector.burst_length;
+  // Interrupted-campaign simulation: persist the uniform plan's one round
+  // with only the even indices complete and resume — the odd ones
+  // re-execute, outcomes stay bit-identical.
+  PlanArtifact partial = PlanArtifact::Identity(options, {}, fi::PlanKind::kUniform);
+  partial.round_sizes = {static_cast<std::uint32_t>(options.num_runs)};
   partial.records = reference.records;
   partial.completed.assign(partial.records.size(), 0);
   for (std::size_t i = 0; i < partial.records.size(); i += 2) partial.completed[i] = 1;
   for (std::size_t i = 1; i < partial.records.size(); i += 2) {
     partial.records[i] = fi::FaultRecord{};  // incomplete slots carry no data
   }
-  ArtifactWriter writer(ArtifactKind::kCampaign);
-  WriteCampaignArtifact(partial, writer);
+  ArtifactWriter writer(ArtifactKind::kPlan);
+  WritePlanArtifact(partial, writer);
   ASSERT_TRUE(cache.Store(CacheId(key), writer));
 
-  const fi::CampaignStats resumed =
-      RunCampaignCached(app.module, a.graph(), a.golden(), options, key, cache);
+  const fi::CampaignStats resumed = run(64);
   EXPECT_FALSE(resumed.perf.cache_hit);
   EXPECT_EQ(resumed.perf.resumed_records, (reference.records.size() + 1) / 2);
   EXPECT_EQ(resumed.counts, reference.counts);
@@ -450,14 +453,13 @@ TEST(Cache, CampaignFullHitAndResume) {
     EXPECT_EQ(resumed.records[i].outcome, reference.records[i].outcome) << "index " << i;
   }
 
-  // A tampered completed record (site disagrees with the re-drawn plan)
+  // A tampered completed record (site disagrees with the regenerated queue)
   // discards the resume data wholesale — results still identical.
   partial.records[0].site.dyn_index += 1;
-  ArtifactWriter tampered_writer(ArtifactKind::kCampaign);
-  WriteCampaignArtifact(partial, tampered_writer);
+  ArtifactWriter tampered_writer(ArtifactKind::kPlan);
+  WritePlanArtifact(partial, tampered_writer);
   ASSERT_TRUE(cache.Store(CacheId(key), tampered_writer));
-  const fi::CampaignStats retried =
-      RunCampaignCached(app.module, a.graph(), a.golden(), options, key, cache);
+  const fi::CampaignStats retried = run(64);
   EXPECT_EQ(retried.perf.resumed_records, 0u);
   EXPECT_EQ(retried.counts, reference.counts);
 }
@@ -504,10 +506,18 @@ TEST(Cache, PerKindStatsBreakdown) {
   };
   {
     ArtifactCache cache(dir.path);
-    // One analysis miss + hit, one compositional cold run (manifest + unit
-    // misses) + warm run (manifest + unit hits).
+    // One analysis miss + hit, one uniform campaign cold (plan miss) + warm
+    // (plan hit), one compositional cold run (manifest + unit misses) + warm
+    // run (manifest + unit hits).
     (void)RunAnalysisCached(app.module, options, key, cache);
-    (void)RunAnalysisCached(app.module, options, key, cache);
+    const core::Analysis analysis = RunAnalysisCached(app.module, options, key, cache);
+    fi::CampaignOptions campaign;
+    campaign.num_runs = 12;
+    campaign.num_threads = 2;
+    const PlanKey plan{CampaignKey{key, campaign}, {}, fi::PlanKind::kUniform};
+    fi::Injector injector(app.module, analysis.golden(), campaign.injector);
+    ASSERT_FALSE(RunPlannedCampaign(analysis, injector, plan, &cache).stats.perf.cache_hit);
+    ASSERT_TRUE(RunPlannedCampaign(analysis, injector, plan, &cache).stats.perf.cache_hit);
     const auto cold = RunAnalysisIncremental(app.module, options, key, cache);
     ASSERT_TRUE(cold.stats.cold_rebuild);
     const auto warm = RunAnalysisIncremental(app.module, options, key, cache);
@@ -516,17 +526,21 @@ TEST(Cache, PerKindStatsBreakdown) {
     ASSERT_GT(num_units, 0u);
 
     const ArtifactCache::DirStats stats = cache.Stats();
-    // Directory scan: 1 analysis + 1 manifest + num_units unit entries.
+    // Directory scan: 1 analysis + 1 plan + 1 manifest + num_units unit
+    // entries, and no shard slices.
     EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kAnalysis)], 1u);
+    EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kPlan)], 1u);
     EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kUnitManifest)], 1u);
     EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kUnit)], num_units);
     EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kCampaign)], 0u);
-    EXPECT_EQ(stats.entries, 2u + num_units);
+    EXPECT_EQ(stats.entries, 3u + num_units);
     EXPECT_GT(stats.kind_bytes[slot(ArtifactKind::kUnit)], 0u);
 
     // Session counters, by kind.
     EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kAnalysis)].hits, 1u);
     EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kAnalysis)].misses, 1u);
+    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kPlan)].hits, 1u);
+    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kPlan)].misses, 1u);
     EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnitManifest)].hits, 1u);
     EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnitManifest)].misses, 1u);
     EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnit)].hits, num_units);
@@ -537,13 +551,15 @@ TEST(Cache, PerKindStatsBreakdown) {
   ArtifactCache next_session(dir.path);
   const ArtifactCache::DirStats stats = next_session.Stats();
   EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kAnalysis)].hits, 1u);
+  EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kPlan)].misses, 1u);
   EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnitManifest)].misses, 1u);
   EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnit)].hits,
             stats.kind_entries[slot(ArtifactKind::kUnit)]);
   // And the aggregate lifetime still matches the plain (undotted) lines.
-  EXPECT_EQ(stats.lifetime.hits, 2u + stats.kind_lifetime[slot(ArtifactKind::kUnit)].hits);
+  EXPECT_EQ(stats.lifetime.hits, 3u + stats.kind_lifetime[slot(ArtifactKind::kUnit)].hits);
 
   EXPECT_EQ(ArtifactKindName(ArtifactKind::kAnalysis), "analysis");
+  EXPECT_EQ(ArtifactKindName(ArtifactKind::kPlan), "plan");
   EXPECT_EQ(ArtifactKindName(ArtifactKind::kUnitManifest), "manifest");
   EXPECT_EQ(ArtifactKindName(ArtifactKind::kUnit), "unit");
 }

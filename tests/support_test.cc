@@ -1,11 +1,18 @@
 // Unit tests for the support library: bit helpers, RNG, statistics, tables.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
 #include <chrono>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "support/bits.h"
@@ -258,6 +265,52 @@ TEST(Subprocess, WaitAnyReadyPicksTheChildThatExits) {
   EXPECT_TRUE(status->Success());
   slow_child->Kill();
   (void)slow_child->Wait();
+}
+
+/// True once `pid` has terminated: gone from /proc, or a zombie waiting for
+/// its reaper.
+bool ProcessEnded(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!stat || !std::getline(stat, line)) return true;
+  const std::size_t close = line.rfind(')');
+  return close == std::string::npos || close + 2 >= line.size() || line[close + 2] == 'Z';
+}
+
+TEST(Subprocess, KillReachesEverythingTheChildSpawned) {
+  // A shell that forks a sleeper: killing only the shell would orphan the
+  // sleeper, which would then hold any inherited pipe open for its full 30 s.
+  const std::string pid_file = (std::filesystem::temp_directory_path() /
+                                ("epvf_subprocess_" + std::to_string(::getpid()) + ".pid"))
+                                   .string();
+  std::filesystem::remove(pid_file);
+  SubprocessOptions options;
+  options.argv = {"/bin/sh", "-c", "sleep 30 & echo $! > " + pid_file + ".tmp; mv " + pid_file +
+                                       ".tmp " + pid_file + "; wait"};
+  std::optional<Subprocess> child = Subprocess::Spawn(options);
+  ASSERT_TRUE(child.has_value());
+
+  pid_t sleeper = 0;
+  for (int i = 0; i < 500 && sleeper == 0; ++i) {
+    std::ifstream in(pid_file);
+    if (!(in >> sleeper)) {
+      sleeper = 0;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  std::filesystem::remove(pid_file);
+  ASSERT_GT(sleeper, 0) << "the shell never reported its sleeper";
+  EXPECT_FALSE(ProcessEnded(sleeper));
+
+  child->Kill();
+  EXPECT_FALSE(child->Wait().exited);
+  bool ended = false;
+  for (int i = 0; i < 500 && !ended; ++i) {
+    ended = ProcessEnded(sleeper);
+    if (!ended) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(ended) << "Kill left the grandchild " << sleeper << " running";
+  if (!ended) ::kill(sleeper, SIGKILL);
 }
 
 TEST(Subprocess, WaitAnyReadySkipsReapedChildrenAndTimesOut) {

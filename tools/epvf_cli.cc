@@ -17,14 +17,15 @@
 // every jobs setting.
 //
 // campaign is inject scaled out across worker *processes*: a supervisor
-// shards the deterministic run plan into --shards contiguous slices (env
+// runs the campaign plan (uniform or stratified) round by round, splits each
+// round's deterministic queue into --shards contiguous slices (env
 // EPVF_SHARDS when the flag is absent), runs each slice in its own relaunch
-// of this binary (the hidden --worker-shard flag), and merges the per-shard
-// artifacts into one record stream that is byte-identical to a
-// single-process run — including runs where a worker is killed or hangs
-// mid-shard and is relaunched (workers resume from their shard's persisted
-// completion mask). All supervision diagnostics go to stderr; worker output
-// lands in per-shard log files inside the cache directory.
+// of this binary (the hidden --worker-shard flag), and merges the slice
+// entries into one record stream that is byte-identical to a single-process
+// run — including runs where a worker is killed or hangs mid-shard and is
+// relaunched (workers resume from their slice's persisted completion mask).
+// All supervision diagnostics go to stderr; worker output lands in
+// per-shard log files inside the cache directory.
 //
 // analyze and inject consult the on-disk artifact cache when a directory is
 // given via --cache-dir or EPVF_CACHE_DIR (--no-cache overrides both), and
@@ -47,6 +48,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -74,7 +76,6 @@
 #include "fi/campaign.h"
 #include "fi/memory_scenario.h"
 #include "fi/scenario.h"
-#include "fi/shard.h"
 #include "fi/supervisor.h"
 #include "fi/targeted.h"
 #include "ir/parser.h"
@@ -409,12 +410,6 @@ fi::CampaignOptions MakeCampaignOptions(const Options& options, const core::Anal
         a.TraceLength() / (static_cast<std::uint64_t>(checkpoints) + 1);
     campaign.checkpoint_interval = static_cast<std::int64_t>(interval < 1 ? 1 : interval);
   }
-  // A supervising process (sharded campaign or the serve daemon) names a
-  // snapshot file here; progress_file is outside the campaign's cache
-  // identity, so honoring it never forks the content address.
-  if (const char* progress_file = std::getenv("EPVF_PROGRESS_FILE")) {
-    campaign.progress_file = progress_file;
-  }
   return campaign;
 }
 
@@ -452,24 +447,29 @@ void AttachScenario(fi::Injector& injector, const fi::CampaignOptions& campaign,
 
 /// --plan uniform|stratified (uniform = the classic fixed-runs campaign).
 /// Prints the offending value and returns nullopt on anything else.
-std::optional<bool> ResolveStratified(const Options& options) {
-  const std::string plan = options.Str("plan", "uniform");
-  if (plan == "uniform") return false;
-  if (plan == "stratified") return true;
-  std::fprintf(stderr, "epvf: unknown plan '%s' (expected uniform or stratified)\n",
-               plan.c_str());
-  return std::nullopt;
+std::optional<fi::PlanKind> ResolvePlanKind(const Options& options) {
+  const std::string name = options.Str("plan", "uniform");
+  const std::optional<fi::PlanKind> kind = fi::ParsePlanKind(name);
+  if (!kind.has_value()) {
+    std::fprintf(stderr, "epvf: unknown plan '%s' (expected uniform or stratified)\n",
+                 name.c_str());
+  }
+  return kind;
 }
 
-fi::StratifiedOptions MakeStratifiedOptions(const Options& options) {
+/// The campaign this invocation asks for: its analysis identity (default
+/// when nothing is cached), campaign options, plan kind and planner options.
+store::PlanKey MakePlanKey(const Options& options, const core::Analysis& a,
+                           const store::AnalysisKey& analysis_key, fi::PlanKind kind) {
   fi::StratifiedOptions plan;
   plan.ci_target = options.Double("ci-target", 0.05);
   plan.max_runs = static_cast<std::uint32_t>(std::max(0, options.Int("max-runs", 0)));
-  return plan;
+  return store::PlanKey{store::CampaignKey{analysis_key, MakeCampaignOptions(options, a)}, plan,
+                        kind};
 }
 
-/// Persistence batch size for campaign/plan artifacts (EPVF_PERSIST_EVERY,
-/// the same knob the crash-tolerance tests turn down).
+/// Persistence batch size for plan entries and shard slices
+/// (EPVF_PERSIST_EVERY, the knob the crash-tolerance tests turn down).
 int ResolvePersistEvery() {
   int persist_every = 64;
   if (const char* env = std::getenv("EPVF_PERSIST_EVERY")) {
@@ -479,13 +479,13 @@ int ResolvePersistEvery() {
   return persist_every;
 }
 
-obs::ProgressReporter::Options MakeProgressOptions(std::string label) {
-  obs::ProgressReporter::Options popts;
-  popts.label = std::move(label);
-  popts.categories.reserve(fi::kNumOutcomes);
-  for (int o = 0; o < fi::kNumOutcomes; ++o) {
-    popts.categories.emplace_back(fi::OutcomeName(static_cast<fi::Outcome>(o)));
-  }
+/// The campaign progress line: done/total for a uniform plan (a stratified
+/// plan's total is open-ended), republished to EPVF_PROGRESS_FILE when a
+/// supervising process (sharded campaign or the serve daemon) names one.
+obs::ProgressReporter::Options MakeProgressOptions(const store::PlanKey& plan) {
+  const int runs = plan.kind == fi::PlanKind::kUniform ? plan.campaign.options.num_runs : 0;
+  obs::ProgressReporter::Options popts =
+      fi::CampaignProgressOptions(static_cast<std::uint64_t>(std::max(0, runs)));
   if (const char* progress_file = std::getenv("EPVF_PROGRESS_FILE")) {
     popts.snapshot_path = progress_file;
   }
@@ -514,84 +514,69 @@ void PrintStratifiedReport(const core::Analysis& a, const store::StratifiedResul
       result.crash.half_width * 100, static_cast<unsigned long long>(result.stats.Total()));
 }
 
-/// In-process stratified campaign — the --plan stratified halves of `epvf
-/// inject` and single-shard `epvf campaign` (same code path, same stdout).
-int RunStratifiedInProcess(const Options& options, const ir::Module& module,
-                           const core::Analysis& a, store::ArtifactCache& cache,
-                           const std::optional<store::AnalysisKey>& key) {
-  const fi::CampaignOptions campaign = MakeCampaignOptions(options, a);
-  const fi::StratifiedOptions plan = MakeStratifiedOptions(options);
-  const store::PlanKey pkey{
-      store::CampaignKey{key.has_value() ? *key : store::AnalysisKey{}, campaign}, plan};
-  fi::Injector injector(module, a.golden(), campaign.injector);
-  AttachScenario(injector, campaign, a);
-
-  obs::ProgressReporter progress(MakeProgressOptions("inject"));
-  const store::StratifiedResult result = store::RunStratifiedCampaign(
-      a, injector, campaign, plan, pkey, cache.enabled() ? &cache : nullptr, nullptr,
-      &progress, ResolvePersistEvery());
-  progress.Finish();
-
-  if (cache.enabled()) {
-    PrintCacheStatus("plan", store::CacheId(pkey), result.stats.perf.cache_hit,
-                     result.stats.perf.cache_load_seconds,
-                     result.stats.perf.cache_store_seconds);
-    if (!result.stats.perf.cache_hit && result.resumed_runs > 0) {
+/// The end of every campaign command: the cache lines (stderr), the report
+/// of the plan's kind (stdout), and the checkpoint fast-path accounting
+/// (stderr — it differs between cold, resumed and cached campaigns while the
+/// outcomes do not).
+void FinishCampaign(const core::Analysis& a, const store::PlanKey& plan,
+                    const store::StratifiedResult& result, bool report_cache) {
+  const fi::CampaignPerf& perf = result.stats.perf;
+  if (report_cache) {
+    PrintCacheStatus("plan", store::CacheId(plan), perf.cache_hit, perf.cache_load_seconds,
+                     perf.cache_store_seconds);
+    if (!perf.cache_hit && result.resumed_runs > 0) {
       std::fprintf(stderr, "cache: resumed %llu completed runs from a prior plan\n",
                    static_cast<unsigned long long>(result.resumed_runs));
     }
   }
-  PrintStratifiedReport(a, result);
-  return 0;
-}
-
-int CmdInject(const Options& options) {
-  const std::optional<bool> stratified = ResolveStratified(options);
-  if (!stratified.has_value()) return kExitUsage;
-  const ir::Module module = LoadTarget(options);
-  const core::AnalysisOptions opts = AnalysisOpts(options);
-  store::ArtifactCache cache(ResolveCacheDir(options));
-  std::optional<store::AnalysisKey> key;
-  if (cache.enabled()) key = MakeAnalysisKey(options, module, opts);
-  const core::Analysis a = cache.enabled() ? store::RunAnalysisCached(module, opts, *key, cache)
-                                           : core::Analysis::Run(module, opts);
-  if (cache.enabled()) {
-    PrintCacheStatus("analysis", store::CacheId(*key), a.timings().cache_hit,
-                     a.timings().cache_load_seconds, a.timings().cache_store_seconds);
-  }
-  if (*stratified) return RunStratifiedInProcess(options, module, a, cache, key);
-
-  const fi::CampaignOptions campaign = MakeCampaignOptions(options, a);
-  fi::CampaignStats stats;
-  if (cache.enabled()) {
-    const store::CampaignKey ckey{*key, campaign};
-    stats = store::RunCampaignCached(module, a.graph(), a.golden(), campaign, ckey, cache);
-    PrintCacheStatus("campaign", store::CacheId(ckey), stats.perf.cache_hit,
-                     stats.perf.cache_load_seconds, stats.perf.cache_store_seconds);
-    if (!stats.perf.cache_hit && stats.perf.resumed_records > 0) {
-      std::fprintf(stderr, "cache: resumed %llu/%llu completed runs from a prior campaign\n",
-                   static_cast<unsigned long long>(stats.perf.resumed_records),
-                   static_cast<unsigned long long>(stats.Total()));
-    }
+  if (plan.kind == fi::PlanKind::kStratified) {
+    PrintStratifiedReport(a, result);
   } else {
-    stats = fi::RunCampaign(module, a.graph(), a.golden(), campaign);
+    PrintCampaignReport(a, result.stats);
   }
-
-  PrintCampaignReport(a, stats);
-  const fi::CampaignPerf& perf = stats.perf;
   if (perf.checkpoints > 0) {
-    // Diagnostics on stderr: the fast-path accounting differs between cold,
-    // resumed and fully cached campaigns while the outcomes do not.
     std::fprintf(
         stderr,
         "checkpoint fast path : %llu snapshots (built in %.1f ms), %llu/%llu runs resumed, "
         "%.1f Minstr of golden prefix skipped, inject %.1f ms\n",
         static_cast<unsigned long long>(perf.checkpoints), perf.checkpoint_seconds * 1e3,
         static_cast<unsigned long long>(perf.checkpointed_runs),
-        static_cast<unsigned long long>(stats.Total()),
+        static_cast<unsigned long long>(result.stats.Total()),
         static_cast<double>(perf.skipped_instructions) * 1e-6, perf.inject_seconds * 1e3);
   }
+}
+
+/// In-process campaign of either plan kind: `epvf inject` and single-shard
+/// `epvf campaign` (same code path, same stdout, same cache behaviour).
+int RunCampaignInProcess(const Options& options, fi::PlanKind kind) {
+  const ir::Module module = LoadTarget(options);
+  const core::AnalysisOptions opts = AnalysisOpts(options);
+  store::ArtifactCache cache(ResolveCacheDir(options));
+  store::AnalysisKey key;
+  if (cache.enabled()) key = MakeAnalysisKey(options, module, opts);
+  const core::Analysis a = cache.enabled() ? store::RunAnalysisCached(module, opts, key, cache)
+                                           : core::Analysis::Run(module, opts);
+  if (cache.enabled()) {
+    PrintCacheStatus("analysis", store::CacheId(key), a.timings().cache_hit,
+                     a.timings().cache_load_seconds, a.timings().cache_store_seconds);
+  }
+  const store::PlanKey plan = MakePlanKey(options, a, key, kind);
+  fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
+  AttachScenario(injector, plan.campaign.options, a);
+
+  obs::ProgressReporter progress(MakeProgressOptions(plan));
+  const store::StratifiedResult result =
+      store::RunPlannedCampaign(a, injector, plan, cache.enabled() ? &cache : nullptr, nullptr,
+                                &progress, ResolvePersistEvery());
+  progress.Finish();
+  FinishCampaign(a, plan, result, cache.enabled());
   return 0;
+}
+
+int CmdInject(const Options& options) {
+  const std::optional<fi::PlanKind> kind = ResolvePlanKind(options);
+  if (!kind.has_value()) return kExitUsage;
+  return RunCampaignInProcess(options, *kind);
 }
 
 /// Absolute path of this binary, resolved once in main(): the supervisor
@@ -610,17 +595,21 @@ bool ClaimOnceMarker(const std::string& path) {
   return true;
 }
 
-/// Worker half of `epvf campaign`: executes one shard window against the
-/// shared cache directory and exits. Spawned by the supervisor with
-/// --worker-shard; never invoked by users directly.
+/// Worker half of `epvf campaign`: regenerates round --plan-round's queue
+/// from the supervisor-persisted plan entry, executes its --worker-shard
+/// window against the shared cache directory, and exits. Spawned by the
+/// supervisor; never invoked by users directly.
 int CmdCampaignWorker(const Options& options) {
   store::ArtifactCache cache(ResolveCacheDir(options));
   if (!cache.enabled()) {
     std::fprintf(stderr, "epvf campaign: --worker-shard requires --cache-dir\n");
     return 1;
   }
+  const std::optional<fi::PlanKind> kind = ResolvePlanKind(options);
+  if (!kind.has_value()) return kExitUsage;
   const int shard_index = options.Int("worker-shard", 0);
   const int shard_count = options.Int("shards", 1);
+  const auto round = static_cast<std::uint32_t>(options.Int("plan-round", 0));
 
   const ir::Module module = LoadTarget(options);
   const core::AnalysisOptions opts = AnalysisOpts(options);
@@ -628,14 +617,9 @@ int CmdCampaignWorker(const Options& options) {
   // The supervisor warmed the analysis artifact before spawning workers, so
   // this is a cache load, not a recompute.
   const core::Analysis a = store::RunAnalysisCached(module, opts, key, cache);
-
-  // MakeCampaignOptions already picked up EPVF_PROGRESS_FILE (the supervisor
-  // set it to this shard's snapshot path).
-  fi::CampaignOptions campaign = MakeCampaignOptions(options, a);
-  campaign.shard_index = shard_index;
-  campaign.shard_count = shard_count;
-
-  const int persist_every = ResolvePersistEvery();
+  const store::PlanKey plan = MakePlanKey(options, a, key, *kind);
+  fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
+  AttachScenario(injector, plan.campaign.options, a);
 
   // Fault-tolerance test hooks: after the first persisted batch, the single
   // worker that claims the marker dies by SIGKILL / wedges until the
@@ -654,44 +638,36 @@ int CmdCampaignWorker(const Options& options) {
     };
   }
 
-  // A planner-round worker regenerates round --plan-round's queue from the
-  // supervisor-persisted plan entry and executes its slice of it.
-  if (options.flags.count("plan-round") != 0) {
-    const fi::StratifiedOptions plan = MakeStratifiedOptions(options);
-    const store::PlanKey pkey{store::CampaignKey{key, campaign}, plan};
-    const auto round = static_cast<std::uint32_t>(options.Int("plan-round", 0));
-    fi::Injector injector(module, a.golden(), campaign.injector);
-    AttachScenario(injector, campaign, a);
-    const std::uint64_t done =
-        store::RunStratifiedRoundShard(a, injector, campaign, plan, pkey, cache, round,
-                                       shard_index, shard_count, persist_every, after_persist);
-    std::fprintf(stderr, "worker shard %d/%d: plan round %u done (%llu runs)\n", shard_index,
-                 shard_count, round, static_cast<unsigned long long>(done));
-    return 0;
-  }
-
-  const fi::CampaignStats stats = store::RunCampaignShard(
-      module, a.graph(), a.golden(), campaign, store::CampaignKey{key, campaign}, cache,
-      persist_every, after_persist);
-  std::fprintf(stderr, "worker shard %d/%d: done (%llu resumed from a prior attempt)\n",
-               shard_index, shard_count,
-               static_cast<unsigned long long>(stats.perf.resumed_records));
+  // The supervisor set EPVF_PROGRESS_FILE to this shard's snapshot path (and
+  // EPVF_PROGRESS=0), so the reporter only publishes counters for it to fold.
+  obs::ProgressReporter progress(MakeProgressOptions(plan));
+  const std::uint64_t done =
+      store::RunPlanRoundShard(a, injector, plan, cache, round, shard_index, shard_count,
+                               ResolvePersistEvery(), after_persist, &progress);
+  progress.Finish();
+  std::fprintf(stderr, "worker shard %d/%d: plan round %u done (%llu runs)\n", shard_index,
+               shard_count, round, static_cast<unsigned long long>(done));
   return 0;
 }
 
-/// Supervisor half of a sharded stratified campaign. The planner's round loop
-/// runs here; each round the plan entry is persisted (the orchestrator does
-/// that before calling the executor), --shards workers are spawned with
-/// --plan-round so they regenerate the identical round queue and execute
-/// disjoint slices of it, and their slice artifacts are merged — holes from
-/// dead or hung workers execute in-process. Records are byte-identical to
-/// --shards 1 by construction.
-int CmdCampaignStratifiedSharded(const Options& options, const ir::Module& module,
-                                 const core::AnalysisOptions& opts,
-                                 const std::string& user_cache_dir, int shards) {
+/// Supervisor half of a sharded campaign of either plan kind. The plan's
+/// round loop runs here; each round the plan entry is persisted (the
+/// orchestrator does that before calling the executor), --shards workers are
+/// spawned with --plan-round so they regenerate the identical round queue
+/// and execute disjoint slices of it, and their slice entries are merged —
+/// holes from dead or hung workers execute in-process. Records are
+/// byte-identical to --shards 1 by construction.
+int CmdCampaignSharded(const Options& options, fi::PlanKind kind, int shards) {
+  const ir::Module module = LoadTarget(options);
+  const core::AnalysisOptions opts = AnalysisOpts(options);
+  const std::string user_cache_dir = ResolveCacheDir(options);
+
+  // The slices need a directory every worker can reach. Without a user cache
+  // the supervisor fabricates a private one and removes it afterwards —
+  // sharding works with or without --cache-dir.
   std::string shard_dir = user_cache_dir;
-  bool private_dir = false;
-  if (shard_dir.empty()) {
+  const bool private_dir = shard_dir.empty();
+  if (private_dir) {
     std::string pattern =
         (std::filesystem::temp_directory_path() / "epvf-campaign-XXXXXX").string();
     char* made = ::mkdtemp(pattern.data());
@@ -700,26 +676,39 @@ int CmdCampaignStratifiedSharded(const Options& options, const ir::Module& modul
       return 1;
     }
     shard_dir = made;
-    private_dir = true;
   }
+  // Held in an optional so a private shard directory can be torn down in the
+  // right order: the cache destructor persists its counters into the
+  // directory, so it must run before remove_all.
   std::optional<store::ArtifactCache> cache_slot(std::in_place, shard_dir);
   store::ArtifactCache& cache = *cache_slot;
   const store::AnalysisKey key = MakeAnalysisKey(options, module, opts);
+  // Warm the analysis artifact so every worker loads it instead of redoing
+  // the trace/DDG pipeline N times.
   const core::Analysis a = store::RunAnalysisCached(module, opts, key, cache);
-  if (!user_cache_dir.empty()) {
+  if (!private_dir) {
     PrintCacheStatus("analysis", store::CacheId(key), a.timings().cache_hit,
                      a.timings().cache_load_seconds, a.timings().cache_store_seconds);
   }
+  const store::PlanKey plan = MakePlanKey(options, a, key, kind);
+  const std::string plan_id = store::CacheId(plan);
+  fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
+  AttachScenario(injector, plan.campaign.options, a);
 
-  const fi::CampaignOptions campaign = MakeCampaignOptions(options, a);
-  const fi::StratifiedOptions plan = MakeStratifiedOptions(options);
-  const store::PlanKey pkey{store::CampaignKey{key, campaign}, plan};
-  const std::string plan_id = store::CacheId(pkey);
-  fi::Injector injector(module, a.golden(), campaign.injector);
-  AttachScenario(injector, campaign, a);
+  // One campaign-wide progress line: workers publish counter snapshots into
+  // the shard directory with their own stderr lines muted (EPVF_PROGRESS=0),
+  // and this reporter folds them into its own counts.
+  std::vector<std::string> progress_files;
+  progress_files.reserve(static_cast<std::size_t>(shards));
+  for (int i = 0; i < shards; ++i) {
+    progress_files.push_back(shard_dir + "/progress-" + std::to_string(i) + ".txt");
+  }
+  obs::ProgressReporter::Options progress_options = MakeProgressOptions(plan);
+  progress_options.aggregate_paths = progress_files;
+  obs::ProgressReporter progress(std::move(progress_options));
 
-  obs::ProgressReporter progress(MakeProgressOptions("campaign"));
-
+  // Each worker gets an even slice of the host: a 4-shard campaign on an
+  // 8-way machine runs 2 threads per worker unless --jobs says otherwise.
   const int worker_jobs =
       options.flags.count("jobs") != 0
           ? options.Int("jobs", 0)
@@ -742,6 +731,8 @@ int CmdCampaignStratifiedSharded(const Options& options, const ir::Module& modul
         sup.command = [&](int shard) {
           SubprocessOptions cmd;
           cmd.argv = {g_self_exe, "campaign", options.target};
+          // Forward only the flags the user passed: the worker applies the
+          // same defaults.
           for (const char* flag : {"scale", "runs", "jitter", "burst", "seed", "checkpoints",
                                    "engine", "plan", "ci-target", "max-runs", "scenario"}) {
             const auto it = options.flags.find(flag);
@@ -759,10 +750,11 @@ int CmdCampaignStratifiedSharded(const Options& options, const ir::Module& modul
           cmd.argv.push_back(std::to_string(round));
           cmd.argv.push_back("--worker-shard");
           cmd.argv.push_back(std::to_string(shard));
-          // Round workers publish no snapshots of their own — blank out an
-          // inherited EPVF_PROGRESS_FILE (set when this supervisor runs under
-          // the serve daemon) so N workers don't clobber one file.
-          cmd.env = {"EPVF_PROGRESS=0", "EPVF_TRACE=0", "EPVF_PROGRESS_FILE="};
+          // Workers must not inherit the supervisor's trace sink — they would
+          // clobber each other's output files.
+          cmd.env = {"EPVF_PROGRESS=0",
+                     "EPVF_PROGRESS_FILE=" + progress_files[static_cast<std::size_t>(shard)],
+                     "EPVF_TRACE=0"};
           cmd.stdout_path = log_files[static_cast<std::size_t>(shard)];
           cmd.stderr_path = log_files[static_cast<std::size_t>(shard)];
           return cmd;
@@ -773,29 +765,31 @@ int CmdCampaignStratifiedSharded(const Options& options, const ir::Module& modul
         const fi::SupervisorResult sup_result = fi::RunShardSupervisor(sup);
         total_relaunches += sup_result.TotalRelaunches();
 
-        fi::ExecuteResult merged =
+        // The workers' snapshots give way to the merged records: the adopted
+        // runs tick this reporter as the holes execute in-process.
+        std::error_code ec;
+        for (const std::string& path : progress_files) std::filesystem::remove(path, ec);
+        const fi::ExecuteResult merged =
             store::LoadPlanRoundShards(cache, plan_id, round, shards, queue);
-        std::uint64_t adopted = 0;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-          if (merged.completed[i] == 0) continue;
-          adopted += 1;
-          progress.Tick(static_cast<std::size_t>(merged.records[i].outcome));
-        }
-        // Execute whatever no worker delivered; adopted records revalidate
-        // against the queue inside ExecutePlannedRuns.
         fi::ExecuteOptions exec;
         exec.num_threads = options.Int("jobs", 0);
         exec.resume_records = merged.records;
         exec.resume_completed = merged.completed;
         exec.progress = &progress;
+        fi::CampaignPerf checkpoints;
+        if (std::find(merged.completed.begin(), merged.completed.end(), 0) !=
+            merged.completed.end()) {
+          fi::PrepareCheckpoints(injector, plan.campaign.options, checkpoints);
+        }
         fi::ExecuteResult full = fi::ExecutePlannedRuns(injector, queue, exec);
+        full.perf.Add(checkpoints);
         std::fprintf(stderr,
                      "campaign: round %u: %zu runs, %llu merged from %d shard(s), %llu "
                      "executed in-process\n",
-                     round, queue.size(), static_cast<unsigned long long>(adopted), shards,
-                     static_cast<unsigned long long>(queue.size() - adopted));
+                     round, queue.size(),
+                     static_cast<unsigned long long>(full.perf.resumed_records), shards,
+                     static_cast<unsigned long long>(queue.size() - full.perf.resumed_records));
         store::RemovePlanRoundShards(cache, plan_id, round, shards);
-        std::error_code ec;
         for (int i = 0; i < shards; ++i) {
           const fi::ShardOutcome& shard = sup_result.shards[static_cast<std::size_t>(i)];
           if (shard.succeeded) {
@@ -811,33 +805,31 @@ int CmdCampaignStratifiedSharded(const Options& options, const ir::Module& modul
         return full;
       };
 
-  const store::StratifiedResult result = store::RunStratifiedCampaign(
-      a, injector, campaign, plan, pkey, &cache, executor, &progress, ResolvePersistEvery());
+  const store::StratifiedResult result = store::RunPlannedCampaign(
+      a, injector, plan, &cache, executor, &progress, ResolvePersistEvery());
   progress.Finish();
   std::fprintf(stderr,
-               "campaign: stratified plan %s: %u round(s), %d relaunch(es), %llu run(s) "
+               "campaign: %s plan %s: %u round(s) on %d shard(s), %d relaunch(es), %llu run(s) "
                "resumed from the plan entry\n",
-               plan_id.c_str(), result.rounds, total_relaunches,
-               static_cast<unsigned long long>(result.resumed_runs));
-  if (!user_cache_dir.empty()) {
-    PrintCacheStatus("plan", plan_id, result.stats.perf.cache_hit,
-                     result.stats.perf.cache_load_seconds,
-                     result.stats.perf.cache_store_seconds);
-  }
-  PrintStratifiedReport(a, result);
+               std::string(fi::PlanKindName(kind)).c_str(), plan_id.c_str(), result.rounds,
+               shards, total_relaunches, static_cast<unsigned long long>(result.resumed_runs));
+  FinishCampaign(a, plan, result, !private_dir);
 
   if (private_dir) {
     cache_slot.reset();
     std::filesystem::remove_all(shard_dir);
   }
+  // Shard failures are not campaign failures: the holes they left executed
+  // in-process, so the results above are complete and correct — the failures
+  // were already reported on stderr.
   return 0;
 }
 
 int CmdCampaign(const Options& options) {
   if (options.flags.count("worker-shard") != 0) return CmdCampaignWorker(options);
 
-  const std::optional<bool> stratified = ResolveStratified(options);
-  if (!stratified.has_value()) return kExitUsage;
+  const std::optional<fi::PlanKind> kind = ResolvePlanKind(options);
+  if (!kind.has_value()) return kExitUsage;
 
   // --shards beats EPVF_SHARDS; never more shards than runs (round sizes are
   // planner-chosen under --plan stratified, so the clamp only applies to the
@@ -849,214 +841,11 @@ int CmdCampaign(const Options& options) {
   }
   const int num_runs = options.Int("runs", 500);
   if (shards < 1) shards = 1;
-  if (!*stratified && shards > num_runs) shards = num_runs > 0 ? num_runs : 1;
+  if (*kind == fi::PlanKind::kUniform && shards > num_runs) shards = num_runs > 0 ? num_runs : 1;
 
-  const ir::Module module = LoadTarget(options);
-  const core::AnalysisOptions opts = AnalysisOpts(options);
-  const std::string user_cache_dir = ResolveCacheDir(options);
-
-  // Single-shard campaigns run in-process and are literally `epvf inject`:
-  // same code path, same stdout, same cache behaviour.
-  if (shards == 1) {
-    store::ArtifactCache cache(user_cache_dir);
-    std::optional<store::AnalysisKey> key;
-    if (cache.enabled()) key = MakeAnalysisKey(options, module, opts);
-    const core::Analysis a = cache.enabled()
-                                 ? store::RunAnalysisCached(module, opts, *key, cache)
-                                 : core::Analysis::Run(module, opts);
-    if (cache.enabled()) {
-      PrintCacheStatus("analysis", store::CacheId(*key), a.timings().cache_hit,
-                       a.timings().cache_load_seconds, a.timings().cache_store_seconds);
-    }
-    if (*stratified) return RunStratifiedInProcess(options, module, a, cache, key);
-    const fi::CampaignOptions campaign = MakeCampaignOptions(options, a);
-    fi::CampaignStats stats;
-    if (cache.enabled()) {
-      const store::CampaignKey ckey{*key, campaign};
-      stats = store::RunCampaignCached(module, a.graph(), a.golden(), campaign, ckey, cache);
-      PrintCacheStatus("campaign", store::CacheId(ckey), stats.perf.cache_hit,
-                       stats.perf.cache_load_seconds, stats.perf.cache_store_seconds);
-    } else {
-      stats = fi::RunCampaign(module, a.graph(), a.golden(), campaign);
-    }
-    PrintCampaignReport(a, stats);
-    return 0;
-  }
-
-  if (*stratified) {
-    return CmdCampaignStratifiedSharded(options, module, opts, user_cache_dir, shards);
-  }
-
-  // Sharded: the shard artifacts need a directory every worker can reach.
-  // Without a user cache the supervisor fabricates a private one and removes
-  // it afterwards — sharding works with or without --cache-dir.
-  std::string shard_dir = user_cache_dir;
-  bool private_dir = false;
-  if (shard_dir.empty()) {
-    std::string pattern =
-        (std::filesystem::temp_directory_path() / "epvf-campaign-XXXXXX").string();
-    char* made = ::mkdtemp(pattern.data());
-    if (made == nullptr) {
-      std::fprintf(stderr, "epvf campaign: cannot create a temporary shard directory\n");
-      return 1;
-    }
-    shard_dir = made;
-    private_dir = true;
-  }
-
-  // Held in an optional so a private shard directory can be torn down in the
-  // right order: the cache destructor persists its counters into the
-  // directory, so it must run before remove_all.
-  std::optional<store::ArtifactCache> cache_slot(std::in_place, shard_dir);
-  store::ArtifactCache& cache = *cache_slot;
-  const store::AnalysisKey key = MakeAnalysisKey(options, module, opts);
-  // Warm the analysis artifact so every worker loads it instead of redoing
-  // the trace/DDG pipeline N times.
-  const core::Analysis a = store::RunAnalysisCached(module, opts, key, cache);
-  if (!user_cache_dir.empty()) {
-    PrintCacheStatus("analysis", store::CacheId(key), a.timings().cache_hit,
-                     a.timings().cache_load_seconds, a.timings().cache_store_seconds);
-  }
-
-  const fi::CampaignOptions campaign = MakeCampaignOptions(options, a);
-  const store::CampaignKey ckey{key, campaign};
-
-  // A fully persisted campaign needs no workers at all.
-  if (std::optional<fi::CampaignStats> cached = store::LoadCompleteCampaign(ckey, cache)) {
-    PrintCacheStatus("campaign", store::CacheId(ckey), true, cached->perf.cache_load_seconds,
-                     0.0);
-    PrintCampaignReport(a, *cached);
-    if (private_dir) {
-      cache_slot.reset();
-      std::filesystem::remove_all(shard_dir);
-    }
-    return 0;
-  }
-
-  // One campaign-wide progress line: workers publish counter snapshots into
-  // the shard directory with their own stderr lines muted (EPVF_PROGRESS=0),
-  // and this reporter folds them into a single done/total/ETA line.
-  std::vector<std::string> progress_files;
-  progress_files.reserve(static_cast<std::size_t>(shards));
-  std::vector<std::string> log_files;
-  log_files.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    progress_files.push_back(shard_dir + "/progress-" + std::to_string(i) + ".txt");
-    log_files.push_back(shard_dir + "/shard-" + std::to_string(i) + "of" +
-                        std::to_string(shards) + ".log");
-  }
-  obs::ProgressReporter::Options progress_options;
-  progress_options.label = "campaign";
-  progress_options.total = static_cast<std::uint64_t>(num_runs);
-  progress_options.categories.reserve(fi::kNumOutcomes);
-  for (int o = 0; o < fi::kNumOutcomes; ++o) {
-    progress_options.categories.emplace_back(fi::OutcomeName(static_cast<fi::Outcome>(o)));
-  }
-  progress_options.aggregate_paths = progress_files;
-  // When this supervisor itself runs under the serve daemon, republish the
-  // folded counters to the daemon's snapshot file so the client still gets
-  // progress frames.
-  if (const char* progress_file = std::getenv("EPVF_PROGRESS_FILE")) {
-    progress_options.snapshot_path = progress_file;
-  }
-  obs::ProgressReporter progress(std::move(progress_options));
-
-  // Each worker gets an even slice of the host: a 4-shard campaign on an
-  // 8-way machine runs 2 analysis threads per worker unless --jobs says
-  // otherwise.
-  const int worker_jobs =
-      options.flags.count("jobs") != 0
-          ? options.Int("jobs", 0)
-          : std::max(1, static_cast<int>(ThreadPool::HardwareJobs()) / shards);
-
-  fi::SupervisorOptions sup;
-  sup.shards = shards;
-  sup.shard_timeout_seconds = options.Double("shard-timeout", 0.0);
-  sup.retries = options.Int("shard-retries", 2);
-  sup.command = [&](int shard) {
-    SubprocessOptions cmd;
-    cmd.argv = {g_self_exe, "campaign", options.target};
-    // Forward only the flags the user actually passed: the worker applies
-    // the same defaults, and values like the --checkpoints auto sentinel
-    // (-1) cannot round-trip through the flag parser anyway.
-    for (const char* flag :
-         {"scale", "runs", "jitter", "burst", "seed", "checkpoints", "engine", "scenario"}) {
-      const auto it = options.flags.find(flag);
-      if (it == options.flags.end()) continue;
-      cmd.argv.push_back(std::string("--") + flag);
-      cmd.argv.push_back(it->second);
-    }
-    cmd.argv.push_back("--jobs");
-    cmd.argv.push_back(std::to_string(worker_jobs));
-    cmd.argv.push_back("--cache-dir");
-    cmd.argv.push_back(shard_dir);
-    cmd.argv.push_back("--shards");
-    cmd.argv.push_back(std::to_string(shards));
-    cmd.argv.push_back("--worker-shard");
-    cmd.argv.push_back(std::to_string(shard));
-    cmd.env = {"EPVF_PROGRESS=0", "EPVF_PROGRESS_FILE=" + progress_files[shard],
-               // Workers must not inherit the supervisor's trace/metrics
-               // sinks — they would clobber each other's output files.
-               "EPVF_TRACE=0"};
-    cmd.stdout_path = log_files[shard];
-    cmd.stderr_path = log_files[shard];
-    return cmd;
-  };
-  sup.on_event = [](const std::string& message) {
-    std::fprintf(stderr, "campaign: %s\n", message.c_str());
-  };
-
-  const fi::SupervisorResult sup_result = fi::RunShardSupervisor(sup);
-  progress.Finish();
-  for (int i = 0; i < shards; ++i) {
-    const fi::ShardOutcome& shard = sup_result.shards[static_cast<std::size_t>(i)];
-    if (shard.succeeded) continue;
-    std::fprintf(stderr,
-                 "campaign: shard %d failed after %d launch(es) (%s) — its runs execute "
-                 "in-process during the merge; log: %s\n",
-                 i, shard.launches, shard.last_status.Describe().c_str(),
-                 log_files[static_cast<std::size_t>(i)].c_str());
-  }
-
-  // Merge the shard record streams, validate every record against the
-  // re-drawn plan, and execute whatever no shard delivered. The result is
-  // byte-identical to a single-process campaign by construction.
-  store::ShardMergeInfo merge_info;
-  const fi::CampaignStats stats = store::MergeShardedCampaign(
-      module, a.graph(), a.golden(), campaign, ckey, cache, shards, &merge_info);
-  std::fprintf(stderr,
-               "campaign: %d shard(s), %d relaunch(es), merged %llu record(s) from %d shard "
-               "artifact(s) (%llu missing, %llu conflicting, %llu revalidated) in %.2f s\n",
-               shards, sup_result.TotalRelaunches(),
-               static_cast<unsigned long long>(merge_info.merged), merge_info.shards_loaded,
-               static_cast<unsigned long long>(merge_info.missing),
-               static_cast<unsigned long long>(merge_info.conflicts),
-               static_cast<unsigned long long>(merge_info.revalidated),
-               sup_result.wall_seconds);
-  if (!user_cache_dir.empty()) {
-    PrintCacheStatus("campaign", store::CacheId(ckey), stats.perf.cache_hit,
-                     stats.perf.cache_load_seconds, stats.perf.cache_store_seconds);
-  }
-  PrintCampaignReport(a, stats);
-
-  if (private_dir) {
-    cache_slot.reset();
-    std::filesystem::remove_all(shard_dir);
-  } else {
-    // In a user cache dir keep only the durable artifacts: progress
-    // snapshots always go, per-shard logs only when their shard succeeded.
-    std::error_code ec;
-    for (int i = 0; i < shards; ++i) {
-      std::filesystem::remove(progress_files[static_cast<std::size_t>(i)], ec);
-      if (sup_result.shards[static_cast<std::size_t>(i)].succeeded) {
-        std::filesystem::remove(log_files[static_cast<std::size_t>(i)], ec);
-      }
-    }
-  }
-  // Shard failures are not campaign failures: the merge re-executed whatever
-  // the failed shards left behind, so the results above are complete and
-  // correct — the failures were already reported on stderr.
-  return 0;
+  // A single shard runs in-process and is literally `epvf inject`.
+  if (shards == 1) return RunCampaignInProcess(options, *kind);
+  return CmdCampaignSharded(options, *kind, shards);
 }
 
 int CmdSample(const Options& options) {
@@ -1614,6 +1403,13 @@ void ExportObservability(const std::string& trace_out, const std::string& metric
   }
 }
 
+/// Whether the argument after a flag is that flag's value rather than the
+/// next flag: anything not starting with '-', and negative numbers
+/// (`--checkpoints -1`).
+bool IsFlagValue(const char* arg) {
+  return arg[0] != '-' || std::isdigit(static_cast<unsigned char>(arg[1])) != 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1660,7 +1456,7 @@ int main(int argc, char** argv) {
                    options.command.c_str());
       return kExitUnknownFlag;
     }
-    if (cursor + 1 < argc && argv[cursor + 1][0] != '-') {
+    if (cursor + 1 < argc && IsFlagValue(argv[cursor + 1])) {
       options.flags[flag] = argv[++cursor];
     } else {
       options.flags[flag] = "1";
