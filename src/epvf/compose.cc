@@ -1013,8 +1013,10 @@ void AppendSegmentUses(const ProgramSlices& p, WalkUseIndex& idx, SegmentRef sr,
       const UnitRef ref = s.operand_nodes[d.operands_offset + slot];
       if (ref == kNullRef) continue;
       const UnitRef key = WalkKey(p, Canon(p, sr.unit, ref));
-      idx.uses[key].push_back(WalkUse{sr.unit, sr.seg, ld - seg.first_dyn, slot,
-                                      has_register_result, d.sid, result_key});
+      KeyUses& entry = idx.uses[key];
+      entry.list.push_back(WalkUse{sr.unit, sr.seg, ld - seg.first_dyn, slot,
+                                   has_register_result, d.sid, result_key});
+      entry.unit_mask |= UnitBit(sr.unit);
       touched.insert(key);
     }
   }
@@ -1052,10 +1054,11 @@ class SliceWalkView {
     if (key != kNullRef && RefUnit(key) != kInternUnit) *deps_ |= UnitBit(RefUnit(key));
     const auto it = idx_.uses.find(key);
     if (it == idx_.uses.end()) return {nullptr, nullptr};
-    // The walk may stop at any use (early exit), so which *suffix* was
-    // actually read is data-dependent; depend on every unit with a use here.
-    for (const WalkUse& u : it->second) *deps_ |= UnitBit(u.unit);
-    return {it->second.data(), it->second.data() + it->second.size()};
+    // Which uses a walk reads depends on its start and where it stops, so it
+    // depends on every unit with a use here.
+    *deps_ |= it->second.unit_mask;
+    const std::vector<WalkUse>& list = it->second.list;
+    return {list.data(), list.data() + list.size()};
   }
   [[nodiscard]] std::uint64_t UseDyn(UseCursor u) const { return idx_.GlobalDyn(*u); }
   [[nodiscard]] std::uint8_t UseSlot(UseCursor u) const { return u->slot; }
@@ -1099,7 +1102,7 @@ void UpdateWalkIndexForUnit(ProgramSlices& p, std::uint32_t unit) {
   for (const UnitRef key : idx.unit_refs[unit]) {
     const auto it = idx.uses.find(key);
     if (it == idx.uses.end()) continue;
-    std::erase_if(it->second, [unit](const WalkUse& u) { return u.unit == unit; });
+    std::erase_if(it->second.list, [unit](const WalkUse& u) { return u.unit == unit; });
   }
   std::set<UnitRef> now;
   const auto num_segs = static_cast<std::uint32_t>(p.units[unit].slice.segments.size());
@@ -1110,17 +1113,21 @@ void UpdateWalkIndexForUnit(ProgramSlices& p, std::uint32_t unit) {
   for (const UnitRef key : touched) {
     const auto it = idx.uses.find(key);
     if (it == idx.uses.end()) continue;
-    if (it->second.empty()) {
+    std::vector<WalkUse>& list = it->second.list;
+    if (list.empty()) {
       idx.uses.erase(it);
       continue;
     }
     // Replayed entries were appended at the tail; restore global-dyn order.
     // Entries never tie across units (a global dyn lives in one segment), and
     // same-unit appends arrived in trace order, so stable_sort is exact.
-    std::stable_sort(it->second.begin(), it->second.end(),
-                     [&idx](const WalkUse& a, const WalkUse& b) {
-                       return idx.GlobalDyn(a) < idx.GlobalDyn(b);
-                     });
+    std::stable_sort(list.begin(), list.end(), [&idx](const WalkUse& a, const WalkUse& b) {
+      return idx.GlobalDyn(a) < idx.GlobalDyn(b);
+    });
+    // Recompute the mask: `unit` may have left this key while another unit
+    // sharing its bit (>= 63) stayed.
+    it->second.unit_mask = 0;
+    for (const WalkUse& u : list) it->second.unit_mask |= UnitBit(u.unit);
   }
   idx.unit_refs[unit].assign(now.begin(), now.end());
 }

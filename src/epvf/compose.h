@@ -328,13 +328,23 @@ struct WalkUse {
   UnitRef result = kNullRef;  ///< canonical ref of the consuming dyn's result
 };
 
+/// One walk-index key's uses, in global trace order, and the OR of UnitBit
+/// over their units: the data dependency a walk over this key records. The
+/// mask is kept equal to that OR whenever the list changes; it is recomputed
+/// from the list, never cleared bit by bit, because UnitBit folds every unit
+/// >= 63 into the shared bit 63.
+struct KeyUses {
+  std::vector<WalkUse> list;
+  std::uint64_t unit_mask = 0;
+};
+
 /// The shared activation-walk index over all unit slices: per canonical node
 /// ref, its uses in global trace order. Rebuilding it from scratch costs a
 /// full trace scan, so the incremental path maintains it in place
 /// (UpdateWalkIndexForUnit) instead — that is what keeps warm re-analysis
 /// under the trace-replay budget.
 struct WalkUseIndex {
-  std::unordered_map<UnitRef, std::vector<WalkUse>> uses;
+  std::unordered_map<UnitRef, KeyUses> uses;
   /// seg_base[unit][seg] = global dyn index of the segment's first dyn.
   std::vector<std::vector<std::uint64_t>> seg_base;
   /// Per function: the dependency-mask bits of its units.

@@ -10,8 +10,8 @@
 //
 //   struct View {
 //     using NodeRef = ...;                       // node handle
-//     using UseCursor = ...;                     // integer-like use handle
-//     std::pair<UseCursor, UseCursor> UseRangeOf(NodeRef) const;
+//     using UseCursor = ...;                     // random-access use handle
+//     std::pair<UseCursor, UseCursor> UseRangeOf(NodeRef) const;  // trace order
 //     std::uint64_t UseDyn(UseCursor) const;     // global trace position
 //     std::uint8_t UseSlot(UseCursor) const;
 //     const ir::Instruction& InstructionAtUse(UseCursor) const;
@@ -20,17 +20,19 @@
 //     NodeRef ResultNode(UseCursor) const;
 //   };
 //
-// Views are free to record which data a walk touched (dependency tracking for
+// A node's use range must be sorted by UseDyn: the walk binary-searches it for
+// its start, so one walk costs O(log uses + uses actually examined). Views
+// are free to record which data a walk touched (dependency tracking for
 // incremental re-analysis) inside their accessors.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "ddg/graph.h"
 #include "ir/module.h"
-#include "ir/verifier.h"
 
 namespace epvf::core {
 
@@ -75,70 +77,44 @@ enum class UseEffect : std::uint8_t { kCrash, kControl, kOther };
 /// the register still reach a memory address?" — uses in blocks that
 /// postdominate the compare execute either way; selects are not traversed
 /// because under a corrupted condition they act as clamps.
+///
+/// The walk only asks about a register operand of a static icmp/fcmp/condbr,
+/// in that instruction's block: an app has a few dozen such questions
+/// against up to ~5*10^5 queries per pass. The constructor answers all of
+/// them, so a query is a read-only binary search over the function's
+/// answers, with no allocation, safe to share across threads.
 class ControlOracle {
  public:
-  explicit ControlOracle(const ir::Module& module) : module_(module) {
-    ipdom_.reserve(module.functions.size());
-    static_uses_.reserve(module.functions.size());
-    for (const ir::Function& fn : module.functions) {
-      ipdom_.push_back(ir::ComputeImmediatePostDominators(fn));
-      StaticUseMap uses(fn.registers.size());
-      for (std::uint32_t b = 0; b < fn.blocks.size(); ++b) {
-        const auto& insts = fn.blocks[b].instructions;
-        for (std::uint32_t i = 0; i < insts.size(); ++i) {
-          for (std::size_t slot = 0; slot < insts[i].operands.size(); ++slot) {
-            if (!insts[i].operands[slot].IsRegister()) continue;
-            uses[insts[i].operands[slot].index].push_back(
-                StaticUse{b, i, static_cast<std::uint8_t>(slot)});
-          }
-        }
-      }
-      static_uses_.push_back(std::move(uses));
-    }
-  }
+  explicit ControlOracle(const ir::Module& module);
 
   /// Corrupted register `reg` diverged a branch in `block` of `function`:
   /// true if a postdominating static use chain still reaches an address.
+  /// `reg` must be a register operand of an icmp, fcmp or condbr in `block`;
+  /// any other question throws std::logic_error.
   [[nodiscard]] bool SurvivesToAddress(std::uint32_t function, std::uint32_t block,
                                        std::uint32_t reg) const {
-    const ir::Function& fn = module_.functions[function];
-    const auto& ipdom = ipdom_[function];
-    const auto& uses = static_uses_[function];
-    std::vector<std::uint32_t> worklist{reg};
-    std::vector<std::uint8_t> seen(fn.registers.size(), 0);
-    seen[reg] = 1;
-    int budget = 64;
-    while (!worklist.empty() && budget-- > 0) {
-      const std::uint32_t r = worklist.back();
-      worklist.pop_back();
-      for (const StaticUse& use : uses[r]) {
-        if (!ir::PostDominates(ipdom, use.block, block)) continue;
-        const ir::Instruction& inst = fn.blocks[use.block].instructions[use.instr];
-        if (inst.AddressOperandSlot() == static_cast<int>(use.slot)) return true;
-        if (inst.op == ir::Opcode::kSelect || inst.op == ir::Opcode::kICmp ||
-            inst.op == ir::Opcode::kFCmp || inst.op == ir::Opcode::kCondBr) {
-          continue;  // clamps and further control don't carry the raw value
-        }
-        if (inst.DefinesValue() && !seen[inst.result]) {
-          seen[inst.result] = 1;
-          worklist.push_back(inst.result);
-        }
-      }
-    }
-    return false;
+    const std::vector<Answer>& answers = answers_[function];
+    const std::uint64_t key = AnswerKey(block, reg);
+    const auto it = std::lower_bound(
+        answers.begin(), answers.end(), key,
+        [](const Answer& a, std::uint64_t k) { return a.key < k; });
+    if (it == answers.end() || it->key != key) ThrowNotAsked(function, block, reg);
+    return it->survives;
   }
 
  private:
-  struct StaticUse {
-    std::uint32_t block;
-    std::uint32_t instr;
-    std::uint8_t slot;
+  struct Answer {
+    std::uint64_t key;  ///< AnswerKey(block, reg)
+    bool survives;
   };
-  using StaticUseMap = std::vector<std::vector<StaticUse>>;
 
-  const ir::Module& module_;
-  std::vector<std::vector<std::uint32_t>> ipdom_;
-  std::vector<StaticUseMap> static_uses_;
+  [[nodiscard]] static std::uint64_t AnswerKey(std::uint32_t block, std::uint32_t reg) {
+    return (std::uint64_t{block} << 32) | reg;
+  }
+  [[noreturn]] static void ThrowNotAsked(std::uint32_t function, std::uint32_t block,
+                                         std::uint32_t reg);
+
+  std::vector<std::vector<Answer>> answers_;  ///< per function, ascending key
 };
 
 /// The activation walk (see header comment for the view concept). Control
@@ -148,10 +124,20 @@ class ControlOracle {
 template <typename View, typename Oracle = ControlOracle>
 UseEffect FirstEffect(const View& view, const Oracle& control,
                       typename View::NodeRef node, std::uint64_t from_dyn, int depth) {
-  const auto [use_begin, use_end] = view.UseRangeOf(node);
-  for (auto u = use_begin; u < use_end; ++u) {
-    const std::uint64_t dyn = view.UseDyn(u);
-    if (dyn < from_dyn) continue;
+  auto [u, use_end] = view.UseRangeOf(node);
+  // The uses are in trace order: a lower-bound search skips every use before
+  // `from_dyn` and keeps all uses at `from_dyn` itself (one register read by
+  // two slots of the same instruction).
+  for (auto count = use_end - u; count > 0;) {
+    const auto half = count / 2;
+    if (view.UseDyn(u + half) < from_dyn) {
+      u += half + 1;
+      count -= half + 1;
+    } else {
+      count = half;
+    }
+  }
+  for (; u < use_end; ++u) {
     const ir::Instruction& inst = view.InstructionAtUse(u);
     if (inst.AddressOperandSlot() == static_cast<int>(view.UseSlot(u))) {
       return UseEffect::kCrash;
@@ -167,7 +153,7 @@ UseEffect FirstEffect(const View& view, const Oracle& control,
     }
     if (view.HasRegisterResult(u)) {
       if (depth <= 0) return UseEffect::kCrash;  // assume the slice reaches memory
-      return FirstEffect(view, control, view.ResultNode(u), dyn + 1, depth - 1);
+      return FirstEffect(view, control, view.ResultNode(u), view.UseDyn(u) + 1, depth - 1);
     }
     // Store value / output operand: the corruption parks in memory or the
     // output stream; keep scanning this node's later uses.

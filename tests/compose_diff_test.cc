@@ -52,6 +52,21 @@ void ExpectStatsEqual(const ReportStats& mono, const ReportStats& comp) {
   EXPECT_EQ(mono.MemoryEpvf(), comp.MemoryEpvf());
 }
 
+/// Every walk-index key's cached dependency mask is the OR of UnitBit over
+/// the units of its uses.
+void ExpectWalkMasksMatchLists(const ProgramSlices& p) {
+  ASSERT_NE(p.walk_index, nullptr);
+  std::size_t wrong = 0;
+  for (const auto& [key, entry] : p.walk_index->uses) {
+    std::uint64_t want = 0;
+    for (const WalkUse& use : entry.list) want |= UnitBit(use.unit);
+    if (entry.unit_mask != want && wrong++ == 0) {
+      ADD_FAILURE() << "key " << key << ": mask " << entry.unit_mask << ", uses OR to " << want;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "of " << p.walk_index->uses.size() << " keys";
+}
+
 struct Case {
   std::string app;
   int jobs;
@@ -67,6 +82,7 @@ TEST_P(ComposeDiff, MatchesMonolithicBitForBit) {
 
   ProgramSlices p = BuildProgramSlices(a, PartitionModule(app.module));
   RunUnitWalks(p, app.module, AllUnits(p), jobs);
+  ExpectWalkMasksMatchLists(p);
   ExpectStatsEqual(mono, ComposeProgram(p));
 
   // Per-instruction metrics: same sids, same counters, same order.

@@ -6,6 +6,7 @@
 // the deterministic harness in epvf/mutate.h; boundary-preserving kinds
 // additionally assert *which* path was taken, so a silently-degraded fast
 // path (always falling back) cannot pass.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -19,12 +20,14 @@
 #include <gtest/gtest.h>
 
 #include "apps/app.h"
+#include "apps/kernel_util.h"
 #include "epvf/analysis.h"
 #include "epvf/compose.h"
 #include "epvf/mutate.h"
 #include "epvf/reexec.h"
 #include "epvf/report.h"
 #include "epvf/units.h"
+#include "ir/builder.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "store/units_store.h"
@@ -79,6 +82,21 @@ void ExpectMatchesFresh(const ProgramSlices& p, const ir::Module& mutated, int j
   }
 }
 
+/// Every walk-index key's cached dependency mask is the OR of UnitBit over
+/// the units of its uses. No-op before the index is built.
+void ExpectWalkMasksMatchLists(const ProgramSlices& p) {
+  if (!p.walk_index) return;
+  std::size_t wrong = 0;
+  for (const auto& [key, entry] : p.walk_index->uses) {
+    std::uint64_t want = 0;
+    for (const WalkUse& use : entry.list) want |= UnitBit(use.unit);
+    if (entry.unit_mask != want && wrong++ == 0) {
+      ADD_FAILURE() << "key " << key << ": mask " << entry.unit_mask << ", uses OR to " << want;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "of " << p.walk_index->uses.size() << " keys";
+}
+
 constexpr int kJobs = 2;
 
 TEST(Incremental, IdenticalModuleIsAWarmNoOp) {
@@ -89,6 +107,7 @@ TEST(Incremental, IdenticalModuleIsAWarmNoOp) {
   // but a distinct object — the no-dirty warm swap must adopt it.
   const ir::Module reparsed = ir::ParseModuleOrThrow(ir::PrintModule(app.module));
   const IncrementalOutcome out = ReanalyzeIncremental(p, reparsed, kJobs);
+  ExpectWalkMasksMatchLists(p);
   EXPECT_TRUE(out.used_fast_path);
   EXPECT_EQ(out.fallback, FallbackReason::kNone);
   EXPECT_EQ(out.units_replayed, 0u);
@@ -134,6 +153,7 @@ TEST_P(IncrementalMutation, RecomposedEqualsFreshRun) {
 
   ProgramSlices p = ColdState(app.module, kJobs);
   const IncrementalOutcome out = ReanalyzeIncremental(p, mutated, kJobs);
+  if (out.used_fast_path) ExpectWalkMasksMatchLists(p);
 
   const bool guaranteed = kind == MutationKind::kSwapIndependent ||
                           kind == MutationKind::kRenameRegister;
@@ -170,6 +190,117 @@ std::string CaseName(const ::testing::TestParamInfo<MutCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Apps, IncrementalMutation, ::testing::ValuesIn(AllCases()),
                          CaseName);
+
+// --- more units than dependency bits -----------------------------------------
+
+constexpr int kWideLoops = 66;
+constexpr std::uint32_t kOverflowBit = 63;
+
+/// One function with `kWideLoops` top-level loops after a straight-line
+/// prologue. Every loop updates the same heap buffer through one pointer
+/// register defined in the prologue, so that register's walk-index key has
+/// uses in every loop unit. The loops are units 1..kWideLoops (unit 0 is the
+/// function's top), so units 63 and up share dependency bit 63. Each loop body
+/// holds one pair of independent arithmetic instructions for a swap edit.
+ir::Module BuildWideModule() {
+  using ir::Type;
+  ir::Module m;
+  ir::IRBuilder b(m);
+  apps::KernelBuilder k(b);
+  (void)b.CreateFunction("main", Type::Void(), {});
+  const ir::ValueRef buf = b.MallocArray(Type::I64(), b.I64(2), "buf");
+  b.Store(b.I64(0), b.Gep(buf, b.I64(0)));
+  b.Store(b.I64(0), b.Gep(buf, b.I64(1)));
+  for (int loop = 0; loop < kWideLoops; ++loop) {
+    k.For(b.I64(0), b.I64(2), [&](ir::ValueRef i) {
+      const ir::ValueRef slot = b.Gep(buf, i, "slot");
+      const ir::ValueRef v = b.Load(slot, "v");
+      const ir::ValueRef bumped = b.Add(v, b.I64(loop + 1), "bumped");
+      const ir::ValueRef scaled = b.Mul(i, b.I64(3), "scaled");
+      b.Store(b.Add(bumped, scaled, "sum"), slot);
+    }, "l" + std::to_string(loop));
+  }
+  b.Output(b.Load(b.Gep(buf, b.I64(0)), "out0"));
+  b.Output(b.Load(b.Gep(buf, b.I64(1)), "out1"));
+  b.RetVoid();
+  return m;
+}
+
+/// The walk-index keys with uses in at least two units that share bit 63.
+std::vector<UnitRef> OverflowSharedKeys(const ProgramSlices& p) {
+  std::vector<UnitRef> keys;
+  for (const auto& [key, entry] : p.walk_index->uses) {
+    std::uint32_t first = ~std::uint32_t{0};
+    for (const WalkUse& use : entry.list) {
+      if (use.unit < kOverflowBit) continue;
+      if (first == ~std::uint32_t{0}) {
+        first = use.unit;
+      } else if (use.unit != first) {
+        keys.push_back(key);
+        break;
+      }
+    }
+  }
+  return keys;
+}
+
+class ManyUnits : public ::testing::TestWithParam<int> {};
+
+TEST_P(ManyUnits, OverflowUnitsShareBit63ThroughEveryReplay) {
+  const int jobs = GetParam();
+  const ir::Module module = BuildWideModule();
+  const UnitPartition part = PartitionModule(module);
+  ASSERT_EQ(part.units.size(), std::size_t{kWideLoops} + 1);
+
+  ProgramSlices p = ColdState(module, jobs);
+  ExpectMatchesFresh(p, module, jobs);
+  ExpectWalkMasksMatchLists(p);
+  const std::vector<UnitRef> shared = OverflowSharedKeys(p);
+  ASSERT_FALSE(shared.empty());
+  for (const UnitRef key : shared) {
+    EXPECT_NE(p.walk_index->uses.at(key).unit_mask & UnitBit(kOverflowBit), 0u);
+  }
+
+  // Replay one overflow unit after a real edit: the swap moves the unit's
+  // text and slice, so its index entries are rewritten in place.
+  const std::uint32_t dirty = kOverflowBit + 1;
+  ir::Module mutated = module;
+  const auto m = MutateUnit(mutated, part, dirty, MutationKind::kSwapIndependent, 1);
+  ASSERT_TRUE(m.has_value());
+  const IncrementalOutcome out = ReanalyzeIncremental(p, mutated, jobs);
+  ASSERT_TRUE(out.used_fast_path) << FallbackReasonName(out.fallback);
+  EXPECT_EQ(out.dirty_unit, dirty);
+  EXPECT_GT(out.units_rewalked, 0u) << "the edit must reach UpdateWalkIndexForUnit";
+  ExpectWalkMasksMatchLists(p);
+  for (const UnitRef key : shared) {
+    EXPECT_NE(p.walk_index->uses.at(key).unit_mask & UnitBit(kOverflowBit), 0u);
+  }
+  ExpectMatchesFresh(p, mutated, jobs);
+
+  // Replays after which a unit reads none of its old keys (its slice is
+  // emptied by hand; only the index update is under test). A unit below 63
+  // takes its own bit off the shared keys; an overflow unit leaves bit 63,
+  // which the other overflow units still set.
+  const std::uint32_t low = 5;
+  for (const std::uint32_t unit : {low, dirty}) {
+    UnitSlice& slice = p.units[unit].slice;
+    std::fill(slice.operand_nodes.begin(), slice.operand_nodes.end(), kNullRef);
+    UpdateWalkIndexForUnit(p, unit);
+    ExpectWalkMasksMatchLists(p);
+  }
+  for (const UnitRef key : shared) {
+    const KeyUses& entry = p.walk_index->uses.at(key);
+    for (const WalkUse& use : entry.list) {
+      EXPECT_NE(use.unit, low);
+      EXPECT_NE(use.unit, dirty);
+    }
+    EXPECT_EQ(entry.unit_mask & UnitBit(low), 0u);
+    EXPECT_NE(entry.unit_mask & UnitBit(kOverflowBit), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, ManyUnits, ::testing::Values(1, 4),
+                         [](const auto& info) { return "jobs" + std::to_string(info.param); });
 
 // --- the disk-backed incremental pipeline ------------------------------------
 
@@ -229,6 +360,7 @@ TEST(IncrementalStore, SingleEditRecomputesExactlyOneUnit) {
 
   const auto warm = store::RunAnalysisIncremental(mutated, AnalysisOptions{.jobs = kJobs},
                                                   KeyFor("lulesh", mutated), cache);
+  ExpectWalkMasksMatchLists(warm.slices);
   EXPECT_FALSE(warm.stats.cold_rebuild);
   EXPECT_TRUE(warm.stats.manifest_hit);
   EXPECT_TRUE(warm.stats.outcome.used_fast_path)
@@ -311,6 +443,7 @@ TEST(IncrementalStore, RevertedEditServesOriginalEntries) {
   // already has an entry on disk, so nothing recomputes.
   const auto reverted =
       store::RunAnalysisIncremental(app.module, options, KeyFor("nw", app.module), cache);
+  ExpectWalkMasksMatchLists(reverted.slices);
   EXPECT_FALSE(reverted.stats.cold_rebuild);
   EXPECT_TRUE(reverted.stats.outcome.used_fast_path);
   EXPECT_EQ(reverted.stats.unit_misses, 1u)
