@@ -100,7 +100,8 @@ int main() {
   std::string base_artifact;
   for (const int shards : {1, 2, 4}) {
     // A fresh cache directory per shard count: nothing warm may leak between
-    // configurations except the untimed analysis artifact below.
+    // configurations. Every timed run includes its processes' own analyses
+    // (the store keeps none), so a merged-campaign cache hit is impossible.
     std::string dir_template =
         (fs::temp_directory_path() / "epvf-bench-shard-XXXXXX").string();
     char* dir = mkdtemp(dir_template.data());
@@ -108,12 +109,6 @@ int main() {
       std::fprintf(stderr, "bench_shard_scaling: mkdtemp failed\n");
       return 1;
     }
-    // Warm the analysis untimed — the bench measures campaign execution, and
-    // a merged-campaign cache hit is impossible (the plan entry does not
-    // exist yet in a fresh directory).
-    RunOrDie("analyze " + app + " --scale " + std::to_string(epvf::bench::Scale()) +
-             " --cache-dir " + dir);
-
     Stopwatch watch;
     RunOrDie("campaign " + common_flags + " --shards " + std::to_string(shards) +
              " --cache-dir " + dir);

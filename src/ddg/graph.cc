@@ -33,59 +33,6 @@ void Graph::AddDynInstr(const DynInstr& header, std::span<const NodeId> operand_
   dyn_.push_back(d);
 }
 
-Graph Graph::FromStorage(const ir::Module* module, Storage storage) {
-  Graph graph(module);
-  graph.nodes_ = std::move(storage.nodes);
-  graph.pred_ranges_ = std::move(storage.pred_ranges);
-  graph.pred_pool_ = std::move(storage.pred_pool);
-  graph.dyn_ = std::move(storage.dyn);
-  graph.operand_node_pool_ = std::move(storage.operand_node_pool);
-  graph.operand_value_pool_ = std::move(storage.operand_value_pool);
-  graph.accesses_ = std::move(storage.accesses);
-  graph.output_roots_ = std::move(storage.output_roots);
-  graph.control_roots_ = std::move(storage.control_roots);
-  graph.dropped_load_preds_ = storage.dropped_load_preds;
-  return graph;
-}
-
-bool Graph::ValidateStorage(const ir::Module& module, const Storage& storage) {
-  const std::size_t num_nodes = storage.nodes.size();
-  if (storage.pred_ranges.size() != num_nodes) return false;
-  const auto node_in_range = [&](NodeId id) { return id == kNoNode || id < num_nodes; };
-  for (const PredRange& r : storage.pred_ranges) {
-    if (r.count > 8) return false;
-    if (std::uint64_t{r.offset} + r.count > storage.pred_pool.size()) return false;
-  }
-  for (const NodeId id : storage.pred_pool) {
-    if (!node_in_range(id)) return false;
-  }
-  if (storage.operand_node_pool.size() != storage.operand_value_pool.size()) return false;
-  for (const DynInstr& d : storage.dyn) {
-    if (!node_in_range(d.result_node)) return false;
-    if (std::uint64_t{d.operands_offset} + d.num_operands > storage.operand_node_pool.size()) {
-      return false;
-    }
-    if (d.sid.function >= module.functions.size()) return false;
-    const ir::Function& fn = module.functions[d.sid.function];
-    if (d.sid.block >= fn.blocks.size()) return false;
-    if (d.sid.instr >= fn.blocks[d.sid.block].instructions.size()) return false;
-  }
-  for (const NodeId id : storage.operand_node_pool) {
-    if (!node_in_range(id)) return false;
-  }
-  for (const AccessRecord& a : storage.accesses) {
-    if (!node_in_range(a.addr_node)) return false;
-    if (a.dyn_index >= storage.dyn.size()) return false;
-  }
-  for (const NodeId id : storage.output_roots) {
-    if (id == kNoNode || id >= num_nodes) return false;
-  }
-  for (const NodeId id : storage.control_roots) {
-    if (id == kNoNode || id >= num_nodes) return false;
-  }
-  return true;
-}
-
 std::vector<NodeId> Graph::OrderedAceRoots() const {
   std::vector<NodeId> roots;
   roots.reserve(output_roots_.size() + control_roots_.size());

@@ -143,48 +143,6 @@ class Graph {
   [[nodiscard]] std::uint64_t TotalRegisterBits() const;
   [[nodiscard]] std::uint64_t NumRegisterNodes() const;
 
-  // --- artifact-store access ---------------------------------------------------
-  /// The complete flat storage of a graph — what the binary artifact store
-  /// (src/store) persists and restores. The arrays are exactly the private
-  /// members below; a Storage rebuilt from a verified artifact plus the
-  /// module it was traced from reproduces the graph bit for bit.
-  struct Storage {
-    std::vector<Node> nodes;
-    std::vector<PredRange> pred_ranges;
-    std::vector<NodeId> pred_pool;
-    std::vector<DynInstr> dyn;
-    std::vector<NodeId> operand_node_pool;
-    std::vector<std::uint64_t> operand_value_pool;
-    std::vector<AccessRecord> accesses;
-    std::vector<NodeId> output_roots;
-    std::vector<NodeId> control_roots;
-    std::uint64_t dropped_load_preds = 0;
-  };
-
-  // Read-only views of the flat arrays, for serialization.
-  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  [[nodiscard]] const std::vector<PredRange>& pred_ranges() const { return pred_ranges_; }
-  [[nodiscard]] const std::vector<NodeId>& pred_pool() const { return pred_pool_; }
-  [[nodiscard]] const std::vector<DynInstr>& dyn_instrs() const { return dyn_; }
-  [[nodiscard]] const std::vector<NodeId>& operand_node_pool() const {
-    return operand_node_pool_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& operand_value_pool() const {
-    return operand_value_pool_;
-  }
-
-  /// Rebuilds a graph by adopting deserialized storage. `module` must be the
-  /// module the graph was originally built from (the cache key fingerprints
-  /// it) and the arrays mutually consistent — ValidateStorage checks the
-  /// structural invariants a loader should enforce before adopting.
-  [[nodiscard]] static Graph FromStorage(const ir::Module* module, Storage storage);
-
-  /// Structural consistency of deserialized storage against `module`: array
-  /// sizes agree, pool ranges and node/dyn references are in bounds, and
-  /// every static instruction id resolves. Cheap (single pass), so loaders
-  /// can run it on every cache hit.
-  [[nodiscard]] static bool ValidateStorage(const ir::Module& module, const Storage& storage);
-
   // --- construction diagnostics ----------------------------------------------
   /// Distinct memory-version predecessors a load had to drop because its pred
   /// list was full (the 8-slot PredRange keeps 7 data slots + the virtual

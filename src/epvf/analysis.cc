@@ -82,7 +82,7 @@ Analysis Analysis::Restore(const ir::Module& module, AnalysisOptions options,
 const mem::SimMemory& Analysis::memory() const {
   if (interpreter_ == nullptr) {
     throw std::logic_error(
-        "Analysis::memory(): restored from artifacts, no live interpreter — "
+        "Analysis::memory(): restored analysis, no live interpreter — "
         "run the full pipeline for memory-state consumers");
   }
   return interpreter_->memory();
@@ -91,7 +91,7 @@ const mem::SimMemory& Analysis::memory() const {
 const crash::CrashModel& Analysis::crash_model() const {
   if (crash_model_ == nullptr) {
     throw std::logic_error(
-        "Analysis::crash_model(): restored from artifacts, no live crash model — "
+        "Analysis::crash_model(): restored analysis, no live crash model — "
         "run the full pipeline for crash-model consumers");
   }
   return *crash_model_;

@@ -54,13 +54,6 @@ struct AnalysisTimings {
   unsigned crash_threads = 1;
   unsigned rate_estimate_threads = 1;
 
-  // Artifact-cache accounting, set by store::RunAnalysisCached: whether this
-  // analysis was served from the on-disk cache, and what the (de)serialization
-  // cost. All zero when the pipeline ran uncached.
-  bool cache_hit = false;
-  double cache_load_seconds = 0;   ///< artifact map + verify + deserialize (hit)
-  double cache_store_seconds = 0;  ///< serialize + atomic publish (miss)
-
   /// The three pipeline stages of Analysis::Run (excludes the lazy
   /// rate-estimate pass, which not every caller triggers).
   [[nodiscard]] double TotalSeconds() const {
@@ -97,8 +90,8 @@ class Analysis {
  public:
   /// The shared sums behind the use-weighted metrics (crash-rate estimate,
   /// PvfUseWeighted, EpvfUseWeighted): bits over all register-operand uses of
-  /// the trace. Public so the artifact store can persist the (expensive)
-  /// activation-walk pass alongside the pipeline artifacts.
+  /// the trace. Public so Restore can take them precomputed and the
+  /// compositional layer (compose.h) can sum them per unit.
   struct UseWeightedBits {
     std::uint64_t total = 0;
     std::uint64_t ace = 0;
@@ -110,13 +103,16 @@ class Analysis {
   /// fault-free execution).
   [[nodiscard]] static Analysis Run(const ir::Module& module, AnalysisOptions options = {});
 
-  /// Rebuilds an Analysis from persisted artifacts without executing the
-  /// pipeline (the store's cache-hit path). `module` must be the module the
-  /// artifacts were computed from — the cache key fingerprints it. A restored
-  /// analysis serves every metric and downstream consumer except memory() and
-  /// crash_model(), which need the live golden interpreter and therefore
-  /// throw; callers that need them (EstimateBySampling's partial
-  /// re-propagation) must run the full pipeline instead.
+  /// Assembles an Analysis from pipeline stages the caller ran itself, without
+  /// executing anything. The repository benchmark (perfbench) times the
+  /// golden run, DDG build, ACE and crash propagation one layer at a time and
+  /// builds its Analysis here; `use_weighted` may be std::nullopt, in which
+  /// case the activation-walk pass runs lazily as usual. `module` must be the
+  /// module the stages were computed from. A restored analysis serves every
+  /// metric and downstream consumer except memory() and crash_model(), which
+  /// need the live golden interpreter and therefore throw std::logic_error;
+  /// callers that need them (EstimateBySampling's partial re-propagation,
+  /// BuildProgramSlices' crash-model seeds) must run the full pipeline.
   [[nodiscard]] static Analysis Restore(const ir::Module& module, AnalysisOptions options,
                                         vm::RunResult golden, ddg::Graph graph,
                                         ddg::AceResult ace, crash::CrashBits crash_bits,
@@ -128,27 +124,19 @@ class Analysis {
   [[nodiscard]] const ddg::AceResult& ace() const { return ace_; }
   [[nodiscard]] const crash::CrashBits& crash_bits() const { return crash_bits_; }
   [[nodiscard]] const vm::RunResult& golden() const { return golden_; }
-  /// Golden-run memory state. Throws std::logic_error on an Analysis restored
-  /// from artifacts (no live interpreter).
+  /// Golden-run memory state. Throws std::logic_error on an Analysis built by
+  /// Restore (no live interpreter).
   [[nodiscard]] const mem::SimMemory& memory() const;
   [[nodiscard]] const AnalysisTimings& timings() const { return timings_; }
   [[nodiscard]] const AnalysisOptions& options() const { return options_; }
   /// The crash model over the golden memory map. Throws std::logic_error on
-  /// an Analysis restored from artifacts.
+  /// an Analysis built by Restore.
   [[nodiscard]] const crash::CrashModel& crash_model() const;
 
-  /// Forces and returns the cached use-weighted sums (the artifact store
-  /// persists them so warm loads skip the activation walks).
+  /// Forces and returns the cached use-weighted sums (the activation-walk
+  /// pass, which perfbench times as a layer of its own).
   [[nodiscard]] const UseWeightedBits& use_weighted_bits() const {
     return ComputeUseWeightedBits();
-  }
-
-  /// Artifact-cache accounting hook (store::RunAnalysisCached): records
-  /// whether this analysis came from the cache and the (de)serialization time.
-  void NoteCacheActivity(bool hit, double load_seconds, double store_seconds) const {
-    timings_.cache_hit = hit;
-    timings_.cache_load_seconds = load_seconds;
-    timings_.cache_store_seconds = store_seconds;
   }
 
   /// Dynamic-trace length of the golden run — the quantity the campaign

@@ -186,6 +186,59 @@ UnitRef Canon(const ProgramSlices& p, std::uint32_t self, UnitRef ref) {
   return MakeRef(u, p.units[u].slice.exports[RefIndex(ref)].local);
 }
 
+std::uint64_t UnitInputDigest(const ProgramSlices& p, std::uint32_t unit) {
+  const UnitSlice& s = p.units[unit].slice;
+  support::Hasher h;
+  for (const SegmentInfo& seg : s.segments) {
+    h.Mix(seg.first_dyn).Mix(seg.num_dyn).Mix(seg.entry_block).Mix(seg.prev_block);
+    h.Mix(seg.exit_function).Mix(seg.exit_block).Mix(seg.exit_prev_block);
+    h.Mix(seg.exits_via_ret);
+  }
+  for (const RegLiveIn& li : s.reg_live_ins) {
+    h.Mix(li.segment).Mix(li.reg).Mix(li.value).Mix(li.node);
+  }
+  for (const ByteLiveIn& li : s.mem_live_ins) {
+    h.Mix(li.segment).Mix(li.addr).Mix(li.byte).Mix(li.writer);
+  }
+  for (const OutputEvent& out : s.outputs) h.Mix(out.segment).Mix(out.value);
+  for (const SliceAccess& a : s.accesses) {
+    h.Mix(a.dyn).Mix(a.addr).Mix(a.size).Mix(a.is_store).Mix(a.seed.lo).Mix(a.seed.hi);
+  }
+  // Which local nodes other units read, under which slot: consumers' refs
+  // name slots, and a cold rebuild renumbers them when the set moves.
+  for (const ExportEntry& e : s.exports) {
+    h.Mix(e.local).Mix(e.segment).Mix(e.kind).Mix(e.key_a).Mix(e.key_b).Mix(e.ordinal);
+  }
+  // Intern ids index the program-wide table, which a cold rebuild renumbers
+  // when another unit's constants change, so each id enters with its entry's
+  // identity: (type_key, value) for a constant, whose pool index may shift
+  // between re-parses, and the global index for a global. An id the table
+  // does not hold folds in a marker no producer ever writes.
+  for (const std::uint32_t id : s.intern_refs) {
+    h.Mix(id);
+    if (id >= p.interns.size()) {
+      h.Mix(~std::uint64_t{0});
+      continue;
+    }
+    const InternEntry& e = p.interns[id];
+    h.Mix(e.is_global).Mix(e.width).Mix(e.value).Mix(e.is_global != 0 ? e.ir_index : e.type_key);
+  }
+  // The ACE marks and interval narrowings other units' sweeps push into this
+  // one: its backward results are a function of them, and an edit elsewhere
+  // can move them without touching anything above.
+  for (std::uint32_t v = 0; v < p.units.size(); ++v) {
+    if (v == unit) continue;
+    const UnitBackward& back = p.units[v].back;
+    for (const UnitRef ref : back.ace_spills) {
+      if (RefUnit(ref) == unit) h.Mix(RefIndex(ref));
+    }
+    for (const auto& [ref, iv] : back.interval_spills) {
+      if (RefUnit(ref) == unit) h.Mix(RefIndex(ref)).Mix(iv.lo).Mix(iv.hi);
+    }
+  }
+  return h.Digest();
+}
+
 std::uint64_t FunctionShapeDigest(const ir::Function& fn) {
   support::Hasher h;
   h.Mix(fn.name);
@@ -680,24 +733,6 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
       while (cursor < s.nodes.size() && s.nodes[cursor].dyn < end_dyn) ++cursor;
       seg.num_nodes = static_cast<std::uint32_t>(cursor) - seg.first_node;
     }
-    // Content digest over the boundary-summary inputs.
-    support::Hasher h;
-    for (const SegmentInfo& seg : s.segments) {
-      h.Mix(seg.first_dyn).Mix(seg.num_dyn).Mix(seg.entry_block).Mix(seg.prev_block);
-      h.Mix(seg.exit_function).Mix(seg.exit_block).Mix(seg.exit_prev_block);
-      h.Mix(seg.exits_via_ret);
-    }
-    for (const RegLiveIn& li : s.reg_live_ins) {
-      h.Mix(li.segment).Mix(li.reg).Mix(li.value).Mix(li.node);
-    }
-    for (const ByteLiveIn& li : s.mem_live_ins) {
-      h.Mix(li.segment).Mix(li.addr).Mix(li.byte).Mix(li.writer);
-    }
-    for (const OutputEvent& out : s.outputs) h.Mix(out.segment).Mix(out.value);
-    for (const SliceAccess& a : s.accesses) {
-      h.Mix(a.dyn).Mix(a.addr).Mix(a.size).Mix(a.is_store).Mix(a.seed.lo).Mix(a.seed.hi);
-    }
-    s.input_digest = h.Digest();
   }
 
   // --- pass 5: backward projection -------------------------------------------
@@ -836,7 +871,9 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
   // from its slice + the projected spill sets. Any divergence from the
   // projection surfaces as composed != monolithic in the diff battery.
   for (std::uint32_t u = 0; u < num_units; ++u) RunUnitBackward(p, u);
-
+  for (std::uint32_t u = 0; u < num_units; ++u) {
+    p.units[u].slice.input_digest = UnitInputDigest(p, u);
+  }
   return p;
 }
 

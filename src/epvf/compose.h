@@ -227,8 +227,7 @@ struct UnitSlice {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> export_by_local;
   std::vector<std::uint32_t> intern_refs; ///< sorted intern ids this unit uses
   std::uint64_t dropped_load_preds = 0;
-  /// Digest over the boundary-summary inputs (segment shapes, live-in value
-  /// sets, imported metas) — part of the unit's content address.
+  /// UnitInputDigest of this unit — part of the unit's content address.
   std::uint64_t input_digest = 0;
 
   bool operator==(const UnitSlice&) const = default;
@@ -390,6 +389,15 @@ struct ProgramSlices {
 /// Resolves a (possibly slot-indirect) ref into canonical (owner, local) form.
 [[nodiscard]] UnitRef Canon(const ProgramSlices& p, std::uint32_t self, UnitRef ref);
 
+/// Digest over everything `unit`'s slice, backward results and sums are a
+/// function of besides its own IR text: the boundary summaries (segment
+/// shapes, live-in value sets, outputs, accesses with their seeds), its
+/// export table, its intern references resolved against p.interns (ids and
+/// entry identities), and the ACE marks and interval narrowings the other
+/// units' backward results push into it. The one recipe behind
+/// UnitSlice::input_digest on the cold path, after a replay, and when the
+/// store re-verifies loaded units.
+[[nodiscard]] std::uint64_t UnitInputDigest(const ProgramSlices& p, std::uint32_t unit);
 [[nodiscard]] std::uint64_t FunctionShapeDigest(const ir::Function& fn);
 [[nodiscard]] std::uint64_t GlobalsDigest(const ir::Module& module);
 [[nodiscard]] std::uint64_t UnitStaticDigest(const ir::Module& module, const UnitInfo& unit);
@@ -399,7 +407,7 @@ struct ProgramSlices {
 /// Cold path: project a completed monolithic analysis onto `partition`.
 /// Fills every unit's slice, backward results and sums; walks are computed by
 /// RunUnitWalks (which the caller invokes for all units). Requires a live
-/// analysis (crash model) — not one restored from artifacts.
+/// analysis (crash model) — not one built by Analysis::Restore.
 [[nodiscard]] ProgramSlices BuildProgramSlices(const Analysis& analysis,
                                                UnitPartition partition);
 

@@ -14,7 +14,6 @@
 
 #include "ir/intrinsics.h"
 #include "support/bits.h"
-#include "support/hash.h"
 #include "vm/eval.h"
 #include "vm/value.h"
 
@@ -859,25 +858,6 @@ std::optional<UnitSlice> ReplayEngine::Run() {
   for (const ByteLiveIn& li : ns_.mem_live_ins) note(li.writer);
   ns_.intern_refs.assign(intern_set.begin(), intern_set.end());
 
-  // --- content digest (pass-4 recipe, field for field) ---------------------------
-  support::Hasher h;
-  for (const SegmentInfo& seg : ns_.segments) {
-    h.Mix(seg.first_dyn).Mix(seg.num_dyn).Mix(seg.entry_block).Mix(seg.prev_block);
-    h.Mix(seg.exit_function).Mix(seg.exit_block).Mix(seg.exit_prev_block);
-    h.Mix(seg.exits_via_ret);
-  }
-  for (const RegLiveIn& li : ns_.reg_live_ins) {
-    h.Mix(li.segment).Mix(li.reg).Mix(li.value).Mix(li.node);
-  }
-  for (const ByteLiveIn& li : ns_.mem_live_ins) {
-    h.Mix(li.segment).Mix(li.addr).Mix(li.byte).Mix(li.writer);
-  }
-  for (const OutputEvent& out : ns_.outputs) h.Mix(out.segment).Mix(out.value);
-  for (const SliceAccess& a : ns_.accesses) {
-    h.Mix(a.dyn).Mix(a.addr).Mix(a.size).Mix(a.is_store).Mix(a.seed.lo).Mix(a.seed.hi);
-  }
-  ns_.input_digest = h.Digest();
-
   if (Failed()) return std::nullopt;
   return std::move(ns_);
 }
@@ -1017,6 +997,7 @@ IncrementalOutcome ReanalyzeIncremental(ProgramSlices& p, const ir::Module& new_
   UnitBackward old_back = std::move(cu.back);
 
   cu.slice = std::move(*ns);
+  cu.slice.input_digest = UnitInputDigest(p, dirty);
   p.module = &new_module;
   p.partition = std::move(np);
   p.unit_static_digest[dirty] = new_static;

@@ -97,15 +97,14 @@ enum class JobOutcome { kCompleted, kCancelled };
 
 /// A benchmark target keeps its module and analysis resident; the analysis
 /// holds pointers into the module, so the module lives at a stable address in
-/// the same entry. Construction runs (or cache-restores) the analysis — with
-/// guaranteed elision the result is built in place, never moved.
+/// the same entry. Construction runs the analysis — with guaranteed elision
+/// the result is built in place, never moved.
 struct Resident {
   std::unique_ptr<ir::Module> module;
   core::Analysis analysis;
 
-  Resident(std::unique_ptr<ir::Module> owned, const core::AnalysisOptions& opts,
-           const store::AnalysisKey& key, store::ArtifactCache& cache)
-      : module(std::move(owned)), analysis(store::RunAnalysisCached(*module, opts, key, cache)) {}
+  Resident(std::unique_ptr<ir::Module> owned, const core::AnalysisOptions& opts)
+      : module(std::move(owned)), analysis(core::Analysis::Run(*module, opts)) {}
 };
 
 /// The resident compositional state behind `analyze --incremental`: the
@@ -537,9 +536,8 @@ struct Server::Impl {
     }());
   }
 
-  /// The resident entry for (target, scale) — built (and persisted to the
-  /// shared cache, warming it for workers) on first use. Throws on an
-  /// unknown benchmark / unreadable file, like the CLI's loader.
+  /// The resident entry for (target, scale) — built on first use. Throws on
+  /// an unknown benchmark / unreadable file, like the CLI's loader.
   Resident& EnsureResident(const std::string& target, int scale, int jobs, bool* hit) {
     std::unique_ptr<ir::Module> module = LoadModule(target, scale);
 
@@ -561,7 +559,7 @@ struct Server::Impl {
     }
     *hit = false;
     obs::GetCounter("serve.analyze.resident_misses").Add();
-    auto entry = std::make_unique<Resident>(std::move(module), opts, key, *cache);
+    auto entry = std::make_unique<Resident>(std::move(module), opts);
     return *resident.emplace(id, std::move(entry)).first->second;
   }
 
@@ -682,14 +680,12 @@ struct Server::Impl {
   }
 
   JobOutcome ExecuteWorker(Job& job) {
-    // Warm the shared cache first: the worker then restores the analysis
-    // artifact instead of re-running parse + golden run + DDG — the resident
-    // map is what makes daemon-side injections start hot. A bad target fails
-    // here, cheaply, instead of through worker relaunch exhaustion.
+    // The worker runs its own analysis (recomputing is cheaper than loading
+    // a stored one), so only the target is checked here: a bad one fails
+    // cheaply instead of through worker relaunch exhaustion.
     try {
       const int scale = std::atoi(FlagValue(job.args, "scale", "1").c_str());
-      bool hit = false;
-      EnsureResident(job.args[1], scale, /*jobs=*/0, &hit);
+      (void)LoadModule(job.args[1], scale);
     } catch (const std::exception& error) {
       job.conn->SendError(ErrorCode::kBadRequest, error.what());
       return JobOutcome::kCompleted;

@@ -3,9 +3,9 @@
 // A Server listens on a Unix-domain socket, speaks epvf-wire-v1 (wire.h,
 // docs/SERVE_PROTOCOL.md), and turns the one-shot CLI into a service: parsed
 // ir modules and their core::Analysis results stay resident in memory across
-// requests, and every job shares one artifact-store cache directory, so a
-// warm `analyze` request skips parse + golden run + DDG entirely and an
-// `inject` worker starts from a hot analysis artifact.
+// requests, so a warm `analyze` request skips parse + golden run + DDG
+// entirely, and every job shares one artifact-store cache directory, where
+// campaign plans and per-unit incremental state persist.
 //
 // Execution model:
 //   - `analyze` runs in-process against the resident map and renders its
@@ -36,8 +36,8 @@ namespace epvf::serve {
 
 struct ServerOptions {
   std::string socket_path;
-  /// Artifact-store directory shared by in-process analyses and worker
-  /// processes. Empty = a private mkdtemp directory, removed on Stop.
+  /// Artifact-store directory shared by in-process incremental analyses and
+  /// worker processes. Empty = a private mkdtemp directory, removed on Stop.
   std::string cache_dir;
   /// Executor threads — jobs running concurrently (this container has one
   /// core, so the default is serial).

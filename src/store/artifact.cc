@@ -1,7 +1,6 @@
 #include "store/artifact.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace epvf::store {
 
@@ -9,7 +8,7 @@ namespace {
 
 // Element counts are length-prefixed; a sanity ceiling keeps a corrupted (but
 // CRC-colliding) length from driving a multi-gigabyte allocation before the
-// bounds checks run. Real graphs stay far below this.
+// bounds checks run. Real record logs stay far below this.
 constexpr std::uint64_t kMaxElements = std::uint64_t{1} << 32;
 
 template <typename T, typename ReadElem>
@@ -23,15 +22,6 @@ bool ReadVec(ByteReader& in, std::vector<T>& out, ReadElem&& read_elem) {
     if (!in.ok()) return false;
   }
   return true;
-}
-
-void WriteU64Vec(const std::vector<std::uint64_t>& v, ByteWriter& out) {
-  out.U64(v.size());
-  for (const std::uint64_t x : v) out.U64(x);
-}
-
-bool ReadU64Vec(ByteReader& in, std::vector<std::uint64_t>& out) {
-  return ReadVec(in, out, [](ByteReader& r) { return r.U64(); });
 }
 
 void WriteU32Vec(const std::vector<std::uint32_t>& v, ByteWriter& out) {
@@ -53,227 +43,6 @@ bool ReadU8Vec(ByteReader& in, std::vector<std::uint8_t>& out) {
 }
 
 }  // namespace
-
-// --- vm::RunResult ------------------------------------------------------------
-
-void WriteRunResult(const vm::RunResult& run, ByteWriter& out) {
-  out.U8(static_cast<std::uint8_t>(run.trap));
-  out.U64(run.instructions_executed);
-  out.U64(run.trap_dyn_index);
-  out.U64(run.trap_addr);
-  out.U8(run.fault_was_applied ? 1 : 0);
-  WriteU64Vec(run.output, out);
-}
-
-std::optional<vm::RunResult> ReadRunResult(ByteReader& in) {
-  vm::RunResult run;
-  const std::uint8_t trap = in.U8();
-  if (trap > static_cast<std::uint8_t>(vm::TrapKind::kInstructionLimit)) return std::nullopt;
-  run.trap = static_cast<vm::TrapKind>(trap);
-  run.instructions_executed = in.U64();
-  run.trap_dyn_index = in.U64();
-  run.trap_addr = in.U64();
-  run.fault_was_applied = in.U8() != 0;
-  if (!ReadU64Vec(in, run.output)) return std::nullopt;
-  if (!in.ok()) return std::nullopt;
-  return run;
-}
-
-// --- ddg::Graph ---------------------------------------------------------------
-
-void WriteGraph(const ddg::Graph& graph, ByteWriter& out) {
-  out.U64(graph.nodes().size());
-  for (const ddg::Node& n : graph.nodes()) {
-    out.U8(static_cast<std::uint8_t>(n.kind));
-    out.U8(n.width);
-    out.U32(n.dyn_index);
-    out.U64(n.value);
-  }
-  out.U64(graph.pred_ranges().size());
-  for (const ddg::PredRange& r : graph.pred_ranges()) {
-    out.U32(r.offset);
-    out.U8(r.count);
-    out.U8(r.virtual_mask);
-  }
-  WriteU32Vec(graph.pred_pool(), out);
-  out.U64(graph.dyn_instrs().size());
-  for (const ddg::DynInstr& d : graph.dyn_instrs()) {
-    out.U32(d.sid.function);
-    out.U32(d.sid.block);
-    out.U32(d.sid.instr);
-    out.U32(d.result_node);
-    out.U32(d.operands_offset);
-    out.U8(d.num_operands);
-    out.U8(d.selected_operand);
-  }
-  WriteU32Vec(graph.operand_node_pool(), out);
-  WriteU64Vec(graph.operand_value_pool(), out);
-  out.U64(graph.accesses().size());
-  for (const ddg::AccessRecord& a : graph.accesses()) {
-    out.U32(a.dyn_index);
-    out.U32(a.addr_node);
-    out.U64(a.addr);
-    out.U32(a.size);
-    out.U64(a.map_version);
-    out.U64(a.esp);
-    out.U8(a.is_store ? 1 : 0);
-  }
-  WriteU32Vec(graph.output_roots(), out);
-  WriteU32Vec(graph.control_roots(), out);
-  out.U64(graph.dropped_load_preds());
-}
-
-std::optional<ddg::Graph> ReadGraph(const ir::Module& module, ByteReader& in) {
-  ddg::Graph::Storage storage;
-  bool ok = ReadVec(in, storage.nodes, [](ByteReader& r) {
-    ddg::Node n;
-    n.kind = static_cast<ddg::NodeKind>(r.U8());
-    n.width = r.U8();
-    n.dyn_index = r.U32();
-    n.value = r.U64();
-    return n;
-  });
-  ok = ok && ReadVec(in, storage.pred_ranges, [](ByteReader& r) {
-    ddg::PredRange p;
-    p.offset = r.U32();
-    p.count = r.U8();
-    p.virtual_mask = r.U8();
-    return p;
-  });
-  ok = ok && ReadU32Vec(in, storage.pred_pool);
-  ok = ok && ReadVec(in, storage.dyn, [](ByteReader& r) {
-    ddg::DynInstr d;
-    d.sid.function = r.U32();
-    d.sid.block = r.U32();
-    d.sid.instr = r.U32();
-    d.result_node = r.U32();
-    d.operands_offset = r.U32();
-    d.num_operands = r.U8();
-    d.selected_operand = r.U8();
-    return d;
-  });
-  ok = ok && ReadU32Vec(in, storage.operand_node_pool);
-  ok = ok && ReadU64Vec(in, storage.operand_value_pool);
-  ok = ok && ReadVec(in, storage.accesses, [](ByteReader& r) {
-    ddg::AccessRecord a;
-    a.dyn_index = r.U32();
-    a.addr_node = r.U32();
-    a.addr = r.U64();
-    a.size = r.U32();
-    a.map_version = r.U64();
-    a.esp = r.U64();
-    a.is_store = r.U8() != 0;
-    return a;
-  });
-  ok = ok && ReadU32Vec(in, storage.output_roots);
-  ok = ok && ReadU32Vec(in, storage.control_roots);
-  storage.dropped_load_preds = in.U64();
-  if (!ok || !in.ok()) return std::nullopt;
-  for (const ddg::Node& n : storage.nodes) {
-    if (static_cast<std::uint8_t>(n.kind) > static_cast<std::uint8_t>(ddg::NodeKind::kGlobal) ||
-        n.width > 64) {
-      return std::nullopt;
-    }
-  }
-  if (!ddg::Graph::ValidateStorage(module, storage)) return std::nullopt;
-  return ddg::Graph::FromStorage(&module, std::move(storage));
-}
-
-// --- ddg::AceResult -----------------------------------------------------------
-
-void WriteAce(const ddg::AceResult& ace, ByteWriter& out) {
-  WriteU8Vec(ace.in_ace, out);
-  out.U64(ace.ace_bits);
-  out.U64(ace.total_bits);
-  out.U64(ace.ace_node_count);
-  out.U64(ace.ace_register_nodes);
-}
-
-std::optional<ddg::AceResult> ReadAce(ByteReader& in) {
-  ddg::AceResult ace;
-  if (!ReadU8Vec(in, ace.in_ace)) return std::nullopt;
-  ace.ace_bits = in.U64();
-  ace.total_bits = in.U64();
-  ace.ace_node_count = in.U64();
-  ace.ace_register_nodes = in.U64();
-  if (!in.ok()) return std::nullopt;
-  return ace;
-}
-
-// --- crash::CrashBits ---------------------------------------------------------
-
-void WriteCrashBits(const crash::CrashBits& bits, ByteWriter& out) {
-  out.U64(bits.allowed.size());
-  for (const Interval& iv : bits.allowed) {
-    out.U64(iv.lo);
-    out.U64(iv.hi);
-  }
-  WriteU64Vec(bits.crash_mask, out);
-  out.U64(bits.total_crash_bits);
-  out.U64(bits.constrained_nodes);
-  out.U64(bits.seeded_accesses);
-}
-
-std::optional<crash::CrashBits> ReadCrashBits(ByteReader& in) {
-  crash::CrashBits bits;
-  const bool ok = ReadVec(in, bits.allowed, [](ByteReader& r) {
-    Interval iv;
-    iv.lo = r.U64();
-    iv.hi = r.U64();
-    return iv;
-  });
-  if (!ok || !ReadU64Vec(in, bits.crash_mask)) return std::nullopt;
-  bits.total_crash_bits = in.U64();
-  bits.constrained_nodes = in.U64();
-  bits.seeded_accesses = in.U64();
-  if (!in.ok()) return std::nullopt;
-  if (bits.crash_mask.size() != bits.allowed.size()) return std::nullopt;
-  return bits;
-}
-
-// --- analysis artifact --------------------------------------------------------
-
-void WriteAnalysisArtifact(const core::Analysis& analysis, ArtifactWriter& writer) {
-  WriteRunResult(analysis.golden(), writer.Section(SectionId::kGoldenRun));
-  WriteGraph(analysis.graph(), writer.Section(SectionId::kGraph));
-  WriteAce(analysis.ace(), writer.Section(SectionId::kAce));
-  WriteCrashBits(analysis.crash_bits(), writer.Section(SectionId::kCrashBits));
-  // Force the lazy activation-walk pass: persisting its three sums lets a
-  // warm load serve CrashRateEstimate / the use-weighted metrics instantly.
-  const core::Analysis::UseWeightedBits& uw = analysis.use_weighted_bits();
-  ByteWriter& section = writer.Section(SectionId::kUseWeighted);
-  section.U64(uw.total);
-  section.U64(uw.ace);
-  section.U64(uw.crash);
-}
-
-std::optional<AnalysisArtifactData> ReadAnalysisArtifact(const ir::Module& module,
-                                                         const ArtifactReader& reader) {
-  auto golden_in = reader.Section(SectionId::kGoldenRun);
-  auto graph_in = reader.Section(SectionId::kGraph);
-  auto ace_in = reader.Section(SectionId::kAce);
-  auto crash_in = reader.Section(SectionId::kCrashBits);
-  if (!golden_in || !graph_in || !ace_in || !crash_in) return std::nullopt;
-
-  auto golden = ReadRunResult(*golden_in);
-  auto graph = ReadGraph(module, *graph_in);
-  auto ace = ReadAce(*ace_in);
-  auto crash_bits = ReadCrashBits(*crash_in);
-  if (!golden || !graph || !ace || !crash_bits) return std::nullopt;
-  // Cross-section consistency: per-node arrays must cover the graph.
-  if (ace->in_ace.size() != graph->NumNodes()) return std::nullopt;
-  if (crash_bits->allowed.size() != graph->NumNodes()) return std::nullopt;
-  AnalysisArtifactData data{std::move(*golden), std::move(*graph), std::move(*ace),
-                            std::move(*crash_bits), std::nullopt};
-  if (auto uw_in = reader.Section(SectionId::kUseWeighted)) {
-    core::Analysis::UseWeightedBits uw;
-    uw.total = uw_in->U64();
-    uw.ace = uw_in->U64();
-    uw.crash = uw_in->U64();
-    if (uw_in->Finished()) data.use_weighted = uw;
-  }
-  return data;
-}
 
 // --- campaign artifact --------------------------------------------------------
 

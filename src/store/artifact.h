@@ -1,63 +1,25 @@
-// (De)serialization of the pipeline's core artifacts.
+// (De)serialization of the campaign artifacts.
 //
-// One analysis artifact bundles everything Analysis::Run produces that
-// downstream consumers read: the golden-run trace metadata (vm::RunResult),
-// the full ddg::Graph storage, the ACE result, the crash-bit masks, and the
-// (lazily computed, expensive) use-weighted sums behind the crash-rate
-// estimate. One plan artifact carries a campaign's record log in round order
-// (uniform campaigns are one-round plans), and a campaign artifact carries
-// one shard worker's slice of a round plus its completion mask, so
-// interrupted campaigns and relaunched workers resume by skipping completed
-// runs.
+// One plan artifact carries a campaign's record log in round order (uniform
+// campaigns are one-round plans), and a campaign artifact carries one shard
+// worker's slice of a round plus its completion mask, so interrupted
+// campaigns and relaunched workers resume by skipping completed runs. The
+// analysis a campaign runs against is never persisted: recomputing it is
+// cheaper than loading it.
 //
 // Readers return std::nullopt on any structural inconsistency — section
-// missing, short/overlong payload, cross-array size mismatch, reference out
-// of bounds — so a decoding failure (like a CRC failure one layer below)
+// missing, short/overlong payload, cross-array size mismatch, out-of-range
+// enum — so a decoding failure (like a CRC failure one layer below)
 // degrades to recomputation, never a crash.
 #pragma once
 
 #include <optional>
 
-#include "epvf/analysis.h"
 #include "fi/campaign.h"
 #include "fi/planner.h"
 #include "store/serializer.h"
 
 namespace epvf::store {
-
-// --- piece-wise serializers (each also exercised directly by tests) ---------
-
-void WriteRunResult(const vm::RunResult& run, ByteWriter& out);
-[[nodiscard]] std::optional<vm::RunResult> ReadRunResult(ByteReader& in);
-
-void WriteGraph(const ddg::Graph& graph, ByteWriter& out);
-/// `module` must be the module the graph was traced from (the cache key
-/// fingerprints it); the decoded storage is bounds-validated against it.
-[[nodiscard]] std::optional<ddg::Graph> ReadGraph(const ir::Module& module, ByteReader& in);
-
-void WriteAce(const ddg::AceResult& ace, ByteWriter& out);
-[[nodiscard]] std::optional<ddg::AceResult> ReadAce(ByteReader& in);
-
-void WriteCrashBits(const crash::CrashBits& bits, ByteWriter& out);
-[[nodiscard]] std::optional<crash::CrashBits> ReadCrashBits(ByteReader& in);
-
-// --- whole artifacts ---------------------------------------------------------
-
-/// Serializes the analysis (forcing the use-weighted pass so warm loads can
-/// serve the crash-rate estimate without recomputing it).
-void WriteAnalysisArtifact(const core::Analysis& analysis, ArtifactWriter& writer);
-
-/// The decoded parts of an analysis artifact, ready for Analysis::Restore.
-struct AnalysisArtifactData {
-  vm::RunResult golden;
-  ddg::Graph graph;
-  ddg::AceResult ace;
-  crash::CrashBits crash_bits;
-  std::optional<core::Analysis::UseWeightedBits> use_weighted;
-};
-
-[[nodiscard]] std::optional<AnalysisArtifactData> ReadAnalysisArtifact(
-    const ir::Module& module, const ArtifactReader& reader);
 
 /// One shard worker's slice of a round queue: identity fields (verified
 /// against the resuming worker's options, with num_runs = the queue length),

@@ -40,7 +40,6 @@ void AppendLayout(std::ostringstream& out, const mem::MemoryLayout& l) {
       << l.stack_grow_window;
 }
 
-constexpr std::string_view kAnalysisSuffix = ".analysis.epvfa";
 constexpr std::string_view kCampaignSuffix = ".campaign.epvfa";
 constexpr std::string_view kPlanSuffix = ".plan.epvfa";
 constexpr std::string_view kUnitManifestSuffix = ".units.epvfa";
@@ -48,7 +47,6 @@ constexpr std::string_view kUnitSuffix = ".unit.epvfa";
 
 std::string_view SuffixFor(ArtifactKind kind) {
   switch (kind) {
-    case ArtifactKind::kAnalysis: return kAnalysisSuffix;
     case ArtifactKind::kPlan: return kPlanSuffix;
     case ArtifactKind::kUnitManifest: return kUnitManifestSuffix;
     case ArtifactKind::kUnit: return kUnitSuffix;
@@ -57,17 +55,10 @@ std::string_view SuffixFor(ArtifactKind kind) {
   return kCampaignSuffix;
 }
 
-/// Counter-array slot of a kind (kind values are 1-based and dense).
-std::size_t KindSlot(ArtifactKind kind) {
-  const auto v = static_cast<std::uint32_t>(kind);
-  return v >= 1 && v <= kNumArtifactKinds ? v - 1 : 0;
-}
-
 }  // namespace
 
 std::string_view ArtifactKindName(ArtifactKind kind) {
   switch (kind) {
-    case ArtifactKind::kAnalysis: return "analysis";
     case ArtifactKind::kCampaign: return "campaign";
     case ArtifactKind::kPlan: return "plan";
     case ArtifactKind::kUnitManifest: return "manifest";
@@ -149,7 +140,7 @@ ArtifactCache::~ArtifactCache() {
   out << "hits " << total.hits << "\nmisses " << total.misses << "\nbytes_read "
       << total.bytes_read << "\nbytes_written " << total.bytes_written << '\n';
   for (std::size_t k = 0; k < kNumArtifactKinds; ++k) {
-    const std::string_view name = ArtifactKindName(static_cast<ArtifactKind>(k + 1));
+    const std::string_view name = ArtifactKindName(kArtifactKinds[k]);
     out << "hits." << name << ' ' << kinds[k].hits << "\nmisses." << name << ' '
         << kinds[k].misses << "\nbytes_read." << name << ' ' << kinds[k].bytes_read
         << "\nbytes_written." << name << ' ' << kinds[k].bytes_written << '\n';
@@ -188,7 +179,7 @@ std::array<CacheCounters, kNumArtifactKinds> ArtifactCache::ReadPersistedKindCou
     const std::string field = name.substr(0, dot);
     const std::string kind_name = name.substr(dot + 1);
     for (std::size_t k = 0; k < kNumArtifactKinds; ++k) {
-      if (kind_name != ArtifactKindName(static_cast<ArtifactKind>(k + 1))) continue;
+      if (kind_name != ArtifactKindName(kArtifactKinds[k])) continue;
       if (field == "hits") kinds[k].hits = value;
       if (field == "misses") kinds[k].misses = value;
       if (field == "bytes_read") kinds[k].bytes_read = value;
@@ -208,13 +199,13 @@ std::optional<ArtifactReader> ArtifactCache::Load(const std::string& id, Artifac
   auto reader = ArtifactReader::Open(EntryPath(id, kind), kind);
   if (!reader.has_value()) {
     session_.misses += 1;
-    session_kind_[KindSlot(kind)].misses += 1;
+    session_kind_[KindIndex(kind)].misses += 1;
     obs::GetCounter("store.cache.misses").Add();
     return std::nullopt;
   }
   session_.hits += 1;
   session_.bytes_read += reader->file_size();
-  CacheCounters& by_kind = session_kind_[KindSlot(kind)];
+  CacheCounters& by_kind = session_kind_[KindIndex(kind)];
   by_kind.hits += 1;
   by_kind.bytes_read += reader->file_size();
   last_hit_kind_ = kind;
@@ -229,7 +220,7 @@ bool ArtifactCache::Store(const std::string& id, const ArtifactWriter& writer) {
   const std::string image = writer.Finish();
   if (!AtomicWriteFile(EntryPath(id, writer.kind()), image)) return false;
   session_.bytes_written += image.size();
-  session_kind_[KindSlot(writer.kind())].bytes_written += image.size();
+  session_kind_[KindIndex(writer.kind())].bytes_written += image.size();
   obs::GetCounter("store.cache.bytes_written").Add(image.size());
   return true;
 }
@@ -237,7 +228,7 @@ bool ArtifactCache::Store(const std::string& id, const ArtifactWriter& writer) {
 void ArtifactCache::DemoteLastHit() {
   if (session_.hits > 0) session_.hits -= 1;
   session_.misses += 1;
-  CacheCounters& by_kind = session_kind_[KindSlot(last_hit_kind_)];
+  CacheCounters& by_kind = session_kind_[KindIndex(last_hit_kind_)];
   if (by_kind.hits > 0) by_kind.hits -= 1;
   by_kind.misses += 1;
   obs::Counter& hits = obs::GetCounter("store.cache.hits");
@@ -274,10 +265,10 @@ ArtifactCache::DirStats ArtifactCache::Stats() const {
     stats.entries += 1;
     const std::uint64_t size = entry.file_size(ec);
     stats.bytes += size;
-    for (std::uint32_t k = 1; k <= kNumArtifactKinds; ++k) {
-      if (!name.ends_with(SuffixFor(static_cast<ArtifactKind>(k)))) continue;
-      stats.kind_entries[k - 1] += 1;
-      stats.kind_bytes[k - 1] += size;
+    for (std::size_t k = 0; k < kNumArtifactKinds; ++k) {
+      if (!name.ends_with(SuffixFor(kArtifactKinds[k]))) continue;
+      stats.kind_entries[k] += 1;
+      stats.kind_bytes[k] += size;
       break;
     }
   }
@@ -295,43 +286,6 @@ std::size_t ArtifactCache::Clear() {
     if (fs::remove(entry.path(), ec) && name.ends_with(".epvfa")) removed += 1;
   }
   return removed;
-}
-
-// --- cached pipelines ---------------------------------------------------------
-
-core::Analysis RunAnalysisCached(const ir::Module& module, const core::AnalysisOptions& options,
-                                 const AnalysisKey& key, ArtifactCache& cache) {
-  const std::string id = CacheId(key);
-  if (cache.enabled()) {
-    const obs::TraceSpan span("store", "load-analysis");
-    Stopwatch load_watch;
-    if (auto reader = cache.Load(id, ArtifactKind::kAnalysis)) {
-      if (auto data = ReadAnalysisArtifact(module, *reader)) {
-        core::Analysis analysis = core::Analysis::Restore(
-            module, options, std::move(data->golden), std::move(data->graph),
-            std::move(data->ace), std::move(data->crash_bits), data->use_weighted);
-        analysis.NoteCacheActivity(/*hit=*/true, load_watch.ElapsedSeconds(),
-                                   /*store_seconds=*/0);
-        return analysis;
-      }
-      // Structurally undecodable despite passing CRC (e.g. written by a
-      // buggy build): treat as a miss and rewrite below.
-      LogWarn("cache: entry " + id + " undecodable — recomputing");
-      cache.DemoteLastHit();
-    }
-  }
-  core::Analysis analysis = core::Analysis::Run(module, options);
-  Stopwatch store_watch;
-  double store_seconds = 0;
-  if (cache.enabled()) {
-    const obs::TraceSpan span("store", "store-analysis");
-    ArtifactWriter writer(ArtifactKind::kAnalysis);
-    WriteAnalysisArtifact(analysis, writer);
-    cache.Store(id, writer);
-    store_seconds = store_watch.ElapsedSeconds();
-  }
-  analysis.NoteCacheActivity(/*hit=*/false, /*load_seconds=*/0, store_seconds);
-  return analysis;
 }
 
 // --- campaigns ----------------------------------------------------------------

@@ -1,12 +1,15 @@
-// Content-addressed on-disk cache of analysis and campaign artifacts.
+// Content-addressed on-disk store of campaign and compositional artifacts.
 //
-// Every epvf invocation used to recompute the entire pipeline — dynamic
-// trace, DDG, crash-bit masks, ePVF accounting — even when nothing changed.
-// The cache turns analyze-once results into reusable artifacts: entries are
-// keyed by a 64-bit content address hashing (app name + kernel config + IR
-// module fingerprint + the result-affecting analysis options + format
-// version), so any change to the program, its inputs, or the format lands on
-// a different address and stale entries are simply never read.
+// What persists is what a later run cannot cheaply redo: campaign plans and
+// shard slices (the injected runs themselves, so interrupted campaigns
+// resume and sharded ones merge) and the per-unit compositional state
+// behind `analyze --incremental` (units_store.h). The whole-program analysis
+// is not stored: with the activation walk linear, recomputing it is faster
+// than loading it. Entries are keyed by a 64-bit content address hashing
+// (app name + kernel config + IR module fingerprint + the result-affecting
+// analysis options + format version, plus each kind's own identity fields),
+// so any change to the program, its inputs, or the format lands on a
+// different address and stale entries are simply never read.
 //
 // Degradation and concurrency: a missing, truncated, version-mismatched, or
 // checksum-failing entry logs a warning, counts as a miss, and the caller
@@ -39,7 +42,8 @@ namespace epvf::store {
 /// printer is deterministic and covers functions, globals and constants).
 [[nodiscard]] std::uint64_t ModuleFingerprint(const ir::Module& module);
 
-/// Everything that determines an analysis artifact's identity.
+/// The identity of one analysis: the prefix of every plan, unit and manifest
+/// key, and the serve daemon's resident-analysis key.
 struct AnalysisKey {
   std::string app;     ///< benchmark name or IR file path
   std::string config;  ///< kernel config fingerprint, e.g. "scale=2"
@@ -77,8 +81,8 @@ struct CacheCounters {
   std::uint64_t bytes_written = 0;
 };
 
-/// Short stable name of an artifact kind ("analysis", "campaign", "plan",
-/// "manifest", "unit") — used in the persisted counter file and by
+/// Short stable name of an artifact kind ("campaign", "plan", "manifest",
+/// "unit") — used in the persisted counter file and by
 /// `epvf cache stats` for the per-kind breakdown.
 [[nodiscard]] std::string_view ArtifactKindName(ArtifactKind kind);
 
@@ -121,8 +125,8 @@ class ArtifactCache {
     std::uint64_t entries = 0;
     std::uint64_t bytes = 0;
     CacheCounters lifetime;  ///< persisted counters + this session
-    /// Per-kind breakdown (index = ArtifactKind value - 1): on-disk entry and
-    /// byte counts from the directory scan, hit/miss from the counter file.
+    /// Per-kind breakdown (index = KindIndex(kind)): on-disk entry and byte
+    /// counts from the directory scan, hit/miss from the counter file.
     std::array<std::uint64_t, kNumArtifactKinds> kind_entries{};
     std::array<std::uint64_t, kNumArtifactKinds> kind_bytes{};
     std::array<CacheCounters, kNumArtifactKinds> kind_lifetime{};
@@ -145,17 +149,8 @@ class ArtifactCache {
   CacheCounters session_;
   std::array<CacheCounters, kNumArtifactKinds> session_kind_{};
   /// Kind of the most recent Load hit — DemoteLastHit reclassifies it.
-  ArtifactKind last_hit_kind_ = ArtifactKind::kAnalysis;
+  ArtifactKind last_hit_kind_ = ArtifactKind::kCampaign;
 };
-
-/// Load-or-compute for the analysis pipeline: a valid cache entry restores
-/// the Analysis without executing anything; otherwise the full pipeline runs
-/// (including the use-weighted rate-estimate pass) and the artifact is
-/// written back. Either way the returned Analysis carries cache hit/miss and
-/// (de)serialization timings in timings().
-[[nodiscard]] core::Analysis RunAnalysisCached(const ir::Module& module,
-                                               const core::AnalysisOptions& options,
-                                               const AnalysisKey& key, ArtifactCache& cache);
 
 // --- campaigns ----------------------------------------------------------------
 

@@ -15,6 +15,7 @@
 // checked on load and mixed into the content-address hash).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -28,24 +29,33 @@ inline constexpr std::uint32_t kMagic = 0x46565045u;
 /// v3: campaign/plan artifacts carry the fault scenario (register/memory).
 /// v4: plan artifacts carry the plan kind; a uniform campaign persists as a
 ///     one-round plan, and campaign artifacts are shard slices only.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: the whole-analysis artifact (kind 1, sections 1-5) is retired —
+///     recomputing beats loading it — and unit slices no longer carry their
+///     input digest (the loader recomputes it, interns included, against
+///     the manifest).
+inline constexpr std::uint32_t kFormatVersion = 5;
 
+/// Kind 1 was the whole-analysis artifact; it is retired and never reused.
 enum class ArtifactKind : std::uint32_t {
-  kAnalysis = 1,      ///< golden trace metadata + DDG + ACE + crash bits (+ use-weighted sums)
   kCampaign = 2,      ///< one shard's slice of a round: records + completion mask
   kPlan = 3,          ///< campaign plan kind + identity + record log (epvf-plan-v1)
   kUnitManifest = 4,  ///< per-app latest compositional state (module text + unit key table)
   kUnit = 5,          ///< one unit's slice + backward results + sums
 };
 
-inline constexpr std::uint32_t kNumArtifactKinds = 5;
+/// The live kinds in value order; KindIndex is a kind's position here (the
+/// index of its slot in per-kind arrays).
+inline constexpr std::array<ArtifactKind, 4> kArtifactKinds = {
+    ArtifactKind::kCampaign, ArtifactKind::kPlan, ArtifactKind::kUnitManifest,
+    ArtifactKind::kUnit};
+inline constexpr std::size_t kNumArtifactKinds = kArtifactKinds.size();
 
+[[nodiscard]] constexpr std::size_t KindIndex(ArtifactKind kind) {
+  return static_cast<std::size_t>(kind) - static_cast<std::size_t>(ArtifactKind::kCampaign);
+}
+
+/// Ids 1-5 belonged to the retired analysis artifact and are never reused.
 enum class SectionId : std::uint32_t {
-  kGoldenRun = 1,     ///< vm::RunResult of the golden run (trace metadata)
-  kGraph = 2,         ///< ddg::Graph flat storage
-  kAce = 3,           ///< ddg::AceResult
-  kCrashBits = 4,     ///< crash::CrashBits (allowed intervals + masks)
-  kUseWeighted = 5,   ///< Analysis::UseWeightedBits (the rate-estimate pass)
   kCampaign = 6,      ///< slice meta + records + completion mask
   kPlan = 7,          ///< plan kind + identity + round sizes + records + completion mask
   kUnitManifest = 8,  ///< module text, interns, segment order, unit key table + walks

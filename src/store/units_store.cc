@@ -163,7 +163,6 @@ void WriteSlice(const core::UnitSlice& s, ByteWriter& out) {
   out.U64(s.intern_refs.size());
   for (const std::uint32_t id : s.intern_refs) out.U32(id);
   out.U64(s.dropped_load_preds);
-  out.U64(s.input_digest);
 }
 
 std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
@@ -274,7 +273,6 @@ std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
   s.intern_refs.resize(in.U64());
   for (std::uint32_t& id : s.intern_refs) id = in.U32();
   s.dropped_load_preds = in.U64();
-  s.input_digest = in.U64();
   if (!in.Finished()) return std::nullopt;
   // Cross-array consistency: the structural invariants the replay and
   // backward sweeps rely on.
@@ -579,14 +577,24 @@ std::optional<core::ProgramSlices> AssembleState(const UnitsManifest& manifest,
       cache.DemoteLastHit();
       return std::nullopt;
     }
-    if (unit->slice.input_digest != manifest.units[u].input_digest) {
-      cache.DemoteLastHit();
-      return std::nullopt;
-    }
     p.units[u].slice = std::move(unit->slice);
     p.units[u].back = std::move(unit->back);
     p.units[u].sums = std::move(unit->sums);
     p.units[u].walk = manifest.units[u].walk;
+  }
+  // A digest is recomputed from the loaded state rather than read from disk:
+  // a payload's intern ids mean something only against the table it was
+  // written with, and its backward results only under the spills the other
+  // units push into it. A unit whose inputs here differ from the ones its
+  // key recorded is a miss, never a wrong answer.
+  for (std::uint32_t u = 0; u < p.units.size(); ++u) {
+    p.units[u].slice.input_digest = core::UnitInputDigest(p, u);
+    if (p.units[u].slice.input_digest != manifest.units[u].input_digest) {
+      LogWarn("cache: unit entry for " + partition.units[u].name +
+              " does not match the manifest — cold rebuild");
+      cache.DemoteLastHit();
+      return std::nullopt;
+    }
   }
   p.partition = std::move(partition);
   return p;

@@ -1,16 +1,18 @@
 // Per-unit artifact store: the disk-backed side of incremental re-analysis.
 //
-// The monolithic analysis cache (cache.h) keys one artifact per *module*, so
-// any edit — even to a single kernel — invalidates everything. This layer
-// keys the compositional state per *unit*:
+// The whole-program analysis is never stored (cache.h): recomputing it is
+// cheaper than loading it. What this layer keeps is the compositional state
+// per *unit*, so an edit re-derives one unit instead of the program:
 //
 //   * kUnit artifacts hold one unit's slice + backward results + sums,
 //     content-addressed by (analysis identity, unit name, the unit's IR
-//     fingerprint, its boundary-input digest). A unit's slice and backward
-//     results are a pure function of exactly those inputs (cross-unit
-//     backward changes force a full fallback before they could go stale), so
-//     an edit to one kernel moves one unit's address and leaves every other
-//     entry valid.
+//     fingerprint, its input digest — core::UnitInputDigest over the
+//     boundary summaries, the export table, the intern entries the slice
+//     references and the spills other units push into it). A unit's slice
+//     and backward results are a pure function of exactly those inputs, so
+//     an edit to one kernel moves its own unit's address, and other units'
+//     only where the edit reached their inputs. A loaded entry's digest is
+//     recomputed from the loaded state, never read from disk.
 //   * The kUnitManifest artifact is the app's latest-state pointer (keyed by
 //     analysis identity alone): the analyzed module's canonical text, the
 //     program-level tables (interns, segment order), the unit key table, and
@@ -22,8 +24,8 @@
 // resident ProgramSlices from unit artifacts (unchanged units are cache
 // hits), hand the edited module to core::ReanalyzeIncremental, and persist
 // the delta (one new unit entry + a fresh manifest). Any miss, decode
-// failure, or replay fallback degrades to the monolithic pipeline plus a
-// full rewrite — never a wrong result.
+// failure, digest mismatch, or replay fallback degrades to the monolithic
+// pipeline plus a full rewrite — never a wrong result.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -451,6 +452,40 @@ TEST(CliCache, StatsOnEmptyDirReportsZeroEntries) {
   EXPECT_NE(r.stdout_text.find("entries              : 0"), std::string::npos);
 }
 
+TEST(CliCache, RetiredAnalysisEntriesAreNeverReadAndClearRemovesThem) {
+  // A directory an older format left behind: an entry of a kind no reader
+  // claims any more, as the retired whole-analysis entries are (junk bytes
+  // here, so a reader would have to reject it), and a counter file with
+  // analysis rows. Every command still succeeds on it, none touches the
+  // entry, and `cache clear` removes it.
+  TempDir tmp;
+  const std::string dir = tmp.path + "/cache";
+  fs::create_directories(dir);
+  const std::string retired = dir + "/0123456789abcdef.retired.epvfa";
+  WriteFile(retired, "not an artifact");
+  WriteFile(dir + "/cache_stats.txt",
+            "hits 3\nmisses 1\nbytes_read 30\nbytes_written 10\nhits.analysis 3\n"
+            "misses.analysis 1\nbytes_read.analysis 30\nbytes_written.analysis 10\n");
+  const std::string flags = " --scale 0 --cache-dir " + dir;
+
+  // A plain analyze neither reads nor writes the cache directory.
+  ASSERT_EQ(RunCli("analyze mm" + flags).exit_code, 0);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir), fs::directory_iterator()), 2);
+  EXPECT_EQ(RunCli("analyze mm --incremental" + flags).exit_code, 0);
+  EXPECT_EQ(RunCli("inject mm --runs 12 --seed 3" + flags).exit_code, 0);
+  EXPECT_EQ(RunCli("campaign mm --runs 12 --seed 3 --shards 2" + flags).exit_code, 0);
+  const CliResult stats = RunCli("cache stats --cache-dir " + dir);
+  EXPECT_EQ(stats.exit_code, 0);
+  EXPECT_EQ(stats.stdout_text.find("  analysis"), std::string::npos) << stats.stdout_text;
+  EXPECT_NE(stats.stdout_text.find("  plan"), std::string::npos) << stats.stdout_text;
+  EXPECT_EQ(ReadFileOrEmpty(retired), "not an artifact");
+
+  const CliResult clear = RunCli("cache clear --cache-dir " + dir);
+  EXPECT_EQ(clear.exit_code, 0);
+  EXPECT_FALSE(fs::exists(retired));
+  EXPECT_TRUE(fs::is_empty(dir));
+}
+
 TEST(CliCache, ClearOnEmptyDirReportsZeroCleared) {
   TempDir tmp;
   const CliResult r = RunCli("cache clear --cache-dir " + tmp.path);
@@ -493,9 +528,13 @@ TEST(CliObservability, MetricsOutRoundTripsThroughMetricsCommand) {
   EXPECT_NE(pretty.stdout_text.find("analysis.ace.us"), std::string::npos);
 }
 
-/// The backticked `campaign.*` / `planner.*` metric names in
-/// docs/OBSERVABILITY.md.
-std::vector<std::string> DocumentedCampaignMetrics() {
+bool HasAnyPrefix(const std::string& name, const std::vector<std::string>& prefixes) {
+  return std::any_of(prefixes.begin(), prefixes.end(),
+                     [&](const std::string& prefix) { return name.rfind(prefix, 0) == 0; });
+}
+
+/// The backticked metric names in docs/OBSERVABILITY.md under `prefixes`.
+std::vector<std::string> DocumentedMetrics(const std::vector<std::string>& prefixes) {
   const std::string doc = ReadFileOrEmpty(std::string(EPVF_DOCS_DIR) + "/OBSERVABILITY.md");
   std::vector<std::string> names;
   for (std::size_t at = doc.find('`'); at != std::string::npos; at = doc.find('`', at + 1)) {
@@ -503,9 +542,29 @@ std::vector<std::string> DocumentedCampaignMetrics() {
         doc.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_.<>-", at + 1);
     if (end == std::string::npos || doc[end] != '`') continue;
     const std::string name = doc.substr(at + 1, end - at - 1);
-    if (name.rfind("campaign.", 0) == 0 || name.rfind("planner.", 0) == 0) names.push_back(name);
+    if (HasAnyPrefix(name, prefixes)) names.push_back(name);
   }
   return names;
+}
+
+/// Every counter, gauge and histogram name under `prefixes` that the
+/// --metrics-out dumps at `paths` register.
+std::set<std::string> RegisteredMetrics(const std::vector<std::string>& paths,
+                                        const std::vector<std::string>& prefixes) {
+  std::set<std::string> registered;
+  for (const std::string& path : paths) {
+    const std::optional<epvf::obs::MetricsSnapshot> snap =
+        epvf::obs::ParseMetricsJson(ReadFileOrEmpty(path));
+    EXPECT_TRUE(snap.has_value()) << path;
+    if (!snap.has_value()) continue;
+    const auto add = [&](const std::string& metric) {
+      if (HasAnyPrefix(metric, prefixes)) registered.insert(metric);
+    };
+    for (const auto& entry : snap->counters) add(entry.first);
+    for (const auto& entry : snap->gauges) add(entry.first);
+    for (const auto& entry : snap->histograms) add(entry.first);
+  }
+  return registered;
 }
 
 /// Whether `metric` is an instance of the documented name `documented`, where
@@ -538,22 +597,11 @@ TEST(CliObservability, CampaignMetricInventoryMatchesTheDocs) {
                    "--metrics-out " + tmp.path + "/stratified.json")
                 .exit_code,
             0);
-  std::set<std::string> registered;
-  for (const char* dump : {"/uniform.json", "/stratified.json"}) {
-    const std::optional<epvf::obs::MetricsSnapshot> snap =
-        epvf::obs::ParseMetricsJson(ReadFileOrEmpty(tmp.path + dump));
-    ASSERT_TRUE(snap.has_value()) << dump;
-    const auto add = [&](const std::string& metric) {
-      if (metric.rfind("campaign.", 0) == 0 || metric.rfind("planner.", 0) == 0) {
-        registered.insert(metric);
-      }
-    };
-    for (const auto& entry : snap->counters) add(entry.first);
-    for (const auto& entry : snap->gauges) add(entry.first);
-    for (const auto& entry : snap->histograms) add(entry.first);
-  }
+  const std::vector<std::string> prefixes = {"campaign.", "planner."};
+  const std::set<std::string> registered =
+      RegisteredMetrics({tmp.path + "/uniform.json", tmp.path + "/stratified.json"}, prefixes);
 
-  const std::vector<std::string> documented = DocumentedCampaignMetrics();
+  const std::vector<std::string> documented = DocumentedMetrics(prefixes);
   ASSERT_FALSE(documented.empty()) << "no campaign metrics documented";
   for (const std::string& metric : registered) {
     EXPECT_TRUE(std::any_of(documented.begin(), documented.end(),
@@ -567,6 +615,37 @@ TEST(CliObservability, CampaignMetricInventoryMatchesTheDocs) {
     EXPECT_TRUE(std::any_of(registered.begin(), registered.end(),
                             [&](const std::string& metric) { return IsInstanceOf(metric, d); }))
         << d << " is documented but neither plan kind registers it";
+  }
+}
+
+TEST(CliObservability, StoreAndAnalysisMetricInventoryMatchesTheDocs) {
+  // An analysis, a cold campaign (plan miss and write) and the same campaign
+  // warm (plan hit and read) between them register every analysis.* and
+  // store.* metric; the registered and the documented names must agree in
+  // both directions.
+  TempDir tmp;
+  ASSERT_EQ(RunCli("analyze mm --scale 0 --no-cache --metrics-out " + tmp.path + "/analyze.json")
+                .exit_code,
+            0);
+  const std::string inject =
+      "inject mm --scale 0 --runs 12 --seed 3 --cache-dir " + tmp.path + "/cache --metrics-out ";
+  ASSERT_EQ(RunCli(inject + tmp.path + "/cold.json").exit_code, 0);
+  ASSERT_EQ(RunCli(inject + tmp.path + "/warm.json").exit_code, 0);
+  const std::vector<std::string> prefixes = {"analysis.", "store."};
+  const std::set<std::string> registered = RegisteredMetrics(
+      {tmp.path + "/analyze.json", tmp.path + "/cold.json", tmp.path + "/warm.json"}, prefixes);
+
+  const std::vector<std::string> documented = DocumentedMetrics(prefixes);
+  ASSERT_FALSE(documented.empty()) << "no analysis or store metrics documented";
+  for (const std::string& metric : registered) {
+    EXPECT_TRUE(std::any_of(documented.begin(), documented.end(),
+                            [&](const std::string& d) { return IsInstanceOf(metric, d); }))
+        << metric << " is registered but not documented in docs/OBSERVABILITY.md";
+  }
+  for (const std::string& d : documented) {
+    EXPECT_TRUE(std::any_of(registered.begin(), registered.end(),
+                            [&](const std::string& metric) { return IsInstanceOf(metric, d); }))
+        << d << " is documented but none of the runs registers it";
   }
 }
 

@@ -7,10 +7,12 @@
 // additionally assert *which* path was taken, so a silently-degraded fast
 // path (always falling back) cannot pass.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -484,6 +486,234 @@ TEST(IncrementalStore, CorruptUnitEntryDegradesToCold) {
   EXPECT_TRUE(after.stats.cold_rebuild);
   ExpectMatchesFresh(after.slices, app.module, kJobs);
 }
+
+/// The loader recomputes every unit's digest against the manifest it loaded:
+/// a manifest whose intern table disagrees with the one the unit entries
+/// were written under (every constant's value changed, rewritten with a
+/// valid checksum) is a miss and a cold rebuild, never a fast path over
+/// entries whose intern ids now name other values.
+TEST(IncrementalStore, ManifestInternTableMismatchIsAMiss) {
+  const apps::App app = apps::BuildApp("lulesh", apps::AppConfig{.scale = 0});
+  const store::AnalysisKey key = KeyFor("lulesh", app.module);
+  TempDir dir;
+  store::ArtifactCache cache(dir.path);
+  (void)store::RunAnalysisIncremental(app.module, key.options, key, cache);
+
+  const std::string id = store::CacheId(store::ManifestKey{key});
+  std::optional<store::UnitsManifest> manifest;
+  {
+    const auto reader = cache.Load(id, store::ArtifactKind::kUnitManifest);
+    ASSERT_TRUE(reader.has_value());
+    manifest = store::ReadUnitsManifest(*reader);
+  }
+  ASSERT_TRUE(manifest.has_value());
+  std::size_t changed = 0;
+  for (InternEntry& e : manifest->interns) {
+    if (e.is_global != 0) continue;
+    e.value ^= 1;
+    ++changed;
+  }
+  ASSERT_GT(changed, 0u);
+  store::ArtifactWriter writer(store::ArtifactKind::kUnitManifest);
+  store::WriteUnitsManifest(*manifest, writer);
+  ASSERT_TRUE(cache.Store(id, writer));
+
+  const auto after = store::RunAnalysisIncremental(app.module, key.options, key, cache);
+  EXPECT_TRUE(after.stats.manifest_hit);
+  EXPECT_TRUE(after.stats.cold_rebuild);
+  ExpectMatchesFresh(after.slices, app.module, kJobs);
+}
+
+// --- chained edits through one cache directory --------------------------------
+
+/// `text` with one seeded `kind` mutation applied, the way `epvf mutate`
+/// applies it: parse, partition, mutate, print. std::nullopt when no unit
+/// admits `kind`.
+std::optional<std::string> MutateText(const std::string& text, MutationKind kind,
+                                      std::uint64_t seed) {
+  ir::Module module = ir::ParseModuleOrThrow(text);
+  const UnitPartition partition = PartitionModule(module);
+  if (!MutateAnywhere(module, partition, kind, seed).has_value()) return std::nullopt;
+  return ir::PrintModule(module);
+}
+
+/// Analyzes the IR `text` through the incremental store under one key for
+/// every version, as `epvf analyze m.ir --incremental` does for a file edited
+/// in place, and checks the recomposition against a fresh run; `inspect`, if
+/// given, sees the resulting state while its module is alive.
+store::IncrementalStats AnalyzeStep(
+    const std::string& text, store::ArtifactCache& cache,
+    const std::function<void(const ProgramSlices&)>& inspect = nullptr) {
+  const ir::Module module = ir::ParseModuleOrThrow(text);
+  store::AnalysisKey key;
+  key.app = "m.ir";
+  key.config = "scale=1";
+  key.module_fingerprint = store::ModuleFingerprint(module);
+  key.options.jobs = kJobs;
+  const store::IncrementalResult result =
+      store::RunAnalysisIncremental(module, key.options, key, cache);
+  ExpectMatchesFresh(result.slices, module, kJobs);
+  if (inspect) inspect(result.slices);
+  return result.stats;
+}
+
+/// A cold rebuild renumbers the program-wide intern table when one unit's
+/// constants change; a unit entry written under the old numbering must never
+/// be served against the new table. lulesh at scale 2, one cache directory:
+/// v0 (cold), v2 = v0 with a tweaked constant and a renamed block (a cold
+/// rebuild that renumbers the interns), v3 = v2 with a renamed register (the
+/// fast path, serving the nine untouched units from the store).
+TEST(IncrementalStore, ChainedColdRebuildsNeverServeAStaleUnit) {
+  const std::string v0 =
+      ir::PrintModule(apps::BuildApp("lulesh", apps::AppConfig{.scale = 2}).module);
+  const std::optional<std::string> v1 = MutateText(v0, MutationKind::kTweakConstant, 552);
+  ASSERT_TRUE(v1.has_value());
+  const std::optional<std::string> v2 = MutateText(*v1, MutationKind::kRenameBlock, 535);
+  ASSERT_TRUE(v2.has_value());
+  const std::optional<std::string> v3 = MutateText(*v2, MutationKind::kRenameRegister, 518);
+  ASSERT_TRUE(v3.has_value());
+
+  TempDir dir;
+  store::ArtifactCache cache(dir.path);
+  EXPECT_TRUE(AnalyzeStep(v0, cache).cold_rebuild);
+  EXPECT_TRUE(AnalyzeStep(*v2, cache).cold_rebuild);
+  const store::IncrementalStats last = AnalyzeStep(*v3, cache);
+  EXPECT_TRUE(last.outcome.used_fast_path) << FallbackReasonName(last.outcome.fallback);
+  EXPECT_EQ(last.unit_misses, 1u);
+}
+
+/// Three top-level loops over heap buffers: `produce` stores i*2 into tmp[i]
+/// for i < 4, `consume` loads tmp[i] for i < `consumed` and computes i+i, and
+/// outputs the loaded value or, with `output_loads` off, the equal sum
+/// (leaving the load dead), and `tail` holds an independent arithmetic pair
+/// for a swap edit. What `consume` does with the loads decides which of
+/// `produce`'s stores are exported and which are ACE, so editing `consume`
+/// moves `produce`'s export table or backward results without touching
+/// `produce`'s text or its own boundary.
+ir::Module BuildProducerConsumerModule(bool output_loads, std::int64_t consumed) {
+  using ir::Type;
+  ir::Module m;
+  ir::IRBuilder b(m);
+  apps::KernelBuilder k(b);
+  (void)b.CreateFunction("main", Type::Void(), {});
+  const ir::ValueRef tmp = b.MallocArray(Type::I64(), b.I64(4), "tmp");
+  const ir::ValueRef acc = b.MallocArray(Type::I64(), b.I64(1), "acc");
+  b.Store(b.I64(0), b.Gep(acc, b.I64(0)));
+  k.For(b.I64(0), b.I64(4), [&](ir::ValueRef i) {
+    b.Store(b.Mul(i, b.I64(2), "twice"), b.Gep(tmp, i, "slot"));
+  }, "produce");
+  k.For(b.I64(0), b.I64(consumed), [&](ir::ValueRef i) {
+    const ir::ValueRef v = b.Load(b.Gep(tmp, i, "slot"), "v");
+    const ir::ValueRef w = b.Add(i, i, "w");
+    b.Output(output_loads ? v : w);
+  }, "consume");
+  k.For(b.I64(0), b.I64(2), [&](ir::ValueRef i) {
+    const ir::ValueRef slot = b.Gep(acc, b.I64(0), "slot");
+    const ir::ValueRef a = b.Load(slot, "a");
+    const ir::ValueRef bumped = b.Add(a, b.I64(1), "bumped");
+    const ir::ValueRef scaled = b.Mul(i, b.I64(3), "scaled");
+    b.Store(b.Add(bumped, scaled, "sum"), slot);
+  }, "tail");
+  b.Output(b.Load(b.Gep(acc, b.I64(0)), "out"));
+  b.RetVoid();
+  return m;
+}
+
+/// A cold rebuild can change a unit's export table or backward results while
+/// its own text and boundary stay put; its old entry must not be served
+/// afterwards. Each chain: v0, then v1 = an edit of `consume` (a cold
+/// rebuild), then v2 = v1 with a swap in `tail` (the fast path, serving
+/// `produce` from the store). Besides matching a fresh run, every unit the
+/// fast path served must carry the export table a fresh projection gives it.
+///   - backward: v1 stops outputting the loads, so `consume`'s replay
+///     succeeds but its spills into `produce` move (`produce`'s stores stop
+///     being ACE);
+///   - exports: v1 loads all four slots instead of two, so `produce` exports
+///     two more stores and `consume` names them by slots v0's entry lacks.
+TEST(IncrementalStore, ColdRebuildsThatMoveAUnitsInputsNeverServeItStale) {
+  struct Chain {
+    const char* name;
+    ir::Module v0;
+    ir::Module v1;
+  };
+  Chain chains[] = {
+      {"backward", BuildProducerConsumerModule(true, 4), BuildProducerConsumerModule(false, 4)},
+      {"exports", BuildProducerConsumerModule(false, 2), BuildProducerConsumerModule(false, 4)},
+  };
+  for (Chain& chain : chains) {
+    SCOPED_TRACE(chain.name);
+    ir::Module v2 = chain.v1;
+    const UnitPartition part = PartitionModule(v2);
+    std::optional<Mutation> swap;
+    for (std::uint32_t u = 0; u < part.units.size() && !swap.has_value(); ++u) {
+      if (part.units[u].name.find("tail") == std::string::npos) continue;
+      swap = MutateUnit(v2, part, u, MutationKind::kSwapIndependent, 1);
+    }
+    ASSERT_TRUE(swap.has_value());
+
+    TempDir dir;
+    store::ArtifactCache cache(dir.path);
+    EXPECT_TRUE(AnalyzeStep(ir::PrintModule(chain.v0), cache).cold_rebuild);
+    EXPECT_TRUE(AnalyzeStep(ir::PrintModule(chain.v1), cache).cold_rebuild);
+    const auto exports_match_a_fresh_projection = [&](const ProgramSlices& p) {
+      const ProgramSlices fresh = ColdState(*p.module, kJobs);
+      for (std::uint32_t u = 0; u < p.units.size(); ++u) {
+        if (u == swap->unit) continue;
+        EXPECT_TRUE(p.units[u].slice.exports == fresh.units[u].slice.exports)
+            << p.partition.units[u].name << ": " << p.units[u].slice.exports.size()
+            << " exports, a fresh projection has " << fresh.units[u].slice.exports.size();
+      }
+    };
+    const store::IncrementalStats last =
+        AnalyzeStep(ir::PrintModule(v2), cache, exports_match_a_fresh_projection);
+    EXPECT_TRUE(last.outcome.used_fast_path) << FallbackReasonName(last.outcome.fallback);
+  }
+}
+
+/// The chained battery: on each app at scale 1, two 4-step chains share one
+/// cache directory, each applying the four mutation kinds from the unedited
+/// module (the second in the first's order rotated by two, so every kind
+/// lands early in one chain and late in the other), and every step must
+/// recompose to a fresh run. Restarting each chain forces a cold rebuild
+/// over entries earlier versions wrote; the steps within a chain mix fast
+/// paths and fallbacks. tweak-constant edits f64 literals, which lulesh and
+/// hotspot have at scale >= 1 and the integer-only nw never has; every other
+/// kind always applies.
+class ChainedEdits : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ChainedEdits, EveryStepMatchesAFreshRun) {
+  constexpr std::array<MutationKind, 4> kKinds = {
+      MutationKind::kSwapIndependent, MutationKind::kRenameRegister,
+      MutationKind::kRenameBlock, MutationKind::kTweakConstant};
+  const std::string base =
+      ir::PrintModule(apps::BuildApp(GetParam(), apps::AppConfig{.scale = 1}).module);
+  TempDir dir;
+  store::ArtifactCache cache(dir.path);
+  (void)AnalyzeStep(base, cache);
+
+  std::uint64_t seed = 1;
+  std::size_t fast_paths = 0;
+  for (const std::size_t rotation : {0, 2}) {
+    std::string text = base;
+    for (std::size_t step = 0; step < kKinds.size(); ++step) {
+      const MutationKind kind = kKinds[(rotation + step) % kKinds.size()];
+      const std::optional<std::string> next = MutateText(text, kind, seed++);
+      if (!next.has_value()) {
+        EXPECT_TRUE(kind == MutationKind::kTweakConstant && GetParam() == "nw")
+            << "no site for " << MutationKindName(kind);
+        continue;
+      }
+      text = *next;
+      SCOPED_TRACE("rotation " + std::to_string(rotation) + " step " + std::to_string(step) +
+                   ": " + std::string(MutationKindName(kind)));
+      fast_paths += AnalyzeStep(text, cache).outcome.used_fast_path ? 1 : 0;
+    }
+  }
+  EXPECT_GT(fast_paths, 0u) << "every step fell back";
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, ChainedEdits, ::testing::Values("lulesh", "hotspot", "nw"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace epvf::core

@@ -5,8 +5,9 @@
 // makes a shared cache directory safe for any number of concurrent
 // processes. This suite hammers that claim from two directions: in-process
 // thread storms racing Store/Load on the same and on distinct entries, and
-// real multi-process storms (racing `epvf analyze`/`epvf campaign`
-// invocations through EPVF_CLI_PATH, plus raw Subprocess writer swarms).
+// real multi-process storms (racing `epvf analyze --incremental`/`epvf
+// inject` invocations through EPVF_CLI_PATH, plus raw Subprocess writer
+// swarms).
 // After every storm each surviving entry must pass the full Open + CRC
 // validation and no temp-file droppings may remain. The whole suite runs
 // under ASan/UBSan in the sanitizer CI job like every other test.
@@ -73,12 +74,14 @@ int ValidateAllEntries(const std::string& dir) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     ArtifactKind kind;
-    if (name.size() > 15 && name.rfind(".analysis.epvfa") == name.size() - 15) {
-      kind = ArtifactKind::kAnalysis;
-    } else if (name.size() > 15 && name.rfind(".campaign.epvfa") == name.size() - 15) {
+    if (name.ends_with(".campaign.epvfa")) {
       kind = ArtifactKind::kCampaign;
-    } else if (name.size() > 11 && name.rfind(".plan.epvfa") == name.size() - 11) {
+    } else if (name.ends_with(".plan.epvfa")) {
       kind = ArtifactKind::kPlan;
+    } else if (name.ends_with(".units.epvfa")) {
+      kind = ArtifactKind::kUnitManifest;
+    } else if (name.ends_with(".unit.epvfa")) {
+      kind = ArtifactKind::kUnit;
     } else {
       continue;
     }
@@ -161,11 +164,14 @@ TEST(StoreSoak, ThreadsWritingDistinctEntriesAllSurvive) {
 
 TEST(StoreSoak, ProcessSwarmSharingOneCacheDirectory) {
   TempDir dir;
-  // Heterogeneous swarm: analyze and inject invocations — some colliding on
-  // identical keys, some distinct — all writing through one directory.
+  // Heterogeneous swarm: incremental analyze and inject invocations — some
+  // colliding on identical keys, some distinct — all writing through one
+  // directory. The colliding analyzes race a cold rebuild's unit entries and
+  // manifest against each other (or a warm rerun's manifest rewrite).
   const std::vector<std::string> commands = {
-      "analyze mm --scale 0", "analyze mm --scale 0",  "analyze nw --scale 0",
-      "analyze mm --scale 0", "inject mm --scale 0 --runs 12 --seed 3 --jobs 1",
+      "analyze mm --scale 0 --incremental", "analyze mm --scale 0 --incremental",
+      "analyze nw --scale 0 --incremental", "analyze mm --scale 0 --incremental",
+      "inject mm --scale 0 --runs 12 --seed 3 --jobs 1",
       "inject mm --scale 0 --runs 12 --seed 3 --jobs 1",
       "inject nw --scale 0 --runs 12 --seed 4 --jobs 1",
   };
@@ -185,9 +191,11 @@ TEST(StoreSoak, ProcessSwarmSharingOneCacheDirectory) {
     EXPECT_TRUE(child.Wait().Success()) << "a swarm member failed";
   }
 
-  // Two analysis entries (mm, nw) and two campaign plan entries survive, all
-  // valid; racing writers of the same key were invisible.
-  EXPECT_EQ(ValidateAllEntries(dir.path), 4);
+  // 16 entries survive, all valid: per app (mm, nw) one cold run's state —
+  // a manifest plus one entry per unit, 6 units each at scale 0 — and one
+  // campaign plan entry. Racers of one key write identical bytes, so racing
+  // writers were invisible.
+  EXPECT_EQ(ValidateAllEntries(dir.path), 16);
   ExpectNoTempDroppings(dir.path);
 }
 

@@ -1,7 +1,8 @@
 // Artifact-store tests: primitive and artifact round-trips, corruption
 // fallback (bit flips, truncation, version/magic/kind mismatch — never a
 // crash, always identical recomputed results), the content-addressed cache
-// end to end, and campaign resume from a partially persisted plan entry.
+// end to end, campaign resume from a partially persisted plan entry, and the
+// restore contract of an Analysis assembled from its stages.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -54,13 +55,6 @@ core::Analysis Analyze(const ir::Module& module) {
   core::AnalysisOptions options;
   options.jobs = 2;
   return core::Analysis::Run(module, options);
-}
-
-/// Serializes an analysis into a finished artifact image.
-std::string AnalysisImage(const core::Analysis& analysis) {
-  ArtifactWriter writer(ArtifactKind::kAnalysis);
-  WriteAnalysisArtifact(analysis, writer);
-  return writer.Finish();
 }
 
 // --- primitives ---------------------------------------------------------------
@@ -132,37 +126,36 @@ TEST(Support, AtomicWriteFileFailsGracefullyOnMissingDirectory) {
 // --- artifact container -------------------------------------------------------
 
 TEST(Artifact, SectionRoundTrip) {
-  ArtifactWriter writer(ArtifactKind::kAnalysis);
-  writer.Section(SectionId::kGoldenRun).U64(42);
-  writer.Section(SectionId::kAce).Str("ace payload");
-  writer.Section(SectionId::kGoldenRun).U64(43);  // appends to the same section
+  ArtifactWriter writer(ArtifactKind::kUnit);
+  writer.Section(SectionId::kUnitSlice).U64(42);
+  writer.Section(SectionId::kUnitBackward).Str("backward payload");
+  writer.Section(SectionId::kUnitSlice).U64(43);  // appends to the same section
 
-  auto reader = ArtifactReader::Parse(AsBytes(writer.Finish()), ArtifactKind::kAnalysis, "test");
+  auto reader = ArtifactReader::Parse(AsBytes(writer.Finish()), ArtifactKind::kUnit, "test");
   ASSERT_TRUE(reader.has_value());
-  auto golden = reader->Section(SectionId::kGoldenRun);
-  ASSERT_TRUE(golden.has_value());
-  EXPECT_EQ(golden->U64(), 42u);
-  EXPECT_EQ(golden->U64(), 43u);
-  EXPECT_TRUE(golden->Finished());
-  auto ace = reader->Section(SectionId::kAce);
-  ASSERT_TRUE(ace.has_value());
-  EXPECT_EQ(ace->Str(), "ace payload");
-  EXPECT_FALSE(reader->Section(SectionId::kGraph).has_value());
+  auto slice = reader->Section(SectionId::kUnitSlice);
+  ASSERT_TRUE(slice.has_value());
+  EXPECT_EQ(slice->U64(), 42u);
+  EXPECT_EQ(slice->U64(), 43u);
+  EXPECT_TRUE(slice->Finished());
+  auto backward = reader->Section(SectionId::kUnitBackward);
+  ASSERT_TRUE(backward.has_value());
+  EXPECT_EQ(backward->Str(), "backward payload");
+  EXPECT_FALSE(reader->Section(SectionId::kUnitSums).has_value());
 }
 
 TEST(Artifact, RejectsWrongMagicVersionAndKind) {
-  ArtifactWriter writer(ArtifactKind::kAnalysis);
-  writer.Section(SectionId::kGoldenRun).U64(7);
+  ArtifactWriter writer(ArtifactKind::kPlan);
+  writer.Section(SectionId::kPlan).U64(7);
   const std::string image = writer.Finish();
 
   auto magic = AsBytes(image);
   magic[0] ^= 0xFF;
-  EXPECT_FALSE(ArtifactReader::Parse(std::move(magic), ArtifactKind::kAnalysis, "t").has_value());
+  EXPECT_FALSE(ArtifactReader::Parse(std::move(magic), ArtifactKind::kPlan, "t").has_value());
 
   auto version = AsBytes(image);
   version[4] += 1;  // future format version
-  EXPECT_FALSE(
-      ArtifactReader::Parse(std::move(version), ArtifactKind::kAnalysis, "t").has_value());
+  EXPECT_FALSE(ArtifactReader::Parse(std::move(version), ArtifactKind::kPlan, "t").has_value());
 
   // Right image, wrong expected kind.
   EXPECT_FALSE(
@@ -170,12 +163,12 @@ TEST(Artifact, RejectsWrongMagicVersionAndKind) {
 }
 
 TEST(Artifact, RejectsEveryTruncation) {
-  ArtifactWriter writer(ArtifactKind::kAnalysis);
-  writer.Section(SectionId::kGoldenRun).Str("some payload bytes");
+  ArtifactWriter writer(ArtifactKind::kPlan);
+  writer.Section(SectionId::kPlan).Str("some payload bytes");
   const std::string image = writer.Finish();
   for (std::size_t keep = 0; keep < image.size(); ++keep) {
     auto cut = AsBytes(image.substr(0, keep));
-    EXPECT_FALSE(ArtifactReader::Parse(std::move(cut), ArtifactKind::kAnalysis, "t").has_value())
+    EXPECT_FALSE(ArtifactReader::Parse(std::move(cut), ArtifactKind::kPlan, "t").has_value())
         << "truncation to " << keep << " bytes parsed";
   }
 }
@@ -194,67 +187,35 @@ TEST(Artifact, DetectsPayloadBitFlips) {
   }
 }
 
-// --- pipeline artifacts -------------------------------------------------------
+// --- restored analyses --------------------------------------------------------
 
-TEST(AnalysisArtifact, RoundTripsBitIdentically) {
+TEST(AnalysisArtifact, RestoredAnalysisThrowsOnLiveAccessorsButServesMetrics) {
+  // The restore contract perfbench's per-layer timing relies on: an Analysis
+  // assembled from a live run's stages serves every derived metric without
+  // the live interpreter, and the two accessors that need it fail loudly
+  // (std::logic_error) instead of returning stale state.
   const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
   const core::Analysis a = Analyze(app.module);
-  const std::string image = AnalysisImage(a);
-
-  auto reader = ArtifactReader::Parse(AsBytes(image), ArtifactKind::kAnalysis, "t");
-  ASSERT_TRUE(reader.has_value());
-  auto data = ReadAnalysisArtifact(app.module, *reader);
-  ASSERT_TRUE(data.has_value());
-  ASSERT_TRUE(data->use_weighted.has_value());
-
-  core::Analysis restored = core::Analysis::Restore(
-      app.module, a.options(), std::move(data->golden), std::move(data->graph),
-      std::move(data->ace), std::move(data->crash_bits), data->use_weighted);
+  const core::Analysis restored = core::Analysis::Restore(
+      app.module, a.options(), a.golden(), a.graph(), a.ace(), a.crash_bits(), std::nullopt);
+  EXPECT_THROW((void)restored.memory(), std::logic_error);
+  EXPECT_THROW((void)restored.crash_model(), std::logic_error);
   EXPECT_EQ(restored.golden().instructions_executed, a.golden().instructions_executed);
-  EXPECT_EQ(restored.golden().output, a.golden().output);
   EXPECT_EQ(restored.graph().NumNodes(), a.graph().NumNodes());
   EXPECT_EQ(restored.Pvf(), a.Pvf());
   EXPECT_EQ(restored.Epvf(), a.Epvf());
+  // No sums handed over: the activation-walk pass runs lazily on the parts.
   EXPECT_EQ(restored.CrashRateEstimate(), a.CrashRateEstimate());
   EXPECT_EQ(restored.MemoryPvf(), a.MemoryPvf());
   EXPECT_EQ(restored.MemoryEpvf(), a.MemoryEpvf());
-  // Strongest equality: re-serializing the restored analysis reproduces the
-  // original image byte for byte.
-  EXPECT_EQ(AnalysisImage(restored), image);
-  // The live-interpreter accessors are the one unsupported surface.
-  EXPECT_THROW((void)restored.memory(), std::logic_error);
-  EXPECT_THROW((void)restored.crash_model(), std::logic_error);
-}
-
-TEST(AnalysisArtifact, RestoredAnalysisThrowsOnLiveAccessorsButServesMetrics) {
-  // Dedicated regression for the restore contract: every derived metric works
-  // without the live interpreter, and the two accessors that need it fail
-  // loudly (std::logic_error) instead of returning stale state.
-  const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
-  const core::Analysis a = Analyze(app.module);
-  auto reader = ArtifactReader::Parse(AsBytes(AnalysisImage(a)), ArtifactKind::kAnalysis, "t");
-  ASSERT_TRUE(reader.has_value());
-  auto data = ReadAnalysisArtifact(app.module, *reader);
-  ASSERT_TRUE(data.has_value());
-  const core::Analysis restored = core::Analysis::Restore(
-      app.module, a.options(), std::move(data->golden), std::move(data->graph),
-      std::move(data->ace), std::move(data->crash_bits), data->use_weighted);
-  EXPECT_THROW((void)restored.memory(), std::logic_error);
-  EXPECT_THROW((void)restored.crash_model(), std::logic_error);
-  EXPECT_EQ(restored.Epvf(), a.Epvf());
-  EXPECT_EQ(restored.CrashRateEstimate(), a.CrashRateEstimate());
   EXPECT_NO_THROW((void)restored.PerInstructionMetrics());
-}
 
-TEST(AnalysisArtifact, GraphValidationRejectsForeignModule) {
-  const apps::App mm = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
-  const apps::App lud = apps::BuildApp("lud", apps::AppConfig{.scale = 0});
-  const core::Analysis a = Analyze(mm.module);
-  auto reader = ArtifactReader::Parse(AsBytes(AnalysisImage(a)), ArtifactKind::kAnalysis, "t");
-  ASSERT_TRUE(reader.has_value());
-  // Decoding against a different module must fail structural validation, not
-  // produce a bogus graph.
-  EXPECT_FALSE(ReadAnalysisArtifact(lud.module, *reader).has_value());
+  // Sums handed over are served as given, without a walk.
+  const core::Analysis::UseWeightedBits uw = a.use_weighted_bits();
+  const core::Analysis with_sums = core::Analysis::Restore(
+      app.module, a.options(), a.golden(), a.graph(), a.ace(), a.crash_bits(), uw);
+  EXPECT_EQ(with_sums.EpvfUseWeighted(), a.EpvfUseWeighted());
+  EXPECT_EQ(with_sums.timings().rate_estimate_seconds, 0.0);
 }
 
 TEST(CampaignArtifact, RoundTripAndIdentity) {
@@ -326,72 +287,80 @@ TEST(Cache, KeySeparatesIdentities) {
   EXPECT_NE(plan_id(fi::PlanKind::kUniform), cbase);
 }
 
-TEST(Cache, AnalysisHitServesIdenticalResults) {
-  TempDir dir;
-  const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
-  core::AnalysisOptions options;
-  options.jobs = 2;
-  AnalysisKey key{"mm", "scale=0", ModuleFingerprint(app.module), options};
+/// A small uniform mm campaign with its plan identity: the fixture of the
+/// plan-entry cache tests. Not copyable (the analysis and injector point
+/// into the module).
+struct PlanFixture {
+  apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
+  core::Analysis analysis = Analyze(app.module);
+  fi::CampaignOptions options = [] {
+    fi::CampaignOptions o;
+    o.num_runs = 6;
+    o.seed = 5;
+    o.num_threads = 2;
+    return o;
+  }();
+  PlanKey key{CampaignKey{AnalysisKey{"mm", "scale=0", ModuleFingerprint(app.module),
+                                      analysis.options()},
+                          options},
+              {},
+              fi::PlanKind::kUniform};
+  fi::Injector injector{app.module, analysis.golden(), options.injector};
 
-  ArtifactCache cache(dir.path);
-  ASSERT_TRUE(cache.enabled());
-  const core::Analysis cold = RunAnalysisCached(app.module, options, key, cache);
-  EXPECT_FALSE(cold.timings().cache_hit);
-  EXPECT_EQ(cache.session_counters().misses, 1u);
-  EXPECT_GT(cache.session_counters().bytes_written, 0u);
+  StratifiedResult Run(ArtifactCache& cache) {
+    return RunPlannedCampaign(analysis, injector, key, &cache);
+  }
+};
 
-  const core::Analysis warm = RunAnalysisCached(app.module, options, key, cache);
-  EXPECT_TRUE(warm.timings().cache_hit);
-  EXPECT_EQ(cache.session_counters().hits, 1u);
-  EXPECT_EQ(warm.Pvf(), cold.Pvf());
-  EXPECT_EQ(warm.Epvf(), cold.Epvf());
-  EXPECT_EQ(warm.CrashRateEstimate(), cold.CrashRateEstimate());
-  EXPECT_EQ(warm.golden().output, cold.golden().output);
-
-  const ArtifactCache::DirStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.bytes, 0u);
-  EXPECT_EQ(cache.Clear(), 1u);
-  EXPECT_EQ(cache.Stats().entries, 0u);
+void ExpectSameRecords(const fi::CampaignStats& got, const fi::CampaignStats& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.counts, want.counts) << what;
+  ASSERT_EQ(got.records.size(), want.records.size()) << what;
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].site.dyn_index, want.records[i].site.dyn_index) << what;
+    EXPECT_EQ(got.records[i].bit, want.records[i].bit) << what;
+    EXPECT_EQ(got.records[i].outcome, want.records[i].outcome) << what;
+  }
 }
 
 TEST(Cache, CorruptedEntryFallsBackToIdenticalRecompute) {
   TempDir dir;
-  const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
-  core::AnalysisOptions options;
-  options.jobs = 2;
-  AnalysisKey key{"mm", "scale=0", ModuleFingerprint(app.module), options};
-
+  PlanFixture f;
   ArtifactCache cache(dir.path);
-  const core::Analysis reference = RunAnalysisCached(app.module, options, key, cache);
-  const std::string path = cache.EntryPath(CacheId(key), ArtifactKind::kAnalysis);
+  const StratifiedResult reference = f.Run(cache);
+  ASSERT_FALSE(reference.stats.perf.cache_hit);
+  const std::string path = cache.EntryPath(CacheId(f.key), ArtifactKind::kPlan);
   const auto pristine = ReadWholeFile(path);
   ASSERT_TRUE(pristine.has_value());
 
-  // Bit-flip a sample of offsets across header, table and payloads: every
-  // corruption must degrade to a recompute with identical results, and the
+  // Bit-flip a sample of offsets across header, table and payload: every
+  // corruption must degrade to a recompute with identical records, and the
   // miss rewrites a valid entry (verified by the follow-up hit).
   for (std::size_t at = 0; at < pristine->size(); at += 1 + pristine->size() / 16) {
     std::string mangled = *pristine;
     mangled[at] = static_cast<char>(mangled[at] ^ 0x08);
     ASSERT_TRUE(AtomicWriteFile(path, mangled));
-    const core::Analysis recomputed = RunAnalysisCached(app.module, options, key, cache);
-    EXPECT_EQ(recomputed.Pvf(), reference.Pvf()) << "offset " << at;
-    EXPECT_EQ(recomputed.Epvf(), reference.Epvf()) << "offset " << at;
-    EXPECT_EQ(recomputed.CrashRateEstimate(), reference.CrashRateEstimate()) << "offset " << at;
-    const core::Analysis rewarmed = RunAnalysisCached(app.module, options, key, cache);
-    EXPECT_TRUE(rewarmed.timings().cache_hit) << "offset " << at;
-    EXPECT_EQ(rewarmed.Epvf(), reference.Epvf());
+    const std::string where = "offset " + std::to_string(at);
+    const StratifiedResult recomputed = f.Run(cache);
+    EXPECT_FALSE(recomputed.stats.perf.cache_hit) << where;
+    ExpectSameRecords(recomputed.stats, reference.stats, where);
+    const StratifiedResult rewarmed = f.Run(cache);
+    EXPECT_TRUE(rewarmed.stats.perf.cache_hit) << where;
+    ExpectSameRecords(rewarmed.stats, reference.stats, where);
   }
 
-  // Truncations, including an empty file.
-  for (const std::size_t keep : {std::size_t{0}, std::size_t{5}, kHeaderBytes,
-                                 pristine->size() / 2, pristine->size() - 1}) {
+  // Every truncation, including an empty file.
+  for (std::size_t keep = 0; keep < pristine->size(); ++keep) {
     ASSERT_TRUE(AtomicWriteFile(path, pristine->substr(0, keep)));
-    const core::Analysis recomputed = RunAnalysisCached(app.module, options, key, cache);
-    EXPECT_FALSE(recomputed.timings().cache_hit) << "kept " << keep;
-    EXPECT_EQ(recomputed.Epvf(), reference.Epvf()) << "kept " << keep;
+    const std::string where = "kept " + std::to_string(keep);
+    const StratifiedResult recomputed = f.Run(cache);
+    EXPECT_FALSE(recomputed.stats.perf.cache_hit) << where;
+    ExpectSameRecords(recomputed.stats, reference.stats, where);
   }
+  // The last recompute rewrote the pristine entry, byte for byte.
+  const auto rewritten = ReadWholeFile(path);
+  ASSERT_TRUE(rewritten.has_value());
+  EXPECT_EQ(*rewritten, *pristine);
 }
 
 TEST(Cache, CampaignFullHitAndResume) {
@@ -465,32 +434,38 @@ TEST(Cache, CampaignFullHitAndResume) {
 }
 
 TEST(Cache, DisabledCacheComputesWithoutTouchingDisk) {
-  const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
-  core::AnalysisOptions options;
-  options.jobs = 2;
-  AnalysisKey key{"mm", "scale=0", ModuleFingerprint(app.module), options};
+  PlanFixture f;
+  const fi::CampaignStats reference =
+      fi::RunCampaign(f.app.module, f.analysis.graph(), f.analysis.golden(), f.options);
   ArtifactCache cache("");
   EXPECT_FALSE(cache.enabled());
-  const core::Analysis a = RunAnalysisCached(app.module, options, key, cache);
-  EXPECT_FALSE(a.timings().cache_hit);
-  EXPECT_EQ(cache.session_counters().hits + cache.session_counters().misses, 0u);
+  const StratifiedResult result = f.Run(cache);
+  EXPECT_FALSE(result.stats.perf.cache_hit);
+  ExpectSameRecords(result.stats, reference, "disabled cache");
+  EXPECT_FALSE(fs::exists(cache.EntryPath(CacheId(f.key), ArtifactKind::kPlan)));
+  // The incremental pipeline degrades the same way: a cold rebuild.
+  const IncrementalResult incremental =
+      RunAnalysisIncremental(f.app.module, f.analysis.options(), f.key.campaign.analysis, cache);
+  EXPECT_TRUE(incremental.stats.cold_rebuild);
+  EXPECT_FALSE(incremental.stats.manifest_hit);
+  const CacheCounters& counters = cache.session_counters();
+  EXPECT_EQ(counters.hits + counters.misses, 0u);
+  EXPECT_EQ(counters.bytes_read + counters.bytes_written, 0u);
 }
 
 TEST(Cache, PersistsCountersAcrossSessions) {
   TempDir dir;
-  const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
-  core::AnalysisOptions options;
-  options.jobs = 2;
-  AnalysisKey key{"mm", "scale=0", ModuleFingerprint(app.module), options};
+  PlanFixture f;
   {
     ArtifactCache cache(dir.path);
-    (void)RunAnalysisCached(app.module, options, key, cache);  // miss + store
-    (void)RunAnalysisCached(app.module, options, key, cache);  // hit
+    ASSERT_FALSE(f.Run(cache).stats.perf.cache_hit);  // miss + store
+    ASSERT_TRUE(f.Run(cache).stats.perf.cache_hit);   // hit
   }
   ArtifactCache next_session(dir.path);
   const ArtifactCache::DirStats stats = next_session.Stats();
   EXPECT_EQ(stats.lifetime.hits, 1u);
   EXPECT_EQ(stats.lifetime.misses, 1u);
+  EXPECT_GT(stats.lifetime.bytes_read, 0u);
   EXPECT_GT(stats.lifetime.bytes_written, 0u);
 }
 
@@ -501,16 +476,12 @@ TEST(Cache, PerKindStatsBreakdown) {
   options.jobs = 2;
   AnalysisKey key{"mm", "scale=0", ModuleFingerprint(app.module), options};
 
-  constexpr auto slot = [](ArtifactKind kind) {
-    return static_cast<std::size_t>(kind) - 1;
-  };
   {
     ArtifactCache cache(dir.path);
-    // One analysis miss + hit, one uniform campaign cold (plan miss) + warm
-    // (plan hit), one compositional cold run (manifest + unit misses) + warm
-    // run (manifest + unit hits).
-    (void)RunAnalysisCached(app.module, options, key, cache);
-    const core::Analysis analysis = RunAnalysisCached(app.module, options, key, cache);
+    // One uniform campaign cold (plan miss) + warm (plan hit), one
+    // compositional cold run (manifest + unit misses) + warm run (manifest +
+    // unit hits).
+    const core::Analysis analysis = Analyze(app.module);
     fi::CampaignOptions campaign;
     campaign.num_runs = 12;
     campaign.num_threads = 2;
@@ -526,39 +497,36 @@ TEST(Cache, PerKindStatsBreakdown) {
     ASSERT_GT(num_units, 0u);
 
     const ArtifactCache::DirStats stats = cache.Stats();
-    // Directory scan: 1 analysis + 1 plan + 1 manifest + num_units unit
-    // entries, and no shard slices.
-    EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kAnalysis)], 1u);
-    EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kPlan)], 1u);
-    EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kUnitManifest)], 1u);
-    EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kUnit)], num_units);
-    EXPECT_EQ(stats.kind_entries[slot(ArtifactKind::kCampaign)], 0u);
-    EXPECT_EQ(stats.entries, 3u + num_units);
-    EXPECT_GT(stats.kind_bytes[slot(ArtifactKind::kUnit)], 0u);
+    // Directory scan: 1 plan + 1 manifest + num_units unit entries, and no
+    // shard slices.
+    EXPECT_EQ(stats.kind_entries[KindIndex(ArtifactKind::kPlan)], 1u);
+    EXPECT_EQ(stats.kind_entries[KindIndex(ArtifactKind::kUnitManifest)], 1u);
+    EXPECT_EQ(stats.kind_entries[KindIndex(ArtifactKind::kUnit)], num_units);
+    EXPECT_EQ(stats.kind_entries[KindIndex(ArtifactKind::kCampaign)], 0u);
+    EXPECT_EQ(stats.entries, 2u + num_units);
+    EXPECT_GT(stats.kind_bytes[KindIndex(ArtifactKind::kUnit)], 0u);
 
     // Session counters, by kind.
-    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kAnalysis)].hits, 1u);
-    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kAnalysis)].misses, 1u);
-    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kPlan)].hits, 1u);
-    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kPlan)].misses, 1u);
-    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnitManifest)].hits, 1u);
-    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnitManifest)].misses, 1u);
-    EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnit)].hits, num_units);
+    EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kPlan)].hits, 1u);
+    EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kPlan)].misses, 1u);
+    EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kUnitManifest)].hits, 1u);
+    EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kUnitManifest)].misses, 1u);
+    EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kUnit)].hits, num_units);
   }
 
   // The per-kind counters persist (dotted lines in the counter file) and are
   // folded into the next session's stats.
   ArtifactCache next_session(dir.path);
   const ArtifactCache::DirStats stats = next_session.Stats();
-  EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kAnalysis)].hits, 1u);
-  EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kPlan)].misses, 1u);
-  EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnitManifest)].misses, 1u);
-  EXPECT_EQ(stats.kind_lifetime[slot(ArtifactKind::kUnit)].hits,
-            stats.kind_entries[slot(ArtifactKind::kUnit)]);
+  EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kPlan)].hits, 1u);
+  EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kPlan)].misses, 1u);
+  EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kUnitManifest)].misses, 1u);
+  EXPECT_EQ(stats.kind_lifetime[KindIndex(ArtifactKind::kUnit)].hits,
+            stats.kind_entries[KindIndex(ArtifactKind::kUnit)]);
   // And the aggregate lifetime still matches the plain (undotted) lines.
-  EXPECT_EQ(stats.lifetime.hits, 3u + stats.kind_lifetime[slot(ArtifactKind::kUnit)].hits);
+  EXPECT_EQ(stats.lifetime.hits, 2u + stats.kind_lifetime[KindIndex(ArtifactKind::kUnit)].hits);
 
-  EXPECT_EQ(ArtifactKindName(ArtifactKind::kAnalysis), "analysis");
+  EXPECT_EQ(ArtifactKindName(ArtifactKind::kCampaign), "campaign");
   EXPECT_EQ(ArtifactKindName(ArtifactKind::kPlan), "plan");
   EXPECT_EQ(ArtifactKindName(ArtifactKind::kUnitManifest), "manifest");
   EXPECT_EQ(ArtifactKindName(ArtifactKind::kUnit), "unit");

@@ -1,8 +1,10 @@
 // epvf — command-line driver for the whole toolkit.
 //
 //   epvf list
-//   epvf analyze  <benchmark|file.ir> [--scale N] [--jobs N] [--cache-dir D] [--no-cache]
+//   epvf analyze  <benchmark|file.ir> [--scale N] [--jobs N]
+//                                     [--incremental [--cache-dir D] [--no-cache]]
 //   epvf inject   <benchmark|file.ir> [--runs N] [--jitter P] [--burst B] [--seed S] [--jobs N]
+//                                     [--cache-dir D] [--no-cache]
 //   epvf campaign <benchmark|file.ir> [--shards N] [--shard-timeout S] [--shard-retries R]
 //                                     [+ every inject flag]
 //   epvf sample   <benchmark|file.ir> [--fraction F] [--jobs N]
@@ -27,13 +29,16 @@
 // All supervision diagnostics go to stderr; worker output lands in
 // per-shard log files inside the cache directory.
 //
-// analyze and inject consult the on-disk artifact cache when a directory is
-// given via --cache-dir or EPVF_CACHE_DIR (--no-cache overrides both), and
-// accept --trace-out FILE (Chrome trace_event JSON of the run's spans; the
-// EPVF_TRACE env var does the same for every command) and --metrics-out FILE
-// (obs metrics registry dump, pretty-printed by `epvf metrics`). All
-// cache/timing/observability diagnostics go to stderr, so stdout is
-// byte-identical between cold and warm runs and with tracing on or off.
+// inject and campaign persist their plan (and shard slices) in the on-disk
+// artifact store, and analyze --incremental and delta keep per-unit state
+// there, when a directory is given via --cache-dir or EPVF_CACHE_DIR
+// (--no-cache overrides both); a plain analyze always recomputes and never
+// touches the store. analyze and inject accept --trace-out FILE (Chrome
+// trace_event JSON of the run's spans; the EPVF_TRACE env var does the same
+// for every command) and --metrics-out FILE (obs metrics registry dump,
+// pretty-printed by `epvf metrics`). All cache/timing/observability
+// diagnostics go to stderr, so stdout is byte-identical between cold and
+// warm runs and with tracing on or off.
 //
 // Daemon mode: `epvf serve <socket>` keeps analyses resident behind a Unix
 // socket (epvf-wire-v1, docs/SERVE_PROTOCOL.md); analyze/inject/campaign
@@ -242,9 +247,10 @@ int Usage() {
                "--metrics-out FILE dumps the counter/histogram registry as JSON\n"
                "--jobs N picks the analysis/campaign thread count (0 = hardware\n"
                "concurrency, the default); results are identical for any N\n"
-               "analyze/inject reuse on-disk artifacts when --cache-dir DIR (or the\n"
-               "EPVF_CACHE_DIR environment variable) names a cache directory;\n"
-               "--no-cache forces a full recompute without touching the cache\n"
+               "inject/campaign resume their campaign plan, and analyze --incremental\n"
+               "and delta reuse per-unit state, from the cache directory --cache-dir\n"
+               "DIR (or the EPVF_CACHE_DIR environment variable) names; a plain\n"
+               "analyze always recomputes; --no-cache runs without touching the cache\n"
                "--engine auto|tree|bytecode picks the execution tier for injected\n"
                "runs (EPVF_ENGINE does the same; the flag wins; tiers produce\n"
                "byte-identical results — auto, the default, uses the bytecode fast\n"
@@ -280,12 +286,6 @@ store::AnalysisKey MakeAnalysisKey(const Options& options, const ir::Module& mod
   key.module_fingerprint = store::ModuleFingerprint(module);
   key.options = opts;
   return key;
-}
-
-void PrintCacheStatus(const char* what, const std::string& id, bool hit, double load_seconds,
-                      double store_seconds) {
-  std::fprintf(stderr, "cache: %s %s (%s, load %.2f ms, store %.2f ms)\n", hit ? "hit" : "miss",
-               id.c_str(), what, load_seconds * 1e3, store_seconds * 1e3);
 }
 
 /// Loads a benchmark by name or parses a textual-IR file.
@@ -358,19 +358,16 @@ int CmdAnalyzeIncremental(const Options& options) {
 
 int CmdAnalyze(const Options& options) {
   if (options.flags.count("incremental") != 0) return CmdAnalyzeIncremental(options);
+  // Recomputing the analysis is cheaper than loading a stored one, so a
+  // plain analyze never touches the cache directory.
   const ir::Module module = LoadTarget(options);
-  const core::AnalysisOptions opts = AnalysisOpts(options);
-  store::ArtifactCache cache(ResolveCacheDir(options));
-  std::optional<store::AnalysisKey> key;
-  if (cache.enabled()) key = MakeAnalysisKey(options, module, opts);
-  const core::Analysis a = cache.enabled() ? store::RunAnalysisCached(module, opts, *key, cache)
-                                           : core::Analysis::Run(module, opts);
+  const core::Analysis a = core::Analysis::Run(module, AnalysisOpts(options));
 
   // The report body is shared with the daemon (serve/render.h) so `analyze
   // --connect` streams the identical stdout bytes.
   serve::RenderAnalyzeReport(a, std::cout);
-  // Timing + cache status are diagnostics, not results: stderr, so stdout is
-  // byte-identical between cold and warm runs (the CI smoke diffs it).
+  // Timing is a diagnostic, not a result: stderr, so stdout is byte-identical
+  // across runs and --jobs values.
   std::fprintf(
       stderr,
       "analysis time        : %.1f ms (trace+DDG %.1f, ACE %.1f, crash %.1f, "
@@ -378,10 +375,6 @@ int CmdAnalyze(const Options& options) {
       a.timings().TotalSeconds() * 1e3, a.timings().trace_and_graph_seconds * 1e3,
       a.timings().ace_seconds * 1e3, a.timings().crash_model_seconds * 1e3,
       a.timings().rate_estimate_seconds * 1e3, a.timings().ace_threads);
-  if (cache.enabled()) {
-    PrintCacheStatus("analysis", store::CacheId(*key), a.timings().cache_hit,
-                     a.timings().cache_load_seconds, a.timings().cache_store_seconds);
-  }
   return 0;
 }
 
@@ -522,8 +515,9 @@ void FinishCampaign(const core::Analysis& a, const store::PlanKey& plan,
                     const store::StratifiedResult& result, bool report_cache) {
   const fi::CampaignPerf& perf = result.stats.perf;
   if (report_cache) {
-    PrintCacheStatus("plan", store::CacheId(plan), perf.cache_hit, perf.cache_load_seconds,
-                     perf.cache_store_seconds);
+    std::fprintf(stderr, "cache: %s %s (plan, load %.2f ms, store %.2f ms)\n",
+                 perf.cache_hit ? "hit" : "miss", store::CacheId(plan).c_str(),
+                 perf.cache_load_seconds * 1e3, perf.cache_store_seconds * 1e3);
     if (!perf.cache_hit && result.resumed_runs > 0) {
       std::fprintf(stderr, "cache: resumed %llu completed runs from a prior plan\n",
                    static_cast<unsigned long long>(result.resumed_runs));
@@ -554,12 +548,7 @@ int RunCampaignInProcess(const Options& options, fi::PlanKind kind) {
   store::ArtifactCache cache(ResolveCacheDir(options));
   store::AnalysisKey key;
   if (cache.enabled()) key = MakeAnalysisKey(options, module, opts);
-  const core::Analysis a = cache.enabled() ? store::RunAnalysisCached(module, opts, key, cache)
-                                           : core::Analysis::Run(module, opts);
-  if (cache.enabled()) {
-    PrintCacheStatus("analysis", store::CacheId(key), a.timings().cache_hit,
-                     a.timings().cache_load_seconds, a.timings().cache_store_seconds);
-  }
+  const core::Analysis a = core::Analysis::Run(module, opts);
   const store::PlanKey plan = MakePlanKey(options, a, key, kind);
   fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
   AttachScenario(injector, plan.campaign.options, a);
@@ -614,9 +603,7 @@ int CmdCampaignWorker(const Options& options) {
   const ir::Module module = LoadTarget(options);
   const core::AnalysisOptions opts = AnalysisOpts(options);
   const store::AnalysisKey key = MakeAnalysisKey(options, module, opts);
-  // The supervisor warmed the analysis artifact before spawning workers, so
-  // this is a cache load, not a recompute.
-  const core::Analysis a = store::RunAnalysisCached(module, opts, key, cache);
+  const core::Analysis a = core::Analysis::Run(module, opts);
   const store::PlanKey plan = MakePlanKey(options, a, key, *kind);
   fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
   AttachScenario(injector, plan.campaign.options, a);
@@ -683,13 +670,7 @@ int CmdCampaignSharded(const Options& options, fi::PlanKind kind, int shards) {
   std::optional<store::ArtifactCache> cache_slot(std::in_place, shard_dir);
   store::ArtifactCache& cache = *cache_slot;
   const store::AnalysisKey key = MakeAnalysisKey(options, module, opts);
-  // Warm the analysis artifact so every worker loads it instead of redoing
-  // the trace/DDG pipeline N times.
-  const core::Analysis a = store::RunAnalysisCached(module, opts, key, cache);
-  if (!private_dir) {
-    PrintCacheStatus("analysis", store::CacheId(key), a.timings().cache_hit,
-                     a.timings().cache_load_seconds, a.timings().cache_store_seconds);
-  }
+  const core::Analysis a = core::Analysis::Run(module, opts);
   const store::PlanKey plan = MakePlanKey(options, a, key, kind);
   const std::string plan_id = store::CacheId(plan);
   fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
@@ -1094,9 +1075,8 @@ int CmdCache(const Options& options) {
   // Per-kind breakdown — the per-unit compositional entries (kind "unit")
   // are many and small, so aggregate counts alone hide what the incremental
   // pipeline is doing.
-  for (std::uint32_t k = 1; k <= store::kNumArtifactKinds; ++k) {
-    const auto kind = static_cast<store::ArtifactKind>(k);
-    const std::size_t slot = k - 1;
+  for (std::size_t slot = 0; slot < store::kNumArtifactKinds; ++slot) {
+    const store::ArtifactKind kind = store::kArtifactKinds[slot];
     const store::CacheCounters& life = stats.kind_lifetime[slot];
     if (stats.kind_entries[slot] == 0 && life.hits == 0 && life.misses == 0) continue;
     const std::string_view name = store::ArtifactKindName(kind);
