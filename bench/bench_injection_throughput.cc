@@ -1,17 +1,15 @@
-// Campaign throughput across the execution tiers and the checkpoint/replay
-// fast path.
+// Campaign throughput across checkpoint/replay settings.
 //
-// Two orthogonal speedups compose here. (1) Every injected run is
-// bit-identical to the golden run up to its injection site, so a campaign
-// that snapshots the golden run and executes only the suffix of each
-// injection skips (on average) half the trace per run. (2) Injected runs are
-// uninstrumented, so they execute on the flat-bytecode tier
-// (src/vm/exec_bytecode.cc) instead of the tree interpreter. This bench
-// measures both: runs/sec, speedup vs. from-scratch, and speedup vs. the
-// tree tier at 0/4/64/auto checkpoints — with every engine x checkpoint
-// setting cross-checked for per-record bit-identity against the tree
-// from-scratch campaign. Its JSON lands at the repo root
-// (BENCH_injection_throughput.json) so the trajectory is tracked in-repo.
+// Every injected run is bit-identical to the golden run up to its injection
+// site, so a campaign that snapshots the golden run and executes only the
+// suffix of each injection skips (on average) half the trace per run.
+// Injected runs carry no trace sink, so the executor dispatches them on its
+// fast loop (src/vm/exec_bytecode.cc) between the fault and checkpoint
+// events. This bench measures runs/sec and the speedup vs. from-scratch at
+// 0/4/64/auto checkpoints, and cross-checks every checkpoint setting record
+// for record against the 0-checkpoint campaign (exit 1 on a divergence). Its
+// JSON lands at the repo root (BENCH_injection_throughput.json) so the
+// trajectory is tracked in-repo.
 #include <iostream>
 
 #include "bench/bench_common.h"
@@ -43,71 +41,57 @@ int main() {
   // -1 = the campaign's auto checkpoint policy (spacing derived from the
   // golden trace length) — the setting the CLI uses by default.
   const int checkpoint_counts[] = {0, 4, 64, -1};
-  const vm::Engine engines[] = {vm::Engine::kTree, vm::Engine::kBytecode};
 
-  AsciiTable table({"Benchmark", "trace", "engine", "ckpts", "runs/s", "vs scratch",
-                    "vs tree", "identical"});
-  table.SetTitle("Injection throughput: bytecode tier + suffix replay (" +
-                 std::to_string(runs) + " runs/campaign)");
+  AsciiTable table({"Benchmark", "trace", "ckpts", "runs/s", "vs scratch", "identical"});
+  table.SetTitle("Injection throughput: suffix replay (" + std::to_string(runs) +
+                 " runs/campaign)");
 
   bool all_identical = true;
   for (const std::string& name :
        {std::string("lulesh"), std::string("lavaMD"), std::string("srad")}) {
     const bench::Prepared p = bench::Prepare(name);
-    // Reference for identity and for the cross-tier speedup columns: the
-    // tree-tier campaigns, keyed by checkpoint setting.
+    // Reference for identity and speedup: the from-scratch campaign (the
+    // first checkpoint setting).
     fi::CampaignStats baseline;
-    double tree_runs_per_sec[std::size(checkpoint_counts)] = {};
-    for (const vm::Engine engine : engines) {
-      double scratch_runs_per_sec = 0;
-      for (std::size_t c = 0; c < std::size(checkpoint_counts); ++c) {
-        const int n = checkpoint_counts[c];
-        fi::CampaignOptions options;
-        options.num_runs = runs;
-        options.seed = bench::Seed();
-        // The fast path only serves jitter-free runs; keep the comparison pure.
-        options.injector.jitter_pages = 0;
-        options.injector.engine = engine;
-        options.num_threads = bench::Jobs();
-        options.checkpoint_interval = bench::CheckpointIntervalFor(p.analysis, n);
-        Stopwatch watch;
-        const fi::CampaignStats stats =
-            fi::RunCampaign(p.app.module, p.analysis.graph(), p.analysis.golden(), options);
-        const double seconds = watch.ElapsedSeconds();
-        const double runs_per_sec = seconds > 0 ? runs / seconds : 0;
-        if (engine == vm::Engine::kTree) {
-          tree_runs_per_sec[c] = runs_per_sec;
-          if (n == 0) baseline = stats;
-        }
-        if (n == 0) scratch_runs_per_sec = runs_per_sec;
-        const bool identical = RecordsIdentical(stats, baseline);
-        all_identical = all_identical && identical;
-        const double vs_scratch =
-            scratch_runs_per_sec > 0 ? runs_per_sec / scratch_runs_per_sec : 0;
-        const double vs_tree =
-            tree_runs_per_sec[c] > 0 ? runs_per_sec / tree_runs_per_sec[c] : 0;
-
-        const std::string engine_name{vm::EngineName(engine)};
-        const std::string ckpt_name = n < 0 ? std::string("auto") : std::to_string(n);
-        table.AddRow({name, std::to_string(p.analysis.TraceLength()), engine_name, ckpt_name,
-                      AsciiTable::Num(runs_per_sec, 1), AsciiTable::Num(vs_scratch, 2) + "x",
-                      AsciiTable::Num(vs_tree, 2) + "x", identical ? "yes" : "NO"});
-
-        const std::string row = name + "/" + engine_name + "/ckpt" + ckpt_name;
-        json.Add(row, "runs_per_sec", runs_per_sec);
-        json.Add(row, "speedup_vs_scratch", vs_scratch);
-        json.Add(row, "speedup_vs_tree", vs_tree);
-        json.Add(row, "checkpoints", static_cast<double>(stats.perf.checkpoints));
-        json.Add(row, "checkpointed_runs", static_cast<double>(stats.perf.checkpointed_runs));
-        json.Add(row, "skipped_instructions",
-                 static_cast<double>(stats.perf.skipped_instructions));
-        json.Add(row, "outcomes_identical", identical ? 1.0 : 0.0);
+    double scratch_runs_per_sec = 0;
+    for (const int n : checkpoint_counts) {
+      fi::CampaignOptions options;
+      options.num_runs = runs;
+      options.seed = bench::Seed();
+      // The fast path only serves jitter-free runs; keep the comparison pure.
+      options.injector.jitter_pages = 0;
+      options.num_threads = bench::Jobs();
+      options.checkpoint_interval = bench::CheckpointIntervalFor(p.analysis, n);
+      Stopwatch watch;
+      const fi::CampaignStats stats =
+          fi::RunCampaign(p.app.module, p.analysis.graph(), p.analysis.golden(), options);
+      const double seconds = watch.ElapsedSeconds();
+      const double runs_per_sec = seconds > 0 ? runs / seconds : 0;
+      if (n == 0) {
+        baseline = stats;
+        scratch_runs_per_sec = runs_per_sec;
       }
+      const bool identical = RecordsIdentical(stats, baseline);
+      all_identical = all_identical && identical;
+      const double vs_scratch =
+          scratch_runs_per_sec > 0 ? runs_per_sec / scratch_runs_per_sec : 0;
+
+      const std::string ckpt_name = n < 0 ? std::string("auto") : std::to_string(n);
+      table.AddRow({name, std::to_string(p.analysis.TraceLength()), ckpt_name,
+                    AsciiTable::Num(runs_per_sec, 1), AsciiTable::Num(vs_scratch, 2) + "x",
+                    identical ? "yes" : "NO"});
+
+      const std::string row = name + "/ckpt" + ckpt_name;
+      json.Add(row, "runs_per_sec", runs_per_sec);
+      json.Add(row, "speedup_vs_scratch", vs_scratch);
+      json.Add(row, "checkpoints", static_cast<double>(stats.perf.checkpoints));
+      json.Add(row, "checkpointed_runs", static_cast<double>(stats.perf.checkpointed_runs));
+      json.Add(row, "skipped_instructions", static_cast<double>(stats.perf.skipped_instructions));
+      json.Add(row, "outcomes_identical", identical ? 1.0 : 0.0);
     }
   }
-  table.SetFootnote("'vs scratch' compares to the same engine at 0 checkpoints, 'vs tree' to "
-                    "the tree tier at the same checkpoint setting; 'identical' checks every "
-                    "record (site, bit, outcome) against the tree from-scratch campaign");
+  table.SetFootnote("'vs scratch' compares to 0 checkpoints; 'identical' checks every record "
+                    "(site, bit, outcome) against the 0-checkpoint campaign");
   table.Print(std::cout);
 
   // Planner economy: injections the stratified planner spends to hit its CI

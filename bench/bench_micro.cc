@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark): throughput of the pipeline stages —
 // the "tuned C/C++ implementation" speedup the paper's section VI-A asks for.
 //
-// The interpreter benchmarks are split by execution tier (tree vs. flat
-// bytecode) so the bytecode speedup is measured in isolation, and a custom
-// main() follows the google-benchmark run with two extra sections dumped to
-// BENCH_micro.json at the repo root:
-//   - interpreter ops/sec per app and engine (wall-clock, compile excluded);
+// The interpreter benchmarks are split by executor mode (the careful step a
+// trace sink keeps every instruction on vs. the sink-free fast loop) so the
+// fast loop's speedup is measured in isolation, and a custom main() follows
+// the google-benchmark run with two extra sections dumped to BENCH_micro.json
+// at the repo root:
+//   - interpreter ops/sec per app and mode (wall-clock, compile excluded);
 //   - the dynamic opcode mix and superinstruction coverage: how often each
 //     bytecode opcode actually retires and what share of the trace the five
 //     fused pairs (cmp+br, gep+load, gep+store, mul+add, fmul+fadd) cover —
@@ -46,33 +47,31 @@ const core::Analysis& MmAnalysis() {
   return analysis;
 }
 
-void BM_InterpreterThroughput(benchmark::State& state, vm::Engine engine) {
+void BM_InterpreterThroughput(benchmark::State& state, bool careful) {
   const apps::App& app = MmApp();
   vm::ExecOptions opts;
-  opts.engine = engine;
   // Compile once outside the loop: the steady-state campaign cost is what
   // matters, and fi::Injector shares one compile across all runs the same way.
-  if (engine == vm::Engine::kBytecode) opts.bytecode = vm::bc::Compile(app.module);
+  opts.bytecode = vm::bc::Compile(app.module);
+  vm::NullTraceSink sink;
   std::uint64_t instructions = 0;
   for (auto _ : state) {
     vm::Interpreter interp(app.module, opts);
-    const vm::RunResult r = interp.Run();
+    const vm::RunResult r = interp.Run("main", careful ? &sink : nullptr);
     instructions += r.instructions_executed;
     benchmark::DoNotOptimize(r.output.data());
   }
   state.counters["instr/s"] =
       benchmark::Counter(static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
-BENCHMARK_CAPTURE(BM_InterpreterThroughput, tree, vm::Engine::kTree)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_InterpreterThroughput, bytecode, vm::Engine::kBytecode)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InterpreterThroughput, careful, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InterpreterThroughput, fast, false)->Unit(benchmark::kMillisecond);
 
 void BM_BytecodeCompile(benchmark::State& state) {
   const apps::App& app = MmApp();
   for (auto _ : state) {
     const auto program = vm::bc::Compile(app.module);
-    benchmark::DoNotOptimize(program->supported);
+    benchmark::DoNotOptimize(program->functions.data());
   }
 }
 BENCHMARK(BM_BytecodeCompile)->Unit(benchmark::kMillisecond);
@@ -126,28 +125,25 @@ void BM_FullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPipeline)->Unit(benchmark::kMillisecond);
 
-void BM_SingleInjection(benchmark::State& state, vm::Engine engine) {
+void BM_SingleInjection(benchmark::State& state) {
   const apps::App& app = MmApp();
   const core::Analysis& a = MmAnalysis();
   vm::ExecOptions exec;
   exec.fault = vm::FaultPlan{a.graph().NumDynInstrs() / 2, 0, 7};
-  exec.engine = engine;
-  if (engine == vm::Engine::kBytecode) exec.bytecode = vm::bc::Compile(app.module);
+  exec.bytecode = vm::bc::Compile(app.module);
   for (auto _ : state) {
     vm::Interpreter interp(app.module, exec);
     const vm::RunResult r = interp.Run();
     benchmark::DoNotOptimize(r.trap);
   }
 }
-BENCHMARK_CAPTURE(BM_SingleInjection, tree, vm::Engine::kTree)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SingleInjection, bytecode, vm::Engine::kBytecode)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SingleInjection)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Dynamic opcode mix: what the bytecode tier actually retires.
+// Dynamic opcode mix: what the fast loop actually retires.
 //
-// A tree-tier run with a trace sink maps every dynamic instruction back to
-// its bytecode pc. When the opcode at that pc is a superinstruction the
+// A run with a trace sink maps every dynamic instruction back to its
+// bytecode pc. When the opcode at that pc is a superinstruction the
 // following instruction belongs to the same fused handler, so it is counted
 // under the fused opcode rather than on its own — the histogram matches what
 // the threaded dispatch loop dispatches, not the raw IR stream.
@@ -193,22 +189,24 @@ class OpcodeMixSink final : public vm::TraceSink {
   std::uint32_t skip_pc_ = 0;
 };
 
-/// Wall-clock instr/s of one engine on one app; the bytecode compile happens
-/// once up front so steady-state dispatch is what gets timed.
-double MeasureInstrPerSec(const apps::App& app, vm::Engine engine) {
+/// Wall-clock instr/s of one executor mode on one app (careful: a no-op sink
+/// keeps every instruction on the careful step); the bytecode compile
+/// happens once up front so steady-state execution is what gets timed.
+double MeasureInstrPerSec(const apps::App& app, bool careful) {
   vm::ExecOptions opts;
-  opts.engine = engine;
-  if (engine == vm::Engine::kBytecode) opts.bytecode = vm::bc::Compile(app.module);
+  opts.bytecode = vm::bc::Compile(app.module);
+  vm::NullTraceSink sink;
+  vm::TraceSink* attached = careful ? &sink : nullptr;
   {
     vm::Interpreter warmup(app.module, opts);
-    (void)warmup.Run();
+    (void)warmup.Run("main", attached);
   }
   std::uint64_t instructions = 0;
   int reps = 0;
   Stopwatch watch;
   while (reps < 3 || watch.ElapsedSeconds() < 0.5) {
     vm::Interpreter interp(app.module, opts);
-    instructions += interp.Run().instructions_executed;
+    instructions += interp.Run("main", attached).instructions_executed;
     ++reps;
   }
   const double seconds = watch.ElapsedSeconds();
@@ -216,28 +214,29 @@ double MeasureInstrPerSec(const apps::App& app, vm::Engine engine) {
 }
 
 void ReportOpcodeMix(bench::BenchJson& json) {
-  AsciiTable speed({"Benchmark", "engine", "instr/s", "vs tree"});
-  speed.SetTitle("Interpreter throughput by execution tier");
+  AsciiTable speed({"Benchmark", "mode", "instr/s", "vs careful"});
+  speed.SetTitle("Interpreter throughput: careful step (sink attached) vs fast loop");
   AsciiTable mix({"Benchmark", "opcode", "dispatches", "share"});
-  mix.SetTitle("Dynamic opcode mix as dispatched by the bytecode tier (top 12)");
+  mix.SetTitle("Dynamic opcode mix as dispatched by the fast loop (top 12)");
   AsciiTable fused({"Benchmark", "superinstruction", "pairs", "trace covered"});
   fused.SetTitle("Superinstruction coverage (two IR instructions per dispatch)");
 
   for (const std::string& name : {std::string("mm"), std::string("lulesh")}) {
     const apps::App app = apps::BuildApp(name, apps::AppConfig{.scale = bench::Scale()});
-    const double tree = MeasureInstrPerSec(app, vm::Engine::kTree);
-    const double byte = MeasureInstrPerSec(app, vm::Engine::kBytecode);
-    speed.AddRow({name, "tree", AsciiTable::Num(tree / 1e6, 1) + "M", "1.00x"});
-    speed.AddRow({name, "bytecode", AsciiTable::Num(byte / 1e6, 1) + "M",
-                  AsciiTable::Num(tree > 0 ? byte / tree : 0, 2) + "x"});
-    json.Add("interp/" + name + "/tree", "instr_per_sec", tree);
-    json.Add("interp/" + name + "/bytecode", "instr_per_sec", byte);
-    json.Add("interp/" + name + "/bytecode", "speedup_vs_tree", tree > 0 ? byte / tree : 0);
+    const double careful = MeasureInstrPerSec(app, /*careful=*/true);
+    const double fast = MeasureInstrPerSec(app, /*careful=*/false);
+    const double speedup = careful > 0 ? fast / careful : 0;
+    speed.AddRow({name, "careful", AsciiTable::Num(careful / 1e6, 1) + "M", "1.00x"});
+    speed.AddRow({name, "fast", AsciiTable::Num(fast / 1e6, 1) + "M",
+                  AsciiTable::Num(speedup, 2) + "x"});
+    json.Add("interp/" + name + "/careful", "instr_per_sec", careful);
+    json.Add("interp/" + name + "/fast", "instr_per_sec", fast);
+    json.Add("interp/" + name + "/fast", "speedup_vs_careful", speedup);
 
     const auto program = vm::bc::Compile(app.module);
-    if (program == nullptr || !program->supported) continue;
     OpcodeMixSink sink(*program);
-    vm::ExecOptions opts;  // a sink forces the tree tier, which feeds the sink
+    vm::ExecOptions opts;
+    opts.bytecode = program;
     vm::Interpreter interp(app.module, opts);
     (void)interp.Run("main", &sink);
 

@@ -181,7 +181,7 @@ class ReplayEngine {
   }
 
   /// Value-only operand read for the phi-group precompute (no node
-  /// resolution, no live-in recording — mirrors Interpreter::ValueOf).
+  /// resolution, no live-in recording — mirrors the executor's operand read).
   std::uint64_t ValueOnly(ir::ValueRef ref) {
     switch (ref.kind) {
       case ir::ValueKind::kRegister:

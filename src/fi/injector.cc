@@ -41,7 +41,7 @@ Injector::Injector(const ir::Module& module, const vm::RunResult& golden,
         "Injector: the memory scenario requires jitter_pages == 0 (sites are absolute "
         "addresses of the golden layout)");
   }
-  if (options_.engine != vm::Engine::kTree) bytecode_ = vm::bc::Compile(module_);
+  bytecode_ = vm::bc::Compile(module_);
 }
 
 void Injector::AttachMemoryScenario(std::shared_ptr<const MemoryScenario> scenario) {
@@ -86,7 +86,6 @@ std::size_t Injector::BuildCheckpoints(std::span<const std::uint64_t> at) {
   vm::ExecOptions exec;
   exec.layout = options_.layout;
   exec.max_instructions = HangBudget();
-  exec.engine = options_.engine;
   exec.bytecode = bytecode_;
   vm::Interpreter interp(module_, exec);
   const vm::RunResult replay = interp.RunWithCheckpoints(options_.entry, at, checkpoints_);
@@ -115,7 +114,6 @@ Injector::InjectionResult Injector::Inject(const FaultSite& site, std::uint8_t b
   exec.jitter = jitter.has_value() ? *jitter : DrawJitter(jitter_rng_);
   exec.max_instructions = HangBudget();
   exec.fault = vm::FaultPlan{site.dyn_index, site.slot, bit, options_.burst_length};
-  exec.engine = options_.engine;
   exec.bytecode = bytecode_;
 
   if (options_.scenario == Scenario::kMemory) {
@@ -133,7 +131,7 @@ Injector::InjectionResult Injector::Inject(const FaultSite& site, std::uint8_t b
       // Delayed error reporting: the byte is overwritten before any consuming
       // load (or never read again), so the flip cannot propagate — benign by
       // construction, no execution needed. Trivially identical across
-      // engines, checkpoints, jobs, and shards.
+      // checkpoints, jobs, and shards.
       span.Rename("inject-masked");
       masked_counter.Add();
       InjectionResult masked;

@@ -51,10 +51,6 @@ struct InjectorOptions {
   /// Adjacent bits flipped per injection (1 = single-bit, the paper's primary
   /// fault model; >1 = the section II-E multi-bit extension).
   std::uint8_t burst_length = 1;
-  /// Execution tier for injected runs and checkpoint replays. Not part of the
-  /// campaign's cache identity: tiers are bit-identical by contract, so the
-  /// same artifacts serve either engine.
-  vm::Engine engine = vm::Engine::kAuto;
   /// What resource flips land in. kMemory requires jitter_pages == 0 (sites
   /// are absolute addresses of the golden layout — any jitter would relocate
   /// them) and an attached MemoryScenario (see AttachMemoryScenario).

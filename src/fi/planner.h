@@ -282,7 +282,7 @@ struct ExecuteResult {
 /// Executes the shard window of `queue` on `injector` (which may have suffix
 /// checkpoints loaded — runs are then executed in site order for snapshot
 /// locality, landing at their queue index). Deterministic per record at every
-/// thread count, shard geometry, and engine. Records the `inject-loop` span
+/// thread count and shard geometry. Records the `inject-loop` span
 /// and the campaign.* run metrics of the runs it executes.
 [[nodiscard]] ExecuteResult ExecutePlannedRuns(Injector& injector,
                                                std::span<const PlannedInjection> queue,

@@ -317,6 +317,8 @@ class FunctionVerifier {
       }
       if (inst.op == Opcode::kPhi) {
         if (seen_non_phi) ErrorAt(b, inst, "phi after non-phi instruction");
+        // A call enters the entry block with no predecessor edge to select.
+        if (b == 0) ErrorAt(b, inst, "phi in the entry block");
       } else {
         seen_non_phi = true;
       }

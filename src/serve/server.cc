@@ -122,13 +122,13 @@ struct ResidentUnits {
 /// directory and its own sinks, and a request carrying them is malformed.
 const std::map<std::string, std::set<std::string>>& WorkerFlags() {
   static const std::map<std::string, std::set<std::string>> allowed = {
-      {"analyze", {"scale", "jobs", "engine", "incremental"}},
+      {"analyze", {"scale", "jobs", "incremental"}},
       {"inject",
-       {"scale", "runs", "jitter", "burst", "seed", "jobs", "checkpoints", "engine", "plan",
-        "ci-target", "max-runs", "scenario"}},
+       {"scale", "runs", "jitter", "burst", "seed", "jobs", "checkpoints", "plan", "ci-target",
+        "max-runs", "scenario"}},
       {"campaign",
-       {"scale", "runs", "jitter", "burst", "seed", "jobs", "checkpoints", "engine", "plan",
-        "ci-target", "max-runs", "shards", "shard-timeout", "shard-retries", "scenario"}},
+       {"scale", "runs", "jitter", "burst", "seed", "jobs", "checkpoints", "plan", "ci-target",
+        "max-runs", "shards", "shard-timeout", "shard-retries", "scenario"}},
   };
   return allowed;
 }

@@ -1,17 +1,17 @@
-// Flat register bytecode — the fast execution tier's program format.
+// Flat register bytecode — the program format the executor steps.
 //
-// The tree interpreter re-decodes `ir::Instruction` objects (operand vectors,
+// The careful step re-decodes `ir::Instruction` objects (operand vectors,
 // TypeOf lookups, phi-block scans) on every dynamic instruction. The bytecode
-// compiler does all of that once: each IR instruction lowers to exactly one
-// fixed-width `BOp` whose operands are dense frame-slot indices and whose
-// branch targets are code offsets, so the interpreter's inner loop is a
+// compiler does all of that once for the fast loop: each IR instruction
+// lowers to exactly one fixed-width `BOp` whose operands are dense frame-slot
+// indices and whose branch targets are code offsets, so the inner loop is a
 // single indexed dispatch with no pointer chasing.
 //
-// Layout invariants the executor and the checkpoint conversion rely on:
+// Layout invariants the executor relies on:
 //  - `FuncCode::code` is 1:1 with the function's IR instructions, blocks
 //    concatenated in order: pc == block_start[block] + ip. Superinstructions
 //    do not break this — a fused opcode replaces the *first* op of a pair and
-//    the plain second op remains at pc+1, so the careful single-step mode and
+//    the plain second op remains at pc+1, so the careful step and
 //    checkpoint/resume can always address individual IR instructions.
 //  - A frame's register file has `frame_slots` entries: the function's SSA
 //    registers in [0, num_regs) followed by the literal pool (deduplicated
@@ -20,9 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "ir/module.h"
@@ -100,18 +98,12 @@ struct Literal {
 };
 
 /// Which frame slots feed a block's leading phi group when it is entered
-/// from one particular predecessor. Filling the group as a unit at branch
-/// time preserves LLVM's parallel-phi (buffer swap) semantics.
-///
-/// Edges carry only the *live* phis of the group (those whose result register
-/// is read somewhere in the function); dead phis — common in rotated loops
-/// whose induction twin is only used on one side — are skipped at fill time,
-/// since no instruction can ever observe their value. `group` keeps the full
-/// group size so the buffer stays addressable by phi index.
+/// from one particular predecessor: the source of the group's phi k is
+/// phi_sources[offset + k]. Filling the group as a unit at branch time
+/// preserves LLVM's parallel-phi (buffer swap) semantics.
 struct PhiEdge {
-  std::uint32_t offset = 0;  ///< into FuncCode::phi_sources / phi_dests
-  std::uint32_t count = 0;   ///< live entries on this edge
-  std::uint32_t group = 0;   ///< full phi group size of the target block
+  std::uint32_t offset = 0;  ///< into FuncCode::phi_sources
+  std::uint32_t count = 0;   ///< phi group size of the target block
 };
 
 struct FuncCode {
@@ -125,12 +117,6 @@ struct FuncCode {
   std::uint32_t frame_slots = 0;  ///< num_regs + literals.size()
   std::vector<PhiEdge> phi_edges;
   std::vector<std::uint32_t> phi_sources;  ///< operand slots, grouped per edge
-  /// Parallel to phi_sources: the within-group phi index each source feeds.
-  /// Identity when no phi of the group is dead; gaps where one is.
-  std::vector<std::uint32_t> phi_dests;
-  /// Per-block (predecessor block, phi-edge id) pairs — the resume path uses
-  /// these to refill a phi group when a checkpoint landed on a group head.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> pred_edges;
   std::vector<std::uint32_t> call_args;  ///< operand-slot pool for calls
 
   [[nodiscard]] std::uint32_t PcOf(std::uint32_t block, std::uint32_t ip) const {
@@ -140,8 +126,6 @@ struct FuncCode {
 
 struct Program {
   std::vector<FuncCode> functions;  ///< parallel to module.functions
-  bool supported = false;
-  std::string unsupported_reason;  ///< why the module fell back to the tree tier
   std::uint64_t fused_pairs[kNumBOpcodes] = {};  ///< static fusion counts by opcode
 };
 

@@ -1,6 +1,7 @@
 #include "vm/compile.h"
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -13,32 +14,31 @@ namespace {
 
 using ir::Opcode;
 
-/// Per-function lowering state. Fails soft: `Bail` records a reason and the
-/// whole module falls back to the tree tier, so an exotic IR shape can never
-/// produce wrong fast-tier results — only slower ones.
+/// Per-function lowering state. Every IR shape the executor cannot represent
+/// is one the verifier rejects, so `Reject` only fires on unverified modules.
 class FunctionCompiler {
  public:
-  FunctionCompiler(const ir::Module& module, const ir::Function& fn, std::string& error)
-      : module_(module), fn_(fn), error_(error) {}
+  FunctionCompiler(const ir::Module& module, const ir::Function& fn)
+      : module_(module), fn_(fn) {}
 
-  bool Lower(FuncCode& out, std::uint64_t fused_pairs[kNumBOpcodes]) {
+  void Lower(FuncCode& out, std::uint64_t fused_pairs[kNumBOpcodes]) {
     out.num_regs = static_cast<std::uint32_t>(fn_.registers.size());
+    if (fn_.blocks.empty()) Reject("function without blocks: " + fn_.name);
 
     // Pass 1: block layout. pc is the linear instruction index, so pc <->
     // (block, ip) conversion is a table lookup in both directions.
     std::uint32_t pc = 0;
     out.block_start.reserve(fn_.blocks.size());
     out.phi_count.assign(fn_.blocks.size(), 0);
-    out.pred_edges.assign(fn_.blocks.size(), {});
     for (std::uint32_t b = 0; b < fn_.blocks.size(); ++b) {
       const ir::BasicBlock& bb = fn_.blocks[b];
-      if (!bb.HasTerminator()) return Bail("block without terminator: " + bb.name);
+      if (!bb.HasTerminator()) Reject("block without terminator: " + bb.name);
       out.block_start.push_back(pc);
       bool seen_non_phi = false;
       for (std::uint32_t ip = 0; ip < bb.instructions.size(); ++ip) {
         const ir::Instruction& inst = bb.instructions[ip];
         if (inst.op == Opcode::kPhi) {
-          if (seen_non_phi) return Bail("phi outside leading group in block " + bb.name);
+          if (seen_non_phi) Reject("phi after a non-phi instruction in block " + bb.name);
           out.phi_count[b] += 1;
         } else {
           seen_non_phi = true;
@@ -48,33 +48,13 @@ class FunctionCompiler {
         ++pc;
       }
     }
-    if (out.phi_count[0] != 0) {
-      // A call enters the entry block with no predecessor; the tree tier
-      // rejects that at runtime and the fast tier has no edge to fill from.
-      return Bail("entry block has phis in function " + fn_.name);
-    }
-
-    // Liveness over SSA registers: a register no instruction ever reads is
-    // dead, and a dead *phi* can be dropped from every edge's fill list —
-    // its value is unobservable (it can't even be a fault site, since
-    // injection targets source operands).
-    reg_used_.assign(fn_.registers.size(), false);
-    for (const ir::BasicBlock& bb : fn_.blocks) {
-      for (const ir::Instruction& inst : bb.instructions) {
-        for (const ir::ValueRef& ref : inst.operands) {
-          if (ref.IsRegister() && ref.index < reg_used_.size()) {
-            reg_used_[ref.index] = true;
-          }
-        }
-      }
-    }
+    // A call enters the entry block with no predecessor edge to fill from.
+    if (out.phi_count[0] != 0) Reject("phi in the entry block of function " + fn_.name);
 
     // Pass 2: emit one BOp per instruction.
     for (std::uint32_t b = 0; b < fn_.blocks.size(); ++b) {
       for (const ir::Instruction& inst : fn_.blocks[b].instructions) {
-        BOp op;
-        if (!EmitOne(out, b, inst, op)) return false;
-        out.code.push_back(op);
+        out.code.push_back(EmitOne(out, b, inst));
       }
     }
 
@@ -105,13 +85,11 @@ class FunctionCompiler {
     }
 
     out.frame_slots = out.num_regs + static_cast<std::uint32_t>(out.literals.size());
-    return true;
   }
 
  private:
-  bool Bail(std::string reason) {
-    if (error_.empty()) error_ = std::move(reason);
-    return false;
+  [[noreturn]] static void Reject(const std::string& construct) {
+    throw std::invalid_argument("bc::Compile: unverified module: " + construct);
   }
 
   /// Frame slot of a value reference: registers keep their IR index, other
@@ -136,48 +114,34 @@ class FunctionCompiler {
 
   /// Phi-edge id for entering `target` from `from`, creating the source-slot
   /// list on first use. kNoEdge when the target has no phi group.
-  bool EdgeOf(FuncCode& out, std::uint32_t from, std::uint32_t target, std::uint32_t& edge) {
-    if (out.phi_count[target] == 0) {
-      edge = kNoEdge;
-      return true;
-    }
+  std::uint32_t EdgeOf(FuncCode& out, std::uint32_t from, std::uint32_t target) {
+    if (out.phi_count[target] == 0) return kNoEdge;
     const auto key = std::make_pair(target, from);
     const auto it = edge_ids_.find(key);
-    if (it != edge_ids_.end()) {
-      edge = it->second;
-      return true;
-    }
+    if (it != edge_ids_.end()) return it->second;
     PhiEdge e;
     e.offset = static_cast<std::uint32_t>(out.phi_sources.size());
-    e.group = out.phi_count[target];
-    for (std::uint32_t k = 0; k < e.group; ++k) {
+    e.count = out.phi_count[target];
+    for (std::uint32_t k = 0; k < e.count; ++k) {
       const ir::Instruction& phi = fn_.blocks[target].instructions[k];
-      std::uint32_t slot = ir::kInvalidIndex;
-      for (std::uint32_t i = 0; i < phi.phi_blocks.size(); ++i) {
-        if (phi.phi_blocks[i] == from) {
-          slot = SlotOf(out, phi.operands[i]);
-          break;
-        }
+      std::uint32_t i = 0;
+      while (i < phi.phi_blocks.size() && phi.phi_blocks[i] != from) ++i;
+      if (i == phi.phi_blocks.size()) {
+        Reject("phi without an incoming edge in block " + fn_.blocks[target].name);
       }
-      if (slot == ir::kInvalidIndex) {
-        return Bail("phi without incoming edge in block " + fn_.blocks[target].name);
-      }
-      if (!reg_used_[phi.result]) continue;  // dead phi: nothing can read it
-      out.phi_sources.push_back(slot);
-      out.phi_dests.push_back(k);
+      out.phi_sources.push_back(SlotOf(out, phi.operands[i]));
     }
-    e.count = static_cast<std::uint32_t>(out.phi_sources.size()) - e.offset;
-    edge = static_cast<std::uint32_t>(out.phi_edges.size());
+    const auto edge = static_cast<std::uint32_t>(out.phi_edges.size());
     out.phi_edges.push_back(e);
     edge_ids_.emplace(key, edge);
-    out.pred_edges[target].emplace_back(from, edge);
-    return true;
+    return edge;
   }
 
-  bool EmitOne(FuncCode& out, std::uint32_t block, const ir::Instruction& inst, BOp& op) {
+  BOp EmitOne(FuncCode& out, std::uint32_t block, const ir::Instruction& inst) {
     for (const ir::ValueRef& ref : inst.operands) {
-      if (ref.IsNone()) return Bail("instruction with a none operand in " + fn_.name);
+      if (ref.IsNone()) Reject("instruction with a none operand in " + fn_.name);
     }
+    BOp op;
     op.dst = inst.result;
     op.type = inst.type;
     switch (inst.op) {
@@ -274,9 +238,7 @@ class FunctionCompiler {
         op.op = BOpcode::kBr;
         op.dst = block;  // becomes prev_block when taken
         op.b = out.block_start[inst.bb_true];
-        std::uint32_t edge = kNoEdge;
-        if (!EdgeOf(out, block, inst.bb_true, edge)) return false;
-        op.imm = edge;
+        op.imm = EdgeOf(out, block, inst.bb_true);
         break;
       }
       case Opcode::kCondBr: {
@@ -285,10 +247,8 @@ class FunctionCompiler {
         op.a = SlotOf(out, inst.operands[0]);
         op.b = out.block_start[inst.bb_true];
         op.c = out.block_start[inst.bb_false];
-        std::uint32_t true_edge = kNoEdge;
-        std::uint32_t false_edge = kNoEdge;
-        if (!EdgeOf(out, block, inst.bb_true, true_edge)) return false;
-        if (!EdgeOf(out, block, inst.bb_false, false_edge)) return false;
+        const std::uint32_t true_edge = EdgeOf(out, block, inst.bb_true);
+        const std::uint32_t false_edge = EdgeOf(out, block, inst.bb_false);
         op.imm = (static_cast<std::uint64_t>(true_edge) << 32) | false_edge;
         break;
       }
@@ -300,7 +260,8 @@ class FunctionCompiler {
         break;
       case Opcode::kCall:
         if (inst.is_intrinsic) {
-          return EmitIntrinsic(out, inst, op);
+          EmitIntrinsic(out, inst, op);
+          break;
         }
         op.op = BOpcode::kCall;
         op.imm = inst.callee;
@@ -313,10 +274,10 @@ class FunctionCompiler {
         op.type = module_.functions[inst.callee].return_type;
         break;
     }
-    return true;
+    return op;
   }
 
-  bool EmitIntrinsic(FuncCode& out, const ir::Instruction& inst, BOp& op) {
+  void EmitIntrinsic(FuncCode& out, const ir::Instruction& inst, BOp& op) {
     switch (inst.intrinsic) {
       case ir::Intrinsic::kOutputI64: op.op = BOpcode::kOutputI64; break;
       case ir::Intrinsic::kOutputF64: op.op = BOpcode::kOutputF64; break;
@@ -336,7 +297,6 @@ class FunctionCompiler {
       // the first keeps the fetch branchless.
       op.b = inst.operands.size() > 1 ? SlotOf(out, inst.operands[1]) : op.a;
     }
-    return true;
   }
 
   /// Returns the fused opcode for the pair starting at instruction `ip` of
@@ -383,10 +343,8 @@ class FunctionCompiler {
 
   const ir::Module& module_;
   const ir::Function& fn_;
-  std::string& error_;
   std::map<std::pair<bool, std::uint64_t>, std::uint32_t> literal_slots_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> edge_ids_;
-  std::vector<bool> reg_used_;  ///< register ever read as an operand?
 };
 
 }  // namespace
@@ -398,15 +356,9 @@ std::shared_ptr<const Program> Compile(const ir::Module& module) {
 
   auto program = std::make_shared<Program>();
   program->functions.resize(module.functions.size());
-  program->supported = true;
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
-    FunctionCompiler fc(module, module.functions[i], program->unsupported_reason);
-    if (!fc.Lower(program->functions[i], program->fused_pairs)) {
-      program->supported = false;
-      static obs::Counter& fallbacks = obs::GetCounter("vm.bytecode.compile_fallbacks");
-      fallbacks.Add();
-      break;
-    }
+    FunctionCompiler(module, module.functions[i]).Lower(program->functions[i],
+                                                        program->fused_pairs);
   }
   return program;
 }

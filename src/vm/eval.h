@@ -1,10 +1,10 @@
 // Shared per-instruction evaluation semantics.
 //
-// Both execution tiers — the instrumented tree-walking interpreter and the
-// bytecode fast tier — must agree bit-for-bit on every operation so that a
-// fault-injection campaign produces identical records regardless of engine.
-// The single source of truth for arithmetic, comparison, intrinsic-math and
-// trap semantics therefore lives here, inline, and is included by both.
+// The executor's careful step and its fast loop (vm/exec_bytecode.cc) must
+// agree bit-for-bit on every operation, so that a run's records do not depend
+// on which instructions an event window single-stepped. The single source of
+// truth for arithmetic, comparison, intrinsic-math and trap semantics
+// therefore lives here, inline, and both modes use it.
 #pragma once
 
 #include <cmath>

@@ -1,21 +1,17 @@
-// The bytecode fast tier: threaded-dispatch execution of bc::Program.
+// The executor: one IR-level semantics, stepped two ways.
 //
-// Structure: execution alternates between a *fast* loop and a *careful* loop.
-// The fast loop is a computed-goto (or switch) dispatch over flat BOps with
-// no per-instruction event polling beyond a single watermark comparison; it
-// is only entered when the next two dynamic instruction indices are clear of
-// every event the tree tier handles inline — checkpoint capture sites, the
-// fault plan's injection site, and the instruction budget ("two" because a
-// fused superinstruction retires two IR instructions in one dispatch). The
-// careful loop is a direct port of the tree interpreter's per-instruction
-// semantics (operand gathering, bit flips, checkpoint capture ordering,
-// budget traps) driven one IR instruction at a time via the pc <-> (block,
-// ip) tables, so event-adjacent instructions behave bit-identically to the
-// tree tier.
-//
-// Checkpoints stay in the tree tier's Frame format: a checkpoint captured by
-// either tier can be resumed by either tier. Conversion happens only at
-// capture/resume boundaries, never on the hot path.
+// The *careful* step executes one IR instruction at a time from its
+// `ir::Instruction` (operand gathering, bit flips, checkpoint capture
+// ordering, budget traps) and publishes it to the TraceSink when one is
+// attached. It is both the instrumented path of golden profiling runs and the
+// handler of every event. The *fast* loop is a computed-goto (or switch)
+// dispatch over flat BOps with no per-instruction event polling beyond one
+// watermark comparison. It runs only while no sink is attached and the next
+// two dynamic instruction indices are clear of every event — checkpoint
+// capture sites, the fault plan's injection site, and the instruction budget
+// ("two" because a fused superinstruction retires two IR instructions in one
+// dispatch). Both modes step the same pc-based Interpreter::Frame, so a
+// checkpoint stores exactly what the loop runs.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +19,6 @@
 #include <vector>
 
 #include "vm/bytecode.h"
-#include "vm/compile.h"
 #include "vm/eval.h"
 #include "vm/interpreter.h"
 #include "vm/value.h"
@@ -34,106 +29,48 @@
 #define EPVF_BC_THREADED 0
 #endif
 
+#if defined(__GNUC__)
+#define EPVF_BC_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define EPVF_BC_ALWAYS_INLINE
+#endif
+
 namespace epvf::vm {
 
 namespace {
 
 using ir::Opcode;
 using ir::Type;
-
-/// Runtime frame of the bytecode tier. `regs` holds the function's SSA
-/// registers in [0, num_regs) followed by the literal pool values, so every
-/// operand fetch is one unconditional index. `phi` buffers the current
-/// block's leading phi group (parallel phi semantics), filled at branch time.
-struct BFrame {
-  std::uint32_t fn = 0;
-  std::uint32_t pc = 0;
-  std::uint32_t prev_block = ir::kInvalidIndex;
-  std::uint64_t saved_esp = 0;
-  std::uint32_t caller_result_reg = ir::kInvalidIndex;
-  bool phi_valid = false;
-  std::vector<std::uint64_t> regs;
-  std::vector<std::uint64_t> phi;
-};
+using Frame = Interpreter::Frame;
 
 /// Fills the phi buffer for entry via `edge`. Reading every source slot
 /// before any phi writes its destination preserves the buffer-swap-safe
-/// parallel semantics the tree tier implements with its lazy group fill.
-void ApplyPhiEdge(const bc::FuncCode& fc, BFrame& f, std::uint32_t edge) {
-  if (edge == bc::kNoEdge) {
-    f.phi_valid = false;
-    return;
-  }
+/// parallel semantics.
+void ApplyPhiEdge(const bc::FuncCode& fc, Frame& f, std::uint32_t edge) {
+  if (edge == bc::kNoEdge) return;
   const bc::PhiEdge& e = fc.phi_edges[edge];
-  if (f.phi.size() < e.group) f.phi.resize(e.group);
-  // Only the group's live phis are filled (dead ones were pruned at compile
-  // time); their buffer slots hold stale bits that nothing can read.
+  if (f.phi.size() < e.count) f.phi.resize(e.count);
   const std::uint32_t* src = fc.phi_sources.data() + e.offset;
-  const std::uint32_t* dst = fc.phi_dests.data() + e.offset;
-  for (std::uint32_t k = 0; k < e.count; ++k) f.phi[dst[k]] = f.regs[src[k]];
-  f.phi_valid = true;
-}
-
-/// Resume-path phi fill: the checkpoint landed on a phi-group head, so the
-/// branch that would have filled the buffer already ran before capture.
-void FillPhiFromPred(const bc::FuncCode& fc, BFrame& f, std::uint32_t block) {
-  for (const auto& [pred, edge] : fc.pred_edges[block]) {
-    if (pred == f.prev_block) {
-      ApplyPhiEdge(fc, f, edge);
-      return;
-    }
-  }
-  throw std::logic_error("Interpreter: phi has no incoming edge for predecessor");
+  for (std::uint32_t k = 0; k < e.count; ++k) f.phi[k] = f.regs[src[k]];
 }
 
 }  // namespace
 
-RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dyn,
-                                       RunResult result,
-                                       std::span<const std::uint64_t> checkpoint_at,
-                                       std::vector<Checkpoint>* checkpoints) {
+Interpreter::Frame Interpreter::NewFrame(std::uint32_t fn) const {
+  const std::vector<std::uint64_t>& literals = literal_values_[fn];
+  Frame frame;
+  frame.fn = fn;
+  frame.regs.reserve(program_->functions[fn].frame_slots);
+  frame.regs.assign(program_->functions[fn].num_regs, 0);
+  frame.regs.insert(frame.regs.end(), literals.begin(), literals.end());
+  frame.saved_esp = memory_.esp();
+  return frame;
+}
+
+RunResult Interpreter::Execute(std::vector<Frame> stack, std::uint64_t dyn, RunResult result,
+                               std::span<const std::uint64_t> checkpoint_at,
+                               std::vector<Checkpoint>* checkpoints, TraceSink* sink) {
   const bc::Program& prog = *program_;
-
-  // Materialize per-function literal values once per Interpreter: constant
-  // bits are layout-independent, global addresses are not (jitter).
-  if (literal_values_.size() != prog.functions.size()) {
-    literal_values_.assign(prog.functions.size(), {});
-    for (std::size_t i = 0; i < prog.functions.size(); ++i) {
-      const bc::FuncCode& fc = prog.functions[i];
-      literal_values_[i].reserve(fc.literals.size());
-      for (const bc::Literal& lit : fc.literals) {
-        literal_values_[i].push_back(lit.is_global ? global_addresses_[lit.payload]
-                                                   : lit.payload);
-      }
-    }
-  }
-
-  // --- seed conversion: tree frames -> bytecode frames ----------------------
-  std::vector<BFrame> stack;
-  stack.reserve(seed.size());
-  for (const Frame& tf : seed) {
-    const bc::FuncCode& fc = prog.functions[tf.fn];
-    BFrame bf;
-    bf.fn = tf.fn;
-    bf.pc = fc.PcOf(tf.block, tf.ip);
-    bf.prev_block = tf.prev_block;
-    bf.saved_esp = tf.saved_esp;
-    bf.caller_result_reg = tf.caller_result_reg;
-    bf.regs.resize(fc.frame_slots, 0);
-    std::copy(tf.regs.begin(), tf.regs.end(), bf.regs.begin());
-    std::copy(literal_values_[tf.fn].begin(), literal_values_[tf.fn].end(),
-              bf.regs.begin() + fc.num_regs);
-    if (tf.phi_values_valid) {
-      const std::uint32_t n = fc.phi_count[tf.block];
-      bf.phi.assign(n, 0);
-      for (std::uint32_t k = 0; k < n && k < tf.phi_values.size(); ++k) {
-        bf.phi[k] = tf.phi_values[k];
-      }
-      bf.phi_valid = true;
-    }
-    stack.push_back(std::move(bf));
-  }
-  seed.clear();
 
   std::size_t next_ckpt = 0;
   while (next_ckpt < checkpoint_at.size() && checkpoint_at[next_ckpt] < dyn) ++next_ckpt;
@@ -158,59 +95,24 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
     return g;
   };
 
-  auto capture_checkpoint = [&] {
-    Checkpoint ckpt;
-    ckpt.dyn_index = dyn;
-    ckpt.fault_was_applied = result.fault_was_applied;
-    ckpt.output = result.output;
-    for (const BFrame& bf : stack) {
-      const bc::FuncCode& fc = prog.functions[bf.fn];
-      Frame tf;
-      tf.fn = bf.fn;
-      tf.block = fc.pc_block[bf.pc];
-      tf.ip = fc.pc_ip[bf.pc];
-      tf.prev_block = bf.prev_block;
-      tf.regs.assign(bf.regs.begin(), bf.regs.begin() + fc.num_regs);
-      tf.saved_esp = bf.saved_esp;
-      tf.caller_result_reg = bf.caller_result_reg;
-      // The tree tier's buffer is valid exactly when execution sits inside a
-      // phi group past its head (the head instruction does the lazy fill).
-      const std::uint32_t group = fc.phi_count[tf.block];
-      if (bf.phi_valid && tf.ip > 0 && tf.ip < group) {
-        const ir::BasicBlock& bb = module_.functions[bf.fn].blocks[tf.block];
-        tf.phi_values.assign(bb.instructions.size(), 0);
-        for (std::uint32_t k = 0; k < group; ++k) tf.phi_values[k] = bf.phi[k];
-        tf.phi_values_valid = true;
-      }
-      ckpt.frames.push_back(std::move(tf));
-    }
-    ckpt.memory = memory_.TakeSnapshot();
-    checkpoints->push_back(std::move(ckpt));
-  };
-
   auto push_frame = [&](std::uint32_t callee_index, const std::uint64_t* args,
                         std::uint32_t result_reg) {
-    const bc::FuncCode& cfc = prog.functions[callee_index];
     const ir::Function& callee = module_.functions[callee_index];
-    BFrame nf;
-    nf.fn = callee_index;
-    nf.regs.assign(cfc.frame_slots, 0);
+    Frame nf = NewFrame(callee_index);
     for (std::uint32_t i = 0; i < callee.num_params; ++i) {
       nf.regs[i] = Canonicalize(callee.registers[i].type, args[i]);
     }
-    std::copy(literal_values_[callee_index].begin(), literal_values_[callee_index].end(),
-              nf.regs.begin() + cfc.num_regs);
-    nf.saved_esp = memory_.esp();
     nf.caller_result_reg = result_reg;
     stack.push_back(std::move(nf));
   };
 
-  // --- careful single-step: the tree interpreter's loop body, one IR
-  // instruction at a time. Returns false when the run trapped (result is
-  // already finalized via trap_out).
+  // --- careful single-step: one IR instruction, published to the sink.
+  // Returns false when the run trapped (result is already finalized via
+  // trap_out). Inlined into the event loop: as an out-of-line call it cost a
+  // sink-attached run up to ~15% of its stepping time.
   std::vector<std::uint64_t> operand_buf;
-  auto careful_step = [&]() -> bool {
-    BFrame& f = stack.back();
+  auto careful_step = [&]() EPVF_BC_ALWAYS_INLINE -> bool {
+    Frame& f = stack.back();
     const bc::FuncCode& fc = prog.functions[f.fn];
     const ir::Function& fn = module_.functions[f.fn];
     const std::uint32_t block = fc.pc_block[f.pc];
@@ -224,32 +126,31 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
         case ir::ValueKind::kGlobal: return global_addresses_[ref.index];
         case ir::ValueKind::kNone: break;
       }
-      throw std::logic_error("Interpreter::ValueOf: bad value reference");
+      throw std::logic_error("Interpreter: bad value reference");
     };
 
-    // --- operand gathering + fault injection (tree-tier order) -------------
+    DynContext ctx;
+    ctx.dyn_index = dyn;
+    ctx.sid = ir::StaticInstrId{f.fn, block, ip};
+    ctx.module = &module_;
+    ctx.fn = &fn;
+    ctx.inst = &inst;
+
+    // --- operand gathering + fault injection --------------------------------
     operand_buf.assign(inst.operands.size(), 0);
     const bool fault_here =
         fault.has_value() && fault->kind == FaultKind::kRegister && fault->dyn_index == dyn;
-    std::uint32_t selected = ir::kInvalidIndex;
 
     if (inst.op == Opcode::kPhi) {
-      if (!f.phi_valid) FillPhiFromPred(fc, f, block);
-      for (std::uint32_t i = 0; i < inst.phi_blocks.size(); ++i) {
-        if (inst.phi_blocks[i] == f.prev_block) {
-          selected = i;
-          break;
-        }
-      }
-      if (selected == ir::kInvalidIndex) {
-        throw std::logic_error("Interpreter: phi has no incoming edge for predecessor");
-      }
+      std::uint32_t selected = 0;
+      while (inst.phi_blocks[selected] != f.prev_block) ++selected;
+      ctx.selected_operand = selected;
       operand_buf[selected] = f.phi[ip];
       if (fault_here && fault->operand_slot == selected &&
           inst.operands[selected].IsRegister()) {
         // Source-register injection: corrupt the incoming register, and let
         // this phi read the corrupted value (the buffered values other phis
-        // of the group read stay pre-flip, as on the tree tier).
+        // of the group read stay pre-flip).
         const auto reg = inst.operands[selected].index;
         const Type rt = fn.registers[reg].type;
         f.regs[reg] = Canonicalize(rt, FlipBits(f.regs[reg], fault->bit, fault->num_bits));
@@ -257,7 +158,6 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
         result.fault_was_applied = true;
       }
     } else {
-      f.phi_valid = false;
       if (fault_here && fault->operand_slot < inst.operands.size()) {
         const ir::ValueRef target = inst.operands[fault->operand_slot];
         if (target.IsRegister()) {
@@ -279,9 +179,20 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
         result.fault_was_applied = true;
       }
     }
+    ctx.operand_values = std::span<const std::uint64_t>(operand_buf);
 
     auto set_result = [&](std::uint64_t bits) {
-      f.regs[inst.result] = Canonicalize(inst.type, bits);
+      const std::uint64_t canonical = Canonicalize(inst.type, bits);
+      f.regs[inst.result] = canonical;
+      ctx.has_result = true;
+      ctx.result_bits = canonical;
+    };
+    auto probe = [&](std::uint64_t addr, unsigned size) {
+      ctx.is_mem_access = true;
+      ctx.mem_addr = addr;
+      ctx.mem_size = size;
+      ctx.map_version = memory_.map().version();
+      ctx.esp = memory_.esp();
     };
 
     // --- execution ----------------------------------------------------------
@@ -309,7 +220,7 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
         set_result((operand_buf[0] & 1) != 0 ? operand_buf[1] : operand_buf[2]);
         break;
       case Opcode::kPhi:
-        set_result(operand_buf[selected]);
+        set_result(operand_buf[ctx.selected_operand]);
         break;
       case Opcode::kTrunc:
       case Opcode::kBitCast:
@@ -367,6 +278,7 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
           return false;
         }
         set_result(memory_.LoadScalar(addr, size));
+        probe(addr, size);
         break;
       }
       case Opcode::kStore: {
@@ -379,6 +291,7 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
           return false;
         }
         memory_.StoreScalar(addr, size, operand_buf[0]);
+        probe(addr, size);
         break;
       }
       case Opcode::kBr:
@@ -400,6 +313,10 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
               result.output.push_back(operand_buf[0]);
               break;
             case ir::Intrinsic::kOutputF64: {
+              // Programs emit output through printf-style formatting with
+              // limited precision ("%.6g" here); SDC detection compares that
+              // printed text, so sub-precision floating-point deviations are
+              // masked exactly as in the paper's LLFI-based methodology.
               char text[64];
               std::snprintf(text, sizeof text, "%.6g", DoubleFromBits(operand_buf[0]));
               result.output.push_back(BitsFromDouble(std::strtod(text, nullptr)));
@@ -447,6 +364,7 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
       }
     }
 
+    if (sink != nullptr) sink->OnInstruction(ctx);
     ++dyn;
 
     if (did_return) {
@@ -455,6 +373,7 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
       const Type ret_type = fn.return_type;
       stack.pop_back();
       memory_.SetEsp(restored_esp);
+      if (sink != nullptr) sink->OnExitFunction(ret_has_value && !stack.empty());
       if (!stack.empty() && ret_has_value && result_reg != ir::kInvalidIndex) {
         stack.back().regs[result_reg] = Canonicalize(ret_type, ret_bits);
       }
@@ -464,19 +383,15 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
       f.pc += 1;  // caller resumes past the call
       push_frame(inst.callee, operand_buf.data(),
                  inst.DefinesValue() ? inst.result : ir::kInvalidIndex);
+      if (sink != nullptr) sink->OnEnterFunction(inst.callee);
       return true;
     }
     if (next_block != ir::kInvalidIndex) {
-      // The branch's BOp carries the edge ids for this transition; filling
-      // eagerly here keeps the fast loop free to resume mid-group.
+      // The branch's BOp carries the edge ids for this transition.
       const bc::BOp& bop = fc.code[f.pc];
-      std::uint32_t edge = bc::kNoEdge;
-      if (inst.op == Opcode::kBr) {
-        edge = static_cast<std::uint32_t>(bop.imm);
-      } else {
-        edge = cond_taken ? static_cast<std::uint32_t>(bop.imm >> 32)
-                          : static_cast<std::uint32_t>(bop.imm);
-      }
+      const std::uint32_t edge = inst.op == Opcode::kCondBr && cond_taken
+                                     ? static_cast<std::uint32_t>(bop.imm >> 32)
+                                     : static_cast<std::uint32_t>(bop.imm);
       f.prev_block = block;
       f.pc = fc.block_start[next_block];
       ApplyPhiEdge(fc, f, edge);
@@ -486,10 +401,10 @@ RunResult Interpreter::ExecuteBytecode(std::vector<Frame> seed, std::uint64_t dy
     return true;
   };
 
-  // --- main loop: careful windows around events, fast dispatch between -----
+  // --- main loop: careful steps around events, fast dispatch between -------
   std::vector<std::uint64_t> arg_buf;
   std::uint64_t fast_guard = 0;
-  BFrame* f = nullptr;
+  Frame* f = nullptr;
   const bc::FuncCode* fcur = nullptr;
   const bc::BOp* code = nullptr;
   std::uint64_t* R = nullptr;
@@ -511,32 +426,40 @@ events:
       return result;
     }
     if (next_ckpt < checkpoint_at.size() && dyn == checkpoint_at[next_ckpt]) {
-      capture_checkpoint();
+      // Capture state *before* instruction #dyn executes: a run resumed from
+      // this checkpoint replays exactly the instructions from dyn onward.
+      Checkpoint ckpt;
+      ckpt.dyn_index = dyn;
+      ckpt.fault_was_applied = result.fault_was_applied;
+      ckpt.frames = stack;
+      ckpt.output = result.output;
+      ckpt.memory = memory_.TakeSnapshot();
+      checkpoints->push_back(std::move(ckpt));
       do {
         ++next_ckpt;  // skip duplicates
       } while (next_ckpt < checkpoint_at.size() && checkpoint_at[next_ckpt] <= dyn);
     }
     if (dyn >= max_instr) return trap_out(TrapKind::kInstructionLimit, 0);
-    // Memory-resident faults: corrupt the byte before instruction #dyn runs
-    // (the guard clamps the fast loop, so the event loop always observes the
-    // site index). Same placement as the tree tier — the tiers stay
-    // bit-identical per run.
+    // Memory-resident faults corrupt the byte *before* instruction #dyn runs
+    // (the instruction after the producing store; the guard clamps the fast
+    // loop, so this loop always observes the site index), so a run resumed
+    // from any checkpoint at or before the site replays the identical
+    // corruption.
     if (fault.has_value() && fault->kind == FaultKind::kMemory && fault->dyn_index == dyn &&
         !result.fault_was_applied) {
       memory_.FlipBits(fault->addr, fault->bit, fault->num_bits);
       result.fault_was_applied = true;
     }
-    const std::uint64_t g = guard();
-    if (dyn + 2 <= g) {
-      fast_guard = g;
-      break;
+    if (sink == nullptr) {
+      const std::uint64_t g = guard();
+      if (dyn + 2 <= g) {
+        fast_guard = g;
+        break;
+      }
     }
     if (!careful_step()) return result;
   }
   load_frame();
-  if (code[pc].op == bc::BOpcode::kPhi && !f->phi_valid) {
-    FillPhiFromPred(*fcur, *f, fcur->pc_block[pc]);
-  }
 
 #if EPVF_BC_THREADED
   {
@@ -928,7 +851,7 @@ events:
   }
 #else
       default:
-        throw std::logic_error("ExecuteBytecode: bad opcode");
+        throw std::logic_error("Interpreter: bad opcode");
     }
   }
 #endif

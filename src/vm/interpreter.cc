@@ -1,52 +1,23 @@
 #include "vm/interpreter.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "vm/bytecode.h"
 #include "vm/compile.h"
-#include "vm/eval.h"
-#include "vm/value.h"
 
 namespace epvf::vm {
 
 namespace {
 
-using ir::Opcode;
-using ir::Type;
-
-using detail::EvalBinary;
-using detail::EvalFCmp;
-using detail::EvalICmp;
-using detail::EvalIntrinsicMath;
-using detail::SafeFpToInt;
-using detail::TrapFromMemFault;
-
-void CountRun(bool bytecode_tier) {
-  static obs::Counter& tree_runs = obs::GetCounter("vm.runs.tree");
-  static obs::Counter& bc_runs = obs::GetCounter("vm.runs.bytecode");
-  (bytecode_tier ? bc_runs : tree_runs).Add();
+void CountRun() {
+  static obs::Counter& runs = obs::GetCounter("vm.runs");
+  runs.Add();
 }
 
 }  // namespace
-
-std::string_view EngineName(Engine engine) {
-  switch (engine) {
-    case Engine::kAuto: return "auto";
-    case Engine::kTree: return "tree";
-    case Engine::kBytecode: return "bytecode";
-  }
-  return "<bad>";
-}
-
-std::optional<Engine> ParseEngine(std::string_view name) {
-  if (name == "auto") return Engine::kAuto;
-  if (name == "tree") return Engine::kTree;
-  if (name == "bytecode") return Engine::kBytecode;
-  return std::nullopt;
-}
 
 std::string_view TrapKindName(TrapKind kind) {
   switch (kind) {
@@ -73,32 +44,21 @@ Interpreter::Interpreter(const ir::Module& module, ExecOptions options)
       memory_.WriteBytes(addr, std::span<const std::uint8_t>(g.init));
     }
   }
-}
-
-std::uint64_t Interpreter::ValueOf(const Frame& frame, ir::ValueRef ref) const {
-  switch (ref.kind) {
-    case ir::ValueKind::kRegister: return frame.regs[ref.index];
-    case ir::ValueKind::kConstant: return module_.GetConstant(ref.index).bits;
-    case ir::ValueKind::kGlobal: return global_addresses_[ref.index];
-    case ir::ValueKind::kNone: break;
+  program_ = options_.bytecode != nullptr ? options_.bytecode : bc::Compile(module_);
+  // Constant bits are layout-independent, global addresses are not (jitter).
+  literal_values_.resize(program_->functions.size());
+  for (std::size_t i = 0; i < program_->functions.size(); ++i) {
+    const std::vector<bc::Literal>& literals = program_->functions[i].literals;
+    literal_values_[i].reserve(literals.size());
+    for (const bc::Literal& lit : literals) {
+      literal_values_[i].push_back(lit.is_global ? global_addresses_[lit.payload] : lit.payload);
+    }
   }
-  throw std::logic_error("Interpreter::ValueOf: bad value reference");
-}
-
-bool Interpreter::UseBytecodeTier(const TraceSink* sink) {
-  if (options_.engine == Engine::kTree) return false;
-  if (sink != nullptr || options_.record_map_history) return false;
-  if (program_ == nullptr) {
-    program_ = options_.bytecode != nullptr ? options_.bytecode : bc::Compile(module_);
-  }
-  return program_->supported;
 }
 
 RunResult Interpreter::Run(std::string_view entry, TraceSink* sink) {
   const obs::TraceSpan span("vm", "run");
-  const bool fast = UseBytecodeTier(sink);
-  CountRun(fast);
-  if (fast) return ExecuteBytecode(EntryStack(entry, sink), 0, RunResult{}, {}, nullptr);
+  CountRun();
   return Execute(EntryStack(entry, sink), 0, RunResult{}, {}, nullptr, sink);
 }
 
@@ -110,11 +70,7 @@ RunResult Interpreter::RunWithCheckpoints(std::string_view entry,
     throw std::logic_error("Interpreter::RunWithCheckpoints: unsupported with map history");
   }
   const obs::TraceSpan span("vm", "run-with-checkpoints");
-  const bool fast = UseBytecodeTier(sink);
-  CountRun(fast);
-  if (fast) {
-    return ExecuteBytecode(EntryStack(entry, sink), 0, RunResult{}, checkpoint_at, &checkpoints);
-  }
+  CountRun();
   return Execute(EntryStack(entry, sink), 0, RunResult{}, checkpoint_at, &checkpoints, sink);
 }
 
@@ -126,383 +82,21 @@ RunResult Interpreter::ResumeFrom(const Checkpoint& checkpoint, TraceSink* sink)
   RunResult result;
   result.output = checkpoint.output;
   result.fault_was_applied = checkpoint.fault_was_applied;
-  const bool fast = UseBytecodeTier(sink);
-  CountRun(fast);
-  if (fast) {
-    return ExecuteBytecode(checkpoint.frames, checkpoint.dyn_index, std::move(result), {},
-                           nullptr);
-  }
+  CountRun();
   return Execute(checkpoint.frames, checkpoint.dyn_index, std::move(result), {}, nullptr, sink);
 }
 
 std::vector<Interpreter::Frame> Interpreter::EntryStack(std::string_view entry, TraceSink* sink) {
   const auto entry_index = module_.FindFunction(entry);
   if (!entry_index) throw std::invalid_argument("Interpreter: no function named " + std::string(entry));
-  const ir::Function& entry_fn = module_.functions[*entry_index];
-  if (entry_fn.num_params != 0) {
+  if (module_.functions[*entry_index].num_params != 0) {
     throw std::invalid_argument("Interpreter: entry function must take no parameters");
   }
 
   std::vector<Frame> stack;
-  Frame frame;
-  frame.fn = *entry_index;
-  frame.regs.assign(entry_fn.registers.size(), 0);
-  frame.saved_esp = memory_.esp();
-  stack.push_back(std::move(frame));
+  stack.push_back(NewFrame(*entry_index));
   if (sink != nullptr) sink->OnEnterFunction(*entry_index);
   return stack;
-}
-
-RunResult Interpreter::Execute(std::vector<Frame> stack, std::uint64_t dyn, RunResult result,
-                               std::span<const std::uint64_t> checkpoint_at,
-                               std::vector<Checkpoint>* checkpoints, TraceSink* sink) {
-  std::vector<std::uint64_t> operand_buf;
-  std::size_t next_checkpoint = 0;
-  while (next_checkpoint < checkpoint_at.size() && checkpoint_at[next_checkpoint] < dyn) {
-    ++next_checkpoint;
-  }
-
-  const std::optional<FaultPlan>& fault = options_.fault;
-
-  auto trap_out = [&](TrapKind kind, std::uint64_t addr) {
-    result.trap = kind;
-    result.trap_dyn_index = dyn;
-    result.trap_addr = addr;
-    result.instructions_executed = dyn;
-    return result;
-  };
-
-  while (!stack.empty()) {
-    if (next_checkpoint < checkpoint_at.size() && dyn == checkpoint_at[next_checkpoint]) {
-      // Capture state *before* instruction #dyn executes: a run resumed from
-      // this checkpoint replays exactly the instructions from dyn onward.
-      Checkpoint ckpt;
-      ckpt.dyn_index = dyn;
-      ckpt.fault_was_applied = result.fault_was_applied;
-      ckpt.frames = stack;
-      ckpt.output = result.output;
-      ckpt.memory = memory_.TakeSnapshot();
-      checkpoints->push_back(std::move(ckpt));
-      do {
-        ++next_checkpoint;  // skip duplicates
-      } while (next_checkpoint < checkpoint_at.size() && checkpoint_at[next_checkpoint] <= dyn);
-    }
-
-    Frame& frame = stack.back();
-    const ir::Function& fn = module_.functions[frame.fn];
-    const ir::BasicBlock& bb = fn.blocks[frame.block];
-    if (frame.ip >= bb.instructions.size()) {
-      throw std::logic_error("Interpreter: fell off the end of block " + bb.name);
-    }
-    const ir::Instruction& inst = bb.instructions[frame.ip];
-
-    if (dyn >= options_.max_instructions) {
-      return trap_out(TrapKind::kInstructionLimit, 0);
-    }
-
-    // Memory-resident faults corrupt the byte *before* instruction #dyn runs
-    // (the instruction after the producing store), so a run resumed from any
-    // checkpoint at or before the site replays the identical corruption.
-    if (fault.has_value() && fault->kind == FaultKind::kMemory && fault->dyn_index == dyn &&
-        !result.fault_was_applied) {
-      memory_.FlipBits(fault->addr, fault->bit, fault->num_bits);
-      result.fault_was_applied = true;
-    }
-
-    DynContext ctx;
-    ctx.dyn_index = dyn;
-    ctx.sid = ir::StaticInstrId{frame.fn, frame.block, frame.ip};
-    ctx.module = &module_;
-    ctx.fn = &fn;
-    ctx.inst = &inst;
-
-    // --- operand gathering + fault injection --------------------------------
-    operand_buf.assign(inst.operands.size(), 0);
-    const bool fault_here =
-        fault.has_value() && fault->kind == FaultKind::kRegister && fault->dyn_index == dyn;
-
-    if (inst.op == Opcode::kPhi) {
-      // Precompute the whole leading phi group on first encounter so that
-      // mutually-referencing phis (buffer swaps) see pre-transfer values.
-      if (!frame.phi_values_valid) {
-        frame.phi_values.assign(bb.instructions.size(), 0);
-        for (std::uint32_t pi = frame.ip;
-             pi < bb.instructions.size() && bb.instructions[pi].op == Opcode::kPhi; ++pi) {
-          const ir::Instruction& phi = bb.instructions[pi];
-          bool found = false;
-          for (std::uint32_t i = 0; i < phi.phi_blocks.size(); ++i) {
-            if (phi.phi_blocks[i] == frame.prev_block) {
-              frame.phi_values[pi] = ValueOf(frame, phi.operands[i]);
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            throw std::logic_error("Interpreter: phi has no incoming edge for predecessor");
-          }
-        }
-        frame.phi_values_valid = true;
-      }
-      std::uint32_t selected = DynContext::kNoSelection;
-      for (std::uint32_t i = 0; i < inst.phi_blocks.size(); ++i) {
-        if (inst.phi_blocks[i] == frame.prev_block) {
-          selected = i;
-          break;
-        }
-      }
-      ctx.selected_operand = selected;
-      operand_buf[selected] = frame.phi_values[frame.ip];
-      if (fault_here && fault->operand_slot == selected &&
-          inst.operands[selected].IsRegister()) {
-        // Source-register injection: corrupt the incoming register, and let
-        // this phi read the corrupted value.
-        const auto reg = inst.operands[selected].index;
-        const Type rt = fn.registers[reg].type;
-        frame.regs[reg] =
-            Canonicalize(rt, FlipBits(frame.regs[reg], fault->bit, fault->num_bits));
-        operand_buf[selected] = frame.regs[reg];
-        result.fault_was_applied = true;
-      }
-    } else {
-      frame.phi_values_valid = false;
-      if (fault_here && fault->operand_slot < inst.operands.size()) {
-        const ir::ValueRef target = inst.operands[fault->operand_slot];
-        if (target.IsRegister()) {
-          const Type rt = fn.registers[target.index].type;
-          frame.regs[target.index] = Canonicalize(
-              rt, FlipBits(frame.regs[target.index], fault->bit, fault->num_bits));
-          result.fault_was_applied = true;
-        }
-      }
-      for (std::size_t i = 0; i < inst.operands.size(); ++i) {
-        operand_buf[i] = ValueOf(frame, inst.operands[i]);
-      }
-      // Flips into constant/global operands corrupt only this use.
-      if (fault_here && fault->operand_slot < inst.operands.size() &&
-          !inst.operands[fault->operand_slot].IsRegister()) {
-        const Type ot = module_.TypeOf(fn, inst.operands[fault->operand_slot]);
-        operand_buf[fault->operand_slot] = Canonicalize(
-            ot, FlipBits(operand_buf[fault->operand_slot], fault->bit, fault->num_bits));
-        result.fault_was_applied = true;
-      }
-    }
-    ctx.operand_values = std::span<const std::uint64_t>(operand_buf);
-
-    auto set_result = [&](std::uint64_t bits) {
-      const std::uint64_t canonical = Canonicalize(inst.type, bits);
-      frame.regs[inst.result] = canonical;
-      ctx.has_result = true;
-      ctx.result_bits = canonical;
-    };
-
-    // --- execution ------------------------------------------------------------
-    std::uint32_t next_block = ir::kInvalidIndex;
-    bool did_return = false;
-    bool did_call = false;
-    std::uint64_t ret_bits = 0;
-    bool ret_has_value = false;
-
-    switch (inst.op) {
-      case Opcode::kICmp:
-        set_result(EvalICmp(inst.icmp_pred, module_.TypeOf(fn, inst.operands[0]),
-                            operand_buf[0], operand_buf[1])
-                       ? 1
-                       : 0);
-        break;
-      case Opcode::kFCmp:
-        set_result(EvalFCmp(inst.fcmp_pred, module_.TypeOf(fn, inst.operands[0]),
-                            operand_buf[0], operand_buf[1])
-                       ? 1
-                       : 0);
-        break;
-      case Opcode::kSelect:
-        set_result((operand_buf[0] & 1) != 0 ? operand_buf[1] : operand_buf[2]);
-        break;
-      case Opcode::kPhi:
-        set_result(operand_buf[ctx.selected_operand]);
-        break;
-      case Opcode::kTrunc:
-      case Opcode::kBitCast:
-      case Opcode::kPtrToInt:
-      case Opcode::kIntToPtr:
-        set_result(operand_buf[0]);  // canonicalization truncates as needed
-        break;
-      case Opcode::kZExt:
-        set_result(operand_buf[0]);
-        break;
-      case Opcode::kSExt:
-        set_result(SignExtendFrom(operand_buf[0],
-                                  module_.TypeOf(fn, inst.operands[0]).BitWidth()));
-        break;
-      case Opcode::kSIToFP: {
-        const auto sv = SignedOf(module_.TypeOf(fn, inst.operands[0]), operand_buf[0]);
-        set_result(inst.type == Type::F32()
-                       ? BitsFromFloat(static_cast<float>(sv))
-                       : BitsFromDouble(static_cast<double>(sv)));
-        break;
-      }
-      case Opcode::kUIToFP:
-        set_result(inst.type == Type::F32()
-                       ? BitsFromFloat(static_cast<float>(operand_buf[0]))
-                       : BitsFromDouble(static_cast<double>(operand_buf[0])));
-        break;
-      case Opcode::kFPToSI: {
-        const Type from = module_.TypeOf(fn, inst.operands[0]);
-        const double d =
-            from == Type::F32() ? FloatFromBits(operand_buf[0]) : DoubleFromBits(operand_buf[0]);
-        set_result(static_cast<std::uint64_t>(SafeFpToInt(d)));
-        break;
-      }
-      case Opcode::kFPTrunc:
-        set_result(BitsFromFloat(static_cast<float>(DoubleFromBits(operand_buf[0]))));
-        break;
-      case Opcode::kFPExt:
-        set_result(BitsFromDouble(static_cast<double>(FloatFromBits(operand_buf[0]))));
-        break;
-      case Opcode::kAlloca: {
-        const std::uint64_t new_esp = (memory_.esp() - inst.alloca_bytes) & ~std::uint64_t{15};
-        memory_.SetEsp(new_esp);
-        set_result(new_esp);
-        break;
-      }
-      case Opcode::kGep: {
-        const Type index_type = module_.TypeOf(fn, inst.operands[1]);
-        const std::uint64_t index = SignExtendFrom(operand_buf[1], index_type.BitWidth());
-        set_result(operand_buf[0] + inst.gep_elem_bytes * index);
-        break;
-      }
-      case Opcode::kLoad: {
-        const std::uint64_t addr = operand_buf[0];
-        const unsigned size = inst.type.StoreSize();
-        const mem::MemFault mf = memory_.CheckAccess(addr, size);
-        if (mf != mem::MemFault::kNone) return trap_out(TrapFromMemFault(mf), addr);
-        set_result(memory_.LoadScalar(addr, size));
-        ctx.is_mem_access = true;
-        ctx.mem_addr = addr;
-        ctx.mem_size = size;
-        ctx.map_version = memory_.map().version();
-        ctx.esp = memory_.esp();
-        break;
-      }
-      case Opcode::kStore: {
-        const std::uint64_t addr = operand_buf[1];
-        const Type value_type = module_.TypeOf(fn, inst.operands[0]);
-        const unsigned size = value_type.StoreSize();
-        const mem::MemFault mf = memory_.CheckAccess(addr, size);
-        if (mf != mem::MemFault::kNone) return trap_out(TrapFromMemFault(mf), addr);
-        memory_.StoreScalar(addr, size, operand_buf[0]);
-        ctx.is_mem_access = true;
-        ctx.mem_addr = addr;
-        ctx.mem_size = size;
-        ctx.map_version = memory_.map().version();
-        ctx.esp = memory_.esp();
-        break;
-      }
-      case Opcode::kBr:
-        next_block = inst.bb_true;
-        break;
-      case Opcode::kCondBr:
-        next_block = (operand_buf[0] & 1) != 0 ? inst.bb_true : inst.bb_false;
-        break;
-      case Opcode::kRet:
-        did_return = true;
-        ret_has_value = !inst.operands.empty();
-        if (ret_has_value) ret_bits = operand_buf[0];
-        break;
-      case Opcode::kCall: {
-        if (inst.is_intrinsic) {
-          switch (inst.intrinsic) {
-            case ir::Intrinsic::kOutputI64:
-              result.output.push_back(operand_buf[0]);
-              break;
-            case ir::Intrinsic::kOutputF64: {
-              // Programs emit output through printf-style formatting with
-              // limited precision ("%.6g" here); SDC detection compares that
-              // printed text, so sub-precision floating-point deviations are
-              // masked exactly as in the paper's LLFI-based methodology.
-              char text[64];
-              std::snprintf(text, sizeof text, "%.6g", DoubleFromBits(operand_buf[0]));
-              result.output.push_back(BitsFromDouble(std::strtod(text, nullptr)));
-              break;
-            }
-            case ir::Intrinsic::kMalloc:
-              set_result(memory_.Malloc(operand_buf[0]));
-              break;
-            case ir::Intrinsic::kFree:
-              memory_.Free(operand_buf[0]);
-              break;
-            case ir::Intrinsic::kAbort:
-              return trap_out(TrapKind::kAbort, 0);
-            case ir::Intrinsic::kAssert:
-              if ((operand_buf[0] & 1) == 0) return trap_out(TrapKind::kAbort, 0);
-              break;
-            case ir::Intrinsic::kDetect:
-              return trap_out(TrapKind::kDetected, 0);
-            default:
-              set_result(EvalIntrinsicMath(inst.intrinsic, operand_buf[0],
-                                           inst.operands.size() > 1 ? operand_buf[1] : 0));
-              break;
-          }
-        } else {
-          did_call = true;
-        }
-        break;
-      }
-      default: {
-        // Binary arithmetic/bitwise.
-        TrapKind arith = TrapKind::kNone;
-        const std::uint64_t r =
-            EvalBinary(inst.op, inst.type, operand_buf[0], operand_buf[1], arith);
-        if (arith != TrapKind::kNone) return trap_out(arith, 0);
-        set_result(r);
-        break;
-      }
-    }
-
-    if (sink != nullptr) sink->OnInstruction(ctx);
-    ++dyn;
-
-    if (did_return) {
-      const std::uint64_t restored_esp = frame.saved_esp;
-      const std::uint32_t result_reg = frame.caller_result_reg;
-      const Type ret_type = fn.return_type;
-      stack.pop_back();
-      memory_.SetEsp(restored_esp);
-      if (sink != nullptr) sink->OnExitFunction(ret_has_value && !stack.empty());
-      if (!stack.empty() && ret_has_value && result_reg != ir::kInvalidIndex) {
-        stack.back().regs[result_reg] = Canonicalize(ret_type, ret_bits);
-      }
-      continue;
-    }
-    if (did_call) {
-      // Advance the caller past the call before pushing the callee frame.
-      frame.ip += 1;
-      const std::uint32_t callee_index = inst.callee;
-      const ir::Function& callee = module_.functions[callee_index];
-      Frame callee_frame;
-      callee_frame.fn = callee_index;
-      callee_frame.regs.assign(callee.registers.size(), 0);
-      for (std::uint32_t i = 0; i < callee.num_params; ++i) {
-        callee_frame.regs[i] = Canonicalize(callee.registers[i].type, operand_buf[i]);
-      }
-      callee_frame.saved_esp = memory_.esp();
-      callee_frame.caller_result_reg = inst.DefinesValue() ? inst.result : ir::kInvalidIndex;
-      stack.push_back(std::move(callee_frame));
-      if (sink != nullptr) sink->OnEnterFunction(callee_index);
-      continue;
-    }
-    if (next_block != ir::kInvalidIndex) {
-      frame.prev_block = frame.block;
-      frame.block = next_block;
-      frame.ip = 0;
-      frame.phi_values_valid = false;
-      continue;
-    }
-    frame.ip += 1;
-  }
-
-  result.instructions_executed = dyn;
-  return result;
 }
 
 }  // namespace epvf::vm

@@ -42,14 +42,6 @@ enum class TrapKind : std::uint8_t {
 
 [[nodiscard]] std::string_view TrapKindName(TrapKind kind);
 
-/// Execution tier. kAuto picks the bytecode fast tier whenever the run is
-/// uninstrumented (no TraceSink, no map history) and the module compiles;
-/// golden profiling/DDG runs always stay on the instrumented tree tier.
-enum class Engine : std::uint8_t { kAuto, kTree, kBytecode };
-
-[[nodiscard]] std::string_view EngineName(Engine engine);
-[[nodiscard]] std::optional<Engine> ParseEngine(std::string_view name);
-
 struct ExecOptions {
   std::uint64_t max_instructions = 200'000'000;
   mem::MemoryLayout layout;
@@ -57,9 +49,8 @@ struct ExecOptions {
   /// Snapshot the memory map at every version (golden/profiling runs).
   bool record_map_history = false;
   std::optional<FaultPlan> fault;
-  Engine engine = Engine::kAuto;
   /// Precompiled bytecode for the module (one compile shared across every
-  /// Interpreter of a campaign). Compiled on first use when absent.
+  /// Interpreter of a campaign). Compiled by the constructor when absent.
   std::shared_ptr<const bc::Program> bytecode;
 };
 
@@ -80,24 +71,25 @@ struct RunResult {
 
 class Interpreter {
  public:
+  /// One call frame, in the form the executor steps it. `pc` indexes the
+  /// function's bytecode (pc == block_start[block] + ip, see vm/bytecode.h).
+  /// `regs` holds the SSA registers followed by the literal pool values, so
+  /// every operand is one slot. LLVM phi semantics are parallel: all phis at
+  /// a block's head read their incoming values simultaneously (buffer-swap
+  /// phis depend on this), so the branch into a block fills `phi` with the
+  /// leading group and each phi then consumes its own entry.
   struct Frame {
     std::uint32_t fn = 0;
-    std::uint32_t block = 0;
+    std::uint32_t pc = 0;
     std::uint32_t prev_block = ir::kInvalidIndex;
-    std::uint32_t ip = 0;  ///< next instruction index within block
-    std::vector<std::uint64_t> regs;
     std::uint64_t saved_esp = 0;
     std::uint32_t caller_result_reg = ir::kInvalidIndex;
-    /// LLVM phi semantics are parallel: all phis at a block's head read their
-    /// incoming values simultaneously (buffer-swap phis depend on this). The
-    /// leading phi group's values are computed together on block entry and
-    /// consumed one instruction at a time.
-    std::vector<std::uint64_t> phi_values;
-    bool phi_values_valid = false;
+    std::vector<std::uint64_t> regs;
+    std::vector<std::uint64_t> phi;
   };
 
   /// Full execution state immediately *before* instruction `dyn_index` runs:
-  /// the call stack (registers, PC, phi buffers), the output stream so far,
+  /// the call stack (registers, pc, phi buffers), the output stream so far,
   /// and a copy-on-write memory snapshot. A checkpoint is self-contained —
   /// any Interpreter over the same module/options can resume from it, and one
   /// checkpoint can seed any number of concurrent resumed runs.
@@ -109,6 +101,9 @@ class Interpreter {
     mem::MemSnapshot memory;
   };
 
+  /// Lays out the globals and compiles `module` unless options.bytecode
+  /// carries its program. The module must pass ir::VerifyModule: bc::Compile
+  /// throws std::invalid_argument on the constructs the verifier rejects.
   Interpreter(const ir::Module& module, ExecOptions options);
 
   /// Executes `entry` (no arguments) to completion or trap.
@@ -139,28 +134,21 @@ class Interpreter {
   }
 
  private:
-  [[nodiscard]] std::uint64_t ValueOf(const Frame& frame, ir::ValueRef ref) const;
+  /// A fresh frame of function `fn` at pc 0: zeroed registers followed by
+  /// the function's literal pool values. Defined in exec_bytecode.cc.
+  [[nodiscard]] Frame NewFrame(std::uint32_t fn) const;
 
   /// Builds the single entry frame for `entry` and announces it to `sink`.
   std::vector<Frame> EntryStack(std::string_view entry, TraceSink* sink);
 
   /// The fetch-execute loop, resumable at any instruction boundary: starts
   /// from an arbitrary (stack, dyn counter, partial result) state and runs to
-  /// completion or trap, optionally dropping checkpoints along the way.
+  /// completion or trap, optionally dropping checkpoints along the way. With
+  /// a sink attached every instruction takes the careful, instrumented step.
+  /// Defined in exec_bytecode.cc.
   RunResult Execute(std::vector<Frame> stack, std::uint64_t dyn, RunResult result,
                     std::span<const std::uint64_t> checkpoint_at,
                     std::vector<Checkpoint>* checkpoints, TraceSink* sink);
-
-  /// The bytecode tier's counterpart of Execute: same contract, same
-  /// checkpoint format (tree frames), bit-identical results. Defined in
-  /// exec_bytecode.cc.
-  RunResult ExecuteBytecode(std::vector<Frame> stack, std::uint64_t dyn, RunResult result,
-                            std::span<const std::uint64_t> checkpoint_at,
-                            std::vector<Checkpoint>* checkpoints);
-
-  /// Decides the tier for one run and lazily compiles/adopts the bytecode
-  /// program when the fast tier is eligible.
-  [[nodiscard]] bool UseBytecodeTier(const TraceSink* sink);
 
   const ir::Module& module_;
   ExecOptions options_;

@@ -1,9 +1,10 @@
 // Dynamic trace observation.
 //
 // The interpreter publishes every executed instruction to an optional
-// TraceSink. The DDG builder (ddg/builder.h) is the primary sink — it is the
-// paper's "dynamic instruction trace" consumer (section III-A) — but tests
-// install small sinks to assert execution order, and the probe information
+// TraceSink; an attached sink keeps the run on the executor's careful step.
+// The DDG builder (ddg/builder.h) is the primary sink — it is the paper's
+// "dynamic instruction trace" consumer (section III-A) — but tests install
+// small sinks to assert execution order, and the probe information
 // (memory-map version + ESP at each access) rides on the same events,
 // implementing the paper's per-load/store /proc probe.
 #pragma once
@@ -56,6 +57,14 @@ class TraceSink {
   /// Frame pop at return. `has_value` says whether a return value flows back
   /// into the caller's call-result register.
   virtual void OnExitFunction(bool has_value) { (void)has_value; }
+};
+
+/// Observes nothing. Attaching it keeps every instruction on the executor's
+/// careful, instrumented step, so tests and benches can hold that step
+/// against the sink-free fast loop.
+class NullTraceSink final : public TraceSink {
+ public:
+  void OnInstruction(const DynContext& ctx) override { (void)ctx; }
 };
 
 }  // namespace epvf::vm

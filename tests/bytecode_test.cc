@@ -1,21 +1,25 @@
-// The flat-bytecode execution tier (src/vm/bytecode.h, compile.cc,
+// The flat bytecode and its executor (src/vm/bytecode.h, compile.cc,
 // exec_bytecode.cc): structural invariants of the compiled program, and the
-// tier contract — a bytecode run is bit-identical to the tree interpreter
-// for fault-free runs, injected runs, budget traps, and checkpoint resume in
-// both directions.
+// executor contract — a sink-free run (the fast loop between events) is
+// bit-identical to a sink-attached run (every instruction on the careful
+// step) for fault-free runs, injected runs, budget traps, and checkpoint
+// resume in both directions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "apps/app.h"
 #include "epvf/analysis.h"
+#include "ir/builder.h"
 #include "vm/bytecode.h"
 #include "vm/compile.h"
 #include "vm/fault_plan.h"
 #include "vm/interpreter.h"
+#include "vm/trace.h"
 
 namespace epvf {
 namespace {
@@ -29,6 +33,14 @@ void ExpectSameResult(const vm::RunResult& got, const vm::RunResult& want) {
   EXPECT_EQ(got.output, want.output);
 }
 
+/// Runs `module` on the careful step: an attached sink keeps every
+/// instruction there.
+vm::RunResult RunCareful(const ir::Module& module, const vm::ExecOptions& exec) {
+  vm::NullTraceSink sink;
+  vm::Interpreter interp(module, exec);
+  return interp.Run("main", &sink);
+}
+
 // --- compiled-program structure ----------------------------------------------
 
 TEST(BytecodeCompile, CodeIsOneToOneWithInstructions) {
@@ -36,7 +48,6 @@ TEST(BytecodeCompile, CodeIsOneToOneWithInstructions) {
     const apps::App app = apps::BuildApp(name, apps::AppConfig{.scale = 0});
     const auto program = vm::bc::Compile(app.module);
     ASSERT_NE(program, nullptr);
-    ASSERT_TRUE(program->supported) << name << ": " << program->unsupported_reason;
     ASSERT_EQ(program->functions.size(), app.module.functions.size());
 
     for (std::size_t fi = 0; fi < app.module.functions.size(); ++fi) {
@@ -64,7 +75,7 @@ TEST(BytecodeCompile, CodeIsOneToOneWithInstructions) {
 TEST(BytecodeCompile, BranchTargetsResolveToBlockStarts) {
   const apps::App app = apps::BuildApp("lulesh", apps::AppConfig{.scale = 0});
   const auto program = vm::bc::Compile(app.module);
-  ASSERT_TRUE(program != nullptr && program->supported);
+  ASSERT_NE(program, nullptr);
 
   int branches = 0;
   for (std::size_t fi = 0; fi < app.module.functions.size(); ++fi) {
@@ -96,7 +107,7 @@ TEST(BytecodeCompile, BranchTargetsResolveToBlockStarts) {
 TEST(BytecodeCompile, LiteralPoolIsDedupedAndSlotsAreBounded) {
   const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
   const auto program = vm::bc::Compile(app.module);
-  ASSERT_TRUE(program != nullptr && program->supported);
+  ASSERT_NE(program, nullptr);
 
   for (std::size_t fi = 0; fi < program->functions.size(); ++fi) {
     const vm::bc::FuncCode& fc = program->functions[fi];
@@ -127,7 +138,7 @@ TEST(BytecodeCompile, LiteralPoolIsDedupedAndSlotsAreBounded) {
 TEST(BytecodeCompile, FusionFindsTheDominantPairs) {
   const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
   const auto program = vm::bc::Compile(app.module);
-  ASSERT_TRUE(program != nullptr && program->supported);
+  ASSERT_NE(program, nullptr);
   // mm's kernel is literally gep+load / mul+add / fmul+fadd / cmp+br loops.
   using vm::bc::BOpcode;
   EXPECT_GT(program->fused_pairs[static_cast<int>(BOpcode::kGepLoad)], 0u);
@@ -140,30 +151,30 @@ TEST(BytecodeCompile, FusionFindsTheDominantPairs) {
   EXPECT_GT(program->fused_pairs[static_cast<int>(BOpcode::kMulAdd)], 0u);
 }
 
-TEST(BytecodeEngine, ParseRoundTripsAndRejectsUnknown) {
-  for (const vm::Engine e : {vm::Engine::kAuto, vm::Engine::kTree, vm::Engine::kBytecode}) {
-    const auto parsed = vm::ParseEngine(vm::EngineName(e));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, e);
+TEST(BytecodeCompile, ThrowsOnAModuleWithoutATerminator) {
+  // Every shape the executor cannot represent is a verifier error, so Compile
+  // meets one only in an unverified module — and names it.
+  ir::Module m;
+  ir::IRBuilder b(m);
+  (void)b.CreateFunction("main", ir::Type::Void(), {});
+  b.Output(b.Add(b.I64(1), b.I64(2)));
+  try {
+    (void)vm::bc::Compile(m);
+    FAIL() << "Compile accepted a block without a terminator";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("terminator"), std::string::npos) << e.what();
   }
-  EXPECT_FALSE(vm::ParseEngine("warp").has_value());
-  EXPECT_FALSE(vm::ParseEngine("").has_value());
 }
 
-// --- tier identity ------------------------------------------------------------
+// --- careful step vs fast loop -------------------------------------------------
 
 TEST(BytecodeTier, FaultFreeRunsAreBitIdentical) {
   for (const char* name : {"mm", "lulesh", "srad", "bfs"}) {
     const apps::App app = apps::BuildApp(name, apps::AppConfig{.scale = 0});
-    vm::ExecOptions tree;
-    tree.engine = vm::Engine::kTree;
-    vm::Interpreter tree_interp(app.module, tree);
-    const vm::RunResult want = tree_interp.Run();
+    const vm::RunResult want = RunCareful(app.module, {});
 
-    vm::ExecOptions byte;
-    byte.engine = vm::Engine::kBytecode;
-    vm::Interpreter byte_interp(app.module, byte);
-    const vm::RunResult got = byte_interp.Run();
+    vm::Interpreter fast_interp(app.module, {});
+    const vm::RunResult got = fast_interp.Run();
     SCOPED_TRACE(name);
     ExpectSameResult(got, want);
     EXPECT_TRUE(want.Completed());
@@ -183,13 +194,10 @@ TEST(BytecodeTier, InjectedRunsAreBitIdentical) {
     for (const std::uint8_t bit : {std::uint8_t{0}, std::uint8_t{13}, std::uint8_t{31}}) {
       vm::ExecOptions exec;
       exec.fault = vm::FaultPlan{dyn, 0, bit};
-      exec.engine = vm::Engine::kTree;
-      vm::Interpreter tree_interp(app.module, exec);
-      const vm::RunResult want = tree_interp.Run();
+      const vm::RunResult want = RunCareful(app.module, exec);
 
-      exec.engine = vm::Engine::kBytecode;
-      vm::Interpreter byte_interp(app.module, exec);
-      const vm::RunResult got = byte_interp.Run();
+      vm::Interpreter fast_interp(app.module, exec);
+      const vm::RunResult got = fast_interp.Run();
       SCOPED_TRACE("dyn " + std::to_string(dyn) + " bit " + std::to_string(bit));
       ExpectSameResult(got, want);
     }
@@ -205,15 +213,12 @@ TEST(BytecodeTier, BudgetTrapsAtTheSameInstruction) {
   for (const std::uint64_t budget : {len / 2, len - 1, std::uint64_t{17}}) {
     vm::ExecOptions exec;
     exec.max_instructions = budget;
-    exec.engine = vm::Engine::kTree;
-    vm::Interpreter tree_interp(app.module, exec);
-    const vm::RunResult want = tree_interp.Run();
+    const vm::RunResult want = RunCareful(app.module, exec);
     EXPECT_EQ(want.trap, vm::TrapKind::kInstructionLimit);
 
-    exec.engine = vm::Engine::kBytecode;
-    vm::Interpreter byte_interp(app.module, exec);
+    vm::Interpreter fast_interp(app.module, exec);
     SCOPED_TRACE("budget " + std::to_string(budget));
-    ExpectSameResult(byte_interp.Run(), want);
+    ExpectSameResult(fast_interp.Run(), want);
   }
 }
 
@@ -225,33 +230,29 @@ TEST(BytecodeTier, CheckpointsResumeAcrossTiersInBothDirections) {
   const std::uint64_t len = golden.instructions_executed;
   const std::vector<std::uint64_t> at = {len / 5, len / 2, (4 * len) / 5};
 
-  // Capture the same sites on both tiers; the runs themselves must agree.
-  vm::ExecOptions tree;
-  tree.engine = vm::Engine::kTree;
-  std::vector<vm::Interpreter::Checkpoint> tree_ckpts;
-  vm::Interpreter tree_interp(app.module, tree);
-  ExpectSameResult(tree_interp.RunWithCheckpoints("main", at, tree_ckpts), golden);
+  // Capture the same sites in both modes; the runs themselves must agree.
+  vm::NullTraceSink sink;
+  std::vector<vm::Interpreter::Checkpoint> careful_ckpts;
+  vm::Interpreter careful_interp(app.module, {});
+  ExpectSameResult(careful_interp.RunWithCheckpoints("main", at, careful_ckpts, &sink), golden);
 
-  vm::ExecOptions byte;
-  byte.engine = vm::Engine::kBytecode;
-  std::vector<vm::Interpreter::Checkpoint> byte_ckpts;
-  vm::Interpreter byte_interp(app.module, byte);
-  ExpectSameResult(byte_interp.RunWithCheckpoints("main", at, byte_ckpts), golden);
+  std::vector<vm::Interpreter::Checkpoint> fast_ckpts;
+  vm::Interpreter fast_interp(app.module, {});
+  ExpectSameResult(fast_interp.RunWithCheckpoints("main", at, fast_ckpts), golden);
 
-  ASSERT_EQ(tree_ckpts.size(), at.size());
-  ASSERT_EQ(byte_ckpts.size(), at.size());
+  ASSERT_EQ(careful_ckpts.size(), at.size());
+  ASSERT_EQ(fast_ckpts.size(), at.size());
 
-  // Checkpoints are stored in one tier-neutral format: either tier resumes
-  // from either tier's capture with a bit-identical remainder.
+  // Checkpoints hold the executor's one frame format: either mode resumes
+  // from either mode's capture with a bit-identical remainder.
   for (std::size_t i = 0; i < at.size(); ++i) {
     SCOPED_TRACE("checkpoint at " + std::to_string(at[i]));
-    for (const vm::Engine engine : {vm::Engine::kTree, vm::Engine::kBytecode}) {
-      vm::ExecOptions exec;
-      exec.engine = engine;
-      vm::Interpreter from_tree(app.module, exec);
-      ExpectSameResult(from_tree.ResumeFrom(tree_ckpts[i]), golden);
-      vm::Interpreter from_byte(app.module, exec);
-      ExpectSameResult(from_byte.ResumeFrom(byte_ckpts[i]), golden);
+    for (vm::TraceSink* resume_sink : {static_cast<vm::TraceSink*>(&sink),
+                                       static_cast<vm::TraceSink*>(nullptr)}) {
+      vm::Interpreter from_careful(app.module, {});
+      ExpectSameResult(from_careful.ResumeFrom(careful_ckpts[i], resume_sink), golden);
+      vm::Interpreter from_fast(app.module, {});
+      ExpectSameResult(from_fast.ResumeFrom(fast_ckpts[i], resume_sink), golden);
     }
   }
 }
@@ -264,22 +265,17 @@ TEST(BytecodeTier, InjectedResumeMatchesInjectedScratchAcrossTiers) {
 
   std::vector<vm::Interpreter::Checkpoint> ckpts;
   const std::vector<std::uint64_t> at = {len / 3};
-  vm::ExecOptions capture;
-  capture.engine = vm::Engine::kBytecode;
-  vm::Interpreter capture_interp(app.module, capture);
+  vm::Interpreter capture_interp(app.module, {});
   (void)capture_interp.RunWithCheckpoints("main", at, ckpts);
   ASSERT_EQ(ckpts.size(), 1u);
 
-  // Faults after the checkpoint: scratch tree run vs. bytecode resume.
+  // Faults after the checkpoint: careful scratch run vs. fast resume.
   for (const std::uint64_t dyn : {len / 3 + 1, len / 2, len - 3}) {
     for (const std::uint8_t bit : {std::uint8_t{2}, std::uint8_t{30}}) {
       vm::ExecOptions exec;
       exec.fault = vm::FaultPlan{dyn, 0, bit};
-      exec.engine = vm::Engine::kTree;
-      vm::Interpreter scratch(app.module, exec);
-      const vm::RunResult want = scratch.Run();
+      const vm::RunResult want = RunCareful(app.module, exec);
 
-      exec.engine = vm::Engine::kBytecode;
       vm::Interpreter resumed(app.module, exec);
       SCOPED_TRACE("dyn " + std::to_string(dyn) + " bit " + std::to_string(bit));
       ExpectSameResult(resumed.ResumeFrom(ckpts[0]), want);

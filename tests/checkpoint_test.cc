@@ -4,6 +4,7 @@
 // executed from scratch — for every site, bit, seed, and thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,8 +12,10 @@
 #include "ddg/ace.h"
 #include "epvf/analysis.h"
 #include "fi/campaign.h"
+#include "fi/outcome.h"
 #include "mem/sim_memory.h"
 #include "vm/interpreter.h"
+#include "vm/trace.h"
 
 namespace epvf {
 namespace {
@@ -228,9 +231,11 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossAppsJobsAndJitter) {
 }
 
 TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossExecutionTiers) {
-  // The bytecode tier serves injected runs and checkpoint replays; at every
-  // checkpoint density it must reproduce the tree-tier from-scratch campaign
-  // record for record (the acceptance contract of src/vm/exec_bytecode.cc).
+  // Injected runs and checkpoint replays carry no sink, so the executor runs
+  // them on its fast loop between events. At every checkpoint density the
+  // campaign must reproduce the from-scratch campaign record for record, and
+  // every record must match its injection re-run with a sink attached (every
+  // instruction on the careful step) and classified afresh.
   const apps::App app = apps::BuildApp("pathfinder", apps::AppConfig{.scale = 0});
   const core::Analysis a = core::Analysis::Run(app.module);
 
@@ -239,30 +244,32 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossExecutionTiers) {
   options.seed = 13;
   options.injector.jitter_pages = 0;
   options.num_threads = 1;
-  options.injector.engine = vm::Engine::kTree;
-  options.checkpoint_interval = -1;  // tree from-scratch baseline
+  options.checkpoint_interval = -1;  // from-scratch baseline
   const fi::CampaignStats baseline =
       fi::RunCampaign(app.module, a.graph(), a.golden(), options);
 
-  for (const vm::Engine engine : {vm::Engine::kTree, vm::Engine::kBytecode}) {
-    for (const int checkpoints : {0, 4, 64}) {
-      options.injector.engine = engine;
-      options.checkpoint_interval =
-          checkpoints == 0
-              ? -1
-              : static_cast<std::int64_t>(a.TraceLength() / (checkpoints + 1) + 1);
-      const fi::CampaignStats got =
-          fi::RunCampaign(app.module, a.graph(), a.golden(), options);
-      EXPECT_EQ(got.counts, baseline.counts)
-          << vm::EngineName(engine) << " ckpts=" << checkpoints;
-      ASSERT_EQ(got.records.size(), baseline.records.size());
-      for (std::size_t i = 0; i < got.records.size(); ++i) {
-        EXPECT_EQ(got.records[i].site.dyn_index, baseline.records[i].site.dyn_index);
-        EXPECT_EQ(got.records[i].site.slot, baseline.records[i].site.slot);
-        EXPECT_EQ(got.records[i].bit, baseline.records[i].bit);
-        EXPECT_EQ(got.records[i].outcome, baseline.records[i].outcome)
-            << vm::EngineName(engine) << " ckpts=" << checkpoints << " run " << i;
-      }
+  vm::ExecOptions careful;
+  careful.max_instructions = std::max<std::uint64_t>(a.golden().instructions_executed * 10, 10'000);
+  for (const fi::FaultRecord& r : baseline.records) {
+    careful.fault = vm::FaultPlan{r.site.dyn_index, r.site.slot, r.bit};
+    vm::NullTraceSink sink;
+    vm::Interpreter interp(app.module, careful);
+    EXPECT_EQ(fi::Classify(interp.Run("main", &sink), a.golden()), r.outcome)
+        << "site " << r.site.dyn_index << " slot " << int{r.site.slot} << " bit " << int{r.bit};
+  }
+
+  for (const int checkpoints : {4, 64}) {
+    options.checkpoint_interval =
+        static_cast<std::int64_t>(a.TraceLength() / (checkpoints + 1) + 1);
+    const fi::CampaignStats got = fi::RunCampaign(app.module, a.graph(), a.golden(), options);
+    EXPECT_EQ(got.counts, baseline.counts) << "ckpts=" << checkpoints;
+    ASSERT_EQ(got.records.size(), baseline.records.size());
+    for (std::size_t i = 0; i < got.records.size(); ++i) {
+      EXPECT_EQ(got.records[i].site.dyn_index, baseline.records[i].site.dyn_index);
+      EXPECT_EQ(got.records[i].site.slot, baseline.records[i].site.slot);
+      EXPECT_EQ(got.records[i].bit, baseline.records[i].bit);
+      EXPECT_EQ(got.records[i].outcome, baseline.records[i].outcome)
+          << "ckpts=" << checkpoints << " run " << i;
     }
   }
 }

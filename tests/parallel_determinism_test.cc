@@ -102,18 +102,17 @@ TEST(ParallelDeterminism, CheckpointedCampaignIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, CampaignStatsIdenticalAcrossExecutionTiers) {
-  // The execution tier composes with the thread count: a bytecode campaign at
-  // any parallelism must reproduce the serial tree campaign record for record.
+  // The executor composes with the thread count: a jittered campaign, whose
+  // sink-free runs take the fast loop between events, must reproduce the
+  // serial campaign record for record at any parallelism.
   const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
   const core::Analysis a = Analyze(app.module, 1);
   fi::CampaignOptions options;
   options.num_runs = 48;
   options.seed = 7;
   options.injector.jitter_pages = 2;
-  options.injector.engine = vm::Engine::kTree;
   options.num_threads = 1;
   const fi::CampaignStats serial = fi::RunCampaign(app.module, a.graph(), a.golden(), options);
-  options.injector.engine = vm::Engine::kBytecode;
   for (const int threads : {1, 8}) {
     options.num_threads = threads;
     const fi::CampaignStats fast = fi::RunCampaign(app.module, a.graph(), a.golden(), options);

@@ -1,7 +1,8 @@
 // Differential semantics fuzz: random arithmetic expressions evaluated both
 // by the interpreter and by a host-side C++ oracle must agree bit-for-bit,
-// for every integer width and operator class. Also covers recursion (an
-// interpreter + DDG path no benchmark kernel exercises).
+// for every integer width and operator class — on the executor's fast loop
+// (no sink) and on its careful step (a no-op sink attached) alike. Also covers
+// recursion (an interpreter + DDG path no benchmark kernel exercises).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,6 +17,7 @@
 #include "ir/builder.h"
 #include "support/rng.h"
 #include "vm/interpreter.h"
+#include "vm/trace.h"
 #include "vm/value.h"
 
 namespace epvf {
@@ -128,8 +130,18 @@ TEST_P(ArithmeticDifferential, InterpreterMatchesHostOracle) {
     bool oracle_traps = false;
     const std::uint64_t expected = HostEval(op, width, a, b, &oracle_traps);
 
-    vm::Interpreter interp(m, {});
-    const vm::RunResult r = interp.Run();
+    vm::Interpreter fast_interp(m, {});
+    const vm::RunResult r = fast_interp.Run();
+    vm::NullTraceSink sink;
+    vm::Interpreter careful_interp(m, {});
+    const vm::RunResult careful = careful_interp.Run("main", &sink);
+    EXPECT_EQ(careful.trap, r.trap);
+    EXPECT_EQ(careful.instructions_executed, r.instructions_executed);
+    EXPECT_EQ(careful.trap_dyn_index, r.trap_dyn_index);
+    EXPECT_EQ(careful.trap_addr, r.trap_addr);
+    EXPECT_EQ(careful.fault_was_applied, r.fault_was_applied);
+    EXPECT_EQ(careful.output, r.output)
+        << ir::OpcodeName(op) << " i" << width << " a=" << a << " b=" << b;
     if (oracle_traps) {
       EXPECT_EQ(r.trap, vm::TrapKind::kArithmetic)
           << ir::OpcodeName(op) << " i" << width << " a=" << a << " b=" << b;

@@ -91,6 +91,27 @@ TEST(Verifier, RejectsPhiWithWrongPredecessors) {
   EXPECT_NE(result.Summary().find("predecessors"), std::string::npos);
 }
 
+TEST(Verifier, RejectsPhiInEntryBlock) {
+  // A back edge makes the latch a CFG predecessor of the entry block, so the
+  // phi's incoming set matches — but a call enters the block with no edge to
+  // select an incoming value from.
+  Module m;
+  IRBuilder b(m);
+  (void)b.CreateFunction("f", Type::Void(), {});
+  const std::uint32_t latch = b.CreateBlock("latch");
+  const std::uint32_t exit = b.CreateBlock("exit");
+  const ValueRef iv = b.Phi(Type::I64(), {{b.I64(1), latch}}, "iv");
+  b.CondBr(b.ICmp(ICmpPred::kSlt, iv, b.I64(10)), latch, exit);
+  b.SetInsertPoint(latch);
+  b.Br(0);
+  b.SetInsertPoint(exit);
+  b.RetVoid();
+  const VerifyResult result = VerifyModule(m);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.Summary().find("phi in the entry block"), std::string::npos)
+      << result.Summary();
+}
+
 TEST(Verifier, RejectsBadBranchTarget) {
   Module m = DiamondModule();
   m.functions[0].blocks[1].instructions.back().bb_true = 99;

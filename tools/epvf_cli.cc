@@ -131,8 +131,6 @@ struct Options {
     return it == flags.end() ? fallback : it->second;
   }
 
-  /// Resolved --engine / EPVF_ENGINE value (validated in main).
-  vm::Engine engine = vm::Engine::kAuto;
   /// Resolved --scenario value (validated in main).
   fi::Scenario scenario = fi::Scenario::kRegister;
 };
@@ -143,22 +141,22 @@ const std::map<std::string, std::set<std::string>>& AllowedFlags() {
   static const std::map<std::string, std::set<std::string>> allowed = {
       {"list", {}},
       {"analyze",
-       {"scale", "jobs", "cache-dir", "no-cache", "trace-out", "metrics-out", "engine",
-        "connect", "priority", "incremental"}},
+       {"scale", "jobs", "cache-dir", "no-cache", "trace-out", "metrics-out", "connect",
+        "priority", "incremental"}},
       {"delta", {"scale", "jobs", "cache-dir", "no-cache"}},
       {"mutate", {"scale", "kind", "seed"}},
       {"inject",
        {"scale", "runs", "jitter", "burst", "seed", "jobs", "checkpoints", "cache-dir",
-        "no-cache", "trace-out", "metrics-out", "engine", "plan", "ci-target", "max-runs",
-        "connect", "priority", "scenario"}},
+        "no-cache", "trace-out", "metrics-out", "plan", "ci-target", "max-runs", "connect",
+        "priority", "scenario"}},
       // --worker-shard and --plan-round are internal plumbing (the supervisor
       // relaunching this binary for one shard / one planner round), accepted
       // but undocumented.
       {"campaign",
        {"scale", "runs", "jitter", "burst", "seed", "jobs", "checkpoints", "cache-dir",
         "no-cache", "trace-out", "metrics-out", "shards", "shard-timeout", "shard-retries",
-        "worker-shard", "engine", "plan", "ci-target", "max-runs", "plan-round", "connect",
-        "priority", "scenario"}},
+        "worker-shard", "plan", "ci-target", "max-runs", "plan-round", "connect", "priority",
+        "scenario"}},
       {"sample", {"scale", "fraction", "jobs"}},
       {"protect", {"scale", "budget", "rank", "real", "jobs", "runs"}},
       {"print", {"scale"}},
@@ -213,8 +211,7 @@ int Usage() {
                "                                   and requires --jitter 0; default: register)\n"
                "                                   (flag precedence: --plan stratified ignores\n"
                "                                   --runs and uses --ci-target/--max-runs;\n"
-               "                                   --engine beats EPVF_ENGINE; --scenario\n"
-               "                                   composes with either plan and any engine)\n"
+               "                                   --scenario composes with either plan)\n"
                "  campaign <target> [--shards N] [--shard-timeout S] [--shard-retries R]\n"
                "                   [+ every inject flag]\n"
                "                                   inject sharded across N worker processes\n"
@@ -250,11 +247,7 @@ int Usage() {
                "inject/campaign resume their campaign plan, and analyze --incremental\n"
                "and delta reuse per-unit state, from the cache directory --cache-dir\n"
                "DIR (or the EPVF_CACHE_DIR environment variable) names; a plain\n"
-               "analyze always recomputes; --no-cache runs without touching the cache\n"
-               "--engine auto|tree|bytecode picks the execution tier for injected\n"
-               "runs (EPVF_ENGINE does the same; the flag wins; tiers produce\n"
-               "byte-identical results — auto, the default, uses the bytecode fast\n"
-               "tier for uninstrumented runs and the tree tier for traced ones)\n");
+               "analyze always recomputes; --no-cache runs without touching the cache\n");
   return kExitUsage;
 }
 
@@ -391,7 +384,6 @@ fi::CampaignOptions MakeCampaignOptions(const Options& options, const core::Anal
   const bool memory = options.scenario == fi::Scenario::kMemory;
   campaign.injector.jitter_pages = static_cast<std::uint32_t>(options.Int("jitter", memory ? 0 : 2));
   campaign.injector.burst_length = static_cast<std::uint8_t>(options.Int("burst", 1));
-  campaign.injector.engine = options.engine;
   campaign.num_threads = options.Int("jobs", 0);
   // --checkpoints N = snapshots to spread over the golden trace (N > 0),
   // 0 = fast path off, -1 (default) = auto from the trace length.
@@ -715,7 +707,7 @@ int CmdCampaignSharded(const Options& options, fi::PlanKind kind, int shards) {
           // Forward only the flags the user passed: the worker applies the
           // same defaults.
           for (const char* flag : {"scale", "runs", "jitter", "burst", "seed", "checkpoints",
-                                   "engine", "plan", "ci-target", "max-runs", "scenario"}) {
+                                   "plan", "ci-target", "max-runs", "scenario"}) {
             const auto it = options.flags.find(flag);
             if (it == options.flags.end()) continue;
             cmd.argv.push_back(std::string("--") + flag);
@@ -863,7 +855,6 @@ int CmdProtect(const Options& options) {
   fi::CampaignOptions campaign;
   campaign.num_runs = options.Int("runs", 500);
   campaign.injector.jitter_pages = 2;
-  campaign.injector.engine = options.engine;
   campaign.num_threads = options.Int("jobs", 0);
   const fi::CampaignStats baseline = fi::RunCampaign(app.module, a.graph(), a.golden(), campaign);
   const protect::ProtectedRates modeled = protect::EvaluateProtection(baseline, plan);
@@ -1138,26 +1129,9 @@ int CmdMetrics(const Options& options) {
   return PrintMetricsText(buffer.str(), options.target);
 }
 
-/// --engine beats EPVF_ENGINE; absent both, "auto". Prints the offending name
-/// and returns nullopt on an unknown engine (the caller exits with the
-/// unknown-flag code, matching how unknown flag names are rejected).
-std::optional<vm::Engine> ResolveEngine(const Options& options) {
-  std::string name = options.Str("engine", "");
-  if (name.empty()) {
-    const char* env = std::getenv("EPVF_ENGINE");
-    name = env == nullptr ? "auto" : env;
-  }
-  const std::optional<vm::Engine> engine = vm::ParseEngine(name);
-  if (!engine.has_value()) {
-    std::fprintf(stderr, "epvf: unknown engine '%s' (expected auto, tree, or bytecode)\n",
-                 name.c_str());
-  }
-  return engine;
-}
-
 /// --scenario register|memory (register = the classic operand-bit campaign).
 /// Prints the offending value and returns nullopt on anything else (the
-/// caller exits with the unknown-flag code, matching ResolveEngine).
+/// caller exits with the unknown-flag code, as for an unknown flag name).
 std::optional<fi::Scenario> ResolveScenario(const Options& options) {
   const std::string name = options.Str("scenario", "register");
   const std::optional<fi::Scenario> scenario = fi::ParseScenario(name);
@@ -1442,10 +1416,6 @@ int main(int argc, char** argv) {
       options.flags[flag] = "1";
     }
   }
-
-  const std::optional<vm::Engine> engine = ResolveEngine(options);
-  if (!engine.has_value()) return kExitUnknownFlag;
-  options.engine = *engine;
 
   const std::optional<fi::Scenario> scenario = ResolveScenario(options);
   if (!scenario.has_value()) return kExitUnknownFlag;
