@@ -1,7 +1,10 @@
 #include "apps/app.h"
 
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
+#include "ir/parser.h"
 #include "ir/verifier.h"
 #include "obs/trace.h"
 
@@ -48,6 +51,22 @@ App BuildApp(std::string_view name, const AppConfig& config) {
     }
   }
   throw std::invalid_argument("BuildApp: unknown benchmark '" + std::string(name) + "'");
+}
+
+ir::Module LoadTarget(const std::string& target, int scale) {
+  const obs::TraceSpan span("parse", "load-target");
+  const bool looks_like_path =
+      target.find('.') != std::string::npos || target.find('/') != std::string::npos;
+  if (!looks_like_path) {
+    AppConfig config;
+    config.scale = scale;
+    return BuildApp(target, config).module;
+  }
+  std::ifstream in(target);
+  if (!in) throw std::runtime_error("cannot open " + target);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return ir::ParseModuleOrThrow(buffer.str());
 }
 
 }  // namespace epvf::apps

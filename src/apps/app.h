@@ -39,6 +39,11 @@ struct App {
 /// Builds (and verifies) the named benchmark. Throws on unknown names.
 [[nodiscard]] App BuildApp(std::string_view name, const AppConfig& config = {});
 
+/// Loads an analysis target: a textual-IR file when `target` looks like a
+/// path (contains '.' or '/'), else the named benchmark at `scale`. Throws on
+/// an unknown benchmark, an unreadable file or IR that does not parse.
+[[nodiscard]] ir::Module LoadTarget(const std::string& target, int scale);
+
 // Individual builders (one translation unit per kernel).
 [[nodiscard]] App BuildLulesh(const AppConfig& config);
 [[nodiscard]] App BuildParticleFilter(const AppConfig& config);

@@ -119,101 +119,48 @@ void GraphBuilder::OnInstruction(const vm::DynContext& ctx) {
                                 : static_cast<std::uint8_t>(0xFF);
 
   // --- result node construction ----------------------------------------------
-  auto make_register_node = [&](std::span<const NodeId> preds, std::uint8_t virtual_mask) {
+  if (MakesResultNode(inst)) {
+    const ResultPreds<NodeId> preds = ResultNodePreds<NodeId>(
+        inst, std::span<const NodeId>(op_nodes.data(), num_ops),
+        std::span<const std::uint64_t>(op_values.data(), num_ops), ctx.selected_operand, kNoNode,
+        [this](std::uint64_t addr) { return memory_writer_.Lookup(addr); });
+    graph_.NoteDroppedLoadPreds(preds.dropped_writers);
     Node node;
-    node.kind = NodeKind::kRegister;
-    node.width = static_cast<std::uint8_t>(inst.type.BitWidth());
     node.dyn_index = dyn_index;
-    node.value = ctx.result_bits;
-    return graph_.AddNode(node, preds, virtual_mask);
-  };
-
-  switch (inst.op) {
-    case Opcode::kStore: {
-      // One new memory node per store ("newly written memory address").
-      const NodeId value_node = op_nodes[0];
-      const NodeId addr_node = op_nodes[1];
-      Node node;
+    if (inst.op == Opcode::kStore) {
       node.kind = NodeKind::kMemory;
       node.width = static_cast<std::uint8_t>(
           module_.TypeOf(*ctx.fn, inst.operands[0]).BitWidth());
-      node.dyn_index = dyn_index;
       node.value = ctx.operand_values[0];
-      // Data edge from the stored value, virtual edge from the address
-      // register (paper: "we create an edge in the DDG to link the memory
-      // address used and the register... this edge is virtual").
-      const std::array<NodeId, 2> preds = {value_node, addr_node};
-      const NodeId mem_node = graph_.AddNode(node, preds, /*virtual_mask=*/0b10);
-      memory_writer_.Record(ctx.mem_addr, ctx.mem_size, mem_node);
-      header.result_node = mem_node;
-      graph_.AddAccess(AccessRecord{dyn_index, addr_node, ctx.mem_addr, ctx.mem_size,
+    } else {
+      node.kind = NodeKind::kRegister;
+      node.width = static_cast<std::uint8_t>(inst.type.BitWidth());
+      node.value = ctx.result_bits;
+    }
+    header.result_node = graph_.AddNode(node, preds.Span(), preds.virtual_mask);
+  }
+
+  switch (inst.op) {
+    case Opcode::kStore:
+      memory_writer_.Record(ctx.mem_addr, ctx.mem_size, header.result_node);
+      graph_.AddAccess(AccessRecord{dyn_index, op_nodes[1], ctx.mem_addr, ctx.mem_size,
                                     ctx.map_version, ctx.esp, /*is_store=*/true});
       break;
-    }
-    case Opcode::kLoad: {
-      const NodeId addr_node = op_nodes[0];
-      // Collect the distinct memory versions this load reads. The PredRange
-      // keeps at most 7 data slots (+ the virtual addressing edge); versions
-      // beyond that are dropped, but now counted into a graph stat instead of
-      // vanishing silently (surfaced by bench_structure_report).
-      std::array<NodeId, 8> preds{};
-      std::uint8_t count = 0;
-      for (std::uint64_t b = 0; b < ctx.mem_size; ++b) {
-        const NodeId writer = memory_writer_.Lookup(ctx.mem_addr + b);
-        if (writer == kNoNode) continue;
-        bool seen = false;
-        for (std::uint8_t k = 0; k < count; ++k) {
-          seen = seen || preds[k] == writer;
-        }
-        if (seen) continue;
-        if (count < 7) {
-          preds[count++] = writer;
-        } else {
-          graph_.NoteDroppedLoadPred();
-        }
-      }
-      preds[count] = addr_node;
-      const auto virtual_mask = static_cast<std::uint8_t>(1u << count);
-      header.result_node =
-          make_register_node(std::span<const NodeId>(preds.data(), count + 1), virtual_mask);
-      graph_.AddAccess(AccessRecord{dyn_index, addr_node, ctx.mem_addr, ctx.mem_size,
+    case Opcode::kLoad:
+      graph_.AddAccess(AccessRecord{dyn_index, op_nodes[0], ctx.mem_addr, ctx.mem_size,
                                     ctx.map_version, ctx.esp, /*is_store=*/false});
       break;
-    }
-    case Opcode::kPhi: {
-      const std::array<NodeId, 1> preds = {op_nodes[ctx.selected_operand]};
-      header.result_node = make_register_node(preds, 0);
-      break;
-    }
-    case Opcode::kSelect: {
-      // Dynamic dependencies: the condition and the chosen value.
-      const NodeId chosen = (ctx.operand_values[0] & 1) != 0 ? op_nodes[1] : op_nodes[2];
-      const std::array<NodeId, 2> preds = {op_nodes[0], chosen};
-      header.result_node = make_register_node(preds, 0);
-      break;
-    }
-    case Opcode::kBr:
     case Opcode::kCondBr:
-    case Opcode::kRet: {
-      if (inst.op == Opcode::kCondBr && op_nodes[0] != kNoNode &&
-          inst.operands[0].IsRegister()) {
+      if (op_nodes[0] != kNoNode && inst.operands[0].IsRegister()) {
         graph_.AddControlRoot(op_nodes[0]);
       }
-      if (inst.op == Opcode::kRet && !inst.operands.empty()) {
-        pending_ret_node_ = op_nodes[0];
-      }
-      break;  // no node
-    }
-    case Opcode::kCall: {
+      break;
+    case Opcode::kRet:
+      if (!inst.operands.empty()) pending_ret_node_ = op_nodes[0];
+      break;
+    case Opcode::kCall:
       if (inst.is_intrinsic) {
-        if (ir::IsOutputIntrinsic(inst.intrinsic)) {
-          graph_.AddOutputRoot(op_nodes[0]);
-          break;
-        }
-        if (inst.DefinesValue()) {
-          header.result_node = make_register_node(
-              std::span<const NodeId>(op_nodes.data(), num_ops), 0);
-        }
+        if (ir::IsOutputIntrinsic(inst.intrinsic)) graph_.AddOutputRoot(op_nodes[0]);
         break;
       }
       // User call: remember argument nodes for OnEnterFunction and where the
@@ -222,24 +169,11 @@ void GraphBuilder::OnInstruction(const vm::DynContext& ctx) {
       call_stack_.push_back(
           PendingCall{inst.DefinesValue() ? inst.result : ir::kInvalidIndex});
       break;
-    }
-    default: {
-      if (inst.DefinesValue()) {
-        header.result_node =
-            make_register_node(std::span<const NodeId>(op_nodes.data(), num_ops), 0);
-      }
+    default:
       break;
-    }
   }
 
-  // Update the shadow map for plain register defs (calls are handled at
-  // OnExitFunction, stores define memory not registers).
-  if (inst.DefinesValue() && inst.op != Opcode::kCall) {
-    shadows_.back().reg_nodes[inst.result] = header.result_node;
-  }
-  if (inst.op == Opcode::kCall && inst.is_intrinsic && inst.DefinesValue()) {
-    shadows_.back().reg_nodes[inst.result] = header.result_node;
-  }
+  if (DefinesShadowedRegister(inst)) shadows_.back().reg_nodes[inst.result] = header.result_node;
 
   graph_.AddDynInstr(header, std::span<const NodeId>(op_nodes.data(), num_ops),
                      std::span<const std::uint64_t>(op_values.data(), num_ops));

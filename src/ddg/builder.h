@@ -12,8 +12,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +23,92 @@
 #include "vm/trace.h"
 
 namespace epvf::ddg {
+
+// --- the node rule -----------------------------------------------------------
+// Which dynamic instructions create a node, and its preds. The builder applies
+// it to the golden trace and the unit replay (epvf/reexec.cc) to a re-executed
+// unit, each with its own node references, hence the template.
+
+/// Distinct memory versions a load node keeps as data preds: its 8 pred slots
+/// end with the virtual addressing edge. Writers past the cap are dropped and
+/// counted (Graph::dropped_load_preds).
+inline constexpr unsigned kMaxLoadWriters = 7;
+
+/// Whether `inst` points its result register's shadow at a new node. A user
+/// call's result is aliased to the callee's returned node instead.
+[[nodiscard]] inline bool DefinesShadowedRegister(const ir::Instruction& inst) {
+  return inst.DefinesValue() && (inst.op != ir::Opcode::kCall || inst.is_intrinsic);
+}
+
+/// Whether `inst` creates a node: a memory node per store, a register node
+/// per shadowed register def.
+[[nodiscard]] inline bool MakesResultNode(const ir::Instruction& inst) {
+  return inst.op == ir::Opcode::kStore || DefinesShadowedRegister(inst);
+}
+
+/// A node's preds; bit i of `virtual_mask` marks pred i as virtual.
+template <typename Ref>
+struct ResultPreds {
+  std::array<Ref, 8> refs{};
+  std::uint8_t count = 0;
+  std::uint8_t virtual_mask = 0;
+  std::uint32_t dropped_writers = 0;  ///< distinct load writers past the cap
+
+  [[nodiscard]] std::span<const Ref> Span() const { return {refs.data(), count}; }
+};
+
+/// The preds of the node a dynamic instance of `inst` creates, from its
+/// operand refs and values: a store's value, then its address (virtual); a
+/// load's distinct byte writers in address order (at most kMaxLoadWriters),
+/// then its address (virtual); a phi's selected incoming value; a select's
+/// condition and chosen value; otherwise every operand. `last_writer(addr)`
+/// returns byte `addr`'s last writer or `null`, called once per byte a load
+/// reads, in address order.
+template <typename Ref, typename LastWriter>
+[[nodiscard]] ResultPreds<Ref> ResultNodePreds(const ir::Instruction& inst,
+                                               std::span<const Ref> operands,
+                                               std::span<const std::uint64_t> values,
+                                               std::uint32_t selected, Ref null,
+                                               LastWriter&& last_writer) {
+  ResultPreds<Ref> out;
+  const auto push = [&out](Ref ref) { out.refs[out.count++] = ref; };
+  switch (inst.op) {
+    case ir::Opcode::kStore:
+      push(operands[0]);
+      push(operands[1]);
+      out.virtual_mask = 0b10;
+      break;
+    case ir::Opcode::kLoad: {
+      const std::uint64_t addr = values[0];
+      const unsigned size = inst.type.StoreSize();
+      for (std::uint64_t b = 0; b < size; ++b) {
+        const Ref writer = last_writer(addr + b);
+        if (writer == null) continue;
+        const auto kept = out.refs.begin() + out.count;
+        if (std::find(out.refs.begin(), kept, writer) != kept) continue;
+        if (out.count < kMaxLoadWriters) {
+          push(writer);
+        } else {
+          ++out.dropped_writers;
+        }
+      }
+      out.virtual_mask = static_cast<std::uint8_t>(1u << out.count);
+      push(operands[0]);
+      break;
+    }
+    case ir::Opcode::kPhi:
+      push(operands[selected]);
+      break;
+    case ir::Opcode::kSelect:
+      push(operands[0]);
+      push((values[0] & 1) != 0 ? operands[1] : operands[2]);
+      break;
+    default:
+      for (const Ref ref : operands) push(ref);
+      break;
+  }
+  return out;
+}
 
 /// Byte-granular shadow of memory mapping each address to the node of its
 /// last writer. Keyed by 4 KiB page with a dense NodeId array per page: the

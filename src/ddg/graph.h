@@ -144,12 +144,11 @@ class Graph {
   [[nodiscard]] std::uint64_t NumRegisterNodes() const;
 
   // --- construction diagnostics ----------------------------------------------
-  /// Distinct memory-version predecessors a load had to drop because its pred
-  /// list was full (the 8-slot PredRange keeps 7 data slots + the virtual
-  /// addressing edge). Nonzero means some loads under-report their slices —
-  /// previously this happened silently.
+  /// Distinct memory-version predecessors loads had to drop because their
+  /// pred lists were full (ddg::kMaxLoadWriters in builder.h). Nonzero means
+  /// some loads under-report their slices.
   [[nodiscard]] std::uint64_t dropped_load_preds() const { return dropped_load_preds_; }
-  void NoteDroppedLoadPred() { dropped_load_preds_ += 1; }
+  void NoteDroppedLoadPreds(std::uint64_t count) { dropped_load_preds_ += count; }
 
  private:
   const ir::Module* module_;

@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "crash/lookup_table.h"
+#include "ddg/builder.h"
 #include "epvf/walks.h"
 #include "ir/intrinsics.h"
 #include "support/bits.h"
@@ -30,21 +31,6 @@ inline constexpr std::uint32_t kSlotFlag = 0x80000000u;
 
 const ir::Instruction& InstrOf(const ir::Module& m, ir::StaticInstrId sid) {
   return m.functions[sid.function].blocks[sid.block].instructions[sid.instr];
-}
-
-std::uint32_t PackTypeKey(ir::Type t) {
-  return (static_cast<std::uint32_t>(t.scalar) << 16) |
-         (static_cast<std::uint32_t>(t.bits) << 8) | static_cast<std::uint32_t>(t.ptr_depth);
-}
-
-/// Mirror of report.cc's ClassifyNode for a unit-local register node (interns
-/// never classify locally — they are constant/global nodes).
-std::size_t ClassOfNode(const ir::Module& module, const UnitSlice& s, std::uint32_t local) {
-  const ir::Instruction& inst = InstrOf(module, s.dyn[s.nodes[local].dyn].sid);
-  if (inst.type.IsPointer()) return static_cast<std::size_t>(RegisterClass::kPointer);
-  if (inst.type.IsFloat()) return static_cast<std::size_t>(RegisterClass::kFloat);
-  if (inst.type == ir::Type::I1()) return static_cast<std::size_t>(RegisterClass::kPredicate);
-  return static_cast<std::size_t>(RegisterClass::kInteger);
 }
 
 /// Rewrites a canonical (owner, local) ref into its walk-index key: exported
@@ -88,11 +74,11 @@ std::pair<unsigned, std::uint64_t> WidthValueOf(const ProgramSlices& p, std::uin
   return {n.width, n.value};
 }
 
-/// Shared tail of the cold projection and the per-unit resweep: rebuilds
-/// `unit`'s crash masks and every UnitSums field from its marks and the final
-/// allowed intervals. Mirrors propagation.cc's mask sweep, ace.cc's bit
-/// accounting, report.cc's structure classification, ComputeMemoryBitsSums
-/// and PerInstructionMetrics — all restricted to the unit's own nodes/dyns.
+/// Tail of the per-unit resweep: rebuilds `unit`'s crash masks and every
+/// UnitSums field from its marks and the final allowed intervals. Mirrors
+/// propagation.cc's mask sweep, ace.cc's bit accounting, report.cc's
+/// structure classification, ComputeMemoryBitsSums and PerInstructionMetrics
+/// — all restricted to the unit's own nodes/dyns.
 void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
                         const std::vector<Interval>& allowed) {
   CompiledUnit& cu = p.units[unit];
@@ -102,7 +88,6 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
 
   back.crash_masks.clear();
   UnitSums sums;
-  sums.dyn_count = s.dyn.size();
   sums.node_count = s.nodes.size();
 
   std::vector<std::uint64_t> masks(s.nodes.size(), 0);
@@ -112,18 +97,17 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
     if (marked) ++sums.ace_nodes;
     if (node.kind == ddg::NodeKind::kRegister) {
       sums.total_bits += node.width;
-      const std::size_t cls = ClassOfNode(module, s, local);
+      const auto cls = static_cast<std::size_t>(
+          RegisterClassOf(InstrOf(module, s.dyn[node.dyn].sid).type));
       sums.cls_total[cls] += node.width;
       std::uint64_t mask = 0;
       if (!allowed[local].IsFull() && marked) {
-        ++sums.constrained_nodes;
         for (unsigned bit = 0; bit < node.width; ++bit) {
           if (!allowed[local].Contains(FlipBit(node.value, bit))) mask |= std::uint64_t{1} << bit;
         }
       }
       if (marked) {
         sums.ace_bits += node.width;
-        ++sums.ace_register_nodes;
         sums.cls_ace[cls] += node.width;
         sums.crash_bits += PopCount(mask);
         sums.cls_crash[cls] += PopCount(mask & LowMask(node.width));
@@ -166,6 +150,123 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
   for (auto& [sid, metrics] : by_sid) sums.per_instruction.push_back(metrics);
 
   cu.sums = std::move(sums);
+}
+
+/// The unit-restricted backward sweeps: ace.cc's ACE closure and
+/// propagation.cc's ACE-gated access seeds and descending Table III sweep,
+/// over `unit`'s local nodes. Starts from the marks already in
+/// `back.ace_marks` and the intervals in `allowed`, and leaves the closed
+/// marks and swept intervals there. Edges that leave the unit are not
+/// followed: they become `back`'s spill sets (ACE marks and pre-intersected
+/// narrowings of other units' exports) and intern marks, which the
+/// exporters' own sweeps consume. Local node ids ascend with global ids and
+/// every narrowing targets a lower id than its source, so one descending
+/// local pass reproduces the global pass exactly.
+void SweepUnit(const ProgramSlices& p, std::uint32_t unit, UnitBackward& back,
+               std::vector<Interval>& allowed) {
+  const UnitSlice& s = p.units[unit].slice;
+  const ir::Module& module = *p.module;
+  const auto num_nodes = static_cast<std::uint32_t>(s.nodes.size());
+
+  std::set<std::uint32_t> intern_set;
+  std::set<UnitRef> ace_spill_set;
+  std::vector<std::uint32_t> stack;
+  for (std::uint32_t local = 0; local < num_nodes; ++local) {
+    if (back.Marked(local)) stack.push_back(local);
+  }
+  const auto mark_ref = [&](UnitRef ref) {
+    if (ref == kNullRef) return;
+    const std::uint32_t u = RefUnit(ref);
+    if (u == kInternUnit) {
+      intern_set.insert(RefIndex(ref));
+    } else if (u != unit) {
+      ace_spill_set.insert(ref);
+    } else if (!back.Marked(RefIndex(ref))) {
+      back.Mark(RefIndex(ref));
+      stack.push_back(RefIndex(ref));
+    }
+  };
+  for (const RootRef& r : s.output_roots) mark_ref(r.node);
+  for (const RootRef& r : s.control_roots) mark_ref(r.node);
+  while (!stack.empty()) {
+    const std::uint32_t local = stack.back();
+    stack.pop_back();
+    const SlicePredRange& pr = s.pred_ranges[local];
+    for (std::uint32_t i = 0; i < pr.count; ++i) mark_ref(s.preds[pr.offset + i]);
+  }
+
+  std::map<UnitRef, Interval> spill_map;
+  const auto narrow = [&](UnitRef ref, Interval iv) {
+    if (ref == kNullRef || iv.IsFull()) return;
+    const std::uint32_t u = RefUnit(ref);
+    if (u == kInternUnit) return;  // constants/globals never narrow
+    if (u != unit) {
+      auto [it, inserted] = spill_map.try_emplace(ref, Interval::Full());
+      it->second = it->second.Intersect(iv);
+      return;
+    }
+    allowed[RefIndex(ref)] = allowed[RefIndex(ref)].Intersect(iv);
+  };
+  for (const SliceAccess& a : s.accesses) {
+    const SliceDyn& d = s.dyn[a.dyn];
+    if (d.result_node != kNoLocalNode && back.Marked(d.result_node)) narrow(a.addr_node, a.seed);
+  }
+
+  for (std::uint32_t local = num_nodes; local-- > 0;) {
+    const Interval dest_allowed = allowed[local];
+    if (dest_allowed.IsFull()) continue;
+    const SliceNode& node = s.nodes[local];
+    const SliceDyn& d = s.dyn[node.dyn];
+    const ir::Instruction& inst = InstrOf(module, d.sid);
+    const UnitRef* op_refs = s.operand_nodes.data() + d.operands_offset;
+    const std::uint64_t* op_values = s.operand_values.data() + d.operands_offset;
+    switch (inst.op) {
+      case Opcode::kStore:
+        narrow(op_refs[0], dest_allowed);
+        continue;
+      case Opcode::kLoad: {
+        const SlicePredRange& pr = s.pred_ranges[local];
+        UnitRef data_pred = kNullRef;
+        unsigned data_count = 0;
+        for (std::uint32_t i = 0; i < pr.count; ++i) {
+          if ((pr.virtual_mask & (1u << i)) == 0) {
+            data_pred = s.preds[pr.offset + i];
+            ++data_count;
+          }
+        }
+        if (data_count == 1 && data_pred != kNullRef) {
+          const auto [width, value] = WidthValueOf(p, unit, data_pred);
+          if (width == node.width && value == node.value) narrow(data_pred, dest_allowed);
+        }
+        continue;
+      }
+      case Opcode::kPhi:
+        if (d.selected_operand != 0xFF) narrow(op_refs[d.selected_operand], dest_allowed);
+        continue;
+      case Opcode::kSelect: {
+        const unsigned chosen = (op_values[0] & 1) != 0 ? 1 : 2;
+        narrow(op_refs[chosen], dest_allowed);
+        continue;
+      }
+      default:
+        break;
+    }
+    std::array<unsigned, 8> widths{};
+    for (unsigned i = 0; i < d.num_operands && i < widths.size(); ++i) {
+      widths[i] = op_refs[i] == kNullRef ? 64u : WidthValueOf(p, unit, op_refs[i]).first;
+    }
+    for (unsigned slot = 0; slot < d.num_operands; ++slot) {
+      if (op_refs[slot] == kNullRef) continue;
+      const auto interval = crash::OperandAllowedInterval(
+          inst, std::span<const std::uint64_t>(op_values, d.num_operands),
+          std::span<const unsigned>(widths.data(), d.num_operands), slot, dest_allowed);
+      if (interval.has_value()) narrow(op_refs[slot], *interval);
+    }
+  }
+
+  back.ace_spills.assign(ace_spill_set.begin(), ace_spill_set.end());
+  back.interval_spills.assign(spill_map.begin(), spill_map.end());
+  back.intern_marks.assign(intern_set.begin(), intern_set.end());
 }
 
 }  // namespace
@@ -296,20 +397,6 @@ std::uint64_t UnitStaticDigest(const ir::Module& module, const UnitInfo& unit) {
   return h.Digest();
 }
 
-std::vector<std::uint32_t> UnitRegisterSet(const ir::Module& module, const UnitInfo& unit) {
-  std::set<std::uint32_t> regs;
-  const ir::Function& fn = module.functions[unit.function];
-  for (const std::uint32_t b : unit.blocks) {
-    for (const ir::Instruction& inst : fn.blocks[b].instructions) {
-      if (inst.DefinesValue()) regs.insert(inst.result);
-      for (const ir::ValueRef& op : inst.operands) {
-        if (op.IsRegister()) regs.insert(op.index);
-      }
-    }
-  }
-  return {regs.begin(), regs.end()};
-}
-
 ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partition) {
   ProgramSlices p;
   p.module = &analysis.module();
@@ -329,10 +416,8 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     p.function_shape.push_back(FunctionShapeDigest(fn));
   }
   p.unit_static_digest.reserve(num_units);
-  p.unit_reg_set.reserve(num_units);
   for (const UnitInfo& info : p.partition.units) {
     p.unit_static_digest.push_back(UnitStaticDigest(module, info));
-    p.unit_reg_set.push_back(UnitRegisterSet(module, info));
   }
 
   const auto n_dyn = static_cast<std::uint32_t>(g.NumDynInstrs());
@@ -343,7 +428,7 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
   // assigning every dyn its (unit, local dyn, segment), opening/closing
   // segments as control crosses unit boundaries, and recording the
   // replay-validation data (live-in value sets, final values, write images,
-  // output/return events, dropped-pred counts).
+  // output/return events).
   std::vector<std::uint32_t> dyn_unit(n_dyn, 0);
   std::vector<std::uint32_t> dyn_local(n_dyn, 0);
   std::vector<std::uint32_t> dyn_seg(n_dyn, 0);
@@ -364,10 +449,9 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
   std::vector<std::vector<RawByteLiveIn>> raw_byte_li(num_units);
 
   {
-    // Global byte shadow: addr -> (current writer memory node, byte value).
-    // Maintained exactly like the builder's WriterShadow so the dropped-pred
-    // replication below counts the same events.
-    std::unordered_map<std::uint64_t, std::pair<NodeId, std::uint8_t>> mem_bytes;
+    // Global byte shadow: addr -> current writer memory node (the builder's
+    // WriterShadow), naming the writer of each byte live-in.
+    std::unordered_map<std::uint64_t, NodeId> mem_writer;
     // Per-open-segment state (only one segment is open at a time).
     std::unordered_map<std::uint32_t, std::uint32_t> first_def;  // reg -> defining gd
     std::unordered_map<std::uint32_t, std::uint64_t> seg_reg_vals;
@@ -474,37 +558,23 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
         if (a.dyn_index != gd) throw std::logic_error("BuildProgramSlices: access desync");
         const std::uint64_t result_val =
             d.result_node != kNoNode ? g.GetNode(d.result_node).value : 0;
-        std::array<NodeId, 8> kept{};
-        std::uint8_t kept_count = 0;
         for (std::uint64_t b = 0; b < a.size; ++b) {
           const std::uint64_t ba = a.addr + b;
-          const auto mit = mem_bytes.find(ba);
-          if (seg_written.find(ba) == seg_written.end() && li_byte_seen.insert(ba).second) {
-            raw_byte_li[unit].push_back(RawByteLiveIn{
-                seg, ba, static_cast<std::uint8_t>((result_val >> (8 * b)) & 0xFF),
-                mit == mem_bytes.end() ? kNoNode : mit->second.first});
+          if (seg_written.find(ba) != seg_written.end() || !li_byte_seen.insert(ba).second) {
+            continue;
           }
-          // Replicate the builder's 7-slot pred cap so the per-unit dropped
-          // counts sum to the graph's total.
-          if (mit == mem_bytes.end()) continue;
-          const NodeId writer = mit->second.first;
-          bool seen = false;
-          for (std::uint8_t k = 0; k < kept_count; ++k) seen = seen || kept[k] == writer;
-          if (seen) continue;
-          if (kept_count < 7) {
-            kept[kept_count++] = writer;
-          } else {
-            ++s.dropped_load_preds;
-          }
+          const auto mit = mem_writer.find(ba);
+          raw_byte_li[unit].push_back(RawByteLiveIn{
+              seg, ba, static_cast<std::uint8_t>((result_val >> (8 * b)) & 0xFF),
+              mit == mem_writer.end() ? kNoNode : mit->second});
         }
       } else if (inst.op == Opcode::kStore) {
         const ddg::AccessRecord& a = g.accesses()[acc_cursor++];
         if (a.dyn_index != gd) throw std::logic_error("BuildProgramSlices: access desync");
         const std::uint64_t value = op_values[0];
         for (std::uint64_t b = 0; b < a.size; ++b) {
-          const auto byte = static_cast<std::uint8_t>((value >> (8 * b)) & 0xFF);
-          seg_written[a.addr + b] = byte;
-          mem_bytes[a.addr + b] = {d.result_node, byte};
+          seg_written[a.addr + b] = static_cast<std::uint8_t>((value >> (8 * b)) & 0xFF);
+          mem_writer[a.addr + b] = d.result_node;
         }
       } else if (inst.op == Opcode::kCall && inst.is_intrinsic &&
                  ir::IsOutputIntrinsic(inst.intrinsic)) {
@@ -517,11 +587,7 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
         s.outputs.push_back(OutputEvent{seg, op_values[0]});
       }
 
-      // Mirror the builder's shadow-update condition for register defs.
-      const bool defines =
-          (inst.DefinesValue() && inst.op != Opcode::kCall) ||
-          (inst.op == Opcode::kCall && inst.is_intrinsic && inst.DefinesValue());
-      if (defines && d.result_node != kNoNode) {
+      if (ddg::DefinesShadowedRegister(inst)) {
         first_def.try_emplace(inst.result, gd);
         seg_reg_vals[inst.result] = g.GetNode(d.result_node).value;
       }
@@ -731,145 +797,31 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
       seg.first_node = static_cast<std::uint32_t>(cursor);
       const std::uint32_t end_dyn = seg.first_dyn + seg.num_dyn;
       while (cursor < s.nodes.size() && s.nodes[cursor].dyn < end_dyn) ++cursor;
-      seg.num_nodes = static_cast<std::uint32_t>(cursor) - seg.first_node;
     }
   }
 
   // --- pass 5: backward projection -------------------------------------------
-  // Project the monolithic ACE marks, crash intervals and spill sets onto the
-  // units, then re-run every unit's own backward sweep against the projected
-  // spills — the resweep must reproduce the projection exactly, and the diff
-  // battery asserts it does (composed == monolithic, bit for bit).
-  for (std::uint32_t u = 0; u < num_units; ++u) {
-    p.units[u].back.ace_marks.assign((unit_node_count[u] + 63) / 64, 0);
-  }
-  for (NodeId id = 0; id < n_nodes; ++id) {
-    if (node_unit[id] == kInternUnit || !ace.Contains(id)) continue;
-    p.units[node_unit[id]].back.Mark(node_local[id]);
-  }
-
-  std::vector<std::set<std::uint32_t>> intern_mark_sets(num_units);
-  std::vector<std::set<UnitRef>> ace_spill_sets(num_units);
-  for (NodeId id = 0; id < n_nodes; ++id) {
-    const std::uint32_t u = node_unit[id];
-    if (u == kInternUnit || !p.units[u].back.Marked(node_local[id])) continue;
-    for (const NodeId pred : g.Preds(id)) {
-      if (pred == kNoNode) continue;
-      if (node_unit[pred] == kInternUnit) {
-        intern_mark_sets[u].insert(node_local[pred]);
-      } else if (node_unit[pred] != u) {
-        ace_spill_sets[u].insert(translate(pred, u));
-      }
+  // Seed every unit's own sweep with its share of the monolithic ACE marks and
+  // crash intervals. Those are already closed under the sweep's local steps,
+  // so the sweep changes nothing inside the unit; what it pushes across the
+  // boundary is exactly the unit's spill sets. Then re-derive every unit's
+  // backward results from its slice and the other units' spill sets alone:
+  // the resweep must reproduce the projection, and the diff battery asserts
+  // it does (composed == monolithic, bit for bit).
+  {
+    std::vector<std::vector<Interval>> allowed(num_units);
+    for (std::uint32_t u = 0; u < num_units; ++u) {
+      p.units[u].back.ace_marks.assign((unit_node_count[u] + 63) / 64, 0);
+      allowed[u].assign(unit_node_count[u], Interval::Full());
     }
-  }
-  for (std::uint32_t u = 0; u < num_units; ++u) {
-    const UnitSlice& s = p.units[u].slice;
-    const auto note_root = [&](const RootRef& r) {
-      if (r.node == kNullRef) return;
-      if (RefUnit(r.node) == kInternUnit) {
-        intern_mark_sets[u].insert(RefIndex(r.node));
-      } else if (RefUnit(r.node) != u) {
-        ace_spill_sets[u].insert(r.node);
-      }
-    };
-    for (const RootRef& r : s.output_roots) note_root(r);
-    for (const RootRef& r : s.control_roots) note_root(r);
-  }
-
-  std::vector<std::map<UnitRef, Interval>> spill_maps(num_units);
-  const auto spill = [&](std::uint32_t u, NodeId target, Interval iv) {
-    // Mirrors propagation.cc's Narrow for the cross-unit case only.
-    if (target == kNoNode || iv.IsFull()) return;
-    const ddg::Node& tn = g.GetNode(target);
-    if (tn.kind == ddg::NodeKind::kConstant || tn.kind == ddg::NodeKind::kGlobal) return;
-    if (node_unit[target] == u) return;
-    auto [it, inserted] = spill_maps[u].try_emplace(translate(target, u), Interval::Full());
-    it->second = it->second.Intersect(iv);
-  };
-  for (const ddg::AccessRecord& a : g.accesses()) {
-    const ddg::DynInstr& d = g.GetDyn(a.dyn_index);
-    if (d.result_node == kNoNode || !ace.Contains(d.result_node)) continue;
-    const std::uint32_t u = dyn_unit[a.dyn_index];
-    ++p.units[u].back.seeded_accesses;
-    if (a.addr_node != kNoNode && node_unit[a.addr_node] != kInternUnit &&
-        node_unit[a.addr_node] != u) {
-      spill(u, a.addr_node, analysis.crash_model().CheckBoundary(a));
+    for (NodeId id = 0; id < n_nodes; ++id) {
+      const std::uint32_t u = node_unit[id];
+      if (u == kInternUnit) continue;
+      if (ace.Contains(id)) p.units[u].back.Mark(node_local[id]);
+      allowed[u][node_local[id]] = cb.allowed[id];
     }
+    for (std::uint32_t u = 0; u < num_units; ++u) SweepUnit(p, u, p.units[u].back, allowed[u]);
   }
-  for (NodeId id = 0; id < n_nodes; ++id) {
-    const Interval dest_allowed = cb.allowed[id];
-    if (dest_allowed.IsFull()) continue;
-    const ddg::Node& node = g.GetNode(id);
-    if (node.dyn_index == ddg::kNoDyn) continue;
-    const std::uint32_t u = node_unit[id];
-    const ddg::DynInstr& d = g.GetDyn(node.dyn_index);
-    const ir::Instruction& inst = g.InstructionOf(d);
-    const auto op_nodes = g.OperandNodes(node.dyn_index);
-    const auto op_values = g.OperandValues(node.dyn_index);
-    switch (inst.op) {
-      case Opcode::kStore:
-        spill(u, op_nodes[0], dest_allowed);
-        continue;
-      case Opcode::kLoad: {
-        const auto preds = g.Preds(id);
-        NodeId data_pred = kNoNode;
-        unsigned data_count = 0;
-        for (unsigned i = 0; i < preds.size(); ++i) {
-          if (!g.PredIsVirtual(id, i)) {
-            data_pred = preds[i];
-            ++data_count;
-          }
-        }
-        if (data_count == 1 && g.GetNode(data_pred).width == node.width &&
-            g.GetNode(data_pred).value == node.value) {
-          spill(u, data_pred, dest_allowed);
-        }
-        continue;
-      }
-      case Opcode::kPhi:
-        if (d.selected_operand != 0xFF) spill(u, op_nodes[d.selected_operand], dest_allowed);
-        continue;
-      case Opcode::kSelect: {
-        const unsigned chosen = (op_values[0] & 1) != 0 ? 1 : 2;
-        spill(u, op_nodes[chosen], dest_allowed);
-        continue;
-      }
-      default:
-        break;
-    }
-    std::array<unsigned, 8> widths{};
-    for (std::size_t i = 0; i < op_nodes.size() && i < widths.size(); ++i) {
-      widths[i] = op_nodes[i] == kNoNode ? 64u : g.GetNode(op_nodes[i]).width;
-    }
-    for (unsigned slot = 0; slot < op_nodes.size(); ++slot) {
-      if (op_nodes[slot] == kNoNode) continue;
-      const auto interval = crash::OperandAllowedInterval(
-          inst, op_values, std::span<const unsigned>(widths.data(), op_nodes.size()), slot,
-          dest_allowed);
-      if (interval.has_value()) spill(u, op_nodes[slot], *interval);
-    }
-  }
-
-  std::vector<std::vector<Interval>> allowed_local(num_units);
-  for (std::uint32_t u = 0; u < num_units; ++u) {
-    allowed_local[u].assign(unit_node_count[u], Interval::Full());
-  }
-  for (NodeId id = 0; id < n_nodes; ++id) {
-    if (node_unit[id] == kInternUnit) continue;
-    allowed_local[node_unit[id]][node_local[id]] = cb.allowed[id];
-  }
-
-  for (std::uint32_t u = 0; u < num_units; ++u) {
-    UnitBackward& back = p.units[u].back;
-    back.ace_spills.assign(ace_spill_sets[u].begin(), ace_spill_sets[u].end());
-    back.interval_spills.assign(spill_maps[u].begin(), spill_maps[u].end());
-    back.intern_marks.assign(intern_mark_sets[u].begin(), intern_mark_sets[u].end());
-    FinishUnitBackward(p, u, allowed_local[u]);
-  }
-
-  // Verification by construction: re-derive every unit's backward results
-  // from its slice + the projected spill sets. Any divergence from the
-  // projection surfaces as composed != monolithic in the diff battery.
   for (std::uint32_t u = 0; u < num_units; ++u) RunUnitBackward(p, u);
   for (std::uint32_t u = 0; u < num_units; ++u) {
     p.units[u].slice.input_digest = UnitInputDigest(p, u);
@@ -880,133 +832,24 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
 void RunUnitBackward(ProgramSlices& p, std::uint32_t unit) {
   CompiledUnit& cu = p.units[unit];
   const UnitSlice& s = cu.slice;
-  const ir::Module& module = *p.module;
-  const auto num_nodes = static_cast<std::uint32_t>(s.nodes.size());
-
+  // The seeds: the marks and narrowings the other units' stored spill sets
+  // push into this unit's exports.
   UnitBackward nb;
-  nb.ace_marks.assign((num_nodes + 63) / 64, 0);
-  std::set<std::uint32_t> intern_set;
-  std::set<UnitRef> ace_spill_set;
-  std::vector<std::uint32_t> stack;
-
-  // ACE closure, unit-restricted: cross-unit pred edges become spill-set
-  // entries instead of BFS steps; the exporter's own resweep consumes them.
-  const auto mark_ref = [&](UnitRef ref) {
-    if (ref == kNullRef) return;
-    const std::uint32_t u = RefUnit(ref);
-    if (u == kInternUnit) {
-      intern_set.insert(RefIndex(ref));
-    } else if (u != unit) {
-      ace_spill_set.insert(ref);
-    } else if (!nb.Marked(RefIndex(ref))) {
-      nb.Mark(RefIndex(ref));
-      stack.push_back(RefIndex(ref));
-    }
-  };
-  for (const RootRef& r : s.output_roots) mark_ref(r.node);
-  for (const RootRef& r : s.control_roots) mark_ref(r.node);
+  nb.ace_marks.assign((s.nodes.size() + 63) / 64, 0);
+  std::vector<Interval> allowed(s.nodes.size(), Interval::Full());
   for (std::uint32_t v = 0; v < p.units.size(); ++v) {
     if (v == unit) continue;
-    for (const UnitRef ref : p.units[v].back.ace_spills) {
-      if (RefUnit(ref) != unit) continue;
-      mark_ref(MakeRef(unit, s.exports[RefIndex(ref)].local));
+    const UnitBackward& other = p.units[v].back;
+    for (const UnitRef ref : other.ace_spills) {
+      if (RefUnit(ref) == unit) nb.Mark(s.exports[RefIndex(ref)].local);
     }
-  }
-  while (!stack.empty()) {
-    const std::uint32_t local = stack.back();
-    stack.pop_back();
-    const SlicePredRange& pr = s.pred_ranges[local];
-    for (std::uint32_t i = 0; i < pr.count; ++i) mark_ref(s.preds[pr.offset + i]);
-  }
-
-  // Crash-interval resweep: apply the incoming cross-unit narrowings and the
-  // unit's own (ACE-gated) boundary seeds upfront, then run propagation.cc's
-  // descending sweep over the local nodes. Local node ids ascend with global
-  // ids, and every narrowing targets a lower id than its source flows from,
-  // so the single local pass reproduces the global pass exactly.
-  std::vector<Interval> allowed(num_nodes, Interval::Full());
-  std::map<UnitRef, Interval> spill_map;
-  const auto narrow = [&](UnitRef ref, Interval iv) {
-    if (ref == kNullRef || iv.IsFull()) return;
-    const std::uint32_t u = RefUnit(ref);
-    if (u == kInternUnit) return;  // constants/globals never narrow
-    if (u != unit) {
-      auto [it, inserted] = spill_map.try_emplace(ref, Interval::Full());
-      it->second = it->second.Intersect(iv);
-      return;
-    }
-    allowed[RefIndex(ref)] = allowed[RefIndex(ref)].Intersect(iv);
-  };
-  for (std::uint32_t v = 0; v < p.units.size(); ++v) {
-    if (v == unit) continue;
-    for (const auto& [ref, iv] : p.units[v].back.interval_spills) {
+    for (const auto& [ref, iv] : other.interval_spills) {
       if (RefUnit(ref) != unit) continue;
       const std::uint32_t local = s.exports[RefIndex(ref)].local;
       allowed[local] = allowed[local].Intersect(iv);
     }
   }
-  for (const SliceAccess& a : s.accesses) {
-    const SliceDyn& d = s.dyn[a.dyn];
-    if (d.result_node == kNoLocalNode || !nb.Marked(d.result_node)) continue;
-    ++nb.seeded_accesses;
-    narrow(a.addr_node, a.seed);
-  }
-
-  for (std::uint32_t local = num_nodes; local-- > 0;) {
-    const Interval dest_allowed = allowed[local];
-    if (dest_allowed.IsFull()) continue;
-    const SliceNode& node = s.nodes[local];
-    const SliceDyn& d = s.dyn[node.dyn];
-    const ir::Instruction& inst = InstrOf(module, d.sid);
-    const UnitRef* op_refs = s.operand_nodes.data() + d.operands_offset;
-    const std::uint64_t* op_values = s.operand_values.data() + d.operands_offset;
-    switch (inst.op) {
-      case Opcode::kStore:
-        narrow(op_refs[0], dest_allowed);
-        continue;
-      case Opcode::kLoad: {
-        const SlicePredRange& pr = s.pred_ranges[local];
-        UnitRef data_pred = kNullRef;
-        unsigned data_count = 0;
-        for (std::uint32_t i = 0; i < pr.count; ++i) {
-          if ((pr.virtual_mask & (1u << i)) == 0) {
-            data_pred = s.preds[pr.offset + i];
-            ++data_count;
-          }
-        }
-        if (data_count == 1 && data_pred != kNullRef) {
-          const auto [width, value] = WidthValueOf(p, unit, data_pred);
-          if (width == node.width && value == node.value) narrow(data_pred, dest_allowed);
-        }
-        continue;
-      }
-      case Opcode::kPhi:
-        if (d.selected_operand != 0xFF) narrow(op_refs[d.selected_operand], dest_allowed);
-        continue;
-      case Opcode::kSelect: {
-        const unsigned chosen = (op_values[0] & 1) != 0 ? 1 : 2;
-        narrow(op_refs[chosen], dest_allowed);
-        continue;
-      }
-      default:
-        break;
-    }
-    std::array<unsigned, 8> widths{};
-    for (unsigned i = 0; i < d.num_operands && i < widths.size(); ++i) {
-      widths[i] = op_refs[i] == kNullRef ? 64u : WidthValueOf(p, unit, op_refs[i]).first;
-    }
-    for (unsigned slot = 0; slot < d.num_operands; ++slot) {
-      if (op_refs[slot] == kNullRef) continue;
-      const auto interval = crash::OperandAllowedInterval(
-          inst, std::span<const std::uint64_t>(op_values, d.num_operands),
-          std::span<const unsigned>(widths.data(), d.num_operands), slot, dest_allowed);
-      if (interval.has_value()) narrow(op_refs[slot], *interval);
-    }
-  }
-
-  nb.ace_spills.assign(ace_spill_set.begin(), ace_spill_set.end());
-  nb.interval_spills.assign(spill_map.begin(), spill_map.end());
-  nb.intern_marks.assign(intern_set.begin(), intern_set.end());
+  SweepUnit(p, unit, nb, allowed);
   cu.back = std::move(nb);
   FinishUnitBackward(p, unit, allowed);
 }
@@ -1318,21 +1161,17 @@ std::vector<InstrMetrics> ComposePerInstruction(const ProgramSlices& p) {
   return out;
 }
 
-std::vector<UnitDelta> PerUnitEpvf(const ProgramSlices& p) {
-  std::vector<UnitDelta> rows;
+std::vector<UnitEpvf> PerUnitEpvf(const ProgramSlices& p) {
+  std::vector<UnitEpvf> rows;
   rows.reserve(p.units.size());
   for (std::size_t u = 0; u < p.units.size(); ++u) {
     const UnitSums& sums = p.units[u].sums;
-    UnitDelta row;
-    row.name = p.partition.units[u].name;
-    row.old_total_bits = row.new_total_bits = sums.total_bits;
     const double epvf =
         sums.total_bits == 0
             ? 0.0
             : static_cast<double>(sums.ace_bits - sums.crash_bits) /
                   static_cast<double>(sums.total_bits);
-    row.old_epvf = row.new_epvf = epvf;
-    rows.push_back(std::move(row));
+    rows.push_back(UnitEpvf{p.partition.units[u].name, epvf});
   }
   return rows;
 }

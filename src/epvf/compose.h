@@ -128,8 +128,7 @@ struct SliceAccess {
 struct SegmentInfo {
   std::uint32_t first_dyn = 0;  ///< unit-local
   std::uint32_t num_dyn = 0;
-  std::uint32_t first_node = 0;  ///< unit-local; nodes created by this segment
-  std::uint32_t num_nodes = 0;
+  std::uint32_t first_node = 0;  ///< unit-local; the first node this segment creates
   std::uint32_t entry_block = 0;
   std::uint32_t prev_block = ir::kInvalidIndex;  ///< phi-selecting predecessor
   std::uint32_t exit_function = ir::kInvalidIndex;
@@ -226,7 +225,6 @@ struct UnitSlice {
   /// this side table restores O(log n) local→slot lookup.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> export_by_local;
   std::vector<std::uint32_t> intern_refs; ///< sorted intern ids this unit uses
-  std::uint64_t dropped_load_preds = 0;
   /// UnitInputDigest of this unit — part of the unit's content address.
   std::uint64_t input_digest = 0;
 
@@ -246,7 +244,6 @@ struct UnitBackward {
   /// external target — sorted by ref.
   std::vector<std::pair<UnitRef, Interval>> interval_spills;
   std::vector<std::uint32_t> intern_marks;  ///< sorted intern ids marked ACE
-  std::uint64_t seeded_accesses = 0;
 
   [[nodiscard]] bool Marked(std::uint32_t local) const {
     return (ace_marks[local >> 6] >> (local & 63)) & 1;
@@ -258,14 +255,11 @@ struct UnitBackward {
 
 /// Per-unit accounting — everything ComposeProgram sums.
 struct UnitSums {
-  std::uint64_t dyn_count = 0;
   std::uint64_t node_count = 0;
   std::uint64_t total_bits = 0;
   std::uint64_t ace_bits = 0;
   std::uint64_t crash_bits = 0;
   std::uint64_t ace_nodes = 0;  ///< local nodes only; interns counted once globally
-  std::uint64_t ace_register_nodes = 0;
-  std::uint64_t constrained_nodes = 0;
   std::uint64_t mem_total = 0;
   std::uint64_t mem_ace = 0;
   std::uint64_t mem_crash = 0;
@@ -292,6 +286,12 @@ struct CompiledUnit {
 };
 
 // --- the program-level composition -------------------------------------------
+
+/// InternEntry::type_key of `t`: scalar | bits | ptr_depth.
+[[nodiscard]] constexpr std::uint32_t PackTypeKey(ir::Type t) {
+  return (static_cast<std::uint32_t>(t.scalar) << 16) |
+         (static_cast<std::uint32_t>(t.bits) << 8) | static_cast<std::uint32_t>(t.ptr_depth);
+}
 
 struct InternEntry {
   std::uint8_t is_global = 0;   ///< 0 = constant-pool entry, 1 = global
@@ -378,9 +378,6 @@ struct ProgramSlices {
   /// Per-unit instruction-order-sensitive digest over register uses: the
   /// control oracle's visibility into the unit's static text.
   std::vector<std::uint64_t> unit_static_digest;
-  /// Per-unit sorted set of register ids the unit's static text reads or
-  /// writes (guards walk reuse against use-set-changing edits).
-  std::vector<std::vector<std::uint32_t>> unit_reg_set;
   /// Lazily built by RunUnitWalks; not serialized. The incremental path keeps
   /// it alive and patches it per dirty unit instead of rebuilding.
   std::shared_ptr<WalkUseIndex> walk_index;
@@ -401,8 +398,6 @@ struct ProgramSlices {
 [[nodiscard]] std::uint64_t FunctionShapeDigest(const ir::Function& fn);
 [[nodiscard]] std::uint64_t GlobalsDigest(const ir::Module& module);
 [[nodiscard]] std::uint64_t UnitStaticDigest(const ir::Module& module, const UnitInfo& unit);
-[[nodiscard]] std::vector<std::uint32_t> UnitRegisterSet(const ir::Module& module,
-                                                         const UnitInfo& unit);
 
 /// Cold path: project a completed monolithic analysis onto `partition`.
 /// Fills every unit's slice, backward results and sums; walks are computed by
@@ -414,7 +409,8 @@ struct ProgramSlices {
 /// Recomputes `unit`'s backward results (ACE + crash) from its slice, its
 /// seeds, and the *stored* spill sets of every other unit. Mirrors the
 /// monolithic sweeps exactly; overwrites units[unit].back and .sums (walk
-/// sums untouched).
+/// sums untouched). BuildProgramSlices runs it over every unit, as the check
+/// that the spill sets alone reproduce the monolithic results.
 void RunUnitBackward(ProgramSlices& p, std::uint32_t unit);
 
 /// Recomputes the activation-walk sums (and dependency masks) of the listed
@@ -435,15 +431,13 @@ void UpdateWalkIndexForUnit(ProgramSlices& p, std::uint32_t unit);
 /// disjoint across units — each static instruction lives in exactly one).
 [[nodiscard]] std::vector<InstrMetrics> ComposePerInstruction(const ProgramSlices& p);
 
-/// One row of the `epvf delta` report.
-struct UnitDelta {
+/// One unit's ePVF over its own bits — a side of an `epvf delta` row.
+struct UnitEpvf {
   std::string name;
-  std::uint64_t old_total_bits = 0, new_total_bits = 0;
-  double old_epvf = 0.0, new_epvf = 0.0;
-  bool changed = false;  ///< the unit's IR fingerprint moved
+  double epvf = 0.0;
 };
 
-/// Per-unit ePVF of one analysis state (unit ePVF over the unit's own bits).
-[[nodiscard]] std::vector<UnitDelta> PerUnitEpvf(const ProgramSlices& p);
+/// Per-unit ePVF of one analysis state, in unit order.
+[[nodiscard]] std::vector<UnitEpvf> PerUnitEpvf(const ProgramSlices& p);
 
 }  // namespace epvf::core

@@ -12,8 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "ddg/builder.h"
 #include "ir/intrinsics.h"
-#include "support/bits.h"
 #include "vm/eval.h"
 #include "vm/value.h"
 
@@ -22,11 +22,6 @@ namespace epvf::core {
 namespace {
 
 using ir::Opcode;
-
-std::uint32_t PackTypeKey(ir::Type t) {
-  return (static_cast<std::uint32_t>(t.scalar) << 16) |
-         (static_cast<std::uint32_t>(t.bits) << 8) | static_cast<std::uint32_t>(t.ptr_depth);
-}
 
 /// Per-segment [begin, end) ranges over a segment-ordered vector (every
 /// per-segment slice vector is nondecreasing in its `segment` field).
@@ -450,52 +445,21 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
                        : 0);
         break;
       case Opcode::kSelect:
-        set_result((vals[0] & 1) != 0 ? vals[1] : vals[2]);
-        break;
       case Opcode::kPhi:
-        set_result(vals[selected]);
-        break;
       case Opcode::kTrunc:
+      case Opcode::kZExt:
+      case Opcode::kSExt:
       case Opcode::kBitCast:
+      case Opcode::kSIToFP:
+      case Opcode::kUIToFP:
+      case Opcode::kFPToSI:
+      case Opcode::kFPTrunc:
+      case Opcode::kFPExt:
       case Opcode::kPtrToInt:
       case Opcode::kIntToPtr:
-      case Opcode::kZExt:
-        set_result(vals[0]);
+      case Opcode::kGep:
+        set_result(vm::detail::EvalValueOnly(module_, fn_, inst, vals.data(), selected));
         break;
-      case Opcode::kSExt:
-        set_result(SignExtendFrom(vals[0], module_.TypeOf(fn_, inst.operands[0]).BitWidth()));
-        break;
-      case Opcode::kSIToFP: {
-        const auto sv = vm::SignedOf(module_.TypeOf(fn_, inst.operands[0]), vals[0]);
-        set_result(inst.type == ir::Type::F32()
-                       ? vm::BitsFromFloat(static_cast<float>(sv))
-                       : vm::BitsFromDouble(static_cast<double>(sv)));
-        break;
-      }
-      case Opcode::kUIToFP:
-        set_result(inst.type == ir::Type::F32()
-                       ? vm::BitsFromFloat(static_cast<float>(vals[0]))
-                       : vm::BitsFromDouble(static_cast<double>(vals[0])));
-        break;
-      case Opcode::kFPToSI: {
-        const ir::Type from = module_.TypeOf(fn_, inst.operands[0]);
-        const double d = from == ir::Type::F32() ? vm::FloatFromBits(vals[0])
-                                                 : vm::DoubleFromBits(vals[0]);
-        set_result(static_cast<std::uint64_t>(vm::detail::SafeFpToInt(d)));
-        break;
-      }
-      case Opcode::kFPTrunc:
-        set_result(vm::BitsFromFloat(static_cast<float>(vm::DoubleFromBits(vals[0]))));
-        break;
-      case Opcode::kFPExt:
-        set_result(vm::BitsFromDouble(static_cast<double>(vm::FloatFromBits(vals[0]))));
-        break;
-      case Opcode::kGep: {
-        const ir::Type index_type = module_.TypeOf(fn_, inst.operands[1]);
-        const std::uint64_t index = SignExtendFrom(vals[1], index_type.BitWidth());
-        set_result(vals[0] + inst.gep_elem_bytes * index);
-        break;
-      }
       case Opcode::kLoad: {
         const std::uint64_t addr = vals[0];
         const unsigned size = inst.type.StoreSize();
@@ -574,13 +538,9 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
 
     // --- output-event validation (the non-register escape channels) ----------
     if (is_output_call) {
-      std::uint64_t payload = vals[0];
-      if (inst.intrinsic == ir::Intrinsic::kOutputF64) {
-        // Interpreter mirror: "%.6g" print-then-reparse rounding.
-        char text[64];
-        std::snprintf(text, sizeof text, "%.6g", vm::DoubleFromBits(vals[0]));
-        payload = vm::BitsFromDouble(std::strtod(text, nullptr));
-      }
+      const std::uint64_t payload = inst.intrinsic == ir::Intrinsic::kOutputF64
+                                        ? vm::detail::RoundOutputF64(vals[0])
+                                        : vals[0];
       if (out_cursor >= out_end || old_.outputs[out_cursor].value != payload) {
         return (Fail(), false);
       }
@@ -595,17 +555,41 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
       ns_.outputs.push_back(OutputEvent{seg, vals[0]});
     }
 
-    // --- node construction (builder mirror) ----------------------------------
+    // --- node construction (the builder's node rule) --------------------------
     std::uint32_t result_node = kNoLocalNode;
+    if (ddg::MakesResultNode(inst)) {
+      const ddg::ResultPreds<UnitRef> preds = ddg::ResultNodePreds<UnitRef>(
+          inst, std::span<const UnitRef>(refs.data(), num_ops),
+          std::span<const std::uint64_t>(vals.data(), num_ops), selected, kNullRef,
+          [&](std::uint64_t addr) {
+            const auto wit = seg_byte_writer_.find(addr);
+            const UnitRef writer = wit != seg_byte_writer_.end()
+                                       ? wit->second
+                                       : PoolByte(addr, oseg.first_node).first;
+            if (seg_written_.find(addr) == seg_written_.end() &&
+                li_byte_seen_.insert(addr).second) {
+              const std::uint64_t shift = 8 * (addr - vals[0]);
+              ns_.mem_live_ins.push_back(ByteLiveIn{
+                  seg, addr, static_cast<std::uint8_t>((result_bits >> shift) & 0xFF), writer});
+            }
+            return writer;
+          });
+      if (Failed()) return false;
+      if (inst.op == Opcode::kStore) {
+        const auto width =
+            static_cast<std::uint8_t>(module_.TypeOf(fn_, inst.operands[0]).BitWidth());
+        result_node = AddNode(ddg::NodeKind::kMemory, width, vals[0], preds.Span(),
+                              preds.virtual_mask);
+      } else {
+        result_node = AddNode(ddg::NodeKind::kRegister,
+                              static_cast<std::uint8_t>(inst.type.BitWidth()), result_bits,
+                              preds.Span(), preds.virtual_mask);
+      }
+    }
     switch (inst.op) {
       case Opcode::kStore: {
         const std::uint64_t addr = vals[1];
-        const auto width = static_cast<std::uint8_t>(
-            module_.TypeOf(fn_, inst.operands[0]).BitWidth());
         const unsigned size = module_.TypeOf(fn_, inst.operands[0]).StoreSize();
-        const std::array<UnitRef, 2> preds = {refs[0], refs[1]};
-        result_node = AddNode(ddg::NodeKind::kMemory, width, vals[0], preds,
-                              /*virtual_mask=*/0b10);
         const UnitRef mem_ref = MakeRef(unit_, result_node);
         for (std::uint64_t b = 0; b < size; ++b) {
           seg_written_[addr + b] = static_cast<std::uint8_t>((vals[0] >> (8 * b)) & 0xFF);
@@ -619,83 +603,22 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
         break;
       }
       case Opcode::kLoad: {
-        const std::uint64_t addr = vals[0];
-        const unsigned size = inst.type.StoreSize();
-        std::array<UnitRef, 8> preds{};
-        std::uint8_t count = 0;
-        for (std::uint64_t b = 0; b < size; ++b) {
-          const std::uint64_t ba = addr + b;
-          const auto wit = seg_byte_writer_.find(ba);
-          UnitRef writer = kNullRef;
-          if (wit != seg_byte_writer_.end()) {
-            writer = wit->second;
-          } else {
-            writer = PoolByte(ba, oseg.first_node).first;
-            if (Failed()) return false;
-          }
-          if (seg_written_.find(ba) == seg_written_.end() && li_byte_seen_.insert(ba).second) {
-            ns_.mem_live_ins.push_back(ByteLiveIn{
-                seg, ba, static_cast<std::uint8_t>((result_bits >> (8 * b)) & 0xFF), writer});
-          }
-          if (writer == kNullRef) continue;
-          bool seen = false;
-          for (std::uint8_t k = 0; k < count; ++k) seen = seen || preds[k] == writer;
-          if (seen) continue;
-          if (count < 7) {
-            preds[count++] = writer;
-          } else {
-            ++ns_.dropped_load_preds;
-          }
-        }
-        preds[count] = refs[0];
-        result_node = AddNode(ddg::NodeKind::kRegister,
-                              static_cast<std::uint8_t>(inst.type.BitWidth()), result_bits,
-                              std::span<const UnitRef>(preds.data(), count + 1),
-                              /*virtual_mask=*/1u << count);
         SliceAccess na = old_.accesses[acc_cursor++];
         na.dyn = ld;
         na.addr_node = refs[0];
         ns_.accesses.push_back(na);
         break;
       }
-      case Opcode::kPhi: {
-        const std::array<UnitRef, 1> preds = {refs[selected]};
-        result_node = AddNode(ddg::NodeKind::kRegister,
-                              static_cast<std::uint8_t>(inst.type.BitWidth()), result_bits,
-                              preds, 0);
-        break;
-      }
-      case Opcode::kSelect: {
-        const UnitRef chosen = (vals[0] & 1) != 0 ? refs[1] : refs[2];
-        const std::array<UnitRef, 2> preds = {refs[0], chosen};
-        result_node = AddNode(ddg::NodeKind::kRegister,
-                              static_cast<std::uint8_t>(inst.type.BitWidth()), result_bits,
-                              preds, 0);
-        break;
-      }
-      case Opcode::kBr:
       case Opcode::kCondBr:
-      case Opcode::kRet:
-        if (inst.op == Opcode::kCondBr && refs[0] != kNullRef && inst.operands[0].IsRegister()) {
+        if (refs[0] != kNullRef && inst.operands[0].IsRegister()) {
           ns_.control_roots.push_back(RootRef{seg, refs[0]});
         }
         break;
       case Opcode::kCall:
-        if (is_output_call) {
-          // AddOutputRoot mirror: unconditional, null refs included.
-          ns_.output_roots.push_back(RootRef{seg, refs[0]});
-        } else if (inst.DefinesValue() && has_result) {
-          result_node = AddNode(ddg::NodeKind::kRegister,
-                                static_cast<std::uint8_t>(inst.type.BitWidth()), result_bits,
-                                std::span<const UnitRef>(refs.data(), num_ops), 0);
-        }
+        // AddOutputRoot mirror: unconditional, null refs included.
+        if (is_output_call) ns_.output_roots.push_back(RootRef{seg, refs[0]});
         break;
       default:
-        if (inst.DefinesValue()) {
-          result_node = AddNode(ddg::NodeKind::kRegister,
-                                static_cast<std::uint8_t>(inst.type.BitWidth()), result_bits,
-                                std::span<const UnitRef>(refs.data(), num_ops), 0);
-        }
         break;
     }
 
@@ -712,11 +635,8 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
     }
     ns_.dyn.push_back(sd);
 
-    // --- register-shadow update (builder/pass-1 defines rule) ----------------
-    const bool defines =
-        (inst.DefinesValue() && inst.op != Opcode::kCall) ||
-        (inst.op == Opcode::kCall && inst.is_intrinsic && inst.DefinesValue());
-    if (defines && result_node != kNoLocalNode) {
+    // --- register-shadow update (the builder's defines rule) -------------------
+    if (ddg::DefinesShadowedRegister(inst)) {
       first_def_.try_emplace(inst.result, ld);
       seg_reg_vals_[inst.result] = result_bits;
       reg_def_node_[inst.result] = MakeRef(unit_, result_node);
@@ -770,7 +690,6 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
   }
 
   nseg.num_dyn = static_cast<std::uint32_t>(ns_.dyn.size()) - nseg.first_dyn;
-  nseg.num_nodes = static_cast<std::uint32_t>(ns_.nodes.size()) - nseg.first_node;
   ns_.segments.push_back(nseg);
   for (const auto& [reg, value] : finals) ns_.reg_finals.push_back(RegFinal{seg, reg, value});
   for (const auto& [addr, byte] : seg_written_) {
@@ -983,7 +902,6 @@ IncrementalOutcome ReanalyzeIncremental(ProgramSlices& p, const ir::Module& new_
   // rewalk set below can include oracle-dependent units when it moved.
   const std::uint64_t new_static = UnitStaticDigest(new_module, np.units[dirty]);
   const bool static_changed = new_static != p.unit_static_digest[dirty];
-  std::vector<std::uint32_t> new_regs = UnitRegisterSet(new_module, np.units[dirty]);
 
   const std::size_t interns_before = p.interns.size();
   std::optional<UnitSlice> ns = ReplayUnitSlice(p, dirty, new_module);
@@ -1001,7 +919,6 @@ IncrementalOutcome ReanalyzeIncremental(ProgramSlices& p, const ir::Module& new_
   p.module = &new_module;
   p.partition = std::move(np);
   p.unit_static_digest[dirty] = new_static;
-  p.unit_reg_set[dirty] = std::move(new_regs);
   p.instructions_executed += cu.slice.dyn.size();
   p.instructions_executed -= old_dyn;
 

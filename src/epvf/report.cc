@@ -16,16 +16,19 @@ std::string_view RegisterClassName(RegisterClass cls) {
   return "<bad>";
 }
 
+RegisterClass RegisterClassOf(ir::Type type) {
+  if (type.IsPointer()) return RegisterClass::kPointer;
+  if (type.IsFloat()) return RegisterClass::kFloat;
+  if (type == ir::Type::I1()) return RegisterClass::kPredicate;
+  return RegisterClass::kInteger;
+}
+
 namespace {
 
 RegisterClass ClassifyNode(const ddg::Graph& graph, ddg::NodeId id) {
   const ddg::Node& node = graph.GetNode(id);
   if (node.dyn_index == ddg::kNoDyn) return RegisterClass::kInteger;
-  const ir::Instruction& inst = graph.InstructionAt(node.dyn_index);
-  if (inst.type.IsPointer()) return RegisterClass::kPointer;
-  if (inst.type.IsFloat()) return RegisterClass::kFloat;
-  if (inst.type == ir::Type::I1()) return RegisterClass::kPredicate;
-  return RegisterClass::kInteger;
+  return RegisterClassOf(graph.InstructionAt(node.dyn_index).type);
 }
 
 }  // namespace

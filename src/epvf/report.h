@@ -36,6 +36,9 @@ inline constexpr int kNumRegisterClasses = 4;
 
 [[nodiscard]] std::string_view RegisterClassName(RegisterClass cls);
 
+/// The structure class of a register defined with `type`.
+[[nodiscard]] RegisterClass RegisterClassOf(ir::Type type);
+
 struct StructureVulnerability {
   RegisterClass cls = RegisterClass::kInteger;
   std::uint64_t total_bits = 0;  ///< bit mass of the class across the trace

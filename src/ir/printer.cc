@@ -6,10 +6,22 @@ namespace epvf::ir {
 
 namespace {
 
+// The verifier prints the instruction behind every error, range errors
+// included, so an index that points outside its table prints as a marker
+// instead of being followed.
+std::string OutOfRange(const char* what, std::uint32_t index) {
+  return "<bad " + std::string(what) + " " + std::to_string(index) + ">";
+}
+
 std::string RegName(const Function& fn, std::uint32_t reg) {
+  if (reg >= fn.registers.size()) return "%" + OutOfRange("register", reg);
   const std::string& name = fn.registers[reg].name;
   if (!name.empty()) return "%" + name + "." + std::to_string(reg);
   return "%r" + std::to_string(reg);
+}
+
+std::string BlockName(const Function& fn, std::uint32_t block) {
+  return block < fn.blocks.size() ? fn.blocks[block].name : OutOfRange("block", block);
 }
 
 }  // namespace
@@ -19,10 +31,13 @@ std::string PrintValue(const Module& module, const Function& fn, ValueRef v) {
     case ValueKind::kNone: return "<none>";
     case ValueKind::kRegister: return RegName(fn, v.index);
     case ValueKind::kConstant: {
+      if (v.index >= module.constants().size()) return OutOfRange("constant", v.index);
       const Constant& c = module.GetConstant(v.index);
       return c.ToString() + ":" + c.type.ToString();
     }
-    case ValueKind::kGlobal: return "@" + module.globals[v.index].name;
+    case ValueKind::kGlobal:
+      if (v.index >= module.globals.size()) return "@" + OutOfRange("global", v.index);
+      return "@" + module.globals[v.index].name;
   }
   return "<bad>";
 }
@@ -45,7 +60,9 @@ std::string PrintInstruction(const Module& module, const Function& fn, const Ins
   if (inst.op == Opcode::kCall) {
     os << (inst.is_intrinsic ? " @!" : " @")
        << (inst.is_intrinsic ? std::string(IntrinsicName(inst.intrinsic))
-                             : module.functions[inst.callee].name)
+                         : inst.callee < module.functions.size()
+                             ? module.functions[inst.callee].name
+                             : OutOfRange("function", inst.callee))
        << '(';
     for (std::size_t i = 0; i < inst.operands.size(); ++i) {
       if (i) os << ", ";
@@ -58,7 +75,8 @@ std::string PrintInstruction(const Module& module, const Function& fn, const Ins
   if (inst.op == Opcode::kPhi) {
     for (std::size_t i = 0; i < inst.operands.size(); ++i) {
       os << (i ? ", " : " ") << '[' << PrintValue(module, fn, inst.operands[i]) << ", "
-         << fn.blocks[inst.phi_blocks[i]].name << ']';
+         << (i < inst.phi_blocks.size() ? BlockName(fn, inst.phi_blocks[i]) : "<none>")
+         << ']';
     }
     os << " : " << inst.type.ToString();
     return os.str();
@@ -68,10 +86,10 @@ std::string PrintInstruction(const Module& module, const Function& fn, const Ins
   }
   switch (inst.op) {
     case Opcode::kBr:
-      os << ' ' << fn.blocks[inst.bb_true].name;
+      os << ' ' << BlockName(fn, inst.bb_true);
       break;
     case Opcode::kCondBr:
-      os << ", " << fn.blocks[inst.bb_true].name << ", " << fn.blocks[inst.bb_false].name;
+      os << ", " << BlockName(fn, inst.bb_true) << ", " << BlockName(fn, inst.bb_false);
       break;
     case Opcode::kGep:
       os << " elem " << inst.gep_elem_bytes;

@@ -264,44 +264,45 @@ class FunctionVerifier {
     }
   }
 
-  void CheckUse(std::uint32_t block, std::uint32_t pos, const Instruction& inst, ValueRef v,
+  /// Checks one operand; false when its index is outside its table, which
+  /// makes its type unknowable (callers skip the operand's type checks).
+  bool CheckUse(std::uint32_t block, std::uint32_t pos, const Instruction& inst, ValueRef v,
                 bool is_phi_incoming, std::uint32_t incoming_block) {
     switch (v.kind) {
       case ValueKind::kNone:
         ErrorAt(block, inst, "none operand");
-        return;
+        return true;
       case ValueKind::kConstant:
-        if (v.index >= module_.constants().size()) ErrorAt(block, inst, "bad constant index");
-        return;
+        if (v.index < module_.constants().size()) return true;
+        ErrorAt(block, inst, "bad constant index");
+        return false;
       case ValueKind::kGlobal:
-        if (v.index >= module_.globals.size()) ErrorAt(block, inst, "bad global index");
-        return;
+        if (v.index < module_.globals.size()) return true;
+        ErrorAt(block, inst, "bad global index");
+        return false;
       case ValueKind::kRegister:
         break;
     }
     if (v.index >= fn_.registers.size()) {
       ErrorAt(block, inst, "use of out-of-range register");
-      return;
+      return false;
     }
     const std::uint32_t db = def_block_[v.index];
     if (db == kInvalidIndex) {
       ErrorAt(block, inst, "use of never-defined register");
-      return;
-    }
-    if (is_phi_incoming) {
+    } else if (is_phi_incoming) {
       // The incoming value must dominate the end of the incoming block.
       if (!Dominates(db, incoming_block)) {
         ErrorAt(block, inst, "phi incoming value does not dominate incoming block");
       }
-      return;
-    }
-    if (db == block) {
+    } else if (db == block) {
       if (def_pos_[v.index] > pos) {
         ErrorAt(block, inst, "use before definition in the same block");
       }
     } else if (!Dominates(db, block)) {
       ErrorAt(block, inst, "use not dominated by definition");
     }
+    return true;
   }
 
   void CheckBlock(std::uint32_t b) {
@@ -346,24 +347,38 @@ class FunctionVerifier {
           ErrorAt(b, inst, "phi incoming block out of range");
           continue;
         }
-        CheckUse(b, pos, inst, inst.operands[i], /*is_phi_incoming=*/true, inst.phi_blocks[i]);
+        if (!CheckUse(b, pos, inst, inst.operands[i], /*is_phi_incoming=*/true,
+                      inst.phi_blocks[i])) {
+          continue;
+        }
         if (TypeOf(inst.operands[i]) != inst.type) {
           ErrorAt(b, inst, "phi incoming type mismatch");
         }
       }
       return;
     }
-    for (ValueRef v : inst.operands) CheckUse(b, pos, inst, v, false, 0);
+    bool operands_in_range = true;
+    for (ValueRef v : inst.operands) {
+      operands_in_range = CheckUse(b, pos, inst, v, false, 0) && operands_in_range;
+    }
+    if (inst.op == Opcode::kBr || inst.op == Opcode::kCondBr) {
+      if (inst.bb_true >= fn_.blocks.size() ||
+          (inst.op == Opcode::kCondBr && inst.bb_false >= fn_.blocks.size())) {
+        ErrorAt(b, inst, "bad branch target");
+      }
+    }
+    if (inst.op == Opcode::kCall && !inst.is_intrinsic &&
+        inst.callee >= module_.functions.size()) {
+      ErrorAt(b, inst, "call target out of range");
+      return;
+    }
+    // Typing reads every operand's type; an operand outside its table was
+    // reported above and has none.
+    if (!operands_in_range) return;
 
     // Opcode-specific typing.
     switch (inst.op) {
-      case Opcode::kBr:
-        if (inst.bb_true >= fn_.blocks.size()) ErrorAt(b, inst, "bad branch target");
-        break;
       case Opcode::kCondBr:
-        if (inst.bb_true >= fn_.blocks.size() || inst.bb_false >= fn_.blocks.size()) {
-          ErrorAt(b, inst, "bad branch target");
-        }
         if (inst.operands.size() != 1 || TypeOf(inst.operands[0]) != Type::I1()) {
           ErrorAt(b, inst, "condbr requires a single i1 condition");
         }
@@ -403,10 +418,6 @@ class FunctionVerifier {
           if (inst.operands.size() != IntrinsicArity(inst.intrinsic)) {
             ErrorAt(b, inst, "intrinsic arity mismatch");
           }
-          break;
-        }
-        if (inst.callee >= module_.functions.size()) {
-          ErrorAt(b, inst, "call target out of range");
           break;
         }
         const Function& callee = module_.functions[inst.callee];

@@ -25,7 +25,6 @@
 #include "epvf/compose.h"
 #include "epvf/reexec.h"
 #include "fi/supervisor.h"
-#include "ir/parser.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "serve/render.h"
@@ -95,16 +94,24 @@ struct Job {
 /// counter increment (completed or cancelled) after the job finishes.
 enum class JobOutcome { kCompleted, kCancelled };
 
-/// A benchmark target keeps its module and analysis resident; the analysis
+/// A target keeps its latest module and analysis resident; the analysis
 /// holds pointers into the module, so the module lives at a stable address in
 /// the same entry. Construction runs the analysis — with guaranteed elision
-/// the result is built in place, never moved.
+/// the result is built in place, never moved — and fills its lazily cached
+/// walk sums, which the report reads: executors render a shared entry
+/// concurrently, so after construction it is only ever read.
 struct Resident {
   std::unique_ptr<ir::Module> module;
+  std::uint64_t fingerprint = 0;  ///< store::ModuleFingerprint of `module`
   core::Analysis analysis;
 
-  Resident(std::unique_ptr<ir::Module> owned, const core::AnalysisOptions& opts)
-      : module(std::move(owned)), analysis(core::Analysis::Run(*module, opts)) {}
+  Resident(std::unique_ptr<ir::Module> owned, std::uint64_t module_fingerprint,
+           const core::AnalysisOptions& opts)
+      : module(std::move(owned)),
+        fingerprint(module_fingerprint),
+        analysis(core::Analysis::Run(*module, opts)) {
+    (void)analysis.use_weighted_bits();
+  }
 };
 
 /// The resident compositional state behind `analyze --incremental`: the
@@ -186,10 +193,12 @@ struct Server::Impl {
   std::uint64_t cancelled = 0;
   std::uint64_t rejected = 0;
 
-  // Resident analyses keyed by store::CacheId(AnalysisKey) — the key covers
-  // the module fingerprint, so an edited .ir target lands in a fresh entry.
+  // Resident analyses keyed by store::CacheId(ManifestKey) — target, scale
+  // and options, not the module fingerprint — so each target holds one entry,
+  // which an edit of its .ir file replaces. Executors render from their own
+  // reference, so a replacement never frees an analysis being rendered.
   std::mutex resident_mutex;
-  std::map<std::string, std::unique_ptr<Resident>> resident;
+  std::map<std::string, std::shared_ptr<const Resident>> resident;
 
   // Resident compositional states keyed by store::CacheId(ManifestKey) — the
   // module fingerprint is deliberately absent from that key, so an edited .ir
@@ -516,51 +525,25 @@ struct Server::Impl {
     return fallback;
   }
 
-  /// Loads a benchmark by name or parses a textual-IR file — the CLI's
-  /// loader, on the daemon side. Throws on an unknown benchmark or an
-  /// unreadable file.
-  static std::unique_ptr<ir::Module> LoadModule(const std::string& target, int scale) {
-    return std::make_unique<ir::Module>([&] {
-      const bool looks_like_path =
-          target.find('.') != std::string::npos || target.find('/') != std::string::npos;
-      if (!looks_like_path) {
-        apps::AppConfig config;
-        config.scale = scale;
-        return apps::BuildApp(target, config).module;
-      }
-      std::ifstream in(target);
-      if (!in) throw std::runtime_error("cannot open " + target);
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return ir::ParseModuleOrThrow(buffer.str());
-    }());
-  }
-
-  /// The resident entry for (target, scale) — built on first use. Throws on
-  /// an unknown benchmark / unreadable file, like the CLI's loader.
-  Resident& EnsureResident(const std::string& target, int scale, int jobs, bool* hit) {
-    std::unique_ptr<ir::Module> module = LoadModule(target, scale);
-
+  /// The resident analysis of (target, scale), built on first use and
+  /// rebuilt when the target's module changed. Throws on an unknown
+  /// benchmark / unreadable file, like the CLI's loader.
+  std::shared_ptr<const Resident> EnsureResident(const std::string& target, int scale,
+                                                 int jobs, bool* hit) {
+    auto module = std::make_unique<ir::Module>(apps::LoadTarget(target, scale));
     core::AnalysisOptions opts;
     opts.jobs = jobs;
-    store::AnalysisKey key;
-    key.app = target;
-    key.config = "scale=" + std::to_string(scale);
-    key.module_fingerprint = store::ModuleFingerprint(*module);
-    key.options = opts;
-    const std::string id = store::CacheId(key);
+    const store::AnalysisKey key = store::MakeAnalysisKey(target, scale, *module, opts);
 
     const std::lock_guard<std::mutex> lock(resident_mutex);
-    const auto it = resident.find(id);
-    if (it != resident.end()) {
-      *hit = true;
-      obs::GetCounter("serve.analyze.resident_hits").Add();
-      return *it->second;
+    std::shared_ptr<const Resident>& slot = resident[store::CacheId(store::ManifestKey{key})];
+    *hit = slot != nullptr && slot->fingerprint == key.module_fingerprint;
+    obs::GetCounter(*hit ? "serve.analyze.resident_hits" : "serve.analyze.resident_misses")
+        .Add();
+    if (!*hit) {
+      slot = std::make_shared<const Resident>(std::move(module), key.module_fingerprint, opts);
     }
-    *hit = false;
-    obs::GetCounter("serve.analyze.resident_misses").Add();
-    auto entry = std::make_unique<Resident>(std::move(module), opts);
-    return *resident.emplace(id, std::move(entry)).first->second;
+    return slot;
   }
 
   JobOutcome Execute(Job& job) {
@@ -588,9 +571,10 @@ struct Server::Impl {
     try {
       bool hit = false;
       const auto start = std::chrono::steady_clock::now();
-      Resident& entry = EnsureResident(job.args[1], scale, jobs_flag, &hit);
+      const std::shared_ptr<const Resident> entry =
+          EnsureResident(job.args[1], scale, jobs_flag, &hit);
       std::ostringstream out;
-      RenderAnalyzeReport(entry.analysis, out);
+      RenderAnalyzeReport(entry->analysis, out);
       const double ms =
           std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
               .count();
@@ -614,14 +598,10 @@ struct Server::Impl {
   void ExecuteAnalyzeIncremental(Job& job, int scale, int jobs_flag) {
     try {
       const auto start = std::chrono::steady_clock::now();
-      std::unique_ptr<ir::Module> module = LoadModule(job.args[1], scale);
+      auto module = std::make_unique<ir::Module>(apps::LoadTarget(job.args[1], scale));
       core::AnalysisOptions opts;
       opts.jobs = jobs_flag;
-      store::AnalysisKey key;
-      key.app = job.args[1];
-      key.config = "scale=" + std::to_string(scale);
-      key.module_fingerprint = store::ModuleFingerprint(*module);
-      key.options = opts;
+      const store::AnalysisKey key = store::MakeAnalysisKey(job.args[1], scale, *module, opts);
       const std::string id = store::CacheId(store::ManifestKey{key});
 
       const std::lock_guard<std::mutex> lock(units_mutex);
@@ -685,7 +665,7 @@ struct Server::Impl {
     // cheaply instead of through worker relaunch exhaustion.
     try {
       const int scale = std::atoi(FlagValue(job.args, "scale", "1").c_str());
-      (void)LoadModule(job.args[1], scale);
+      (void)apps::LoadTarget(job.args[1], scale);
     } catch (const std::exception& error) {
       job.conn->SendError(ErrorCode::kBadRequest, error.what());
       return JobOutcome::kCompleted;

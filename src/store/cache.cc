@@ -67,6 +67,16 @@ std::string_view ArtifactKindName(ArtifactKind kind) {
   return "?";
 }
 
+AnalysisKey MakeAnalysisKey(const std::string& target, int scale, const ir::Module& module,
+                            const core::AnalysisOptions& options) {
+  AnalysisKey key;
+  key.app = target;
+  key.config = "scale=" + std::to_string(scale);
+  key.module_fingerprint = ModuleFingerprint(module);
+  key.options = options;
+  return key;
+}
+
 std::string CanonicalKey(const AnalysisKey& key) {
   std::ostringstream out;
   out << "epvf-analysis|v" << kFormatVersion << "|app=" << key.app << "|cfg=" << key.config

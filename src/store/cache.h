@@ -62,6 +62,15 @@ struct CampaignKey {
   fi::CampaignOptions options;
 };
 
+/// The identity of an analysis of `module`, loaded from `target` (a
+/// benchmark name or an IR file path, apps::LoadTarget) at `scale`: the
+/// target, the kernel config and the module fingerprint (which covers file
+/// targets whose content changed under the same path). The one recipe behind
+/// every key the CLI and the serve daemon build.
+[[nodiscard]] AnalysisKey MakeAnalysisKey(const std::string& target, int scale,
+                                          const ir::Module& module,
+                                          const core::AnalysisOptions& options);
+
 /// The canonical key string (hashed into the content address; also what
 /// docs/STORE_FORMAT.md specifies).
 [[nodiscard]] std::string CanonicalKey(const AnalysisKey& key);

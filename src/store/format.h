@@ -33,7 +33,11 @@ inline constexpr std::uint32_t kMagic = 0x46565045u;
 ///     recomputing beats loading it — and unit slices no longer carry their
 ///     input digest (the loader recomputes it, interns included, against
 ///     the manifest).
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: unit payloads drop the fields nothing read — the slice's dropped
+///     load-pred count and per-segment node counts, the backward results'
+///     seeded-access count, and the sums' dyn, ACE-register-node and
+///     constrained-node counts.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Kind 1 was the whole-analysis artifact; it is retired and never reused.
 enum class ArtifactKind : std::uint32_t {

@@ -107,7 +107,6 @@ void WriteSlice(const core::UnitSlice& s, ByteWriter& out) {
     out.U32(seg.first_dyn);
     out.U32(seg.num_dyn);
     out.U32(seg.first_node);
-    out.U32(seg.num_nodes);
     out.U32(seg.entry_block);
     out.U32(seg.prev_block);
     out.U32(seg.exit_function);
@@ -162,7 +161,6 @@ void WriteSlice(const core::UnitSlice& s, ByteWriter& out) {
   }
   out.U64(s.intern_refs.size());
   for (const std::uint32_t id : s.intern_refs) out.U32(id);
-  out.U64(s.dropped_load_preds);
 }
 
 std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
@@ -217,7 +215,6 @@ std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
     seg.first_dyn = in.U32();
     seg.num_dyn = in.U32();
     seg.first_node = in.U32();
-    seg.num_nodes = in.U32();
     seg.entry_block = in.U32();
     seg.prev_block = in.U32();
     seg.exit_function = in.U32();
@@ -272,7 +269,6 @@ std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
   }
   s.intern_refs.resize(in.U64());
   for (std::uint32_t& id : s.intern_refs) id = in.U32();
-  s.dropped_load_preds = in.U64();
   if (!in.Finished()) return std::nullopt;
   // Cross-array consistency: the structural invariants the replay and
   // backward sweeps rely on.
@@ -306,7 +302,6 @@ void WriteBackward(const core::UnitBackward& b, ByteWriter& out) {
   }
   out.U64(b.intern_marks.size());
   for (const std::uint32_t id : b.intern_marks) out.U32(id);
-  out.U64(b.seeded_accesses);
 }
 
 std::optional<core::UnitBackward> ReadBackward(std::size_t num_nodes, ByteReader& in) {
@@ -327,7 +322,6 @@ std::optional<core::UnitBackward> ReadBackward(std::size_t num_nodes, ByteReader
   }
   b.intern_marks.resize(in.U64());
   for (std::uint32_t& id : b.intern_marks) id = in.U32();
-  b.seeded_accesses = in.U64();
   if (!in.Finished()) return std::nullopt;
   if (b.ace_marks.size() != (num_nodes + 63) / 64) return std::nullopt;
   for (const auto& [node, mask] : b.crash_masks) {
@@ -337,14 +331,11 @@ std::optional<core::UnitBackward> ReadBackward(std::size_t num_nodes, ByteReader
 }
 
 void WriteSums(const core::UnitSums& s, ByteWriter& out) {
-  out.U64(s.dyn_count);
   out.U64(s.node_count);
   out.U64(s.total_bits);
   out.U64(s.ace_bits);
   out.U64(s.crash_bits);
   out.U64(s.ace_nodes);
-  out.U64(s.ace_register_nodes);
-  out.U64(s.constrained_nodes);
   out.U64(s.mem_total);
   out.U64(s.mem_ace);
   out.U64(s.mem_crash);
@@ -363,14 +354,11 @@ void WriteSums(const core::UnitSums& s, ByteWriter& out) {
 
 std::optional<core::UnitSums> ReadSums(ByteReader& in) {
   core::UnitSums s;
-  s.dyn_count = in.U64();
   s.node_count = in.U64();
   s.total_bits = in.U64();
   s.ace_bits = in.U64();
   s.crash_bits = in.U64();
   s.ace_nodes = in.U64();
-  s.ace_register_nodes = in.U64();
-  s.constrained_nodes = in.U64();
   s.mem_total = in.U64();
   s.mem_ace = in.U64();
   s.mem_crash = in.U64();
@@ -567,7 +555,6 @@ std::optional<core::ProgramSlices> AssembleState(const UnitsManifest& manifest,
   for (std::uint32_t u = 0; u < partition.units.size(); ++u) {
     const core::UnitInfo& info = partition.units[u];
     p.unit_static_digest.push_back(core::UnitStaticDigest(old_module, info));
-    p.unit_reg_set.push_back(core::UnitRegisterSet(old_module, info));
     UnitKey unit_key{key, info.name, info.ir_fingerprint, manifest.units[u].input_digest};
     auto reader = cache.Load(CacheId(unit_key), ArtifactKind::kUnit);
     if (!reader) return std::nullopt;

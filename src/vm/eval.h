@@ -2,13 +2,18 @@
 //
 // The executor's careful step and its fast loop (vm/exec_bytecode.cc) must
 // agree bit-for-bit on every operation, so that a run's records do not depend
-// on which instructions an event window single-stepped. The single source of
-// truth for arithmetic, comparison, intrinsic-math and trap semantics
-// therefore lives here, inline, and both modes use it.
+// on which instructions an event window single-stepped; the compositional
+// layer's unit replay (epvf/reexec.cc) must reproduce the same values. The
+// single source of truth for arithmetic, comparison, cast, GEP, select and
+// phi evaluation, intrinsic math, output rounding and trap semantics
+// therefore lives here, inline (an out-of-line step costs the instrumented
+// golden run measurably), and all three use it.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -136,6 +141,83 @@ namespace epvf::vm::detail {
     default:
       throw std::logic_error("EvalBinary: not a binary opcode");
   }
+}
+
+/// A cast's result before canonicalization to `to`: trunc, zext, bitcast,
+/// ptrtoint and inttoptr pass the bits through (canonicalizing truncates);
+/// the rest convert between `from` (the operand's type) and `to`.
+[[nodiscard]] inline std::uint64_t EvalCast(ir::Opcode op, ir::Type from, ir::Type to,
+                                            std::uint64_t v) {
+  switch (op) {
+    case ir::Opcode::kTrunc:
+    case ir::Opcode::kZExt:
+    case ir::Opcode::kBitCast:
+    case ir::Opcode::kPtrToInt:
+    case ir::Opcode::kIntToPtr:
+      return v;
+    case ir::Opcode::kSExt:
+      return SignExtendFrom(v, from.BitWidth());
+    case ir::Opcode::kSIToFP: {
+      const std::int64_t sv = SignedOf(from, v);
+      return to == ir::Type::F32() ? BitsFromFloat(static_cast<float>(sv))
+                                   : BitsFromDouble(static_cast<double>(sv));
+    }
+    case ir::Opcode::kUIToFP:
+      return to == ir::Type::F32() ? BitsFromFloat(static_cast<float>(v))
+                                   : BitsFromDouble(static_cast<double>(v));
+    case ir::Opcode::kFPToSI: {
+      const double d = from == ir::Type::F32() ? FloatFromBits(v) : DoubleFromBits(v);
+      return static_cast<std::uint64_t>(SafeFpToInt(d));
+    }
+    case ir::Opcode::kFPTrunc:
+      return BitsFromFloat(static_cast<float>(DoubleFromBits(v)));
+    case ir::Opcode::kFPExt:
+      return BitsFromDouble(static_cast<double>(FloatFromBits(v)));
+    default:
+      throw std::logic_error("EvalCast: not a cast opcode");
+  }
+}
+
+/// The address a GEP computes: the index is sign-extended from its own type.
+[[nodiscard]] inline std::uint64_t EvalGep(std::uint64_t base, std::uint64_t elem_bytes,
+                                           ir::Type index_type, std::uint64_t index) {
+  return base + elem_bytes * SignExtendFrom(index, index_type.BitWidth());
+}
+
+[[nodiscard]] inline std::uint64_t EvalSelect(std::uint64_t cond, std::uint64_t if_true,
+                                              std::uint64_t if_false) {
+  return (cond & 1) != 0 ? if_true : if_false;
+}
+
+/// The value-only instructions — select, phi, every cast and GEP — from
+/// their operand values `ops` (a phi reads only its `selected` slot), before
+/// canonicalization to inst.type. Operand types come from `fn`.
+[[nodiscard]] inline std::uint64_t EvalValueOnly(const ir::Module& module,
+                                                 const ir::Function& fn,
+                                                 const ir::Instruction& inst,
+                                                 const std::uint64_t* ops,
+                                                 std::uint32_t selected) {
+  switch (inst.op) {
+    case ir::Opcode::kSelect:
+      return EvalSelect(ops[0], ops[1], ops[2]);
+    case ir::Opcode::kPhi:
+      return ops[selected];
+    case ir::Opcode::kGep:
+      return EvalGep(ops[0], inst.gep_elem_bytes, module.TypeOf(fn, inst.operands[1]), ops[1]);
+    default:
+      return EvalCast(inst.op, module.TypeOf(fn, inst.operands[0]), inst.type, ops[0]);
+  }
+}
+
+/// What an f64 output intrinsic pushes to the output stream. Programs emit
+/// output through printf-style formatting with limited precision ("%.6g"
+/// here); SDC detection compares that printed text, so sub-precision
+/// floating-point deviations are masked exactly as in the paper's LLFI-based
+/// methodology.
+[[nodiscard]] inline std::uint64_t RoundOutputF64(std::uint64_t bits) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%.6g", DoubleFromBits(bits));
+  return BitsFromDouble(std::strtod(text, nullptr));
 }
 
 [[nodiscard]] inline std::uint64_t EvalIntrinsicMath(ir::Intrinsic which, std::uint64_t a,

@@ -13,8 +13,6 @@
 // dispatch). Both modes step the same pc-based Interpreter::Frame, so a
 // checkpoint stores exactly what the loop runs.
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -217,56 +215,26 @@ RunResult Interpreter::Execute(std::vector<Frame> stack, std::uint64_t dyn, RunR
                        : 0);
         break;
       case Opcode::kSelect:
-        set_result((operand_buf[0] & 1) != 0 ? operand_buf[1] : operand_buf[2]);
-        break;
       case Opcode::kPhi:
-        set_result(operand_buf[ctx.selected_operand]);
-        break;
       case Opcode::kTrunc:
+      case Opcode::kZExt:
+      case Opcode::kSExt:
       case Opcode::kBitCast:
+      case Opcode::kSIToFP:
+      case Opcode::kUIToFP:
+      case Opcode::kFPToSI:
+      case Opcode::kFPTrunc:
+      case Opcode::kFPExt:
       case Opcode::kPtrToInt:
       case Opcode::kIntToPtr:
-      case Opcode::kZExt:
-        set_result(operand_buf[0]);  // canonicalization truncates as needed
-        break;
-      case Opcode::kSExt:
-        set_result(SignExtendFrom(operand_buf[0],
-                                  module_.TypeOf(fn, inst.operands[0]).BitWidth()));
-        break;
-      case Opcode::kSIToFP: {
-        const auto sv = SignedOf(module_.TypeOf(fn, inst.operands[0]), operand_buf[0]);
-        set_result(inst.type == Type::F32() ? BitsFromFloat(static_cast<float>(sv))
-                                            : BitsFromDouble(static_cast<double>(sv)));
-        break;
-      }
-      case Opcode::kUIToFP:
-        set_result(inst.type == Type::F32()
-                       ? BitsFromFloat(static_cast<float>(operand_buf[0]))
-                       : BitsFromDouble(static_cast<double>(operand_buf[0])));
-        break;
-      case Opcode::kFPToSI: {
-        const Type from = module_.TypeOf(fn, inst.operands[0]);
-        const double d = from == Type::F32() ? FloatFromBits(operand_buf[0])
-                                             : DoubleFromBits(operand_buf[0]);
-        set_result(static_cast<std::uint64_t>(detail::SafeFpToInt(d)));
-        break;
-      }
-      case Opcode::kFPTrunc:
-        set_result(BitsFromFloat(static_cast<float>(DoubleFromBits(operand_buf[0]))));
-        break;
-      case Opcode::kFPExt:
-        set_result(BitsFromDouble(static_cast<double>(FloatFromBits(operand_buf[0]))));
+      case Opcode::kGep:
+        set_result(detail::EvalValueOnly(module_, fn, inst, operand_buf.data(),
+                                         ctx.selected_operand));
         break;
       case Opcode::kAlloca: {
         const std::uint64_t new_esp = (memory_.esp() - inst.alloca_bytes) & ~std::uint64_t{15};
         memory_.SetEsp(new_esp);
         set_result(new_esp);
-        break;
-      }
-      case Opcode::kGep: {
-        const Type index_type = module_.TypeOf(fn, inst.operands[1]);
-        const std::uint64_t index = SignExtendFrom(operand_buf[1], index_type.BitWidth());
-        set_result(operand_buf[0] + inst.gep_elem_bytes * index);
         break;
       }
       case Opcode::kLoad: {
@@ -312,16 +280,9 @@ RunResult Interpreter::Execute(std::vector<Frame> stack, std::uint64_t dyn, RunR
             case ir::Intrinsic::kOutputI64:
               result.output.push_back(operand_buf[0]);
               break;
-            case ir::Intrinsic::kOutputF64: {
-              // Programs emit output through printf-style formatting with
-              // limited precision ("%.6g" here); SDC detection compares that
-              // printed text, so sub-precision floating-point deviations are
-              // masked exactly as in the paper's LLFI-based methodology.
-              char text[64];
-              std::snprintf(text, sizeof text, "%.6g", DoubleFromBits(operand_buf[0]));
-              result.output.push_back(BitsFromDouble(std::strtod(text, nullptr)));
+            case ir::Intrinsic::kOutputF64:
+              result.output.push_back(detail::RoundOutputF64(operand_buf[0]));
               break;
-            }
             case ir::Intrinsic::kMalloc:
               set_result(memory_.Malloc(operand_buf[0]));
               break;
@@ -548,7 +509,7 @@ events:
     EPVF_BC_NEXT();
 
     EPVF_BC_OP(kSelect) {
-      R[o->dst] = Canonicalize(o->type, (R[o->a] & 1) != 0 ? R[o->b] : R[o->c]);
+      R[o->dst] = Canonicalize(o->type, detail::EvalSelect(R[o->a], R[o->b], R[o->c]));
       ++dyn;
       ++pc;
     }
@@ -568,57 +529,22 @@ events:
     }
     EPVF_BC_NEXT();
 
-    EPVF_BC_OP(kSExt) {
-      R[o->dst] = Canonicalize(o->type, SignExtendFrom(R[o->a], o->type2.BitWidth()));
-      ++dyn;
-      ++pc;
-    }
-    EPVF_BC_NEXT();
+#define EPVF_BC_CAST(name)                                                                 \
+  EPVF_BC_OP(name) {                                                                       \
+    R[o->dst] =                                                                            \
+        Canonicalize(o->type, detail::EvalCast(Opcode::name, o->type2, o->type, R[o->a])); \
+    ++dyn;                                                                                 \
+    ++pc;                                                                                  \
+  }                                                                                        \
+  EPVF_BC_NEXT();
 
-    EPVF_BC_OP(kSIToFP) {
-      const std::int64_t sv = SignedOf(o->type2, R[o->a]);
-      R[o->dst] = Canonicalize(o->type, o->type == Type::F32()
-                                            ? BitsFromFloat(static_cast<float>(sv))
-                                            : BitsFromDouble(static_cast<double>(sv)));
-      ++dyn;
-      ++pc;
-    }
-    EPVF_BC_NEXT();
-
-    EPVF_BC_OP(kUIToFP) {
-      R[o->dst] = Canonicalize(o->type, o->type == Type::F32()
-                                            ? BitsFromFloat(static_cast<float>(R[o->a]))
-                                            : BitsFromDouble(static_cast<double>(R[o->a])));
-      ++dyn;
-      ++pc;
-    }
-    EPVF_BC_NEXT();
-
-    EPVF_BC_OP(kFPToSI) {
-      const double d =
-          o->type2 == Type::F32() ? FloatFromBits(R[o->a]) : DoubleFromBits(R[o->a]);
-      R[o->dst] =
-          Canonicalize(o->type, static_cast<std::uint64_t>(detail::SafeFpToInt(d)));
-      ++dyn;
-      ++pc;
-    }
-    EPVF_BC_NEXT();
-
-    EPVF_BC_OP(kFPTrunc) {
-      R[o->dst] =
-          Canonicalize(o->type, BitsFromFloat(static_cast<float>(DoubleFromBits(R[o->a]))));
-      ++dyn;
-      ++pc;
-    }
-    EPVF_BC_NEXT();
-
-    EPVF_BC_OP(kFPExt) {
-      R[o->dst] =
-          Canonicalize(o->type, BitsFromDouble(static_cast<double>(FloatFromBits(R[o->a]))));
-      ++dyn;
-      ++pc;
-    }
-    EPVF_BC_NEXT();
+    EPVF_BC_CAST(kSExt)
+    EPVF_BC_CAST(kSIToFP)
+    EPVF_BC_CAST(kUIToFP)
+    EPVF_BC_CAST(kFPToSI)
+    EPVF_BC_CAST(kFPTrunc)
+    EPVF_BC_CAST(kFPExt)
+#undef EPVF_BC_CAST
 
     EPVF_BC_OP(kAlloca) {
       const std::uint64_t new_esp = (memory_.esp() - o->imm) & ~std::uint64_t{15};
@@ -630,8 +556,8 @@ events:
     EPVF_BC_NEXT();
 
     EPVF_BC_OP(kGep) {
-      R[o->dst] = Canonicalize(
-          o->type, R[o->a] + o->imm * SignExtendFrom(R[o->b], o->type2.BitWidth()));
+      R[o->dst] =
+          Canonicalize(o->type, detail::EvalGep(R[o->a], o->imm, o->type2, R[o->b]));
       ++dyn;
       ++pc;
     }
@@ -718,9 +644,7 @@ events:
     EPVF_BC_NEXT();
 
     EPVF_BC_OP(kOutputF64) {
-      char text[64];
-      std::snprintf(text, sizeof text, "%.6g", DoubleFromBits(R[o->a]));
-      result.output.push_back(BitsFromDouble(std::strtod(text, nullptr)));
+      result.output.push_back(detail::RoundOutputF64(R[o->a]));
       ++dyn;
       ++pc;
     }
@@ -778,8 +702,8 @@ events:
     EPVF_BC_NEXT();
 
     EPVF_BC_OP(kGepLoad) {
-      const std::uint64_t addr = Canonicalize(
-          o->type, R[o->a] + o->imm * SignExtendFrom(R[o->b], o->type2.BitWidth()));
+      const std::uint64_t addr =
+          Canonicalize(o->type, detail::EvalGep(R[o->a], o->imm, o->type2, R[o->b]));
       R[o->dst] = addr;
       ++dyn;
       const bc::BOp* ld = o + 1;
@@ -793,8 +717,8 @@ events:
     EPVF_BC_NEXT();
 
     EPVF_BC_OP(kGepStore) {
-      const std::uint64_t addr = Canonicalize(
-          o->type, R[o->a] + o->imm * SignExtendFrom(R[o->b], o->type2.BitWidth()));
+      const std::uint64_t addr =
+          Canonicalize(o->type, detail::EvalGep(R[o->a], o->imm, o->type2, R[o->b]));
       R[o->dst] = addr;
       ++dyn;
       const bc::BOp* st = o + 1;

@@ -5,15 +5,20 @@
 //
 // Each test forks the real binary (path baked in via EPVF_CLI_PATH), so this
 // is the one suite that exercises flag parsing, dispatch and report printing
-// exactly as a user sees them. Set EPVF_UPDATE_GOLDENS=1 to regenerate the
-// golden files after an intentional output change.
+// exactly as a user sees them; only the serve metric inventory runs its
+// daemons in process, to read their metrics. Set EPVF_UPDATE_GOLDENS=1 to
+// regenerate the golden files after an intentional output change.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -24,6 +29,9 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "serve/client.h"
+#include "serve/server.h"
+#include "serve/wire.h"
 
 namespace {
 
@@ -638,6 +646,120 @@ TEST(CliObservability, VmAndScenarioMetricInventoryMatchesTheDocs) {
   const std::set<std::string> registered =
       RegisteredMetrics({tmp.path + "/analyze.json", tmp.path + "/memory.json"}, prefixes);
   ExpectInventoryMatchesTheDocs(registered, DocumentedMetrics(prefixes));
+}
+
+/// A raw connection to a daemon socket, for frames a ServeClient never
+/// sends; -1 on failure.
+int RawConnect(const std::string& socket_path) {
+  struct sockaddr_un addr;
+  std::memset(&addr, 0, sizeof addr);
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(CliObservability, ServeMetricInventoryMatchesTheDocs) {
+  // The daemons run in this process, so their serve.* metrics land in this
+  // process's registry, and each registers when its event first happens.
+  // Between them the two daemons see every request type, a busy rejection, a
+  // malformed frame, a cancelled job, and plain and incremental analyzes (an
+  // incremental rebuild, a warm replay and a fallback); the registered and
+  // documented serve.* names must then agree in both directions.
+  using epvf::serve::FrameType;
+  TempDir tmp;
+  const std::string tag = std::to_string(::getpid());
+  epvf::serve::ServerOptions busy_options;
+  busy_options.socket_path = "/tmp/epvf-inv-busy-" + tag + ".sock";
+  busy_options.exe_path = EPVF_CLI_PATH;
+  busy_options.queue_limit = 0;  // every admission is over the bound
+  epvf::serve::Server busy(busy_options);
+  ASSERT_TRUE(busy.Start());
+  {
+    std::optional<epvf::serve::ServeClient> client =
+        epvf::serve::ServeClient::Connect(busy_options.socket_path);
+    ASSERT_TRUE(client.has_value());
+    epvf::serve::RunRequest request;
+    request.args = {"analyze", "mm", "--scale", "0"};
+    const auto result = client->Run(request, nullptr, nullptr, nullptr);
+    ASSERT_TRUE(result.error.has_value());
+    EXPECT_EQ(result.error->code, epvf::serve::ErrorCode::kBusy);
+  }
+  busy.Stop();
+
+  epvf::serve::ServerOptions options;
+  options.socket_path = "/tmp/epvf-inv-" + tag + ".sock";
+  options.exe_path = EPVF_CLI_PATH;
+  options.cache_dir = tmp.path + "/daemon-cache";
+  epvf::serve::Server server(options);
+  ASSERT_TRUE(server.Start());
+  std::optional<epvf::serve::ServeClient> client =
+      epvf::serve::ServeClient::Connect(options.socket_path);
+  ASSERT_TRUE(client.has_value());
+  const auto run = [&](std::vector<std::string> args) {
+    epvf::serve::RunRequest request;
+    request.args = std::move(args);
+    const auto result = client->Run(request, nullptr, nullptr, nullptr);
+    EXPECT_TRUE(result.transport_ok && !result.error.has_value()) << request.args[0];
+  };
+
+  // Plain analyzes: a resident miss, then a hit.
+  run({"analyze", "mm", "--scale", "0"});
+  run({"analyze", "mm", "--scale", "0"});
+  // Incremental analyzes of a file: a rebuild, a warm replay, and an edit the
+  // replay cannot contain (the scale moves every global's size) — a fallback.
+  const std::string module_path = tmp.path + "/kernel.ir";
+  const auto save_module = [&](int scale) {
+    std::ofstream(module_path) << RunCli("print mm --scale " + std::to_string(scale)).stdout_text;
+  };
+  save_module(0);
+  run({"analyze", module_path, "--incremental", "1"});
+  run({"analyze", module_path, "--incremental", "1"});
+  save_module(1);
+  run({"analyze", module_path, "--incremental", "1"});
+
+  // A malformed frame.
+  {
+    const int fd = RawConnect(options.socket_path);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, "NOPEnopeNOPEnope", 16, 0), 16);
+    epvf::serve::Frame frame;
+    (void)epvf::serve::ReadFrame(fd, &frame);
+    ::close(fd);
+  }
+  // A long campaign, cancelled while it runs.
+  {
+    const int fd = RawConnect(options.socket_path);
+    ASSERT_GE(fd, 0);
+    epvf::serve::RunRequest slow;
+    slow.args = {"inject", "mm", "--runs", "5000", "--seed", "7"};
+    ASSERT_TRUE(epvf::serve::WriteFrame(fd, FrameType::kRun, epvf::serve::EncodeRunRequest(slow)));
+    epvf::serve::Frame frame;
+    ASSERT_EQ(epvf::serve::ReadFrame(fd, &frame), epvf::serve::ReadStatus::kOk);
+    ASSERT_EQ(frame.type, FrameType::kAck);
+    const std::uint64_t id = epvf::serve::DecodeU64(frame.payload).value_or(0);
+    ASSERT_TRUE(client->Cancel(id));
+    do {
+      ASSERT_EQ(epvf::serve::ReadFrame(fd, &frame), epvf::serve::ReadStatus::kOk);
+    } while (frame.type == FrameType::kProgress || frame.type == FrameType::kStdout ||
+             frame.type == FrameType::kStderr);
+    ::close(fd);
+  }
+  ASSERT_TRUE(client->Status().has_value());
+  const std::optional<std::string> json = client->Metrics();
+  ASSERT_TRUE(json.has_value());
+  server.Stop();
+
+  const std::string dump = tmp.path + "/serve.json";
+  std::ofstream(dump) << *json;
+  const std::vector<std::string> prefixes = {"serve."};
+  ExpectInventoryMatchesTheDocs(RegisteredMetrics({dump}, prefixes),
+                                DocumentedMetrics(prefixes));
 }
 
 TEST(CliObservability, MetricsCommandRejectsGarbage) {

@@ -24,6 +24,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -505,6 +507,133 @@ class ServeDaemon {
   std::string socket_path_;
   std::optional<Subprocess> child_;
 };
+
+/// A scratch directory, removed with its contents on scope exit.
+struct ScratchDir {
+  std::string path;
+  ScratchDir() {
+    std::string tmpl = (std::filesystem::temp_directory_path() / "epvf_serve_XXXXXX").string();
+    if (mkdtemp(tmpl.data()) != nullptr) path = tmpl;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
+
+/// Replaces `path` with `text` in one rename, the way an editor saves, so a
+/// concurrent reader sees the old file or the new one, never a partial one.
+void SaveAtomically(const std::string& path, const std::string& text) {
+  const std::string temp = path + ".saving";
+  {
+    std::ofstream out(temp, std::ios::trunc);
+    out << text;
+  }
+  std::filesystem::rename(temp, path);
+}
+
+/// One plain analyze over the wire: its stdout and its stderr note.
+struct AnalyzeReply {
+  bool ok = false;
+  std::string out;
+  std::string note;
+};
+
+AnalyzeReply ConnectedAnalyze(const std::string& socket_path, const std::string& target) {
+  AnalyzeReply reply;
+  std::optional<ServeClient> client = ServeClient::Connect(socket_path);
+  if (!client.has_value()) return reply;
+  RunRequest request;
+  request.args = {"analyze", target};
+  const ServeClient::RunResult result = client->Run(
+      request, [&reply](std::string_view bytes) { reply.out.append(bytes); },
+      [&reply](std::string_view bytes) { reply.note.append(bytes); }, nullptr);
+  reply.ok = result.transport_ok && !result.error.has_value() && result.exit_code == 0;
+  return reply;
+}
+
+TEST(Serve, AnEditedTargetReplacesItsResidentAnalysis) {
+  // One resident analysis per target: serving v1, then v2, then v1 again of
+  // one path computes all three (the v2 request replaced v1's entry), and
+  // only an unchanged repeat is resident. Each reply matches a local run.
+  ScratchDir tmp;
+  ASSERT_FALSE(tmp.path.empty());
+  const std::string v1 = RunCli("print mm --scale 0").stdout_text;
+  const std::string v2 = RunCli("print mm --scale 1").stdout_text;
+  ASSERT_FALSE(v1.empty());
+  ASSERT_NE(v1, v2);
+  const std::string path = tmp.path + "/kernel.ir";
+  std::map<std::string, std::string> local;
+  for (const std::string* text : {&v1, &v2}) {
+    SaveAtomically(path, *text);
+    const CliResult run = RunCli("analyze " + path + " --no-cache");
+    ASSERT_EQ(run.exit_code, 0);
+    local[*text] = run.stdout_text;
+  }
+  ASSERT_NE(local[v1], local[v2]);
+
+  const std::string socket_path = TestSocketPath("replace");
+  Server server(InProcessOptions(socket_path));
+  ASSERT_TRUE(server.Start());
+  const std::pair<const std::string*, const char*> steps[] = {
+      {&v1, "computed"}, {&v2, "computed"}, {&v1, "computed"}, {&v1, "resident"}};
+  for (const auto& [text, mode] : steps) {
+    SaveAtomically(path, *text);
+    const AnalyzeReply reply = ConnectedAnalyze(socket_path, path);
+    ASSERT_TRUE(reply.ok);
+    EXPECT_EQ(reply.out, local[*text]);
+    EXPECT_NE(reply.note.find(std::string("(") + mode + ","), std::string::npos) << reply.note;
+  }
+  server.Stop();
+}
+
+TEST(Serve, ReplacingAResidentAnalysisNeverFreesOneBeingRendered) {
+  // Two executor slots serve the same path while its file flips between two
+  // versions, so one request replaces the entry another may still be
+  // rendering. Every reply must be one version's exact stdout; the
+  // ThreadSanitizer job runs this for races on the resident map.
+  ScratchDir tmp;
+  ASSERT_FALSE(tmp.path.empty());
+  const std::string v1 = RunCli("print mm --scale 0").stdout_text;
+  const std::string v2 = RunCli("print pathfinder --scale 0").stdout_text;
+  ASSERT_FALSE(v1.empty());
+  ASSERT_FALSE(v2.empty());
+  const std::string path = tmp.path + "/kernel.ir";
+  std::set<std::string> expected;
+  for (const std::string* text : {&v1, &v2}) {
+    SaveAtomically(path, *text);
+    const CliResult run = RunCli("analyze " + path + " --no-cache");
+    ASSERT_EQ(run.exit_code, 0);
+    expected.insert(run.stdout_text);
+  }
+  ASSERT_EQ(expected.size(), 2u);
+
+  const std::string socket_path = TestSocketPath("replace2");
+  ServerOptions options = InProcessOptions(socket_path);
+  options.slots = 2;
+  Server server(std::move(options));
+  ASSERT_TRUE(server.Start());
+  constexpr int kRequestsPerClient = 6;
+  std::vector<AnalyzeReply> replies(2 * kRequestsPerClient);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        replies[c * kRequestsPerClient + i] = ConnectedAnalyze(socket_path, path);
+      }
+    });
+  }
+  for (int i = 0; i < 4 * kRequestsPerClient; ++i) {
+    SaveAtomically(path, i % 2 == 0 ? v2 : v1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (std::thread& t : clients) t.join();
+  for (const AnalyzeReply& reply : replies) {
+    ASSERT_TRUE(reply.ok);
+    EXPECT_EQ(expected.count(reply.out), 1u) << reply.out;
+  }
+  server.Stop();
+}
 
 TEST(ServeEndToEnd, ConnectedIncrementalAnalyzeTracksEditsByteForByte) {
   // A scratch directory for the module file and the daemon's cache, and a

@@ -118,6 +118,64 @@ TEST(Verifier, RejectsBadBranchTarget) {
   EXPECT_FALSE(VerifyModule(m).ok());
 }
 
+// Range errors: the verifier prints the offending instruction in each
+// message, so an index outside its table must print as a marker rather than
+// be followed, and the bad operand must not be type-checked. Modules built in
+// memory reach these (the parser resolves names, so textual IR cannot).
+
+/// Verifies `m`, expecting a failure whose summary names `error` and prints
+/// the out-of-range index as `marker`.
+void ExpectRangeError(const Module& m, const std::string& error, const std::string& marker) {
+  const VerifyResult result = VerifyModule(m);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.Summary().find(error), std::string::npos) << result.Summary();
+  EXPECT_NE(result.Summary().find(marker), std::string::npos) << result.Summary();
+}
+
+TEST(Verifier, BadBranchTargetPrintsAMarker) {
+  Module m = DiamondModule();
+  m.functions[0].blocks[0].instructions.back().bb_false = 99;
+  ExpectRangeError(m, "bad branch target", "<bad block 99>");
+}
+
+TEST(Verifier, BadConstantIndexPrintsAMarker) {
+  Module m = DiamondModule();
+  m.functions[0].blocks[1].instructions[0].operands[1] = ValueRef::Const(12345);
+  ExpectRangeError(m, "bad constant index", "<bad constant 12345>");
+}
+
+TEST(Verifier, BadGlobalIndexPrintsAMarker) {
+  Module m = DiamondModule();
+  m.functions[0].blocks[1].instructions[0].operands[0] = ValueRef::Global(77);
+  ExpectRangeError(m, "bad global index", "@<bad global 77>");
+}
+
+TEST(Verifier, OutOfRangeRegisterPrintsAMarker) {
+  Module m = DiamondModule();
+  m.functions[0].blocks[3].instructions.back().operands[0] = ValueRef::Reg(500);
+  ExpectRangeError(m, "use of out-of-range register", "%<bad register 500>");
+}
+
+TEST(Verifier, PhiIncomingBlockOutOfRangePrintsAMarker) {
+  Module m = DiamondModule();
+  m.functions[0].blocks[3].instructions[0].phi_blocks[1] = 64;
+  ExpectRangeError(m, "phi incoming block out of range", "<bad block 64>");
+}
+
+TEST(Verifier, CallTargetOutOfRangePrintsAMarker) {
+  Module m;
+  IRBuilder b(m);
+  (void)b.CreateFunction("f", Type::Void(), {});
+  b.RetVoid();
+  Instruction call;
+  call.op = Opcode::kCall;
+  call.callee = 9;
+  call.type = Type::Void();
+  std::vector<Instruction>& insts = m.functions[0].blocks[0].instructions;
+  insts.insert(insts.begin(), call);
+  ExpectRangeError(m, "call target out of range", "@<bad function 9>");
+}
+
 TEST(Verifier, RejectsStoreTypeMismatch) {
   Module m;
   IRBuilder b(m);

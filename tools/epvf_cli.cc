@@ -83,7 +83,6 @@
 #include "fi/scenario.h"
 #include "fi/supervisor.h"
 #include "fi/targeted.h"
-#include "ir/parser.h"
 #include "ir/printer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -268,38 +267,14 @@ std::string ResolveCacheDir(const Options& options) {
   return env == nullptr ? std::string() : std::string(env);
 }
 
-/// The content-address identity of this invocation's analysis: target name,
-/// kernel config, and the IR module fingerprint (which covers file targets
-/// whose content changed under the same path).
+/// The content-address identity of this invocation's analysis.
 store::AnalysisKey MakeAnalysisKey(const Options& options, const ir::Module& module,
                                    const core::AnalysisOptions& opts) {
-  store::AnalysisKey key;
-  key.app = options.target;
-  key.config = "scale=" + std::to_string(options.Int("scale", 1));
-  key.module_fingerprint = store::ModuleFingerprint(module);
-  key.options = opts;
-  return key;
-}
-
-/// Loads a benchmark by name or parses a textual-IR file.
-ir::Module LoadModuleAt(const std::string& target, int scale) {
-  const obs::TraceSpan span("parse", "load-target");
-  const bool looks_like_path =
-      target.find('.') != std::string::npos || target.find('/') != std::string::npos;
-  if (!looks_like_path) {
-    apps::AppConfig config;
-    config.scale = scale;
-    return apps::BuildApp(target, config).module;
-  }
-  std::ifstream in(target);
-  if (!in) throw std::runtime_error("cannot open " + target);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ir::ParseModuleOrThrow(buffer.str());
+  return store::MakeAnalysisKey(options.target, options.Int("scale", 1), module, opts);
 }
 
 ir::Module LoadTarget(const Options& options) {
-  return LoadModuleAt(options.target, options.Int("scale", 1));
+  return apps::LoadTarget(options.target, options.Int("scale", 1));
 }
 
 int CmdList() {
@@ -904,7 +879,7 @@ std::string EpSigned(double v) {
 }
 
 /// `epvf delta <old> <new>`: per-unit ePVF movement between two modules.
-/// Units are matched by name; `changed` marks units whose IR fingerprint
+/// Units are matched by name; "edited" marks units whose IR fingerprint
 /// moved (the edit itself), so unchanged-but-shifted units (boundary or walk
 /// effects of a neighbour's edit) are distinguishable from edited ones.
 int CmdDelta(const Options& options) {
@@ -920,12 +895,8 @@ int CmdDelta(const Options& options) {
   // repeated delta (or one against an already-analyzed module) is warm.
   const auto analyze = [&](const std::string& target) {
     auto state = std::make_unique<State>();
-    state->module = LoadModuleAt(target, scale);
-    store::AnalysisKey key;
-    key.app = target;
-    key.config = "scale=" + std::to_string(scale);
-    key.module_fingerprint = store::ModuleFingerprint(state->module);
-    key.options = opts;
+    state->module = apps::LoadTarget(target, scale);
+    const store::AnalysisKey key = store::MakeAnalysisKey(target, scale, state->module, opts);
     state->slices =
         std::move(store::RunAnalysisIncremental(state->module, opts, key, cache).slices);
     return state;
@@ -935,31 +906,30 @@ int CmdDelta(const Options& options) {
 
   struct OldRow {
     double epvf = 0.0;
-    std::uint64_t total_bits = 0;
     std::uint64_t fingerprint = 0;
   };
   std::map<std::string, OldRow> old_rows;
-  const std::vector<core::UnitDelta> old_units = core::PerUnitEpvf(old_state->slices);
+  const std::vector<core::UnitEpvf> old_units = core::PerUnitEpvf(old_state->slices);
   for (std::size_t u = 0; u < old_units.size(); ++u) {
-    old_rows[old_units[u].name] = {old_units[u].old_epvf, old_units[u].old_total_bits,
+    old_rows[old_units[u].name] = {old_units[u].epvf,
                                    old_state->slices.partition.units[u].ir_fingerprint};
   }
 
   AsciiTable table({"unit", "old ePVF", "new ePVF", "delta", "note"});
   table.SetTitle("per-unit ePVF delta");
-  const std::vector<core::UnitDelta> new_units = core::PerUnitEpvf(new_state->slices);
+  const std::vector<core::UnitEpvf> new_units = core::PerUnitEpvf(new_state->slices);
   for (std::size_t u = 0; u < new_units.size(); ++u) {
-    const core::UnitDelta& row = new_units[u];
+    const core::UnitEpvf& row = new_units[u];
     const auto it = old_rows.find(row.name);
     if (it == old_rows.end()) {
-      table.AddRow({row.name, "-", Ep(row.new_epvf), "-", "added"});
+      table.AddRow({row.name, "-", Ep(row.epvf), "-", "added"});
       continue;
     }
     const OldRow& old = it->second;
     const bool edited =
         old.fingerprint != new_state->slices.partition.units[u].ir_fingerprint;
-    table.AddRow({row.name, Ep(old.epvf), Ep(row.new_epvf),
-                  EpSigned(row.new_epvf - old.epvf), edited ? "edited" : ""});
+    table.AddRow({row.name, Ep(old.epvf), Ep(row.epvf), EpSigned(row.epvf - old.epvf),
+                  edited ? "edited" : ""});
     old_rows.erase(it);
   }
   for (const auto& [name, old] : old_rows) {
