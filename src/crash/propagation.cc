@@ -117,9 +117,9 @@ CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ac
   }
 
   // --- crash-bit masks (the CRASHING_BIT_LIST) --------------------------------
-  // Per-node independent (flip-and-test over up to 64 bits × every node), so
-  // this sweep runs data-parallel; each node writes only its own mask slot and
-  // the totals fold in chunk order, keeping the result thread-count-invariant.
+  // Per-node independent (one closed-form FlipsLeaving per node), so this
+  // sweep runs data-parallel; each node writes only its own mask slot and the
+  // totals fold in chunk order, keeping the result thread-count-invariant.
   struct MaskTotals {
     std::uint64_t nodes = 0;
     std::uint64_t bits = 0;
@@ -135,11 +135,7 @@ CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ac
           const ddg::Node& node = graph.GetNode(id);
           if (node.kind != ddg::NodeKind::kRegister || !ace.Contains(id)) continue;
           ++part.nodes;
-          std::uint64_t mask = 0;
-          for (unsigned bit = 0; bit < node.width; ++bit) {
-            const std::uint64_t flipped = FlipBit(node.value, bit);
-            if (!allowed.Contains(flipped)) mask |= std::uint64_t{1} << bit;
-          }
+          const std::uint64_t mask = FlipsLeaving(allowed, node.value, node.width);
           result.crash_mask[id] = mask;
           part.bits += PopCount(mask);
         }

@@ -49,7 +49,7 @@ struct CrashBits {
 /// `ace` must come from ComputeAce on the same graph; `model` supplies
 /// CHECK_BOUNDARY for the graph's recorded accesses. The interval seeding and
 /// the DAG sweep are order-dependent and stay sequential; the crash-bit mask
-/// extraction (flip-and-test over up to 64 bits per node) runs on `jobs`
+/// extraction (FlipsLeaving, support/interval.h, once per node) runs on `jobs`
 /// threads (<= 0 = one per hardware core) with results bit-identical at every
 /// thread count.
 [[nodiscard]] CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ace,

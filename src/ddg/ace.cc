@@ -7,28 +7,29 @@
 
 namespace epvf::ddg {
 
-AceResult ComputeAceFromRoots(const Graph& graph, std::span<const NodeId> roots, int jobs) {
+namespace {
+
+/// The ACE graph rooted at the union of two root sets; either may repeat
+/// roots and hold kNoNode.
+AceResult AceOfRoots(const Graph& graph, std::span<const NodeId> roots,
+                     std::span<const NodeId> more_roots, int jobs) {
   const obs::TraceSpan span("ace", "compute-ace");
   AceResult result;
   result.in_ace.assign(graph.NumNodes(), 0);
   result.total_bits = graph.TotalRegisterBits();
-
-  // Reverse BFS over predecessor edges (paper: "we run a reverse
-  // breadth-first search on the DDG").
-  std::deque<NodeId> frontier;
-  for (const NodeId root : roots) {
-    if (root != kNoNode && !result.in_ace[root]) {
-      result.in_ace[root] = 1;
-      frontier.push_back(root);
+  for (const std::span<const NodeId> set : {roots, more_roots}) {
+    for (const NodeId root : set) {
+      if (root != kNoNode) result.in_ace[root] = 1;
     }
   }
-  while (!frontier.empty()) {
-    const NodeId id = frontier.front();
-    frontier.pop_front();
+
+  // The paper's reverse BFS, as one sweep: every pred has a lower id than its
+  // node (graph.h), so by the time the descending sweep reaches a node, every
+  // node that can mark it has been visited and its mark is final.
+  for (NodeId id = static_cast<NodeId>(graph.NumNodes()); id-- > 0;) {
+    if (!result.in_ace[id]) continue;
     for (const NodeId pred : graph.Preds(id)) {
-      if (pred == kNoNode || result.in_ace[pred]) continue;
-      result.in_ace[pred] = 1;
-      frontier.push_back(pred);
+      if (pred != kNoNode) result.in_ace[pred] = 1;
     }
   }
 
@@ -68,9 +69,14 @@ AceResult ComputeAceFromRoots(const Graph& graph, std::span<const NodeId> roots,
   return result;
 }
 
+}  // namespace
+
+AceResult ComputeAceFromRoots(const Graph& graph, std::span<const NodeId> roots, int jobs) {
+  return AceOfRoots(graph, roots, {}, jobs);
+}
+
 AceResult ComputeAce(const Graph& graph, int jobs) {
-  const std::vector<NodeId> roots = graph.OrderedAceRoots();
-  return ComputeAceFromRoots(graph, roots, jobs);
+  return AceOfRoots(graph, graph.output_roots(), graph.control_roots(), jobs);
 }
 
 std::vector<NodeId> BackwardSlice(const Graph& graph, NodeId start, bool follow_virtual,

@@ -1,9 +1,12 @@
 // ACE analysis over the DDG (paper section III-A).
 //
-// From each output root, a reverse breadth-first search collects every node
-// the output transitively depends on — the ACE graph. ACE bits are the summed
-// widths of the *register* nodes in that graph; divided by the width sum of
-// all register nodes in the trace this yields the PVF of the "used registers"
+// From the output and control roots, the paper's reverse breadth-first search
+// collects every node an output transitively depends on — the ACE graph.
+// Every DDG edge points to a lower node id (graph.h), so the search runs as
+// one descending-id sweep: mark the roots, then visit the ids from the top,
+// marking the preds of each marked node. ACE bits are the summed widths of
+// the *register* nodes in that graph; divided by the width sum of all
+// register nodes in the trace this yields the PVF of the "used registers"
 // resource (Eq. 1), reproducing the paper's running example
 // (352 / 416 = 0.846 for the pathfinder fragment of Figure 3).
 #pragma once
@@ -30,14 +33,15 @@ struct AceResult {
   [[nodiscard]] bool Contains(NodeId id) const { return in_ace[id] != 0; }
 };
 
-/// ACE analysis rooted at all output roots of the graph. The reverse BFS is
-/// inherently sequential; the bit-accounting sweep over the marked nodes runs
-/// on `jobs` threads (<= 0 = one per hardware core), bit-identical at every
-/// thread count.
+/// ACE analysis rooted at all output and control roots of the graph. The
+/// marking sweep is sequential; the bit-accounting sweep over the marked nodes
+/// runs on `jobs` threads (<= 0 = one per hardware core), bit-identical at
+/// every thread count.
 [[nodiscard]] AceResult ComputeAce(const Graph& graph, int jobs = 0);
 
 /// ACE analysis rooted at an arbitrary subset of roots — the primitive behind
-/// the ACE-graph sampling estimator of section IV-E.
+/// the ACE-graph sampling estimator of section IV-E. Roots may repeat, and
+/// kNoNode roots are ignored.
 [[nodiscard]] AceResult ComputeAceFromRoots(const Graph& graph, std::span<const NodeId> roots,
                                             int jobs = 0);
 

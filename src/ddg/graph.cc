@@ -1,6 +1,5 @@
 #include "ddg/graph.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace epvf::ddg {
@@ -31,17 +30,6 @@ void Graph::AddDynInstr(const DynInstr& header, std::span<const NodeId> operand_
   operand_value_pool_.insert(operand_value_pool_.end(), operand_values.begin(),
                              operand_values.end());
   dyn_.push_back(d);
-}
-
-std::vector<NodeId> Graph::OrderedAceRoots() const {
-  std::vector<NodeId> roots;
-  roots.reserve(output_roots_.size() + control_roots_.size());
-  roots.insert(roots.end(), output_roots_.begin(), output_roots_.end());
-  roots.insert(roots.end(), control_roots_.begin(), control_roots_.end());
-  // Node ids increase with trace time, so sorting restores temporal order.
-  std::sort(roots.begin(), roots.end());
-  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-  return roots;
 }
 
 std::uint64_t Graph::TotalRegisterBits() const {

@@ -91,7 +91,9 @@ class Graph {
   }
 
   /// Creates a node whose preds are `preds`; bit i of `virtual_mask` marks
-  /// pred i as virtual. Returns the new id.
+  /// pred i as virtual. Returns the new id. Preds are existing nodes, so every
+  /// edge points to a lower id: node ids are a topological order of the DDG,
+  /// which the ACE and propagation sweeps visit in one descending pass.
   NodeId AddNode(const Node& node, std::span<const NodeId> preds, std::uint8_t virtual_mask = 0);
 
   // --- dynamic instructions ------------------------------------------------
@@ -133,10 +135,6 @@ class Graph {
   /// branch conditions root the ACE analysis alongside the outputs.
   [[nodiscard]] const std::vector<NodeId>& control_roots() const { return control_roots_; }
   void AddControlRoot(NodeId node) { control_roots_.push_back(node); }
-
-  /// Output + control roots merged in trace order and de-duplicated — the
-  /// root population the sampling estimator draws from.
-  [[nodiscard]] std::vector<NodeId> OrderedAceRoots() const;
 
   /// Total ACE-accountable bits: the sum of widths of all register nodes —
   /// the denominator of Eq. 1/2 for the "used registers" resource.

@@ -75,7 +75,10 @@ Analysis Analysis::Restore(const ir::Module& module, AnalysisOptions options,
   analysis.graph_ = std::move(graph);
   analysis.ace_ = std::move(ace);
   analysis.crash_bits_ = std::move(crash_bits);
-  analysis.use_weighted_ = use_weighted;
+  if (use_weighted.has_value()) {
+    std::call_once(analysis.use_weighted_->filled,
+                   [&] { analysis.use_weighted_->bits = *use_weighted; });
+  }
   return analysis;
 }
 
@@ -104,6 +107,13 @@ double Analysis::Epvf() const {
 }
 
 const Analysis::UseWeightedBits& Analysis::ComputeUseWeightedBits() const {
+  // Every use-weighted metric shares the one pass; concurrent first callers
+  // wait for a single fill.
+  std::call_once(use_weighted_->filled, [this] { use_weighted_->bits = WalkUseSites(); });
+  return use_weighted_->bits;
+}
+
+Analysis::UseWeightedBits Analysis::WalkUseSites() const {
   // Enumerate the fault-injection site distribution: every register operand
   // of every dynamic instruction (for phi, only the taken incoming slot — the
   // only one a register-level flip can influence), every bit equally likely.
@@ -111,15 +121,13 @@ const Analysis::UseWeightedBits& Analysis::ComputeUseWeightedBits() const {
   // memory address (see FirstEffect above). Each dyn instruction's sites are
   // independent (the index, oracle, and masks are read-only), so the walks
   // fan out across the pool; the chunk-ordered fold keeps the sums
-  // thread-count-invariant. The pass is cached: every use-weighted metric
-  // shares it.
-  if (use_weighted_.has_value()) return *use_weighted_;
+  // thread-count-invariant.
   const obs::TimedSection timed("ace", "use-weighted-walks", "analysis.rate_estimate.us",
                                 &timings_.rate_estimate_seconds);
   const UseIndex uses = BuildUseIndex(graph_, options_.jobs);
   const ControlOracle control(*module_);
   const GlobalWalkView view(graph_, uses);
-  use_weighted_ = ParallelReduce(
+  const UseWeightedBits sums = ParallelReduce(
       std::size_t{0}, graph_.NumDynInstrs(), UseWeightedBits{},
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
         UseWeightedBits part;
@@ -155,7 +163,7 @@ const Analysis::UseWeightedBits& Analysis::ComputeUseWeightedBits() const {
       },
       ParallelOptions{.jobs = options_.jobs});
   timings_.rate_estimate_threads = ThreadPool::ResolveJobs(options_.jobs);
-  return *use_weighted_;
+  return sums;
 }
 
 double Analysis::CrashRateEstimate() const {
@@ -185,11 +193,7 @@ Analysis::MemoryBitsSums Analysis::ComputeMemoryBitsSums() const {
     sums.total += node.width;
     if (!ace_.Contains(id)) continue;
     sums.ace += node.width;
-    const Interval allowed = crash_bits_.allowed[id];
-    if (allowed.IsFull()) continue;
-    for (unsigned bit = 0; bit < node.width; ++bit) {
-      sums.crash += !allowed.Contains(FlipBit(node.value, bit));
-    }
+    sums.crash += PopCount(FlipsLeaving(crash_bits_.allowed[id], node.value, node.width));
   }
   return sums;
 }

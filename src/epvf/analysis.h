@@ -3,7 +3,8 @@
 // Orchestrates Figure 2's three components over one program + input:
 //   1. golden (profiling) run on the interpreter, building the DDG and
 //      recording the per-access segment probes;
-//   2. base ACE analysis (reverse BFS from the output instructions);
+//   2. base ACE analysis (the reverse BFS from the output instructions, as
+//      one descending-id sweep);
 //   3. crash model + propagation model, yielding per-node crash-bit masks.
 //
 // The result object answers every metric the evaluation needs: PVF (Eq. 1),
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,10 +43,11 @@ struct AnalysisOptions {
 
 struct AnalysisTimings {
   double trace_and_graph_seconds = 0;  ///< golden run + DDG construction
-  double ace_seconds = 0;              ///< reverse BFS + bit accounting
+  double ace_seconds = 0;              ///< ACE marking sweep + bit accounting
   double crash_model_seconds = 0;      ///< CHECK_BOUNDARY + propagation
   /// Use-index construction + activation walks behind the crash-rate
-  /// estimate; 0 until a use-weighted metric is first computed (lazy, cached).
+  /// estimate; 0 until a use-weighted metric is first computed (lazy, cached;
+  /// a thread that computed or read one sees the value).
   double rate_estimate_seconds = 0;
 
   // Threads each stage actually ran with (the parallel breakdown Figure 10 /
@@ -134,7 +137,8 @@ class Analysis {
   [[nodiscard]] const crash::CrashModel& crash_model() const;
 
   /// Forces and returns the cached use-weighted sums (the activation-walk
-  /// pass, which perfbench times as a layer of its own).
+  /// pass, which perfbench times as a layer of its own). Safe to call from
+  /// several threads at once: the first fills the cache, the others wait.
   [[nodiscard]] const UseWeightedBits& use_weighted_bits() const {
     return ComputeUseWeightedBits();
   }
@@ -190,6 +194,15 @@ class Analysis {
   /// Computed once and cached: CrashRateEstimate / PvfUseWeighted /
   /// EpvfUseWeighted all share the same (expensive) activation-walk pass.
   [[nodiscard]] const UseWeightedBits& ComputeUseWeightedBits() const;
+  /// The activation-walk pass itself, run once by ComputeUseWeightedBits.
+  [[nodiscard]] UseWeightedBits WalkUseSites() const;
+
+  /// The lazily filled use-weighted sums. std::call_once makes the fill safe
+  /// for concurrent const readers; the pointer keeps Analysis movable.
+  struct UseWeightedCache {
+    std::once_flag filled;
+    UseWeightedBits bits;
+  };
 
   const ir::Module* module_ = nullptr;
   AnalysisOptions options_;
@@ -199,9 +212,10 @@ class Analysis {
   ddg::Graph graph_;
   ddg::AceResult ace_;
   crash::CrashBits crash_bits_;
-  /// Mutable: the lazy rate-estimate pass records its timing on first use.
+  /// Mutable: the lazy rate-estimate pass records its timing on first use,
+  /// inside the cache's call_once.
   mutable AnalysisTimings timings_;
-  mutable std::optional<UseWeightedBits> use_weighted_;
+  std::unique_ptr<UseWeightedCache> use_weighted_ = std::make_unique<UseWeightedCache>();
 };
 
 }  // namespace epvf::core

@@ -100,12 +100,7 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
       const auto cls = static_cast<std::size_t>(
           RegisterClassOf(InstrOf(module, s.dyn[node.dyn].sid).type));
       sums.cls_total[cls] += node.width;
-      std::uint64_t mask = 0;
-      if (!allowed[local].IsFull() && marked) {
-        for (unsigned bit = 0; bit < node.width; ++bit) {
-          if (!allowed[local].Contains(FlipBit(node.value, bit))) mask |= std::uint64_t{1} << bit;
-        }
-      }
+      const std::uint64_t mask = marked ? FlipsLeaving(allowed[local], node.value, node.width) : 0;
       if (marked) {
         sums.ace_bits += node.width;
         sums.cls_ace[cls] += node.width;
@@ -120,11 +115,7 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
       sums.mem_total += node.width;
       if (marked) {
         sums.mem_ace += node.width;
-        if (!allowed[local].IsFull()) {
-          for (unsigned bit = 0; bit < node.width; ++bit) {
-            sums.mem_crash += !allowed[local].Contains(FlipBit(node.value, bit)) ? 1u : 0u;
-          }
-        }
+        sums.mem_crash += PopCount(FlipsLeaving(allowed[local], node.value, node.width));
       }
     }
   }

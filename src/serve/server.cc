@@ -94,12 +94,34 @@ struct Job {
 /// counter increment (completed or cancelled) after the job finishes.
 enum class JobOutcome { kCompleted, kCancelled };
 
+/// An executed job's outcome and its terminal frame (kDone or kError), which
+/// Execute returns unsent: ExecutorLoop counts the job first, so a client
+/// that has seen its job end finds it in status and metrics.
+struct JobEnd {
+  JobOutcome outcome = JobOutcome::kCompleted;
+  FrameType type = FrameType::kDone;
+  std::string payload;
+
+  static JobEnd Done(std::uint64_t exit_code) {
+    return JobEnd{.outcome = JobOutcome::kCompleted,
+                  .type = FrameType::kDone,
+                  .payload = EncodeU64(exit_code)};
+  }
+  static JobEnd Error(ErrorCode code, std::string message) {
+    return JobEnd{.outcome = code == ErrorCode::kCancelled ? JobOutcome::kCancelled
+                                                           : JobOutcome::kCompleted,
+                  .type = FrameType::kError,
+                  .payload = EncodeErrorReply(ErrorReply{
+                      .code = code, .retry_after_ms = 0, .message = std::move(message)})};
+  }
+};
+
 /// A target keeps its latest module and analysis resident; the analysis
 /// holds pointers into the module, so the module lives at a stable address in
 /// the same entry. Construction runs the analysis — with guaranteed elision
-/// the result is built in place, never moved — and fills its lazily cached
-/// walk sums, which the report reads: executors render a shared entry
-/// concurrently, so after construction it is only ever read.
+/// the result is built in place, never moved. Executors render a shared entry
+/// concurrently; the first render fills the analysis's cached walk sums (a
+/// fill that is safe under concurrent readers), outside resident_mutex.
 struct Resident {
   std::unique_ptr<ir::Module> module;
   std::uint64_t fingerprint = 0;  ///< store::ModuleFingerprint of `module`
@@ -109,9 +131,7 @@ struct Resident {
            const core::AnalysisOptions& opts)
       : module(std::move(owned)),
         fingerprint(module_fingerprint),
-        analysis(core::Analysis::Run(*module, opts)) {
-    (void)analysis.use_weighted_bits();
-  }
+        analysis(core::Analysis::Run(*module, opts)) {}
 };
 
 /// The resident compositional state behind `analyze --incremental`: the
@@ -496,22 +516,26 @@ struct Server::Impl {
       }
       for (const std::shared_ptr<Job>& d : dead) SendJobError(*d, ErrorCode::kCancelled);
       if (job == nullptr) continue;
-      const JobOutcome outcome = Execute(*job);
-      // All completion accounting lands here, after the job finished, so a
-      // concurrent status request never sees a half-updated counter and each
-      // executed job increments exactly one of completed/cancelled.
+      const JobEnd end = Execute(*job);
+      // All completion accounting lands here, after the job finished and
+      // before its terminal frame goes out: a concurrent status request never
+      // sees a half-updated counter, each executed job increments exactly one
+      // of completed/cancelled, and a client that has read the terminal frame
+      // finds the job counted. The frame is sent after sched_mutex is
+      // released, like every other send.
       {
         const std::lock_guard<std::mutex> lock(sched_mutex);
         jobs.erase(job->id);
-        if (outcome == JobOutcome::kCancelled) {
+        if (end.outcome == JobOutcome::kCancelled) {
           cancelled += 1;
         } else {
           completed += 1;
         }
       }
-      obs::GetCounter(outcome == JobOutcome::kCancelled ? "serve.jobs.cancelled"
-                                                        : "serve.jobs.completed")
+      obs::GetCounter(end.outcome == JobOutcome::kCancelled ? "serve.jobs.cancelled"
+                                                            : "serve.jobs.completed")
           .Add();
+      job->conn->Send(end.type, end.payload);
     }
   }
 
@@ -546,27 +570,23 @@ struct Server::Impl {
     return slot;
   }
 
-  JobOutcome Execute(Job& job) {
-    if (job.cancel.load() || !job.conn->open.load()) {
-      if (job.conn->open.load()) {
-        job.conn->SendError(ErrorCode::kCancelled,
-                            "job " + std::to_string(job.id) + " cancelled");
-      }
-      return JobOutcome::kCancelled;
-    }
-    if (job.args[0] == "analyze") {
-      ExecuteAnalyze(job);
-      return JobOutcome::kCompleted;
-    }
+  /// Runs `job`, streaming its output frames, and returns its terminal
+  /// frame unsent (JobEnd).
+  JobEnd Execute(Job& job) {
+    if (job.cancel.load() || !job.conn->open.load()) return CancelledEnd(job);
+    if (job.args[0] == "analyze") return ExecuteAnalyze(job);
     return ExecuteWorker(job);
   }
 
-  void ExecuteAnalyze(Job& job) {
+  static JobEnd CancelledEnd(const Job& job) {
+    return JobEnd::Error(ErrorCode::kCancelled, "job " + std::to_string(job.id) + " cancelled");
+  }
+
+  JobEnd ExecuteAnalyze(Job& job) {
     const int scale = std::atoi(FlagValue(job.args, "scale", "1").c_str());
     const int jobs_flag = std::atoi(FlagValue(job.args, "jobs", "0").c_str());
     if (FlagValue(job.args, "incremental", "0") != "0") {
-      ExecuteAnalyzeIncremental(job, scale, jobs_flag);
-      return;
+      return ExecuteAnalyzeIncremental(job, scale, jobs_flag);
     }
     try {
       bool hit = false;
@@ -583,9 +603,9 @@ struct Server::Impl {
                     job.args[1].c_str(), hit ? "resident" : "computed", ms);
       job.conn->Send(FrameType::kStdout, out.str());
       job.conn->Send(FrameType::kStderr, note);
-      job.conn->Send(FrameType::kDone, EncodeU64(0));
+      return JobEnd::Done(0);
     } catch (const std::exception& error) {
-      job.conn->SendError(ErrorCode::kBadRequest, error.what());
+      return JobEnd::Error(ErrorCode::kBadRequest, error.what());
     }
   }
 
@@ -595,7 +615,7 @@ struct Server::Impl {
   /// fallback rebuilds through the per-unit disk cache. Stdout is rendered
   /// from the composed stats, so it is byte-identical to a local
   /// `epvf analyze --incremental` — and to a plain `epvf analyze`.
-  void ExecuteAnalyzeIncremental(Job& job, int scale, int jobs_flag) {
+  JobEnd ExecuteAnalyzeIncremental(Job& job, int scale, int jobs_flag) {
     try {
       const auto start = std::chrono::steady_clock::now();
       auto module = std::make_unique<ir::Module>(apps::LoadTarget(job.args[1], scale));
@@ -653,13 +673,13 @@ struct Server::Impl {
                     job.args[1].c_str(), mode, replayed, total, ms);
       job.conn->Send(FrameType::kStdout, out.str());
       job.conn->Send(FrameType::kStderr, note);
-      job.conn->Send(FrameType::kDone, EncodeU64(0));
+      return JobEnd::Done(0);
     } catch (const std::exception& error) {
-      job.conn->SendError(ErrorCode::kBadRequest, error.what());
+      return JobEnd::Error(ErrorCode::kBadRequest, error.what());
     }
   }
 
-  JobOutcome ExecuteWorker(Job& job) {
+  JobEnd ExecuteWorker(Job& job) {
     // The worker runs its own analysis (recomputing is cheaper than loading
     // a stored one), so only the target is checked here: a bad one fails
     // cheaply instead of through worker relaunch exhaustion.
@@ -667,8 +687,7 @@ struct Server::Impl {
       const int scale = std::atoi(FlagValue(job.args, "scale", "1").c_str());
       (void)apps::LoadTarget(job.args[1], scale);
     } catch (const std::exception& error) {
-      job.conn->SendError(ErrorCode::kBadRequest, error.what());
-      return JobOutcome::kCompleted;
+      return JobEnd::Error(ErrorCode::kBadRequest, error.what());
     }
 
     const std::string base = jobs_dir + "/job-" + std::to_string(job.id);
@@ -715,23 +734,21 @@ struct Server::Impl {
     };
 
     const fi::SupervisorResult result = fi::RunShardSupervisor(sup);
-    if (result.cancelled) {
-      job.conn->SendError(ErrorCode::kCancelled, "job " + std::to_string(job.id) + " cancelled");
-    } else {
+    JobEnd end = CancelledEnd(job);
+    if (!result.cancelled) {
       const fi::ShardOutcome& outcome = result.shards[0];
       const std::string out_text = ReadFileText(out_path);
       const std::string err_text = ReadFileText(err_path);
       if (!out_text.empty()) job.conn->Send(FrameType::kStdout, out_text);
       if (!err_text.empty()) job.conn->Send(FrameType::kStderr, err_text);
-      const std::uint64_t code =
-          outcome.succeeded ? 0 : (outcome.last_status.exited ? outcome.last_status.code : 1);
-      job.conn->Send(FrameType::kDone, EncodeU64(code));
+      end = JobEnd::Done(
+          outcome.succeeded ? 0 : (outcome.last_status.exited ? outcome.last_status.code : 1));
     }
     std::error_code ec;
     for (const std::string& path : {out_path, err_path, progress_path}) {
       std::filesystem::remove(path, ec);
     }
-    return result.cancelled ? JobOutcome::kCancelled : JobOutcome::kCompleted;
+    return end;
   }
 };
 

@@ -13,8 +13,11 @@
 // that address-slice values behave as non-negative integers.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
+
+#include "support/bits.h"
 
 namespace epvf {
 
@@ -56,6 +59,39 @@ struct Interval {
 
   [[nodiscard]] std::string ToString() const;
 };
+
+/// The mask of bit positions k with a <= 2^k <= b (zero when no power of two
+/// lies in [a, b]): one contiguous run, bounded by one count-leading-zeros
+/// per end.
+[[nodiscard]] constexpr std::uint64_t PowersOfTwoBetween(std::uint64_t a,
+                                                         std::uint64_t b) noexcept {
+  if (b == 0 || a > b) return 0;
+  const auto top = static_cast<unsigned>(63 - std::countl_zero(b));  // largest 2^k <= b
+  const auto bottom =
+      a <= 1 ? 0u : static_cast<unsigned>(64 - std::countl_zero(a - 1));  // smallest 2^k >= a
+  return bottom > top ? 0 : LowMask(top + 1) & ~LowMask(bottom);
+}
+
+/// The bits k < `width` of `value` whose single-bit flip takes it outside
+/// `allowed` — one node's CRASHING_BIT_LIST (paper Algorithm 2). In closed
+/// form rather than by flip-and-test: flipping a zero bit k raises the value
+/// by 2^k and flipping a one bit lowers it by 2^k, so a flip stays inside
+/// [lo, hi] exactly when lo - v <= 2^k <= hi - v (zero bits) or
+/// v - hi <= 2^k <= v - lo (one bits). The formula also holds for `value`
+/// outside `allowed` and for the empty interval (every flip leaves it).
+[[nodiscard]] constexpr std::uint64_t FlipsLeaving(Interval allowed, std::uint64_t value,
+                                                   unsigned width) noexcept {
+  std::uint64_t stay = 0;
+  if (allowed.hi >= value) {
+    const std::uint64_t below = allowed.lo > value ? allowed.lo - value : 0;
+    stay |= ~value & PowersOfTwoBetween(below, allowed.hi - value);
+  }
+  if (value >= allowed.lo) {
+    const std::uint64_t above = value > allowed.hi ? value - allowed.hi : 0;
+    stay |= value & PowersOfTwoBetween(above, value - allowed.lo);
+  }
+  return ~stay & LowMask(width);
+}
 
 /// Inverse images of `dest`'s allowed interval for each Table III row.
 /// All functions answer: "which values of the unknown operand keep `dest`

@@ -3,9 +3,16 @@
 // output location yields ACE bits = 352 of 416 total, PVF = 0.846.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "apps/app.h"
 #include "ddg/ace.h"
 #include "ddg/builder.h"
 #include "ir/builder.h"
+#include "support/rng.h"
 #include "vm/interpreter.h"
 
 namespace epvf::ddg {
@@ -257,6 +264,80 @@ TEST(Ace, SubsetRootsGiveSubsetBits) {
     }
   }
 }
+
+// --- the ACE sweep against the paper's reverse BFS -----------------------------
+
+/// The reference: the reverse breadth-first search the paper describes,
+/// from `roots` (repeats and kNoNode skipped).
+std::vector<std::uint8_t> ReverseBfs(const Graph& g, std::span<const NodeId> roots) {
+  std::vector<std::uint8_t> marked(g.NumNodes(), 0);
+  std::deque<NodeId> frontier;
+  for (const NodeId root : roots) {
+    if (root == kNoNode || marked[root]) continue;
+    marked[root] = 1;
+    frontier.push_back(root);
+  }
+  while (!frontier.empty()) {
+    const NodeId id = frontier.front();
+    frontier.pop_front();
+    for (const NodeId pred : g.Preds(id)) {
+      if (pred == kNoNode || marked[pred]) continue;
+      marked[pred] = 1;
+      frontier.push_back(pred);
+    }
+  }
+  return marked;
+}
+
+/// `ace` marks exactly the nodes `expected` marks, and its counts are theirs.
+void ExpectAceMarks(const Graph& g, const AceResult& ace,
+                    const std::vector<std::uint8_t>& expected) {
+  ASSERT_EQ(ace.in_ace, expected);
+  std::uint64_t nodes = 0;
+  std::uint64_t register_nodes = 0;
+  std::uint64_t bits = 0;
+  for (NodeId id = 0; id < g.NumNodes(); ++id) {
+    if (!expected[id]) continue;
+    ++nodes;
+    if (g.GetNode(id).kind != NodeKind::kRegister) continue;
+    ++register_nodes;
+    bits += g.GetNode(id).width;
+  }
+  EXPECT_EQ(ace.ace_node_count, nodes);
+  EXPECT_EQ(ace.ace_register_nodes, register_nodes);
+  EXPECT_EQ(ace.ace_bits, bits);
+  EXPECT_EQ(ace.total_bits, g.TotalRegisterBits());
+}
+
+class AceSweep : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(AceSweep, MatchesTheReverseBfsFromEveryRoot) {
+  const apps::App app = apps::BuildApp(GetParam(), apps::AppConfig{.scale = 1});
+  const Graph g = RunAndBuild(app.module);
+  std::vector<NodeId> roots = g.output_roots();
+  roots.insert(roots.end(), g.control_roots().begin(), g.control_roots().end());
+  ExpectAceMarks(g, ComputeAce(g), ReverseBfs(g, roots));
+}
+
+TEST_P(AceSweep, RootSubsetsWithRepeatsAndNoNodeMatchTheReverseBfs) {
+  // What ProbeRepetitiveness passes: output roots drawn with replacement, so
+  // some repeat, where an output of an untraced value is kNoNode.
+  const apps::App app = apps::BuildApp(GetParam(), apps::AppConfig{.scale = 1});
+  const Graph g = RunAndBuild(app.module);
+  const std::vector<NodeId>& outputs = g.output_roots();
+  ASSERT_FALSE(outputs.empty());
+  Rng rng(17);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<NodeId> sample(1 + outputs.size() / 4);
+    for (NodeId& root : sample) root = outputs[rng.Below(outputs.size())];
+    sample.push_back(sample.front());
+    sample.insert(sample.begin() + static_cast<std::ptrdiff_t>(sample.size() / 2), kNoNode);
+    sample.push_back(kNoNode);
+    ExpectAceMarks(g, ComputeAceFromRoots(g, sample), ReverseBfs(g, sample));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, AceSweep, ::testing::ValuesIn(apps::AppNames()));
 
 TEST(WriterShadow, RecordSpanningPageBoundaryIsVisibleOnBothSides) {
   WriterShadow shadow;

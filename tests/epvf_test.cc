@@ -2,6 +2,7 @@
 // the invariants that make ePVF a meaningful bound.
 #include <cstdint>
 #include <iterator>
+#include <latch>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,7 @@
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "support/bits.h"
+#include "support/thread_pool.h"
 
 namespace epvf::core {
 namespace {
@@ -112,6 +114,33 @@ TEST(Analysis, TimingsArePopulated) {
   EXPECT_GT(a.timings().TotalSeconds(), 0.0);
   EXPECT_GE(a.timings().trace_and_graph_seconds, 0.0);
   EXPECT_GE(a.timings().crash_model_seconds, 0.0);
+}
+
+TEST(Analysis, ConcurrentFirstReadsOfTheUseWeightedSumsAgree) {
+  // Two pool threads make the first read of one fresh (and moved) analysis's
+  // lazily cached sums at the same moment. The fill must be safe for
+  // concurrent const readers — the CI ThreadSanitizer job runs this — and
+  // both must read what a lone reader of another analysis reads.
+  const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 1});
+  const Analysis::UseWeightedBits expected = Analysis::Run(app.module).use_weighted_bits();
+  Analysis fresh = Analysis::Run(app.module);
+  const Analysis shared = std::move(fresh);
+
+  ThreadPool& pool = ThreadPool::Shared();
+  const unsigned readers = pool.PrepareParticipants(2);
+  ASSERT_EQ(readers, 2u);
+  std::latch start(readers);
+  std::vector<Analysis::UseWeightedBits> seen(readers);
+  pool.Run(readers, [&](unsigned reader) {
+    start.arrive_and_wait();
+    seen[reader] = shared.use_weighted_bits();
+  });
+  for (const Analysis::UseWeightedBits& got : seen) {
+    EXPECT_EQ(got.total, expected.total);
+    EXPECT_EQ(got.ace, expected.ace);
+    EXPECT_EQ(got.crash, expected.crash);
+  }
+  EXPECT_GT(shared.timings().rate_estimate_seconds, 0.0);
 }
 
 TEST(Analysis, InstructionBudgetIsHonored) {

@@ -6,6 +6,9 @@
 // (up to the documented saturation at the domain edges).
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "support/bits.h"
 #include "support/interval.h"
 #include "support/rng.h"
 
@@ -185,6 +188,100 @@ TEST_P(InverseImageProperty, DivIsExactForDividend) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InverseImageProperty, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// --- FlipsLeaving: the closed form against flip-and-test ----------------------
+
+static_assert(FlipsLeaving(Interval::Full(), 0x1234, 64) == 0);
+static_assert(FlipsLeaving(Interval::Empty(), 0x1234, 16) == 0xFFFF);
+static_assert(FlipsLeaving(Interval{0, 0xFF}, 0x10, 16) == 0xFF00);
+static_assert(PowersOfTwoBetween(3, 17) == 0b11100);
+static_assert(PowersOfTwoBetween(5, 7) == 0);
+
+/// The reference: flip each of the low `width` bits and test the result.
+std::uint64_t FlipAndTest(Interval allowed, std::uint64_t value, unsigned width) {
+  std::uint64_t mask = 0;
+  for (unsigned bit = 0; bit < width; ++bit) {
+    if (!allowed.Contains(FlipBit(value, bit))) mask |= std::uint64_t{1} << bit;
+  }
+  return mask;
+}
+
+constexpr unsigned kWidths[] = {1, 8, 16, 32, 64};
+
+void ExpectMatchesFlipAndTest(Interval allowed, std::uint64_t value) {
+  for (const unsigned width : kWidths) {
+    ASSERT_EQ(FlipsLeaving(allowed, value, width), FlipAndTest(allowed, value, width))
+        << "allowed=" << allowed.ToString() << " value=0x" << std::hex << value << std::dec
+        << " width=" << width;
+  }
+}
+
+TEST(FlipsLeaving, MatchesFlipAndTestOnEdgeIntervalsAndValues) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  const std::vector<Interval> intervals = {
+      Interval::Empty(),
+      Interval{5, 3},  // empty, not in canonical form
+      Interval::Full(),
+      Interval::Singleton(0),
+      Interval::Singleton(max),
+      Interval::Singleton(0x1234),
+      Interval{0, 1},
+      Interval{0, 0xFF},
+      Interval{0, top - 1},
+      Interval{top, max},
+      Interval{max - 1, max},
+      Interval{1, max},
+      Interval{0, max - 1},
+      Interval{0x1000, 0x1FFF},
+      Interval{0x1000, 0x2000},
+      Interval{0xFFF, 0x2001},
+      Interval{0x600000, 0x6003FF},
+      Interval{0x7FFFFFFF0000, 0x7FFFFFFFFFFF},
+  };
+  for (const Interval& allowed : intervals) {
+    // Values at and around both ends, at the domain edges, and at distances
+    // from each end that straddle every power of two.
+    std::vector<std::uint64_t> values = {
+        0,          1,          max,            max - 1,        top,
+        top - 1,    allowed.lo, allowed.lo - 1, allowed.lo + 1, allowed.hi,
+        allowed.hi - 1, allowed.hi + 1, allowed.lo / 2 + allowed.hi / 2};
+    for (unsigned k = 0; k < 64; ++k) {
+      const std::uint64_t p = std::uint64_t{1} << k;
+      for (const std::uint64_t d : {p - 1, p, p + 1}) {
+        values.push_back(allowed.lo + d);
+        values.push_back(allowed.lo - d);
+        values.push_back(allowed.hi + d);
+        values.push_back(allowed.hi - d);
+      }
+    }
+    for (const std::uint64_t value : values) {
+      ExpectMatchesFlipAndTest(allowed, value);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FlipsLeaving, MatchesFlipAndTestOnASeededRandomSweep) {
+  Rng rng(20160628);
+  // A random 64-bit number with a random number of leading zeros, so small,
+  // medium and huge magnitudes all show up.
+  const auto magnitude = [&rng] { return rng.Next() >> rng.Below(64); };
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t lo = magnitude();
+    const std::uint64_t hi = lo + magnitude();
+    const Interval allowed = hi < lo ? Interval{lo, ~std::uint64_t{0}} : Interval{lo, hi};
+    std::uint64_t value = 0;
+    switch (rng.Below(4)) {
+      case 0: value = rng.Next(); break;
+      case 1: value = allowed.lo + (rng.Below(2) == 0 ? magnitude() : -magnitude()); break;
+      case 2: value = allowed.hi + (rng.Below(2) == 0 ? magnitude() : -magnitude()); break;
+      default: value = magnitude(); break;
+    }
+    ExpectMatchesFlipAndTest(allowed, value);
+    if (HasFatalFailure()) return;
+  }
+}
 
 }  // namespace
 }  // namespace epvf

@@ -19,6 +19,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,8 +29,10 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -441,6 +444,128 @@ TEST(Serve, ResidentAnalyzeStreamsIdenticalBytesAndCancelKnowsUnknownJobs) {
   ASSERT_TRUE(metrics.has_value());
   EXPECT_NE(metrics->find("serve.analyze.resident_hits"), std::string::npos);
 
+  server.Stop();
+}
+
+/// Counter `name` in an epvf-metrics-v1 dump; 0 while it is unregistered.
+std::uint64_t CounterValue(const std::string& json, const std::string& name) {
+  const std::optional<obs::MetricsSnapshot> snapshot = obs::ParseMetricsJson(json);
+  EXPECT_TRUE(snapshot.has_value());
+  if (!snapshot.has_value()) return 0;
+  for (const auto& [counter, value] : snapshot->counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+/// The `| completed N | cancelled M |` counts of a status report.
+std::pair<std::uint64_t, std::uint64_t> StatusCounts(const std::string& status) {
+  unsigned long long completed = 0;
+  unsigned long long cancelled = 0;
+  const std::size_t at = status.find("| completed ");
+  if (at == std::string::npos ||
+      std::sscanf(status.c_str() + at, "| completed %llu | cancelled %llu", &completed,
+                  &cancelled) != 2) {
+    ADD_FAILURE() << "no job counts in\n" << status;
+  }
+  return {completed, cancelled};
+}
+
+TEST(Serve, AJobIsCountedBeforeItsTerminalFrameGoesOut) {
+  // A client that has read its job's terminal frame — kDone, or the
+  // kCancelled error of a job cancelled while it runs — must find the job
+  // gone from the status report's job list and counted in its totals and in
+  // the serve.jobs.* metrics. Several clients run short campaigns and cancel
+  // long ones at once, on as many executor slots, so an executor that
+  // counted only after sending would often lose the race; worker jobs widen
+  // that window further (the executor removes their spool files in between).
+  // Every terminal frame any client has read before it asks must be counted.
+  constexpr int kClients = 3;
+  constexpr int kRounds = 4;
+  const std::string socket_path = TestSocketPath("account");
+  ServerOptions options = InProcessOptions(socket_path);
+  options.slots = kClients;
+  Server server(std::move(options));
+  ASSERT_TRUE(server.Start());
+
+  // The metrics registry is process-wide, so its counters are read as deltas.
+  std::uint64_t completed_base = 0;
+  std::uint64_t cancelled_base = 0;
+  {
+    std::optional<ServeClient> probe = ServeClient::Connect(socket_path);
+    ASSERT_TRUE(probe.has_value());
+    const std::optional<std::string> metrics = probe->Metrics();
+    ASSERT_TRUE(metrics.has_value());
+    completed_base = CounterValue(*metrics, "serve.jobs.completed");
+    cancelled_base = CounterValue(*metrics, "serve.jobs.cancelled");
+  }
+  std::atomic<std::uint64_t> seen_completed{0};
+  std::atomic<std::uint64_t> seen_cancelled{0};
+  const auto expect_counted = [&](ServeClient& client, std::uint64_t job_id,
+                                  const std::string& context) {
+    const std::uint64_t completed = seen_completed.load();
+    const std::uint64_t cancelled = seen_cancelled.load();
+    const std::optional<std::string> status = client.Status();
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->find("job " + std::to_string(job_id) + " "), std::string::npos)
+        << context << "\n" << *status;
+    const auto [status_completed, status_cancelled] = StatusCounts(*status);
+    EXPECT_GE(status_completed, completed) << context << "\n" << *status;
+    EXPECT_GE(status_cancelled, cancelled) << context << "\n" << *status;
+    const std::optional<std::string> metrics = client.Metrics();
+    ASSERT_TRUE(metrics.has_value());
+    EXPECT_GE(CounterValue(*metrics, "serve.jobs.completed"), completed_base + completed)
+        << context;
+    EXPECT_GE(CounterValue(*metrics, "serve.jobs.cancelled"), cancelled_base + cancelled)
+        << context;
+  };
+
+  const auto client_loop = [&](int c) {
+    std::optional<ServeClient> client = ServeClient::Connect(socket_path);
+    ASSERT_TRUE(client.has_value());
+    for (int round = 1; round <= kRounds; ++round) {
+      const std::string context =
+          "client " + std::to_string(c) + ", round " + std::to_string(round);
+      RunRequest quick;
+      quick.args = {"inject",  "mm", "--scale", "0", "--runs", "4",
+                    "--seed", std::to_string(c * kRounds + round)};
+      const ServeClient::RunResult result = client->Run(quick, nullptr, nullptr, nullptr);
+      ASSERT_TRUE(result.transport_ok) << context;
+      ASSERT_FALSE(result.error.has_value()) << context;
+      seen_completed.fetch_add(1);
+      expect_counted(*client, result.job_id, context + ", after a completed job");
+
+      const int fd = RawConnect(socket_path);
+      ASSERT_GE(fd, 0);
+      RunRequest slow;
+      slow.args = {"inject", "mm", "--runs", "5000", "--seed", "7"};
+      ASSERT_TRUE(WriteFrame(fd, FrameType::kRun, EncodeRunRequest(slow)));
+      Frame frame;
+      ASSERT_EQ(ReadFrame(fd, &frame), ReadStatus::kOk);
+      ASSERT_EQ(frame.type, FrameType::kAck);
+      const std::uint64_t slow_id = DecodeU64(frame.payload).value_or(0);
+      const std::string running = "job " + std::to_string(slow_id) + " running";
+      bool started = false;
+      for (int i = 0; i < 500 && !started; ++i) {
+        const std::optional<std::string> status = client->Status();
+        ASSERT_TRUE(status.has_value());
+        started = status->find(running) != std::string::npos;
+        if (!started) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      ASSERT_TRUE(started) << context;
+      ASSERT_TRUE(client->Cancel(slow_id)) << context;
+      do {
+        ASSERT_EQ(ReadFrame(fd, &frame), ReadStatus::kOk);
+      } while (frame.type == FrameType::kProgress);
+      ::close(fd);
+      ASSERT_EQ(frame.type, FrameType::kError) << context;
+      seen_cancelled.fetch_add(1);
+      expect_counted(*client, slow_id, context + ", after a cancelled job");
+    }
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) clients.emplace_back(client_loop, c);
+  for (std::thread& t : clients) t.join();
   server.Stop();
 }
 
