@@ -16,7 +16,6 @@
 #include <iostream>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "epvf/compose.h"
@@ -30,12 +29,6 @@
 namespace {
 
 constexpr int kRepetitions = 5;
-
-std::vector<std::uint32_t> AllUnits(const epvf::core::ProgramSlices& p) {
-  std::vector<std::uint32_t> units(p.units.size());
-  for (std::uint32_t u = 0; u < units.size(); ++u) units[u] = u;
-  return units;
-}
 
 bool SameStats(const epvf::core::ReportStats& a, const epvf::core::ReportStats& b) {
   return a.dyn_instructions == b.dyn_instructions && a.num_nodes == b.num_nodes &&
@@ -85,12 +78,12 @@ int main() {
     core::IncrementalOutcome outcome;
     for (int rep = 0; rep < kRepetitions; ++rep) {
       // The resident state an editor session would already hold, built
-      // afresh: a copy would share the walk index (held by shared_ptr) that
-      // the previous repetition's replay patched.
+      // afresh for every repetition: the previous repetition's replay left
+      // its state describing the edited module.
       const core::Analysis base = core::Analysis::Run(app.module, options);
       core::ProgramSlices p =
           core::BuildProgramSlices(base, core::PartitionModule(app.module));
-      core::RunUnitWalks(p, app.module, AllUnits(p), jobs);
+      core::RunUnitWalks(p, app.module, jobs);
       units_total = p.units.size();
 
       Stopwatch incr_watch;
@@ -110,7 +103,7 @@ int main() {
       const core::Analysis fresh = core::Analysis::Run(mutated, options);
       core::ProgramSlices scratch =
           core::BuildProgramSlices(fresh, core::PartitionModule(mutated));
-      core::RunUnitWalks(scratch, mutated, AllUnits(scratch), jobs);
+      core::RunUnitWalks(scratch, mutated, jobs);
       whole_ms = std::min(whole_ms, whole_watch.ElapsedMillis());
 
       identical = identical &&

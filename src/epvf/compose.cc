@@ -12,6 +12,7 @@
 #include "ddg/builder.h"
 #include "epvf/walks.h"
 #include "ir/intrinsics.h"
+#include "obs/trace.h"
 #include "support/bits.h"
 #include "support/hash.h"
 #include "support/thread_pool.h"
@@ -24,36 +25,8 @@ using ddg::kNoNode;
 using ddg::NodeId;
 using ir::Opcode;
 
-/// Export-slot refs in the walk index carry this flag in the index field so
-/// they are distinguishable from unit-local node refs (local ids never reach
-/// bit 31). Slot refs survive the exporter's internal renumbering.
-inline constexpr std::uint32_t kSlotFlag = 0x80000000u;
-
 const ir::Instruction& InstrOf(const ir::Module& m, ir::StaticInstrId sid) {
   return m.functions[sid.function].blocks[sid.block].instructions[sid.instr];
-}
-
-/// Rewrites a canonical (owner, local) ref into its walk-index key: exported
-/// nodes are keyed by (owner, slot | kSlotFlag) so a dirty unit's replay never
-/// invalidates the keys other units' uses live under; non-exported nodes keep
-/// the local form (all their uses are intra-unit and rewritten wholesale when
-/// the unit itself replays). Idempotent on already-flagged keys.
-UnitRef WalkKey(const ProgramSlices& p, UnitRef ref) {
-  if (ref == kNullRef) return ref;
-  const std::uint32_t u = RefUnit(ref);
-  if (u == kInternUnit) return ref;
-  const std::uint32_t local = RefIndex(ref);
-  if ((local & kSlotFlag) != 0) return ref;
-  const auto& by_local = p.units[u].slice.export_by_local;
-  const auto it = std::lower_bound(
-      by_local.begin(), by_local.end(), local,
-      [](const std::pair<std::uint32_t, std::uint32_t>& e, std::uint32_t l) {
-        return e.first < l;
-      });
-  if (it != by_local.end() && it->first == local) {
-    return MakeRef(u, it->second | kSlotFlag);
-  }
-  return ref;
 }
 
 /// Width/value of a (possibly external or intern) ref, resolving slot
@@ -77,8 +50,8 @@ std::pair<unsigned, std::uint64_t> WidthValueOf(const ProgramSlices& p, std::uin
 /// Tail of the per-unit resweep: rebuilds `unit`'s crash masks and every
 /// UnitSums field from its marks and the final allowed intervals. Mirrors
 /// propagation.cc's mask sweep, ace.cc's bit accounting, report.cc's
-/// structure classification, ComputeMemoryBitsSums and PerInstructionMetrics
-/// — all restricted to the unit's own nodes/dyns.
+/// structure classification and ComputeMemoryBitsSums — all restricted to
+/// the unit's own nodes.
 void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
                         const std::vector<Interval>& allowed) {
   CompiledUnit& cu = p.units[unit];
@@ -90,7 +63,6 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
   UnitSums sums;
   sums.node_count = s.nodes.size();
 
-  std::vector<std::uint64_t> masks(s.nodes.size(), 0);
   for (std::uint32_t local = 0; local < s.nodes.size(); ++local) {
     const SliceNode& node = s.nodes[local];
     const bool marked = back.Marked(local);
@@ -107,10 +79,7 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
         sums.crash_bits += PopCount(mask);
         sums.cls_crash[cls] += PopCount(mask & LowMask(node.width));
       }
-      if (mask != 0) {
-        masks[local] = mask;
-        back.crash_masks.emplace_back(local, mask);
-      }
+      if (mask != 0) back.crash_masks.emplace_back(local, mask);
     } else if (node.kind == ddg::NodeKind::kMemory) {
       sums.mem_total += node.width;
       if (marked) {
@@ -119,26 +88,6 @@ void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
       }
     }
   }
-
-  std::map<ir::StaticInstrId, InstrMetrics> by_sid;
-  for (std::uint32_t ld = 0; ld < s.dyn.size(); ++ld) {
-    const SliceDyn& d = s.dyn[ld];
-    InstrMetrics& m = by_sid[d.sid];
-    m.sid = d.sid;
-    m.exec_count += 1;
-    if (d.result_node == kNoLocalNode ||
-        s.nodes[d.result_node].kind != ddg::NodeKind::kRegister) {
-      continue;
-    }
-    const unsigned width = s.nodes[d.result_node].width;
-    m.total_bits += width;
-    if (back.Marked(d.result_node)) {
-      m.ace_bits += width;
-      m.crash_bits += PopCount(masks[d.result_node] & LowMask(width));
-    }
-  }
-  sums.per_instruction.reserve(by_sid.size());
-  for (auto& [sid, metrics] : by_sid) sums.per_instruction.push_back(metrics);
 
   cu.sums = std::move(sums);
 }
@@ -366,29 +315,8 @@ std::uint64_t GlobalsDigest(const ir::Module& module) {
   return h.Digest();
 }
 
-std::uint64_t UnitStaticDigest(const ir::Module& module, const UnitInfo& unit) {
-  support::Hasher h;
-  const ir::Function& fn = module.functions[unit.function];
-  for (const std::uint32_t b : unit.blocks) {
-    h.Mix(b);
-    const auto& insts = fn.blocks[b].instructions;
-    h.Mix(insts.size());
-    for (const ir::Instruction& inst : insts) {
-      h.Mix(static_cast<std::uint64_t>(inst.op));
-      h.Mix(inst.DefinesValue() ? inst.result : ir::kInvalidIndex);
-      h.Mix(inst.operands.size());
-      for (const ir::ValueRef& op : inst.operands) {
-        h.Mix(static_cast<std::uint64_t>(op.kind));
-        // Constant identity is deliberately excluded: a constant tweak keeps
-        // the digest (the walk oracle never reads constant values).
-        h.Mix(op.kind == ir::ValueKind::kRegister ? op.index : 0u);
-      }
-    }
-  }
-  return h.Digest();
-}
-
 ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partition) {
+  const obs::TraceSpan span("compose", "build-slices");
   ProgramSlices p;
   p.module = &analysis.module();
   p.partition = std::move(partition);
@@ -405,10 +333,6 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
   p.function_shape.reserve(module.functions.size());
   for (const ir::Function& fn : module.functions) {
     p.function_shape.push_back(FunctionShapeDigest(fn));
-  }
-  p.unit_static_digest.reserve(num_units);
-  for (const UnitInfo& info : p.partition.units) {
-    p.unit_static_digest.push_back(UnitStaticDigest(module, info));
   }
 
   const auto n_dyn = static_cast<std::uint32_t>(g.NumDynInstrs());
@@ -673,7 +597,6 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     UnitSlice& s = p.units[u].slice;
     const auto slot = static_cast<std::uint32_t>(s.exports.size());
     slot_of[u][e.local] = slot;
-    s.export_by_local.emplace_back(e.local, slot);  // ascending: ids iterate up
     s.exports.push_back(e);
   }
 
@@ -847,166 +770,129 @@ void RunUnitBackward(ProgramSlices& p, std::uint32_t unit) {
 
 namespace {
 
-/// Recomputes seg_base from the current slices (the only index state a dirty
-/// unit's replay shifts for *other* units).
-void RefreshSegBase(const ProgramSlices& p, WalkUseIndex& idx) {
-  idx.seg_base.assign(p.units.size(), {});
-  for (std::size_t u = 0; u < p.units.size(); ++u) {
-    idx.seg_base[u].assign(p.units[u].slice.segments.size(), 0);
-  }
-  std::uint64_t cum = 0;
-  for (const SegmentRef& sr : p.segment_order) {
-    idx.seg_base[sr.unit][sr.seg] = cum;
-    cum += p.units[sr.unit].slice.segments[sr.seg].num_dyn;
-  }
-}
+/// The activation walk's input over the slices, rebuilt by every
+/// RunUnitWalks: the use index, laid out like UseIndex over one flat node
+/// numbering, and the unit and unit-local dyn of every global dyn.
+struct SliceUseIndex {
+  std::vector<std::uint32_t> node_base;  ///< per unit: flat id of its local node 0
+  std::uint32_t intern_base = 0;         ///< flat id of intern 0
+  std::vector<std::uint32_t> dyn_unit;   ///< per global dyn
+  std::vector<std::uint32_t> dyn_local;  ///< per global dyn
+  UseIndex uses;                         ///< per flat node, in global trace order
 
-/// Appends one segment's register-operand use sites to the index. Callers
-/// iterate segments in global trace order, which keeps every key's use vector
-/// sorted by global dyn without a sort pass.
-void AppendSegmentUses(const ProgramSlices& p, WalkUseIndex& idx, SegmentRef sr,
-                       std::set<UnitRef>& touched) {
-  const UnitSlice& s = p.units[sr.unit].slice;
-  const SegmentInfo& seg = s.segments[sr.seg];
-  for (std::uint32_t ld = seg.first_dyn; ld < seg.first_dyn + seg.num_dyn; ++ld) {
-    const SliceDyn& d = s.dyn[ld];
-    const ir::Instruction& inst = InstrOf(*p.module, d.sid);
-    const UnitRef result_key =
-        d.result_node == kNoLocalNode ? kNullRef : WalkKey(p, MakeRef(sr.unit, d.result_node));
-    const std::uint8_t has_register_result =
-        d.result_node != kNoLocalNode &&
-                s.nodes[d.result_node].kind == ddg::NodeKind::kRegister
-            ? 1
-            : 0;
+  [[nodiscard]] std::uint32_t FlatId(UnitRef canon) const {
+    const std::uint32_t u = RefUnit(canon);
+    return (u == kInternUnit ? intern_base : node_base[u]) + RefIndex(canon);
+  }
+};
+
+/// Calls fn(unit, canonical operand ref, global dyn, slot) for every
+/// register-operand use of global dyns [begin, end) in trace order: the
+/// slice counterpart of ForEachUse (walks.h).
+template <typename Fn>
+void ForEachSliceUse(const ProgramSlices& p, const ir::Module& module, const SliceUseIndex& idx,
+                     std::size_t begin, std::size_t end, Fn&& fn) {
+  for (std::size_t g = begin; g < end; ++g) {
+    const std::uint32_t unit = idx.dyn_unit[g];
+    const UnitSlice& s = p.units[unit].slice;
+    const SliceDyn& d = s.dyn[idx.dyn_local[g]];
+    const ir::Instruction& inst = InstrOf(module, d.sid);
     for (std::uint8_t slot = 0; slot < d.num_operands; ++slot) {
       if (!inst.operands[slot].IsRegister()) continue;
       if (inst.op == Opcode::kPhi && slot != d.selected_operand) continue;
       const UnitRef ref = s.operand_nodes[d.operands_offset + slot];
       if (ref == kNullRef) continue;
-      const UnitRef key = WalkKey(p, Canon(p, sr.unit, ref));
-      KeyUses& entry = idx.uses[key];
-      entry.list.push_back(WalkUse{sr.unit, sr.seg, ld - seg.first_dyn, slot,
-                                   has_register_result, d.sid, result_key});
-      entry.unit_mask |= UnitBit(sr.unit);
-      touched.insert(key);
+      fn(unit, Canon(p, unit, ref), static_cast<std::uint32_t>(g), slot);
     }
   }
 }
 
-void BuildWalkIndex(ProgramSlices& p) {
-  p.walk_index = std::make_shared<WalkUseIndex>();
-  WalkUseIndex& idx = *p.walk_index;
-  idx.function_units.assign(p.module->functions.size(), 0);
-  for (std::uint32_t u = 0; u < p.units.size(); ++u) {
-    idx.function_units[p.partition.units[u].function] |= UnitBit(u);
+SliceUseIndex BuildSliceUseIndex(const ProgramSlices& p, const ir::Module& module) {
+  SliceUseIndex idx;
+  std::uint32_t num_nodes = 0;
+  for (const CompiledUnit& cu : p.units) {
+    idx.node_base.push_back(num_nodes);
+    num_nodes += static_cast<std::uint32_t>(cu.slice.nodes.size());
   }
-  RefreshSegBase(p, idx);
-  std::vector<std::set<UnitRef>> touched(p.units.size());
-  for (const SegmentRef& sr : p.segment_order) AppendSegmentUses(p, idx, sr, touched[sr.unit]);
-  idx.unit_refs.resize(p.units.size());
-  for (std::size_t u = 0; u < p.units.size(); ++u) {
-    idx.unit_refs[u].assign(touched[u].begin(), touched[u].end());
+  idx.intern_base = num_nodes;
+  num_nodes += static_cast<std::uint32_t>(p.interns.size());
+  for (const SegmentRef& sr : p.segment_order) {
+    const SegmentInfo& seg = p.units[sr.unit].slice.segments[sr.seg];
+    for (std::uint32_t ld = seg.first_dyn; ld < seg.first_dyn + seg.num_dyn; ++ld) {
+      idx.dyn_unit.push_back(sr.unit);
+      idx.dyn_local.push_back(ld);
+    }
   }
+
+  // BuildUseIndex's two counting passes: count each node's uses, then write
+  // every use at its node's cursor. Global dyns ascend, so each node's uses
+  // land in trace order.
+  UseIndex& uses = idx.uses;
+  const std::size_t num_dyn = idx.dyn_unit.size();
+  uses.offsets.assign(std::size_t{num_nodes} + 1, 0);
+  ForEachSliceUse(p, module, idx, 0, num_dyn,
+                  [&](std::uint32_t, UnitRef canon, std::uint32_t, std::uint8_t) {
+                    ++uses.offsets[idx.FlatId(canon) + 1];
+                  });
+  for (std::size_t i = 1; i < uses.offsets.size(); ++i) uses.offsets[i] += uses.offsets[i - 1];
+  uses.use_dyn.resize(uses.offsets.back());
+  uses.use_slot.resize(uses.offsets.back());
+  std::vector<std::uint32_t> cursor(uses.offsets.begin(), uses.offsets.end() - 1);
+  ForEachSliceUse(p, module, idx, 0, num_dyn,
+                  [&](std::uint32_t, UnitRef canon, std::uint32_t dyn, std::uint8_t slot) {
+                    const std::uint32_t pos = cursor[idx.FlatId(canon)]++;
+                    uses.use_dyn[pos] = dyn;
+                    uses.use_slot[pos] = slot;
+                  });
+  return idx;
 }
 
-/// The per-unit-slice instantiation of the walk view concept (walks.h).
-/// Records every unit whose index data a walk reads into `*deps` — the
-/// dependency mask that decides which units must rewalk after an edit.
+/// The per-unit-slice instantiation of the walk view concept (walks.h), over
+/// flat node ids.
 class SliceWalkView {
  public:
-  using NodeRef = UnitRef;
-  using UseCursor = const WalkUse*;
+  using NodeRef = std::uint32_t;
+  using UseCursor = std::uint32_t;
 
-  SliceWalkView(const ProgramSlices& p, const WalkUseIndex& idx, std::uint64_t* deps)
-      : p_(p), idx_(idx), deps_(deps) {}
+  SliceWalkView(const ProgramSlices& p, const ir::Module& module, const SliceUseIndex& idx)
+      : p_(p), module_(module), idx_(idx) {}
 
   [[nodiscard]] std::pair<UseCursor, UseCursor> UseRangeOf(NodeRef node) const {
-    const UnitRef key = WalkKey(p_, node);
-    if (key != kNullRef && RefUnit(key) != kInternUnit) *deps_ |= UnitBit(RefUnit(key));
-    const auto it = idx_.uses.find(key);
-    if (it == idx_.uses.end()) return {nullptr, nullptr};
-    // Which uses a walk reads depends on its start and where it stops, so it
-    // depends on every unit with a use here.
-    *deps_ |= it->second.unit_mask;
-    const std::vector<WalkUse>& list = it->second.list;
-    return {list.data(), list.data() + list.size()};
+    return {idx_.uses.offsets[node], idx_.uses.offsets[node + 1]};
   }
-  [[nodiscard]] std::uint64_t UseDyn(UseCursor u) const { return idx_.GlobalDyn(*u); }
-  [[nodiscard]] std::uint8_t UseSlot(UseCursor u) const { return u->slot; }
+  [[nodiscard]] std::uint64_t UseDyn(UseCursor u) const { return idx_.uses.use_dyn[u]; }
+  [[nodiscard]] std::uint8_t UseSlot(UseCursor u) const { return idx_.uses.use_slot[u]; }
   [[nodiscard]] const ir::Instruction& InstructionAtUse(UseCursor u) const {
-    return InstrOf(*p_.module, u->sid);
+    return InstrOf(module_, SidAtUse(u));
   }
-  [[nodiscard]] ir::StaticInstrId SidAtUse(UseCursor u) const { return u->sid; }
+  [[nodiscard]] ir::StaticInstrId SidAtUse(UseCursor u) const {
+    const std::uint32_t g = idx_.uses.use_dyn[u];
+    return p_.units[idx_.dyn_unit[g]].slice.dyn[idx_.dyn_local[g]].sid;
+  }
   [[nodiscard]] bool HasRegisterResult(UseCursor u) const {
-    return u->has_register_result != 0;
+    const std::uint32_t g = idx_.uses.use_dyn[u];
+    const UnitSlice& s = p_.units[idx_.dyn_unit[g]].slice;
+    const std::uint32_t result = s.dyn[idx_.dyn_local[g]].result_node;
+    return result != kNoLocalNode && s.nodes[result].kind == ddg::NodeKind::kRegister;
   }
-  [[nodiscard]] NodeRef ResultNode(UseCursor u) const { return u->result; }
+  [[nodiscard]] NodeRef ResultNode(UseCursor u) const {
+    const std::uint32_t g = idx_.uses.use_dyn[u];
+    const std::uint32_t unit = idx_.dyn_unit[g];
+    return idx_.node_base[unit] + p_.units[unit].slice.dyn[idx_.dyn_local[g]].result_node;
+  }
 
  private:
   const ProgramSlices& p_;
-  const WalkUseIndex& idx_;
-  std::uint64_t* deps_;
-};
-
-/// ControlOracle wrapper recording which functions' static text each walk
-/// consulted (function-granular: the oracle reads whole-function CFG and use
-/// maps, so any unit of the function invalidates).
-struct DepOracle {
-  const ControlOracle& inner;
-  const WalkUseIndex& idx;
-  std::uint64_t* deps;
-
-  [[nodiscard]] bool SurvivesToAddress(std::uint32_t function, std::uint32_t block,
-                                       std::uint32_t reg) const {
-    *deps |= idx.function_units[function];
-    return inner.SurvivesToAddress(function, block, reg);
-  }
+  const ir::Module& module_;
+  const SliceUseIndex& idx_;
 };
 
 }  // namespace
 
-void UpdateWalkIndexForUnit(ProgramSlices& p, std::uint32_t unit) {
-  if (!p.walk_index) return;
-  WalkUseIndex& idx = *p.walk_index;
-  RefreshSegBase(p, idx);
-  std::set<UnitRef> touched(idx.unit_refs[unit].begin(), idx.unit_refs[unit].end());
-  for (const UnitRef key : idx.unit_refs[unit]) {
-    const auto it = idx.uses.find(key);
-    if (it == idx.uses.end()) continue;
-    std::erase_if(it->second.list, [unit](const WalkUse& u) { return u.unit == unit; });
-  }
-  std::set<UnitRef> now;
-  const auto num_segs = static_cast<std::uint32_t>(p.units[unit].slice.segments.size());
-  for (std::uint32_t seg = 0; seg < num_segs; ++seg) {
-    AppendSegmentUses(p, idx, SegmentRef{unit, seg}, now);
-  }
-  touched.insert(now.begin(), now.end());
-  for (const UnitRef key : touched) {
-    const auto it = idx.uses.find(key);
-    if (it == idx.uses.end()) continue;
-    std::vector<WalkUse>& list = it->second.list;
-    if (list.empty()) {
-      idx.uses.erase(it);
-      continue;
-    }
-    // Replayed entries were appended at the tail; restore global-dyn order.
-    // Entries never tie across units (a global dyn lives in one segment), and
-    // same-unit appends arrived in trace order, so stable_sort is exact.
-    std::stable_sort(list.begin(), list.end(), [&idx](const WalkUse& a, const WalkUse& b) {
-      return idx.GlobalDyn(a) < idx.GlobalDyn(b);
-    });
-    // Recompute the mask: `unit` may have left this key while another unit
-    // sharing its bit (>= 63) stayed.
-    it->second.unit_mask = 0;
-    for (const WalkUse& u : list) it->second.unit_mask |= UnitBit(u.unit);
-  }
-  idx.unit_refs[unit].assign(now.begin(), now.end());
-}
-
-void RunUnitWalks(ProgramSlices& p, const ir::Module& module,
-                  std::span<const std::uint32_t> units_to_walk, int jobs) {
-  if (!p.walk_index) BuildWalkIndex(p);
-  const WalkUseIndex& idx = *p.walk_index;
+void RunUnitWalks(ProgramSlices& p, const ir::Module& module, int jobs) {
+  const obs::TraceSpan span("compose", "unit-walks");
+  const SliceUseIndex idx = BuildSliceUseIndex(p, module);
+  const SliceWalkView view(p, module, idx);
   const ControlOracle control(module);
 
   // Intern ACE membership: the union over every unit's intern marks equals
@@ -1018,36 +904,16 @@ void RunUnitWalks(ProgramSlices& p, const ir::Module& module,
     }
   }
 
-  struct Part {
-    Analysis::UseWeightedBits uw;
-    std::uint64_t data = 0;
-    std::uint64_t oracle = 0;
-  };
-
-  for (const std::uint32_t unit : units_to_walk) {
-    CompiledUnit& cu = p.units[unit];
-    const UnitSlice& s = cu.slice;
-    const Part total = ParallelReduce(
-        std::size_t{0}, s.dyn.size(), Part{},
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          Part part;
-          SliceWalkView view(p, idx, &part.data);
-          const DepOracle oracle{control, idx, &part.oracle};
-          // Segment cursor: local dyn ids ascend through the segment table.
-          std::uint32_t seg = 0;
-          for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-            const auto ld = static_cast<std::uint32_t>(i);
-            while (seg + 1 < s.segments.size() && s.segments[seg + 1].first_dyn <= ld) ++seg;
-            while (s.segments[seg].first_dyn > ld) --seg;
-            const std::uint64_t gdyn = idx.seg_base[unit][seg] + (ld - s.segments[seg].first_dyn);
-            const SliceDyn& d = s.dyn[ld];
-            const ir::Instruction& inst = InstrOf(module, d.sid);
-            for (std::size_t slot = 0; slot < d.num_operands; ++slot) {
-              if (!inst.operands[slot].IsRegister()) continue;
-              if (inst.op == Opcode::kPhi && slot != d.selected_operand) continue;
-              const UnitRef ref = s.operand_nodes[d.operands_offset + slot];
-              if (ref == kNullRef) continue;
-              const UnitRef canon = Canon(p, unit, ref);
+  // Analysis::WalkUseSites over the slices, each site's sums charged to the
+  // unit of its dyn.
+  using Sums = std::vector<Analysis::UseWeightedBits>;
+  const Sums sums = ParallelReduce(
+      std::size_t{0}, idx.dyn_unit.size(), Sums(p.units.size()),
+      [&](std::size_t chunk_begin, std::size_t chunk_end) {
+        Sums part(p.units.size());
+        ForEachSliceUse(
+            p, module, idx, chunk_begin, chunk_end,
+            [&](std::uint32_t unit, UnitRef canon, std::uint32_t dyn, std::uint8_t) {
               unsigned width = 0;
               bool is_ace = false;
               std::uint64_t mask = 0;
@@ -1059,39 +925,35 @@ void RunUnitWalks(ProgramSlices& p, const ir::Module& module,
                 width = p.interns[i_id].width;
                 is_ace = ((intern_ace[i_id >> 6] >> (i_id & 63)) & 1) != 0;
               } else {
-                const std::uint32_t o = RefUnit(canon);
-                const std::uint32_t l = RefIndex(canon);
-                if (o != unit) part.data |= UnitBit(o);
-                const CompiledUnit& oc = p.units[o];
-                width = oc.slice.nodes[l].width;
-                is_ace = oc.back.Marked(l);
-                mask = oc.back.MaskOf(l);
+                const CompiledUnit& owner = p.units[RefUnit(canon)];
+                const std::uint32_t local = RefIndex(canon);
+                width = owner.slice.nodes[local].width;
+                is_ace = owner.back.Marked(local);
+                mask = owner.back.MaskOf(local);
               }
-              part.uw.total += width;
-              if (!is_ace) continue;
-              part.uw.ace += width;
+              Analysis::UseWeightedBits& uw = part[unit];
+              uw.total += width;
+              if (!is_ace) return;
+              uw.ace += width;
               mask &= LowMask(width);
-              if (mask == 0) continue;
-              if (FirstEffect(view, oracle, canon, gdyn, /*depth=*/6) == UseEffect::kCrash) {
-                part.uw.crash += PopCount(mask);
+              if (mask == 0) return;
+              if (FirstEffect(view, control, idx.FlatId(canon), std::uint64_t{dyn},
+                              /*depth=*/6) == UseEffect::kCrash) {
+                uw.crash += PopCount(mask);
               }
-            }
-          }
-          return part;
-        },
-        [](Part acc, const Part& part) {
-          acc.uw.total += part.uw.total;
-          acc.uw.ace += part.uw.ace;
-          acc.uw.crash += part.uw.crash;
-          acc.data |= part.data;
-          acc.oracle |= part.oracle;
-          return acc;
-        },
-        ParallelOptions{.jobs = jobs});
-    cu.walk.uw = total.uw;
-    cu.walk.data_deps = total.data | UnitBit(unit);
-    cu.walk.oracle_deps = total.oracle;
-  }
+            });
+        return part;
+      },
+      [](Sums acc, const Sums& part) {
+        for (std::size_t u = 0; u < acc.size(); ++u) {
+          acc[u].total += part[u].total;
+          acc[u].ace += part[u].ace;
+          acc[u].crash += part[u].crash;
+        }
+        return acc;
+      },
+      ParallelOptions{.jobs = jobs});
+  for (std::size_t u = 0; u < p.units.size(); ++u) p.units[u].walk = sums[u];
 }
 
 ReportStats ComposeProgram(const ProgramSlices& p) {
@@ -1119,9 +981,9 @@ ReportStats ComposeProgram(const ProgramSlices& p) {
     r.ace_bits += cu.sums.ace_bits;
     r.total_bits += cu.sums.total_bits;
     r.crash_bits += cu.sums.crash_bits;
-    r.use_weighted.total += cu.walk.uw.total;
-    r.use_weighted.ace += cu.walk.uw.ace;
-    r.use_weighted.crash += cu.walk.uw.crash;
+    r.use_weighted.total += cu.walk.total;
+    r.use_weighted.ace += cu.walk.ace;
+    r.use_weighted.crash += cu.walk.crash;
     r.mem_total += cu.sums.mem_total;
     r.mem_ace += cu.sums.mem_ace;
     r.mem_crash += cu.sums.mem_crash;
@@ -1132,24 +994,6 @@ ReportStats ComposeProgram(const ProgramSlices& p) {
     }
   }
   return r;
-}
-
-std::vector<InstrMetrics> ComposePerInstruction(const ProgramSlices& p) {
-  std::map<ir::StaticInstrId, InstrMetrics> by_sid;
-  for (const CompiledUnit& cu : p.units) {
-    for (const InstrMetrics& m : cu.sums.per_instruction) {
-      InstrMetrics& acc = by_sid[m.sid];
-      acc.sid = m.sid;
-      acc.exec_count += m.exec_count;
-      acc.ace_bits += m.ace_bits;
-      acc.crash_bits += m.crash_bits;
-      acc.total_bits += m.total_bits;
-    }
-  }
-  std::vector<InstrMetrics> out;
-  out.reserve(by_sid.size());
-  for (const auto& [sid, m] : by_sid) out.push_back(m);
-  return out;
 }
 
 std::vector<UnitEpvf> PerUnitEpvf(const ProgramSlices& p) {

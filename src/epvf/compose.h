@@ -19,10 +19,9 @@
 //     exporter units. Spill sets are what make the backward phase
 //     composable: a unit's results are a pure function of (its slice, the
 //     spills targeting it, its seeds).
-//   * UnitSums / UnitWalk — the per-unit accounting (ACE bits, crash bits,
-//     memory/structure triples, per-static-instruction metrics, use-weighted
-//     walk sums) plus the walk dependency masks driving incremental
-//     invalidation.
+//   * UnitSums and the walk sums — the per-unit accounting ComposeProgram
+//     adds up (ACE bits, crash bits, memory/structure triples) and the
+//     unit's use-weighted activation-walk sums.
 //
 // Cold path: run the monolithic pipeline once, then *project* its results
 // onto the partition (BuildProgramSlices). The projection is definitionally
@@ -33,19 +32,19 @@
 // Incremental path (see reexec.h and store/units_store.h): re-derive only an
 // edited unit's slice by replaying its segments against the new IR, re-run
 // that unit's backward sweep from the *stored* spill sets of its unchanged
-// neighbours, verify its own spill sets did not move, and re-run the
-// activation walks only for units whose dependency masks intersect the edit.
-// Every validation failure falls back to the monolithic pipeline, so the
-// fast path never has to be correct by optimism — only by verification.
+// neighbours, verify its own spill sets did not move, and re-run every
+// unit's activation walks over a use index rebuilt from the slices
+// (RunUnitWalks). The rebuild is a few linear passes over the trace's
+// operands, and an edit's walk effects reach most units, so tracking which
+// units an edit reaches would cost more than it saves. Every validation
+// failure falls back to the monolithic pipeline, so the fast path never has
+// to be correct by optimism — only by verification.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "epvf/analysis.h"
@@ -78,12 +77,6 @@ inline constexpr std::uint32_t kNoLocalDyn = 0xFFFFFFFFu;
 }
 [[nodiscard]] constexpr std::uint32_t RefIndex(UnitRef r) {
   return static_cast<std::uint32_t>(r);
-}
-
-/// Dependency-mask bit of a unit (bit 63 is the shared overflow bit: a mask
-/// with it set conservatively depends on every unit).
-[[nodiscard]] constexpr std::uint64_t UnitBit(std::uint32_t unit) {
-  return std::uint64_t{1} << (unit < 63 ? unit : 63);
 }
 
 // --- the per-unit forward slice ----------------------------------------------
@@ -220,10 +213,6 @@ struct UnitSlice {
   std::vector<ByteFinal> mem_finals;      ///< per segment, ascending addr
   std::vector<OutputEvent> outputs;       ///< trace order
   std::vector<ExportEntry> exports;       ///< slot-indexed
-  /// Sorted (local node, slot) pairs over `exports`. Slot positions are the
-  /// unit's external ABI and never move; after a replay renumbers the locals
-  /// this side table restores O(log n) local→slot lookup.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> export_by_local;
   std::vector<std::uint32_t> intern_refs; ///< sorted intern ids this unit uses
   /// UnitInputDigest of this unit — part of the unit's content address.
   std::uint64_t input_digest = 0;
@@ -266,23 +255,15 @@ struct UnitSums {
   std::array<std::uint64_t, kNumRegisterClasses> cls_total{};
   std::array<std::uint64_t, kNumRegisterClasses> cls_ace{};
   std::array<std::uint64_t, kNumRegisterClasses> cls_crash{};
-  std::vector<InstrMetrics> per_instruction;  ///< ascending by sid
-};
-
-struct UnitWalk {
-  Analysis::UseWeightedBits uw;
-  /// Units whose forward/backward data the unit's walks read (always
-  /// includes the unit itself).
-  std::uint64_t data_deps = 0;
-  /// Units whose *static* instruction stream the control oracle examined.
-  std::uint64_t oracle_deps = 0;
 };
 
 struct CompiledUnit {
   UnitSlice slice;
   UnitBackward back;
   UnitSums sums;
-  UnitWalk walk;
+  /// Use-weighted walk sums over the unit's register-operand uses. They read
+  /// other units' data, so RunUnitWalks recomputes them for every unit.
+  Analysis::UseWeightedBits walk;
 };
 
 // --- the program-level composition -------------------------------------------
@@ -310,53 +291,6 @@ struct SegmentRef {
   std::uint32_t seg = 0;
 };
 
-// --- walk use index ----------------------------------------------------------
-
-/// One register-operand use site in the walk index. Position is stored as
-/// (unit, segment, offset-within-segment): replaying a dirty unit can change
-/// segment lengths and shift every later global dyn index, but segment
-/// *order* is validated invariant, so stored uses stay sorted — only the
-/// segment base table needs recomputing.
-struct WalkUse {
-  std::uint32_t unit = 0;
-  std::uint32_t seg = 0;     ///< unit-local segment index
-  std::uint32_t offset = 0;  ///< dyn offset within the segment
-  std::uint8_t slot = 0;
-  std::uint8_t has_register_result = 0;
-  ir::StaticInstrId sid;
-  UnitRef result = kNullRef;  ///< canonical ref of the consuming dyn's result
-};
-
-/// One walk-index key's uses, in global trace order, and the OR of UnitBit
-/// over their units: the data dependency a walk over this key records. The
-/// mask is kept equal to that OR whenever the list changes; it is recomputed
-/// from the list, never cleared bit by bit, because UnitBit folds every unit
-/// >= 63 into the shared bit 63.
-struct KeyUses {
-  std::vector<WalkUse> list;
-  std::uint64_t unit_mask = 0;
-};
-
-/// The shared activation-walk index over all unit slices: per canonical node
-/// ref, its uses in global trace order. Rebuilding it from scratch costs a
-/// full trace scan, so the incremental path maintains it in place
-/// (UpdateWalkIndexForUnit) instead — that is what keeps warm re-analysis
-/// under the trace-replay budget.
-struct WalkUseIndex {
-  std::unordered_map<UnitRef, KeyUses> uses;
-  /// seg_base[unit][seg] = global dyn index of the segment's first dyn.
-  std::vector<std::vector<std::uint64_t>> seg_base;
-  /// Per function: the dependency-mask bits of its units.
-  std::vector<std::uint64_t> function_units;
-  /// Per unit: the index keys that unit's dyns contribute uses to — the
-  /// incremental path touches exactly these vectors when the unit replays.
-  std::vector<std::vector<UnitRef>> unit_refs;
-
-  [[nodiscard]] std::uint64_t GlobalDyn(const WalkUse& u) const {
-    return seg_base[u.unit][u.seg] + u.offset;
-  }
-};
-
 struct ProgramSlices {
   /// The module the slices describe. After an incremental replay this is the
   /// *new* module — unchanged units' static ids resolve identically in it
@@ -375,12 +309,6 @@ struct ProgramSlices {
   /// Global addresses are a function of this layout; replay resolves global
   /// operands from recorded addresses, so a layout change forces fallback.
   std::uint64_t globals_digest = 0;
-  /// Per-unit instruction-order-sensitive digest over register uses: the
-  /// control oracle's visibility into the unit's static text.
-  std::vector<std::uint64_t> unit_static_digest;
-  /// Lazily built by RunUnitWalks; not serialized. The incremental path keeps
-  /// it alive and patches it per dirty unit instead of rebuilding.
-  std::shared_ptr<WalkUseIndex> walk_index;
 };
 
 /// Resolves a (possibly slot-indirect) ref into canonical (owner, local) form.
@@ -397,11 +325,10 @@ struct ProgramSlices {
 [[nodiscard]] std::uint64_t UnitInputDigest(const ProgramSlices& p, std::uint32_t unit);
 [[nodiscard]] std::uint64_t FunctionShapeDigest(const ir::Function& fn);
 [[nodiscard]] std::uint64_t GlobalsDigest(const ir::Module& module);
-[[nodiscard]] std::uint64_t UnitStaticDigest(const ir::Module& module, const UnitInfo& unit);
 
 /// Cold path: project a completed monolithic analysis onto `partition`.
-/// Fills every unit's slice, backward results and sums; walks are computed by
-/// RunUnitWalks (which the caller invokes for all units). Requires a live
+/// Fills every unit's slice, backward results and sums; the walk sums are
+/// computed by RunUnitWalks, which the caller invokes. Requires a live
 /// analysis (crash model) — not one built by Analysis::Restore.
 [[nodiscard]] ProgramSlices BuildProgramSlices(const Analysis& analysis,
                                                UnitPartition partition);
@@ -413,23 +340,15 @@ struct ProgramSlices {
 /// that the spill sets alone reproduce the monolithic results.
 void RunUnitBackward(ProgramSlices& p, std::uint32_t unit);
 
-/// Recomputes the activation-walk sums (and dependency masks) of the listed
-/// units over the current slices. Bit-identical to the monolithic pass at
-/// every thread count. Builds p.walk_index on first call.
-void RunUnitWalks(ProgramSlices& p, const ir::Module& module,
-                  std::span<const std::uint32_t> units_to_walk, int jobs);
-
-/// Replaces `unit`'s contribution to the walk use index after its slice was
-/// replayed, and refreshes the segment base table (other units' uses shift
-/// position but never order). No-op when the index has not been built yet.
-void UpdateWalkIndexForUnit(ProgramSlices& p, std::uint32_t unit);
+/// Recomputes every unit's activation-walk sums over the current slices.
+/// Builds the walk's use index from the slices on every call, laid out like
+/// UseIndex (walks.h) over one flat node numbering: each unit's local nodes
+/// after the previous unit's, the interns after all units. Bit-identical to
+/// the monolithic pass at every thread count.
+void RunUnitWalks(ProgramSlices& p, const ir::Module& module, int jobs);
 
 /// Assembles the program-level report statistics from the unit summaries.
 [[nodiscard]] ReportStats ComposeProgram(const ProgramSlices& p);
-
-/// Per-instruction metrics recomposed from the unit summaries (sids are
-/// disjoint across units — each static instruction lives in exactly one).
-[[nodiscard]] std::vector<InstrMetrics> ComposePerInstruction(const ProgramSlices& p);
 
 /// One unit's ePVF over its own bits — a side of an `epvf delta` row.
 struct UnitEpvf {

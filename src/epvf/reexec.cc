@@ -8,12 +8,12 @@
 #include <set>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ddg/builder.h"
 #include "ir/intrinsics.h"
+#include "obs/trace.h"
 #include "vm/eval.h"
 #include "vm/value.h"
 
@@ -52,6 +52,7 @@ class ReplayEngine {
         old_(p.units[unit].slice),
         info_(p.partition.units[unit]),
         fn_(new_module.functions[info_.function]) {
+    regs_.resize(fn_.registers.size());
     member_.assign(fn_.blocks.size(), 0);
     for (const std::uint32_t b : info_.blocks) {
       if (b < member_.size()) member_[b] = 1;
@@ -114,16 +115,75 @@ class ReplayEngine {
   }
 
   // --- per-segment value state -----------------------------------------------
-  std::uint64_t RegValue(std::uint32_t reg) {
-    const auto it = cur_val_.find(reg);
-    if (it != cur_val_.end()) return it->second;
-    const auto pit = pool_reg_.find(reg);
-    if (pit == pool_reg_.end()) {
-      Fail();  // read of a register the old segment never read: value unknown
-      return 0;
+  /// One register's replay state. The per-segment fields describe the
+  /// current segment only while `epoch` is the engine's segment epoch: Reg()
+  /// clears them on the register's first touch in a later segment, so a new
+  /// segment costs nothing per register. `carried` spans segments.
+  struct RegState {
+    std::uint32_t epoch = 0;
+    bool pooled = false;     ///< the segment's recorded live-in (pool_*)
+    bool has_value = false;  ///< `value` is the register's current value
+    bool defined = false;    ///< defined in the segment (first_def, def_node)
+    bool li_seen = false;    ///< the segment's live-in already recorded
+    std::uint32_t first_def = 0;  ///< local dyn of the segment's first def
+    std::uint64_t pool_value = 0;
+    UnitRef pool_node = kNullRef;
+    std::uint64_t value = 0;
+    UnitRef def_node = kNullRef;  ///< node of the segment's latest def
+    /// Node of the latest def in an earlier segment (kNullRef: none).
+    UnitRef carried = kNullRef;
+  };
+
+  /// One memory byte's replay state, reset per segment like RegState.
+  struct ByteState {
+    std::uint32_t epoch = 0;
+    bool pooled = false;   ///< the segment's recorded live-in (pool_*)
+    bool written = false;  ///< stored in the segment (byte, writer)
+    bool li_seen = false;  ///< the segment's live-in already recorded
+    std::uint8_t pool_byte = 0;
+    std::uint8_t byte = 0;
+    UnitRef pool_writer = kNullRef;
+    UnitRef writer = kNullRef;   ///< the segment's latest store to the byte
+    /// The latest store in an earlier segment (kNullRef: none).
+    UnitRef carried = kNullRef;
+  };
+
+  /// `reg`'s state in the current segment. A register id outside the
+  /// function (an edited module's, or one read back from a unit entry)
+  /// fails the replay and yields nullptr.
+  RegState* Reg(std::uint32_t reg) {
+    if (reg >= regs_.size()) {
+      Fail();
+      return nullptr;
     }
-    cur_val_.emplace(reg, pit->second.value);
-    return pit->second.value;
+    RegState& r = regs_[reg];
+    if (r.epoch != epoch_) {
+      r.epoch = epoch_;
+      r.pooled = r.has_value = r.defined = r.li_seen = false;
+    }
+    return &r;
+  }
+
+  /// `addr`'s state in the current segment.
+  ByteState& Byte(std::uint64_t addr) {
+    ByteState& b = bytes_[addr];
+    if (b.epoch != epoch_) {
+      b.epoch = epoch_;
+      b.pooled = b.written = b.li_seen = false;
+    }
+    return b;
+  }
+
+  std::uint64_t RegValue(RegState& r) {
+    if (!r.has_value) {
+      if (!r.pooled) {
+        Fail();  // read of a register the old segment never read: value unknown
+        return 0;
+      }
+      r.has_value = true;
+      r.value = r.pool_value;
+    }
+    return r.value;
   }
 
   /// Resolves the defining node of a register read with no in-segment def,
@@ -131,13 +191,12 @@ class ReplayEngine {
   /// local nodes and are re-resolved through the carried cross-segment
   /// shadow; refs into other units or the intern table are verbatim (those
   /// namespaces are untouched by the replay).
-  UnitRef BoundaryRegNode(std::uint32_t reg, std::uint32_t old_first_node) {
-    const auto pit = pool_reg_.find(reg);
-    if (pit == pool_reg_.end()) {
+  UnitRef BoundaryRegNode(const RegState& r, std::uint32_t old_first_node) {
+    if (!r.pooled) {
       Fail();
       return kNullRef;
     }
-    const UnitRef rec = pit->second.node;
+    const UnitRef rec = r.pool_node;
     if (rec == kNullRef || RefUnit(rec) != unit_) return rec;
     if (RefIndex(rec) >= old_first_node) {
       // Recorded in-segment node (the swap-phi wart) reached through a read
@@ -145,42 +204,38 @@ class ReplayEngine {
       Fail();
       return kNullRef;
     }
-    const auto cit = carried_reg_.find(reg);
-    if (cit == carried_reg_.end()) {
-      Fail();
-      return kNullRef;
-    }
-    return cit->second;
+    if (r.carried == kNullRef) Fail();
+    return r.carried;
   }
 
   /// Resolves the writer node of a byte not written in this segment.
   /// Second member of the pair is the byte's value.
-  std::pair<UnitRef, std::uint8_t> PoolByte(std::uint64_t addr, std::uint32_t old_first_node) {
-    const auto pit = pool_byte_.find(addr);
-    if (pit == pool_byte_.end()) {
+  std::pair<UnitRef, std::uint8_t> PoolByte(const ByteState& b, std::uint32_t old_first_node) {
+    if (!b.pooled) {
       Fail();
       return {kNullRef, 0};
     }
-    const UnitRef rec = pit->second.writer;
-    if (rec == kNullRef || RefUnit(rec) != unit_) return {rec, pit->second.byte};
+    const UnitRef rec = b.pool_writer;
+    if (rec == kNullRef || RefUnit(rec) != unit_) return {rec, b.pool_byte};
     if (RefIndex(rec) >= old_first_node) {
       Fail();  // recorded in-segment writer: impossible by construction
       return {kNullRef, 0};
     }
-    const auto cit = carried_byte_.find(addr);
-    if (cit == carried_byte_.end()) {
+    if (b.carried == kNullRef) {
       Fail();
       return {kNullRef, 0};
     }
-    return {cit->second, pit->second.byte};
+    return {b.carried, b.pool_byte};
   }
 
   /// Value-only operand read for the phi-group precompute (no node
   /// resolution, no live-in recording — mirrors the executor's operand read).
   std::uint64_t ValueOnly(ir::ValueRef ref) {
     switch (ref.kind) {
-      case ir::ValueKind::kRegister:
-        return RegValue(ref.index);
+      case ir::ValueKind::kRegister: {
+        RegState* r = Reg(ref.index);
+        return r == nullptr ? 0 : RegValue(*r);
+      }
       case ir::ValueKind::kConstant:
         return module_.GetConstant(ref.index).bits;
       case ir::ValueKind::kGlobal: {
@@ -233,14 +288,16 @@ class ReplayEngine {
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> const_intern_;
   std::unordered_map<std::uint32_t, std::uint32_t> global_intern_;
 
-  // Cross-segment carried shadows: the *new* defining node of each register /
-  // byte among already-replayed segments. Validated boundary equality of
-  // every earlier segment makes these the correct re-resolution targets.
-  std::unordered_map<std::uint32_t, UnitRef> carried_reg_;
-  std::unordered_map<std::uint64_t, UnitRef> carried_byte_;
+  // Replay state per register id and per byte address; `epoch_` numbers
+  // the segment being replayed. Validated boundary equality of every earlier
+  // segment makes the carried nodes the correct re-resolution targets.
+  std::vector<RegState> regs_;
+  std::unordered_map<std::uint64_t, ByteState> bytes_;
+  std::uint32_t epoch_ = 0;
 
-  // Per-segment export re-key captures.
-  std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> seg_reg_def_node_;
+  // Per-segment export re-key captures: (register, local node of its last
+  // def) ascending by register, and each (addr, size)'s stores in order.
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> seg_reg_defs_;
   std::vector<std::map<std::pair<std::uint64_t, std::uint32_t>, std::vector<std::uint32_t>>>
       seg_store_seq_;
 
@@ -252,26 +309,11 @@ class ReplayEngine {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> output_ranges_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> access_ranges_;
 
-  // Per-segment replay state (reset in RunSegment).
-  struct PoolReg {
-    std::uint64_t value;
-    UnitRef node;
-  };
-  struct PoolByteEntry {
-    std::uint8_t byte;
-    UnitRef writer;
-  };
-  std::unordered_map<std::uint32_t, PoolReg> pool_reg_;
-  std::unordered_map<std::uint64_t, PoolByteEntry> pool_byte_;
-  std::unordered_map<std::uint32_t, std::uint64_t> cur_val_;
-  std::unordered_map<std::uint32_t, UnitRef> reg_def_node_;
-  std::unordered_map<std::uint32_t, std::uint32_t> first_def_;
-  std::unordered_map<std::uint32_t, std::uint64_t> seg_reg_vals_;
-  std::map<std::uint64_t, std::uint8_t> seg_written_;
-  std::unordered_map<std::uint64_t, UnitRef> seg_byte_writer_;
+  // Per-segment replay state (reset in RunSegment): the registers defined
+  // and the bytes stored in the segment, in first-touch order.
+  std::vector<std::uint32_t> seg_defs_;
+  std::vector<std::pair<std::uint64_t, ByteState*>> seg_stored_bytes_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, std::vector<std::uint32_t>> store_seq_cur_;
-  std::unordered_set<std::uint32_t> li_reg_seen_;
-  std::unordered_set<std::uint64_t> li_byte_seen_;
   std::vector<std::uint64_t> phi_values_;
   bool phi_valid_ = false;
   std::uint32_t group_start_ = 0;
@@ -283,26 +325,30 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
   nseg.first_dyn = static_cast<std::uint32_t>(ns_.dyn.size());
   nseg.first_node = static_cast<std::uint32_t>(ns_.nodes.size());
 
-  pool_reg_.clear();
-  pool_byte_.clear();
-  cur_val_.clear();
-  reg_def_node_.clear();
-  first_def_.clear();
-  seg_reg_vals_.clear();
-  seg_written_.clear();
-  seg_byte_writer_.clear();
+  ++epoch_;
+  seg_defs_.clear();
+  seg_stored_bytes_.clear();
   store_seq_cur_.clear();
-  li_reg_seen_.clear();
-  li_byte_seen_.clear();
   phi_valid_ = false;
 
   for (std::uint32_t i = reg_li_ranges_[seg].first; i < reg_li_ranges_[seg].second; ++i) {
     const RegLiveIn& li = old_.reg_live_ins[i];
-    pool_reg_.emplace(li.reg, PoolReg{li.value, li.node});
+    RegState* r = Reg(li.reg);
+    if (r == nullptr) return false;
+    if (!r->pooled) {
+      r->pooled = true;
+      r->pool_value = li.value;
+      r->pool_node = li.node;
+    }
   }
   for (std::uint32_t i = byte_li_ranges_[seg].first; i < byte_li_ranges_[seg].second; ++i) {
     const ByteLiveIn& li = old_.mem_live_ins[i];
-    pool_byte_.emplace(li.addr, PoolByteEntry{li.byte, li.writer});
+    ByteState& b = Byte(li.addr);
+    if (!b.pooled) {
+      b.pooled = true;
+      b.pool_byte = li.byte;
+      b.pool_writer = li.writer;
+    }
   }
 
   std::uint32_t acc_cursor = access_ranges_[seg].first;
@@ -368,13 +414,12 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
       vals[selected] = phi_values_[ip];
       const ir::ValueRef op = inst.operands[selected];
       if (op.IsRegister()) {
-        const auto dit = reg_def_node_.find(op.index);
-        refs[selected] = dit != reg_def_node_.end()
-                             ? dit->second
-                             : BoundaryRegNode(op.index, oseg.first_node);
-        const auto fit = first_def_.find(op.index);
-        const bool defined = fit != first_def_.end() && fit->second < group_start_;
-        if (!defined && li_reg_seen_.insert(op.index).second) {
+        RegState* r = Reg(op.index);
+        if (r == nullptr) return false;
+        refs[selected] = r->defined ? r->def_node : BoundaryRegNode(*r, oseg.first_node);
+        const bool defined = r->defined && r->first_def < group_start_;
+        if (!defined && !r->li_seen) {
+          r->li_seen = true;
           ns_.reg_live_ins.push_back(RegLiveIn{seg, op.index, vals[selected], refs[selected]});
         }
       } else if (op.IsConstant()) {
@@ -392,12 +437,12 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
         const ir::ValueRef op = inst.operands[i];
         switch (op.kind) {
           case ir::ValueKind::kRegister: {
-            vals[i] = RegValue(op.index);
-            const auto dit = reg_def_node_.find(op.index);
-            refs[i] = dit != reg_def_node_.end() ? dit->second
-                                                 : BoundaryRegNode(op.index, oseg.first_node);
-            if (first_def_.find(op.index) == first_def_.end() &&
-                li_reg_seen_.insert(op.index).second) {
+            RegState* r = Reg(op.index);
+            if (r == nullptr) return false;
+            vals[i] = RegValue(*r);
+            refs[i] = r->defined ? r->def_node : BoundaryRegNode(*r, oseg.first_node);
+            if (!r->defined && !r->li_seen) {
+              r->li_seen = true;
               ns_.reg_live_ins.push_back(RegLiveIn{seg, op.index, vals[i], refs[i]});
             }
             break;
@@ -468,15 +513,10 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
         if (oa.addr != addr || oa.size != size || oa.is_store != 0) return (Fail(), false);
         std::uint64_t bits = 0;
         for (std::uint64_t b = 0; b < size; ++b) {
-          const std::uint64_t ba = addr + b;
-          const auto wit = seg_written_.find(ba);
-          std::uint8_t byte = 0;
-          if (wit != seg_written_.end()) {
-            byte = wit->second;
-          } else {
-            byte = PoolByte(ba, oseg.first_node).second;
-            if (Failed()) return false;
-          }
+          const ByteState& state = Byte(addr + b);
+          const std::uint8_t byte =
+              state.written ? state.byte : PoolByte(state, oseg.first_node).second;
+          if (Failed()) return false;
           bits |= std::uint64_t{byte} << (8 * b);
         }
         set_result(bits);
@@ -562,12 +602,10 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
           inst, std::span<const UnitRef>(refs.data(), num_ops),
           std::span<const std::uint64_t>(vals.data(), num_ops), selected, kNullRef,
           [&](std::uint64_t addr) {
-            const auto wit = seg_byte_writer_.find(addr);
-            const UnitRef writer = wit != seg_byte_writer_.end()
-                                       ? wit->second
-                                       : PoolByte(addr, oseg.first_node).first;
-            if (seg_written_.find(addr) == seg_written_.end() &&
-                li_byte_seen_.insert(addr).second) {
+            ByteState& b = Byte(addr);
+            const UnitRef writer = b.written ? b.writer : PoolByte(b, oseg.first_node).first;
+            if (!b.written && !b.li_seen) {
+              b.li_seen = true;
               const std::uint64_t shift = 8 * (addr - vals[0]);
               ns_.mem_live_ins.push_back(ByteLiveIn{
                   seg, addr, static_cast<std::uint8_t>((result_bits >> shift) & 0xFF), writer});
@@ -592,8 +630,13 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
         const unsigned size = module_.TypeOf(fn_, inst.operands[0]).StoreSize();
         const UnitRef mem_ref = MakeRef(unit_, result_node);
         for (std::uint64_t b = 0; b < size; ++b) {
-          seg_written_[addr + b] = static_cast<std::uint8_t>((vals[0] >> (8 * b)) & 0xFF);
-          seg_byte_writer_[addr + b] = mem_ref;
+          ByteState& state = Byte(addr + b);
+          if (!state.written) {
+            state.written = true;
+            seg_stored_bytes_.emplace_back(addr + b, &state);
+          }
+          state.byte = static_cast<std::uint8_t>((vals[0] >> (8 * b)) & 0xFF);
+          state.writer = mem_ref;
         }
         store_seq_cur_[{addr, size}].push_back(result_node);
         SliceAccess na = old_.accesses[acc_cursor++];
@@ -637,10 +680,16 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
 
     // --- register-shadow update (the builder's defines rule) -------------------
     if (ddg::DefinesShadowedRegister(inst)) {
-      first_def_.try_emplace(inst.result, ld);
-      seg_reg_vals_[inst.result] = result_bits;
-      reg_def_node_[inst.result] = MakeRef(unit_, result_node);
-      cur_val_[inst.result] = result_bits;
+      RegState* r = Reg(inst.result);
+      if (r == nullptr) return false;
+      if (!r->defined) {
+        r->defined = true;
+        r->first_def = ld;
+        seg_defs_.push_back(inst.result);
+      }
+      r->def_node = MakeRef(unit_, result_node);
+      r->has_value = true;
+      r->value = result_bits;
     }
 
     ++executed;
@@ -670,41 +719,42 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
   // --- segment-close validation ------------------------------------------------
   if (acc_cursor != acc_end || out_cursor != out_end) return (Fail(), false);
 
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> finals(seg_reg_vals_.begin(),
-                                                              seg_reg_vals_.end());
-  std::sort(finals.begin(), finals.end());
+  std::sort(seg_defs_.begin(), seg_defs_.end());
   const auto [rf_begin, rf_end] = reg_final_ranges_[seg];
-  if (finals.size() != rf_end - rf_begin) return (Fail(), false);
-  for (std::uint32_t i = 0; i < finals.size(); ++i) {
+  if (seg_defs_.size() != rf_end - rf_begin) return (Fail(), false);
+  for (std::uint32_t i = 0; i < seg_defs_.size(); ++i) {
     const RegFinal& of = old_.reg_finals[rf_begin + i];
-    if (finals[i].first != of.reg || finals[i].second != of.value) return (Fail(), false);
+    if (seg_defs_[i] != of.reg || regs_[seg_defs_[i]].value != of.value) return (Fail(), false);
   }
+  std::sort(seg_stored_bytes_.begin(), seg_stored_bytes_.end());
   const auto [mf_begin, mf_end] = mem_final_ranges_[seg];
-  if (seg_written_.size() != mf_end - mf_begin) return (Fail(), false);
-  {
-    std::uint32_t i = mf_begin;
-    for (const auto& [addr, byte] : seg_written_) {
-      const ByteFinal& of = old_.mem_finals[i++];
-      if (of.addr != addr || of.byte != byte) return (Fail(), false);
-    }
+  if (seg_stored_bytes_.size() != mf_end - mf_begin) return (Fail(), false);
+  for (std::uint32_t i = 0; i < seg_stored_bytes_.size(); ++i) {
+    const auto& [addr, state] = seg_stored_bytes_[i];
+    const ByteFinal& of = old_.mem_finals[mf_begin + i];
+    if (of.addr != addr || of.byte != state->byte) return (Fail(), false);
   }
 
   nseg.num_dyn = static_cast<std::uint32_t>(ns_.dyn.size()) - nseg.first_dyn;
   ns_.segments.push_back(nseg);
-  for (const auto& [reg, value] : finals) ns_.reg_finals.push_back(RegFinal{seg, reg, value});
-  for (const auto& [addr, byte] : seg_written_) {
-    ns_.mem_finals.push_back(ByteFinal{seg, addr, byte});
+  for (const std::uint32_t reg : seg_defs_) {
+    ns_.reg_finals.push_back(RegFinal{seg, reg, regs_[reg].value});
+  }
+  for (const auto& [addr, state] : seg_stored_bytes_) {
+    ns_.mem_finals.push_back(ByteFinal{seg, addr, state->byte});
   }
 
   // Export re-key captures + carried-shadow merge.
-  auto& def_map = seg_reg_def_node_.emplace_back();
-  for (const auto& [reg, ref] : reg_def_node_) {
-    def_map.emplace(reg, RefIndex(ref));
-    carried_reg_[reg] = ref;
+  auto& defs = seg_reg_defs_.emplace_back();
+  defs.reserve(seg_defs_.size());
+  for (const std::uint32_t reg : seg_defs_) {
+    RegState& r = regs_[reg];
+    defs.emplace_back(reg, RefIndex(r.def_node));
+    r.carried = r.def_node;
   }
   seg_store_seq_.push_back(std::move(store_seq_cur_));
   store_seq_cur_ = {};
-  for (const auto& [addr, node] : seg_byte_writer_) carried_byte_[addr] = node;
+  for (const auto& [addr, state] : seg_stored_bytes_) state->carried = state->writer;
   return true;
 }
 
@@ -739,13 +789,18 @@ std::optional<UnitSlice> ReplayEngine::Run() {
   // semantic key against the new per-segment defs and demand the replacement
   // node carries the same width and value the consumers saw.
   ns_.exports.reserve(old_.exports.size());
-  ns_.export_by_local.reserve(old_.exports.size());
-  for (std::uint32_t slot = 0; slot < old_.exports.size(); ++slot) {
-    const ExportEntry& e = old_.exports[slot];
+  for (const ExportEntry& e : old_.exports) {
+    if (e.segment >= num_segs || e.local >= old_.nodes.size()) return std::nullopt;
     std::uint32_t nlocal = kNoLocalNode;
     if (e.kind == 0) {
-      const auto it = seg_reg_def_node_[e.segment].find(static_cast<std::uint32_t>(e.key_a));
-      if (it == seg_reg_def_node_[e.segment].end()) return std::nullopt;
+      const auto& defs = seg_reg_defs_[e.segment];
+      const auto reg = static_cast<std::uint32_t>(e.key_a);
+      const auto it = std::lower_bound(
+          defs.begin(), defs.end(), reg,
+          [](const std::pair<std::uint32_t, std::uint32_t>& d, std::uint32_t r) {
+            return d.first < r;
+          });
+      if (it == defs.end() || it->first != reg) return std::nullopt;
       nlocal = it->second;
     } else {
       const auto& seq = seg_store_seq_[e.segment];
@@ -759,9 +814,7 @@ std::optional<UnitSlice> ReplayEngine::Run() {
     ExportEntry ne = e;
     ne.local = nlocal;
     ns_.exports.push_back(ne);
-    ns_.export_by_local.emplace_back(nlocal, slot);
   }
-  std::sort(ns_.export_by_local.begin(), ns_.export_by_local.end());
 
   // --- intern reference set ------------------------------------------------------
   std::set<std::uint32_t> intern_set;
@@ -832,6 +885,7 @@ std::string_view FallbackReasonName(FallbackReason reason) {
 
 std::optional<UnitSlice> ReplayUnitSlice(ProgramSlices& p, std::uint32_t unit,
                                          const ir::Module& new_module) {
+  const obs::TraceSpan span("compose", "replay-unit");
   ReplayEngine engine(p, unit, new_module);
   return engine.Run();
 }
@@ -898,11 +952,6 @@ IncrementalOutcome ReanalyzeIncremental(ProgramSlices& p, const ir::Module& new_
     return fallback(FallbackReason::kIneligibleUnit);
   }
 
-  // Oracle visibility: computed against the *new* text before replay, so the
-  // rewalk set below can include oracle-dependent units when it moved.
-  const std::uint64_t new_static = UnitStaticDigest(new_module, np.units[dirty]);
-  const bool static_changed = new_static != p.unit_static_digest[dirty];
-
   const std::size_t interns_before = p.interns.size();
   std::optional<UnitSlice> ns = ReplayUnitSlice(p, dirty, new_module);
   if (!ns.has_value()) return fallback(FallbackReason::kReplayDiverged);
@@ -918,65 +967,50 @@ IncrementalOutcome ReanalyzeIncremental(ProgramSlices& p, const ir::Module& new_
   cu.slice.input_digest = UnitInputDigest(p, dirty);
   p.module = &new_module;
   p.partition = std::move(np);
-  p.unit_static_digest[dirty] = new_static;
   p.instructions_executed += cu.slice.dyn.size();
   p.instructions_executed -= old_dyn;
 
   // Resweep the dirty unit against the stored spills of its neighbours, then
   // verify its own outgoing spill sets came back unchanged — otherwise the
   // edit's backward effects cascade into other units' recorded results.
-  RunUnitBackward(p, dirty);
-  if (cu.back.ace_spills != old_back.ace_spills ||
-      cu.back.interval_spills != old_back.interval_spills) {
-    return fallback(FallbackReason::kSpillsMoved);
-  }
-  std::set<std::uint32_t> shared_interns;
-  for (std::uint32_t v = 0; v < p.units.size(); ++v) {
-    if (v == dirty) continue;
-    shared_interns.insert(p.units[v].slice.intern_refs.begin(),
-                          p.units[v].slice.intern_refs.end());
-  }
-  if (FilterToShared(cu.back.intern_marks, shared_interns) !=
-      FilterToShared(old_back.intern_marks, shared_interns)) {
-    return fallback(FallbackReason::kSpillsMoved);
+  {
+    const obs::TraceSpan span("compose", "resweep-unit");
+    RunUnitBackward(p, dirty);
+    if (cu.back.ace_spills != old_back.ace_spills ||
+        cu.back.interval_spills != old_back.interval_spills) {
+      return fallback(FallbackReason::kSpillsMoved);
+    }
+    std::set<std::uint32_t> shared_interns;
+    for (std::uint32_t v = 0; v < p.units.size(); ++v) {
+      if (v == dirty) continue;
+      shared_interns.insert(p.units[v].slice.intern_refs.begin(),
+                            p.units[v].slice.intern_refs.end());
+    }
+    if (FilterToShared(cu.back.intern_marks, shared_interns) !=
+        FilterToShared(old_back.intern_marks, shared_interns)) {
+      return fallback(FallbackReason::kSpillsMoved);
+    }
   }
 
   // Contained edit: the replay and resweep reproduced the unit's slice and
   // backward results bit for bit and interned no new strings. Everything a
   // walk can observe — the use index, intern union, exports, and the unit's
   // own interior traversed by FirstEffect — derives from exactly those
-  // structures (sums too), so every walk input is provably unchanged and the
-  // index patch and all rewalks can be skipped. This is the common case for
-  // edits whose text moved but whose semantics didn't (e.g. a register
-  // rename: the new name never enters the slice).
+  // structures (sums too), so every walk input is provably unchanged and
+  // the rewalk can be skipped. This is the common case for edits whose text
+  // moved but whose semantics didn't (e.g. a register rename: the new name
+  // never enters the slice).
+  out.used_fast_path = true;
+  out.units_replayed = 1;
   if (p.interns.size() == interns_before && cu.slice == old_slice && cu.back == old_back) {
-    out.used_fast_path = true;
-    out.units_replayed = 1;
-    out.units_rewalked = 0;
     return out;
   }
 
-  // Patch the walk use index in place and rewalk only the units whose walks
-  // read the dirty unit's data (or, when its static text moved, consulted the
-  // control oracle over its function).
-  UpdateWalkIndexForUnit(p, dirty);
-  std::uint64_t fn_mask = 0;
-  for (std::uint32_t v = 0; v < p.units.size(); ++v) {
-    if (p.partition.units[v].function == p.partition.units[dirty].function) {
-      fn_mask |= UnitBit(v);
-    }
-  }
-  std::vector<std::uint32_t> rewalk;
-  for (std::uint32_t u = 0; u < p.units.size(); ++u) {
-    const bool data_hit = (p.units[u].walk.data_deps & UnitBit(dirty)) != 0;
-    const bool oracle_hit = static_changed && (p.units[u].walk.oracle_deps & fn_mask) != 0;
-    if (u == dirty || data_hit || oracle_hit) rewalk.push_back(u);
-  }
-  RunUnitWalks(p, new_module, rewalk, jobs);
-
-  out.used_fast_path = true;
-  out.units_replayed = 1;
-  out.units_rewalked = static_cast<std::uint32_t>(rewalk.size());
+  // Any other edit rewalks every unit over a use index rebuilt from the
+  // slices: an edit's walk effects reach most units, and the rebuild costs
+  // less than tracking which ones.
+  RunUnitWalks(p, new_module, jobs);
+  out.units_rewalked = out.units_total;
   return out;
 }
 

@@ -20,9 +20,12 @@
 //      sets. The unit's own outgoing spill sets (ACE marks, interval
 //      narrowings, shared-intern marks) must come back set-equal, else the
 //      edit's backward effects cascade and the fast path aborts.
-//   4. Rewalk: only units whose walk dependency masks intersect the dirty
-//      unit (plus oracle-dependent units when the unit's static text
-//      changed) re-run their activation walks over the patched use index.
+//   4. Rewalk: unless the replay and resweep reproduced the unit bit for bit
+//      (a contained edit, which no walk can observe), every unit re-runs its
+//      activation walks over a use index rebuilt from the slices
+//      (RunUnitWalks). An edit's walk effects reach most units, and the
+//      rebuild is a few linear passes, cheaper than tracking which units an
+//      edit reaches.
 //
 // On success the resident ProgramSlices describes the new module and
 // ComposeProgram is bit-identical to a from-scratch analysis. On fallback
@@ -61,14 +64,15 @@ struct IncrementalOutcome {
   FallbackReason fallback = FallbackReason::kNone;
   std::uint32_t units_total = 0;
   std::uint32_t units_replayed = 0;  ///< 0 (no-op warm hit) or 1
-  std::uint32_t units_rewalked = 0;
+  std::uint32_t units_rewalked = 0;  ///< 0 (no walk input moved) or units_total
   std::uint32_t dirty_unit = 0;      ///< valid when units_replayed == 1
 };
 
 /// Replays `unit`'s segments against `new_module`, producing a fresh slice
 /// whose boundary behaviour is validated byte-for-byte against the recorded
-/// summaries. Returns nullopt on any divergence. May append entries to
-/// p.interns (new constants); never mutates existing ones.
+/// summaries. Returns nullopt on any divergence, including a recorded
+/// register id outside the function. May append entries to p.interns (new
+/// constants); never mutates existing ones.
 [[nodiscard]] std::optional<UnitSlice> ReplayUnitSlice(ProgramSlices& p, std::uint32_t unit,
                                                        const ir::Module& new_module);
 

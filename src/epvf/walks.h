@@ -21,9 +21,9 @@
 //   };
 //
 // A node's use range must be sorted by UseDyn: the walk binary-searches it for
-// its start, so one walk costs O(log uses + uses actually examined). Views
-// are free to record which data a walk touched (dependency tracking for
-// incremental re-analysis) inside their accessors.
+// its start, so one walk costs O(log uses + uses actually examined). Both
+// views read a UseIndex laid out the same way and record nothing, so one
+// view serves every pool worker.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +37,7 @@
 namespace epvf::core {
 
 /// Dynamic use index: for every node, its (dyn_index, slot) register-operand
-/// uses in trace order.
+/// uses in trace order. compose.cc fills the same layout from unit slices.
 struct UseIndex {
   std::vector<std::uint32_t> offsets;  ///< per node, into the pools
   std::vector<std::uint32_t> use_dyn;

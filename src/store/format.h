@@ -37,7 +37,10 @@ inline constexpr std::uint32_t kMagic = 0x46565045u;
 ///     load-pred count and per-segment node counts, the backward results'
 ///     seeded-access count, and the sums' dyn, ACE-register-node and
 ///     constrained-node counts.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// v7: the compositional layer rebuilds its walk index instead of patching
+///     it — unit slices drop the export-by-local table, unit sums the
+///     per-instruction rows, and manifest rows the walk dependency masks.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Kind 1 was the whole-analysis artifact; it is retired and never reused.
 enum class ArtifactKind : std::uint32_t {

@@ -154,11 +154,6 @@ void WriteSlice(const core::UnitSlice& s, ByteWriter& out) {
     out.U32(e.key_b);
     out.U32(e.ordinal);
   }
-  out.U64(s.export_by_local.size());
-  for (const auto& [local, slot] : s.export_by_local) {
-    out.U32(local);
-    out.U32(slot);
-  }
   out.U64(s.intern_refs.size());
   for (const std::uint32_t id : s.intern_refs) out.U32(id);
 }
@@ -262,11 +257,6 @@ std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
     e.key_b = in.U32();
     e.ordinal = in.U32();
   }
-  s.export_by_local.resize(in.U64());
-  for (auto& [local, slot] : s.export_by_local) {
-    local = in.U32();
-    slot = in.U32();
-  }
   s.intern_refs.resize(in.U64());
   for (std::uint32_t& id : s.intern_refs) id = in.U32();
   if (!in.Finished()) return std::nullopt;
@@ -342,14 +332,6 @@ void WriteSums(const core::UnitSums& s, ByteWriter& out) {
   for (int c = 0; c < core::kNumRegisterClasses; ++c) out.U64(s.cls_total[c]);
   for (int c = 0; c < core::kNumRegisterClasses; ++c) out.U64(s.cls_ace[c]);
   for (int c = 0; c < core::kNumRegisterClasses; ++c) out.U64(s.cls_crash[c]);
-  out.U64(s.per_instruction.size());
-  for (const core::InstrMetrics& m : s.per_instruction) {
-    WriteSid(m.sid, out);
-    out.U64(m.exec_count);
-    out.U64(m.ace_bits);
-    out.U64(m.crash_bits);
-    out.U64(m.total_bits);
-  }
 }
 
 std::optional<core::UnitSums> ReadSums(ByteReader& in) {
@@ -365,14 +347,6 @@ std::optional<core::UnitSums> ReadSums(ByteReader& in) {
   for (int c = 0; c < core::kNumRegisterClasses; ++c) s.cls_total[c] = in.U64();
   for (int c = 0; c < core::kNumRegisterClasses; ++c) s.cls_ace[c] = in.U64();
   for (int c = 0; c < core::kNumRegisterClasses; ++c) s.cls_crash[c] = in.U64();
-  s.per_instruction.resize(in.U64());
-  for (core::InstrMetrics& m : s.per_instruction) {
-    m.sid = ReadSid(in);
-    m.exec_count = in.U64();
-    m.ace_bits = in.U64();
-    m.crash_bits = in.U64();
-    m.total_bits = in.U64();
-  }
   if (!in.Finished()) return std::nullopt;
   return s;
 }
@@ -443,11 +417,9 @@ void WriteUnitsManifest(const UnitsManifest& manifest, ArtifactWriter& writer) {
     out.Str(row.name);
     out.U64(row.ir_fingerprint);
     out.U64(row.input_digest);
-    out.U64(row.walk.uw.total);
-    out.U64(row.walk.uw.ace);
-    out.U64(row.walk.uw.crash);
-    out.U64(row.walk.data_deps);
-    out.U64(row.walk.oracle_deps);
+    out.U64(row.walk.total);
+    out.U64(row.walk.ace);
+    out.U64(row.walk.crash);
   }
 }
 
@@ -477,11 +449,9 @@ std::optional<UnitsManifest> ReadUnitsManifest(const ArtifactReader& reader) {
     row.name = in.Str();
     row.ir_fingerprint = in.U64();
     row.input_digest = in.U64();
-    row.walk.uw.total = in.U64();
-    row.walk.uw.ace = in.U64();
-    row.walk.uw.crash = in.U64();
-    row.walk.data_deps = in.U64();
-    row.walk.oracle_deps = in.U64();
+    row.walk.total = in.U64();
+    row.walk.ace = in.U64();
+    row.walk.crash = in.U64();
   }
   if (!in.Finished()) return std::nullopt;
   for (const core::SegmentRef& r : m.segment_order) {
@@ -534,6 +504,7 @@ std::optional<core::ProgramSlices> AssembleState(const UnitsManifest& manifest,
                                                  const ir::Module& old_module,
                                                  const AnalysisKey& key,
                                                  ArtifactCache& cache) {
+  const obs::TraceSpan span("store", "assemble-units");
   core::UnitPartition partition = core::PartitionModule(old_module);
   if (partition.units.size() != manifest.units.size()) return std::nullopt;
   for (std::uint32_t u = 0; u < partition.units.size(); ++u) {
@@ -554,7 +525,6 @@ std::optional<core::ProgramSlices> AssembleState(const UnitsManifest& manifest,
   p.units.resize(partition.units.size());
   for (std::uint32_t u = 0; u < partition.units.size(); ++u) {
     const core::UnitInfo& info = partition.units[u];
-    p.unit_static_digest.push_back(core::UnitStaticDigest(old_module, info));
     UnitKey unit_key{key, info.name, info.ir_fingerprint, manifest.units[u].input_digest};
     auto reader = cache.Load(CacheId(unit_key), ArtifactKind::kUnit);
     if (!reader) return std::nullopt;
@@ -592,9 +562,7 @@ core::ProgramSlices ColdCompositionalState(const ir::Module& module,
   const core::Analysis analysis = core::Analysis::Run(module, options);
   core::ProgramSlices p =
       core::BuildProgramSlices(analysis, core::PartitionModule(module));
-  std::vector<std::uint32_t> all(p.units.size());
-  for (std::uint32_t u = 0; u < all.size(); ++u) all[u] = u;
-  core::RunUnitWalks(p, module, all, options.jobs);
+  core::RunUnitWalks(p, module, options.jobs);
   return p;
 }
 

@@ -16,9 +16,10 @@
 //   * The kUnitManifest artifact is the app's latest-state pointer (keyed by
 //     analysis identity alone): the analyzed module's canonical text, the
 //     program-level tables (interns, segment order), the unit key table, and
-//     the per-unit walk results. Walk sums depend on *other* units, so they
+//     the per-unit walk sums. Walk sums depend on *other* units, so they
 //     live here — the manifest is rewritten every run — never inside a
-//     content-addressed unit entry they could silently invalidate.
+//     content-addressed unit entry they could silently invalidate. No walk
+//     index is stored: every rewalk rebuilds it from the slices.
 //
 // RunAnalysisIncremental ties it together: load the manifest, reassemble the
 // resident ProgramSlices from unit artifacts (unchanged units are cache
@@ -76,7 +77,7 @@ struct ManifestUnitRow {
   std::string name;
   std::uint64_t ir_fingerprint = 0;
   std::uint64_t input_digest = 0;
-  core::UnitWalk walk;
+  core::Analysis::UseWeightedBits walk;
 };
 
 struct UnitsManifest {

@@ -491,6 +491,38 @@ TEST(CliObservability, TraceOutCoversThePipeline) {
   }
 }
 
+TEST(CliObservability, IncrementalTraceShowsTheCompositionalStages) {
+  // A cold `analyze --incremental` projects the analysis onto units and
+  // walks them; an edited re-analyze assembles the stored units, replays and
+  // resweeps the edited one, and rewalks: each stage is a span of its own.
+  TempDir tmp;
+  const std::string module = tmp.path + "/k.ir";
+  const CliResult printed = RunCli("print lulesh --scale 1");
+  ASSERT_EQ(printed.exit_code, 0);
+  WriteFile(module, printed.stdout_text);
+  const std::string flags = " --incremental --cache-dir " + tmp.path + "/cache --trace-out ";
+  ASSERT_EQ(RunCli("analyze " + module + flags + tmp.path + "/cold.json").exit_code, 0);
+  const CliResult mutated = RunCli("mutate " + module + " --kind tweak-constant --seed 1");
+  ASSERT_EQ(mutated.exit_code, 0);
+  WriteFile(module, mutated.stdout_text);
+  ASSERT_EQ(RunCli("analyze " + module + flags + tmp.path + "/edit.json").exit_code, 0);
+
+  const auto span = [](const std::string& cat, const std::string& name) {
+    return "\"cat\":\"" + cat + "\",\"name\":\"" + name + "\"";
+  };
+  const std::string cold = ReadFileOrEmpty(tmp.path + "/cold.json");
+  for (const char* name : {"build-slices", "unit-walks"}) {
+    EXPECT_NE(cold.find(span("compose", name)), std::string::npos) << "cold run: " << name;
+  }
+  const std::string edit = ReadFileOrEmpty(tmp.path + "/edit.json");
+  EXPECT_NE(edit.find(span("store", "assemble-units")), std::string::npos);
+  for (const char* name : {"replay-unit", "resweep-unit", "unit-walks"}) {
+    EXPECT_NE(edit.find(span("compose", name)), std::string::npos) << "edited run: " << name;
+  }
+  EXPECT_EQ(edit.find(span("compose", "build-slices")), std::string::npos)
+      << "the edit took the cold path";
+}
+
 TEST(CliObservability, EnvVarEnablesTracingToNamedFile) {
   TempDir tmp;
   const std::string trace = tmp.path + "/env-trace.json";

@@ -18,12 +18,6 @@
 namespace epvf::core {
 namespace {
 
-std::vector<std::uint32_t> AllUnits(const ProgramSlices& p) {
-  std::vector<std::uint32_t> units(p.units.size());
-  for (std::uint32_t u = 0; u < units.size(); ++u) units[u] = u;
-  return units;
-}
-
 void ExpectStatsEqual(const ReportStats& mono, const ReportStats& comp) {
   EXPECT_EQ(mono.dyn_instructions, comp.dyn_instructions);
   EXPECT_EQ(mono.num_nodes, comp.num_nodes);
@@ -52,21 +46,6 @@ void ExpectStatsEqual(const ReportStats& mono, const ReportStats& comp) {
   EXPECT_EQ(mono.MemoryEpvf(), comp.MemoryEpvf());
 }
 
-/// Every walk-index key's cached dependency mask is the OR of UnitBit over
-/// the units of its uses.
-void ExpectWalkMasksMatchLists(const ProgramSlices& p) {
-  ASSERT_NE(p.walk_index, nullptr);
-  std::size_t wrong = 0;
-  for (const auto& [key, entry] : p.walk_index->uses) {
-    std::uint64_t want = 0;
-    for (const WalkUse& use : entry.list) want |= UnitBit(use.unit);
-    if (entry.unit_mask != want && wrong++ == 0) {
-      ADD_FAILURE() << "key " << key << ": mask " << entry.unit_mask << ", uses OR to " << want;
-    }
-  }
-  EXPECT_EQ(wrong, 0u) << "of " << p.walk_index->uses.size() << " keys";
-}
-
 struct Case {
   std::string app;
   int jobs;
@@ -81,21 +60,8 @@ TEST_P(ComposeDiff, MatchesMonolithicBitForBit) {
   const ReportStats mono = StatsFromAnalysis(a);
 
   ProgramSlices p = BuildProgramSlices(a, PartitionModule(app.module));
-  RunUnitWalks(p, app.module, AllUnits(p), jobs);
-  ExpectWalkMasksMatchLists(p);
+  RunUnitWalks(p, app.module, jobs);
   ExpectStatsEqual(mono, ComposeProgram(p));
-
-  // Per-instruction metrics: same sids, same counters, same order.
-  const std::vector<InstrMetrics> mono_pi = a.PerInstructionMetrics();
-  const std::vector<InstrMetrics> comp_pi = ComposePerInstruction(p);
-  ASSERT_EQ(mono_pi.size(), comp_pi.size());
-  for (std::size_t i = 0; i < mono_pi.size(); ++i) {
-    EXPECT_EQ(mono_pi[i].sid, comp_pi[i].sid) << "row " << i;
-    EXPECT_EQ(mono_pi[i].exec_count, comp_pi[i].exec_count) << "row " << i;
-    EXPECT_EQ(mono_pi[i].ace_bits, comp_pi[i].ace_bits) << "row " << i;
-    EXPECT_EQ(mono_pi[i].crash_bits, comp_pi[i].crash_bits) << "row " << i;
-    EXPECT_EQ(mono_pi[i].total_bits, comp_pi[i].total_bits) << "row " << i;
-  }
 }
 
 std::vector<Case> AllCases() {
@@ -122,27 +88,31 @@ TEST(ComposeDiff, ResweepIsAFixedPoint) {
   const ReportStats mono = StatsFromAnalysis(a);
 
   ProgramSlices p = BuildProgramSlices(a, PartitionModule(app.module));
-  RunUnitWalks(p, app.module, AllUnits(p), 1);
+  RunUnitWalks(p, app.module, 1);
   for (std::uint32_t u = 0; u < p.units.size(); ++u) RunUnitBackward(p, u);
   ExpectStatsEqual(mono, ComposeProgram(p));
 }
 
-// The walk dependency masks must at least cover the unit itself, and every
-// unit's data mask must be reproducible across runs (they gate incremental
-// invalidation, so nondeterminism there would mean flaky warm results).
-TEST(ComposeDiff, WalkDependencyMasksAreStable) {
+// The per-unit split of the walk sums is what `epvf delta` and the stored
+// manifest carry; the battery above checks only their program total. Each
+// unit's sums must not depend on the thread count either, and at least one
+// unit must carry walk work, so the comparison is not vacuous.
+TEST(ComposeDiff, PerUnitWalkSumsMatchAcrossJobs) {
   const apps::App app = apps::BuildApp("bfs", apps::AppConfig{.scale = 0});
   const Analysis a = Analysis::Run(app.module);
   ProgramSlices p1 = BuildProgramSlices(a, PartitionModule(app.module));
   ProgramSlices p2 = BuildProgramSlices(a, PartitionModule(app.module));
-  RunUnitWalks(p1, app.module, AllUnits(p1), 1);
-  RunUnitWalks(p2, app.module, AllUnits(p2), 4);
+  RunUnitWalks(p1, app.module, 1);
+  RunUnitWalks(p2, app.module, 4);
   ASSERT_EQ(p1.units.size(), p2.units.size());
+  std::uint64_t crash = 0;
   for (std::uint32_t u = 0; u < p1.units.size(); ++u) {
-    EXPECT_NE(p1.units[u].walk.data_deps & UnitBit(u), 0u) << "unit " << u;
-    EXPECT_EQ(p1.units[u].walk.data_deps, p2.units[u].walk.data_deps) << "unit " << u;
-    EXPECT_EQ(p1.units[u].walk.oracle_deps, p2.units[u].walk.oracle_deps) << "unit " << u;
+    EXPECT_EQ(p1.units[u].walk.total, p2.units[u].walk.total) << "unit " << u;
+    EXPECT_EQ(p1.units[u].walk.ace, p2.units[u].walk.ace) << "unit " << u;
+    EXPECT_EQ(p1.units[u].walk.crash, p2.units[u].walk.crash) << "unit " << u;
+    crash += p1.units[u].walk.crash;
   }
+  EXPECT_GT(crash, 0u);
 }
 
 }  // namespace

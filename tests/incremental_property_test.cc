@@ -37,16 +37,10 @@
 namespace epvf::core {
 namespace {
 
-std::vector<std::uint32_t> AllUnits(const ProgramSlices& p) {
-  std::vector<std::uint32_t> units(p.units.size());
-  for (std::uint32_t u = 0; u < units.size(); ++u) units[u] = u;
-  return units;
-}
-
 ProgramSlices ColdState(const ir::Module& module, int jobs) {
   const Analysis a = Analysis::Run(module, AnalysisOptions{.jobs = jobs});
   ProgramSlices p = BuildProgramSlices(a, PartitionModule(module));
-  RunUnitWalks(p, module, AllUnits(p), jobs);
+  RunUnitWalks(p, module, jobs);
   return p;
 }
 
@@ -71,32 +65,19 @@ void ExpectMatchesFresh(const ProgramSlices& p, const ir::Module& mutated, int j
     EXPECT_EQ(want.structure[c].ace_bits, got.structure[c].ace_bits) << "class " << c;
     EXPECT_EQ(want.structure[c].crash_bits, got.structure[c].crash_bits) << "class " << c;
   }
-
-  const std::vector<InstrMetrics> want_pi = fresh.PerInstructionMetrics();
-  const std::vector<InstrMetrics> got_pi = ComposePerInstruction(p);
-  ASSERT_EQ(want_pi.size(), got_pi.size());
-  for (std::size_t i = 0; i < want_pi.size(); ++i) {
-    EXPECT_EQ(want_pi[i].sid, got_pi[i].sid) << "row " << i;
-    EXPECT_EQ(want_pi[i].exec_count, got_pi[i].exec_count) << "row " << i;
-    EXPECT_EQ(want_pi[i].ace_bits, got_pi[i].ace_bits) << "row " << i;
-    EXPECT_EQ(want_pi[i].crash_bits, got_pi[i].crash_bits) << "row " << i;
-    EXPECT_EQ(want_pi[i].total_bits, got_pi[i].total_bits) << "row " << i;
-  }
 }
 
-/// Every walk-index key's cached dependency mask is the OR of UnitBit over
-/// the units of its uses. No-op before the index is built.
-void ExpectWalkMasksMatchLists(const ProgramSlices& p) {
-  if (!p.walk_index) return;
-  std::size_t wrong = 0;
-  for (const auto& [key, entry] : p.walk_index->uses) {
-    std::uint64_t want = 0;
-    for (const WalkUse& use : entry.list) want |= UnitBit(use.unit);
-    if (entry.unit_mask != want && wrong++ == 0) {
-      ADD_FAILURE() << "key " << key << ": mask " << entry.unit_mask << ", uses OR to " << want;
-    }
+/// Every unit's walk sums equal those of a cold projection of `module`,
+/// which `p` must describe.
+void ExpectWalkSumsMatchAColdProjection(const ProgramSlices& p, const ir::Module& module,
+                                        int jobs) {
+  const ProgramSlices cold = ColdState(module, jobs);
+  ASSERT_EQ(p.units.size(), cold.units.size());
+  for (std::uint32_t u = 0; u < p.units.size(); ++u) {
+    EXPECT_EQ(p.units[u].walk.total, cold.units[u].walk.total) << p.partition.units[u].name;
+    EXPECT_EQ(p.units[u].walk.ace, cold.units[u].walk.ace) << p.partition.units[u].name;
+    EXPECT_EQ(p.units[u].walk.crash, cold.units[u].walk.crash) << p.partition.units[u].name;
   }
-  EXPECT_EQ(wrong, 0u) << "of " << p.walk_index->uses.size() << " keys";
 }
 
 constexpr int kJobs = 2;
@@ -109,7 +90,6 @@ TEST(Incremental, IdenticalModuleIsAWarmNoOp) {
   // but a distinct object — the no-dirty warm swap must adopt it.
   const ir::Module reparsed = ir::ParseModuleOrThrow(ir::PrintModule(app.module));
   const IncrementalOutcome out = ReanalyzeIncremental(p, reparsed, kJobs);
-  ExpectWalkMasksMatchLists(p);
   EXPECT_TRUE(out.used_fast_path);
   EXPECT_EQ(out.fallback, FallbackReason::kNone);
   EXPECT_EQ(out.units_replayed, 0u);
@@ -155,7 +135,6 @@ TEST_P(IncrementalMutation, RecomposedEqualsFreshRun) {
 
   ProgramSlices p = ColdState(app.module, kJobs);
   const IncrementalOutcome out = ReanalyzeIncremental(p, mutated, kJobs);
-  if (out.used_fast_path) ExpectWalkMasksMatchLists(p);
 
   const bool guaranteed = kind == MutationKind::kSwapIndependent ||
                           kind == MutationKind::kRenameRegister;
@@ -193,17 +172,17 @@ std::string CaseName(const ::testing::TestParamInfo<MutCase>& info) {
 INSTANTIATE_TEST_SUITE_P(Apps, IncrementalMutation, ::testing::ValuesIn(AllCases()),
                          CaseName);
 
-// --- more units than dependency bits -----------------------------------------
+// --- many units ---------------------------------------------------------------
 
 constexpr int kWideLoops = 66;
-constexpr std::uint32_t kOverflowBit = 63;
 
 /// One function with `kWideLoops` top-level loops after a straight-line
 /// prologue. Every loop updates the same heap buffer through one pointer
-/// register defined in the prologue, so that register's walk-index key has
-/// uses in every loop unit. The loops are units 1..kWideLoops (unit 0 is the
-/// function's top), so units 63 and up share dependency bit 63. Each loop body
-/// holds one pair of independent arithmetic instructions for a swap edit.
+/// register defined in the prologue, so that register has uses in every loop
+/// unit. The loops are units 1..kWideLoops (unit 0 is the function's top):
+/// more units than a 64-bit word has bits, so nothing per unit may live in
+/// one. Each loop body holds one pair of independent arithmetic
+/// instructions for a swap edit.
 ir::Module BuildWideModule() {
   using ir::Type;
   ir::Module m;
@@ -228,27 +207,9 @@ ir::Module BuildWideModule() {
   return m;
 }
 
-/// The walk-index keys with uses in at least two units that share bit 63.
-std::vector<UnitRef> OverflowSharedKeys(const ProgramSlices& p) {
-  std::vector<UnitRef> keys;
-  for (const auto& [key, entry] : p.walk_index->uses) {
-    std::uint32_t first = ~std::uint32_t{0};
-    for (const WalkUse& use : entry.list) {
-      if (use.unit < kOverflowBit) continue;
-      if (first == ~std::uint32_t{0}) {
-        first = use.unit;
-      } else if (use.unit != first) {
-        keys.push_back(key);
-        break;
-      }
-    }
-  }
-  return keys;
-}
-
 class ManyUnits : public ::testing::TestWithParam<int> {};
 
-TEST_P(ManyUnits, OverflowUnitsShareBit63ThroughEveryReplay) {
+TEST_P(ManyUnits, ALateUnitReplaysAndRecomposesLikeAFreshRun) {
   const int jobs = GetParam();
   const ir::Module module = BuildWideModule();
   const UnitPartition part = PartitionModule(module);
@@ -256,49 +217,18 @@ TEST_P(ManyUnits, OverflowUnitsShareBit63ThroughEveryReplay) {
 
   ProgramSlices p = ColdState(module, jobs);
   ExpectMatchesFresh(p, module, jobs);
-  ExpectWalkMasksMatchLists(p);
-  const std::vector<UnitRef> shared = OverflowSharedKeys(p);
-  ASSERT_FALSE(shared.empty());
-  for (const UnitRef key : shared) {
-    EXPECT_NE(p.walk_index->uses.at(key).unit_mask & UnitBit(kOverflowBit), 0u);
-  }
 
-  // Replay one overflow unit after a real edit: the swap moves the unit's
-  // text and slice, so its index entries are rewritten in place.
-  const std::uint32_t dirty = kOverflowBit + 1;
+  // Replay unit 64 after a real edit: the swap moves the unit's text and
+  // slice, so every unit rewalks over a rebuilt use index.
+  const std::uint32_t dirty = 64;
   ir::Module mutated = module;
   const auto m = MutateUnit(mutated, part, dirty, MutationKind::kSwapIndependent, 1);
   ASSERT_TRUE(m.has_value());
   const IncrementalOutcome out = ReanalyzeIncremental(p, mutated, jobs);
   ASSERT_TRUE(out.used_fast_path) << FallbackReasonName(out.fallback);
   EXPECT_EQ(out.dirty_unit, dirty);
-  EXPECT_GT(out.units_rewalked, 0u) << "the edit must reach UpdateWalkIndexForUnit";
-  ExpectWalkMasksMatchLists(p);
-  for (const UnitRef key : shared) {
-    EXPECT_NE(p.walk_index->uses.at(key).unit_mask & UnitBit(kOverflowBit), 0u);
-  }
+  EXPECT_EQ(out.units_rewalked, out.units_total);
   ExpectMatchesFresh(p, mutated, jobs);
-
-  // Replays after which a unit reads none of its old keys (its slice is
-  // emptied by hand; only the index update is under test). A unit below 63
-  // takes its own bit off the shared keys; an overflow unit leaves bit 63,
-  // which the other overflow units still set.
-  const std::uint32_t low = 5;
-  for (const std::uint32_t unit : {low, dirty}) {
-    UnitSlice& slice = p.units[unit].slice;
-    std::fill(slice.operand_nodes.begin(), slice.operand_nodes.end(), kNullRef);
-    UpdateWalkIndexForUnit(p, unit);
-    ExpectWalkMasksMatchLists(p);
-  }
-  for (const UnitRef key : shared) {
-    const KeyUses& entry = p.walk_index->uses.at(key);
-    for (const WalkUse& use : entry.list) {
-      EXPECT_NE(use.unit, low);
-      EXPECT_NE(use.unit, dirty);
-    }
-    EXPECT_EQ(entry.unit_mask & UnitBit(low), 0u);
-    EXPECT_NE(entry.unit_mask & UnitBit(kOverflowBit), 0u);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, ManyUnits, ::testing::Values(1, 4),
@@ -362,7 +292,6 @@ TEST(IncrementalStore, SingleEditRecomputesExactlyOneUnit) {
 
   const auto warm = store::RunAnalysisIncremental(mutated, AnalysisOptions{.jobs = kJobs},
                                                   KeyFor("lulesh", mutated), cache);
-  ExpectWalkMasksMatchLists(warm.slices);
   EXPECT_FALSE(warm.stats.cold_rebuild);
   EXPECT_TRUE(warm.stats.manifest_hit);
   EXPECT_TRUE(warm.stats.outcome.used_fast_path)
@@ -445,7 +374,6 @@ TEST(IncrementalStore, RevertedEditServesOriginalEntries) {
   // already has an entry on disk, so nothing recomputes.
   const auto reverted =
       store::RunAnalysisIncremental(app.module, options, KeyFor("nw", app.module), cache);
-  ExpectWalkMasksMatchLists(reverted.slices);
   EXPECT_FALSE(reverted.stats.cold_rebuild);
   EXPECT_TRUE(reverted.stats.outcome.used_fast_path);
   EXPECT_EQ(reverted.stats.unit_misses, 1u)
@@ -523,6 +451,91 @@ TEST(IncrementalStore, ManifestInternTableMismatchIsAMiss) {
   EXPECT_TRUE(after.stats.cold_rebuild);
   ExpectMatchesFresh(after.slices, app.module, kJobs);
 }
+
+/// A unit entry whose stored live-in register id lies just outside its
+/// function, published under the key its tampered content hashes to (so the
+/// loader serves it), makes the replay diverge without reading past the
+/// replay's register table, and the run rebuilds cold.
+TEST(IncrementalStore, OutOfRangeLiveInRegisterDivergesAndRebuildsCold) {
+  const apps::App app = apps::BuildApp("lulesh", apps::AppConfig{.scale = 0});
+  const UnitPartition part = PartitionModule(app.module);
+  ir::Module mutated = app.module;
+  const auto m = MutateAnywhere(mutated, part, MutationKind::kSwapIndependent, 11);
+  ASSERT_TRUE(m.has_value());
+
+  const store::AnalysisKey key = KeyFor("lulesh", app.module);
+  TempDir dir;
+  store::ArtifactCache cache(dir.path);
+  store::IncrementalResult cold =
+      store::RunAnalysisIncremental(app.module, key.options, key, cache);
+  ProgramSlices& p = cold.slices;
+  UnitSlice& slice = p.units[m->unit].slice;
+  ASSERT_FALSE(slice.reg_live_ins.empty());
+  const ir::Function& fn = app.module.functions[part.units[m->unit].function];
+  slice.reg_live_ins.front().reg = static_cast<std::uint32_t>(fn.registers.size());
+  slice.input_digest = UnitInputDigest(p, m->unit);
+  store::PersistCompositionalState(p, app.module, key, cache);
+
+  const auto after = store::RunAnalysisIncremental(mutated, key.options,
+                                                   KeyFor("lulesh", mutated), cache);
+  EXPECT_TRUE(after.stats.manifest_hit);
+  EXPECT_EQ(after.stats.outcome.dirty_unit, m->unit);
+  EXPECT_EQ(after.stats.outcome.fallback, FallbackReason::kReplayDiverged);
+  EXPECT_TRUE(after.stats.cold_rebuild);
+  ExpectMatchesFresh(after.slices, mutated, kJobs);
+}
+
+// --- non-contained replays rewalk every unit ---------------------------------
+
+/// After a fast-path replay whose slice moved, every unit rewalks over the
+/// rebuilt use index, and each unit's walk sums must equal a cold
+/// projection's — the program total alone could hide sums moved between
+/// units. Checked on the resident state and through the store, for a swap
+/// and a tweaked constant. nw has no f64 literal to tweak, and every tweak
+/// of hotspot's reaches its output, so the replay rightly diverges there.
+class ReplayedWalkSums : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReplayedWalkSums, EveryUnitMatchesAColdProjection) {
+  const std::string& name = GetParam();
+  const apps::App app = apps::BuildApp(name, apps::AppConfig{.scale = 1});
+  const UnitPartition part = PartitionModule(app.module);
+  std::size_t replays = 0;
+  for (const MutationKind kind : {MutationKind::kSwapIndependent, MutationKind::kTweakConstant}) {
+    const bool tweak = kind == MutationKind::kTweakConstant;
+    ir::Module mutated = app.module;
+    const auto m = MutateAnywhere(mutated, part, kind, 1);
+    if (!m.has_value()) {
+      EXPECT_TRUE(tweak && name == "nw") << "no site for " << MutationKindName(kind);
+      continue;
+    }
+    SCOPED_TRACE(m->description + " in " + m->unit_name);
+
+    ProgramSlices p = ColdState(app.module, kJobs);
+    const IncrementalOutcome out = ReanalyzeIncremental(p, mutated, kJobs);
+    if (!out.used_fast_path) {
+      EXPECT_TRUE(tweak && name == "hotspot") << FallbackReasonName(out.fallback);
+      continue;
+    }
+    ++replays;
+    EXPECT_EQ(out.units_rewalked, out.units_total) << "the replay must move a walk input";
+    ExpectWalkSumsMatchAColdProjection(p, mutated, kJobs);
+
+    TempDir dir;
+    store::ArtifactCache cache(dir.path);
+    const AnalysisOptions options{.jobs = kJobs};
+    (void)store::RunAnalysisIncremental(app.module, options, KeyFor(name, app.module), cache);
+    const auto warm =
+        store::RunAnalysisIncremental(mutated, options, KeyFor(name, mutated), cache);
+    ASSERT_TRUE(warm.stats.outcome.used_fast_path)
+        << FallbackReasonName(warm.stats.outcome.fallback);
+    EXPECT_EQ(warm.stats.outcome.units_rewalked, warm.stats.units_total);
+    ExpectWalkSumsMatchAColdProjection(warm.slices, mutated, kJobs);
+  }
+  EXPECT_GT(replays, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, ReplayedWalkSums, ::testing::Values("lulesh", "hotspot", "nw"),
+                         [](const auto& info) { return info.param; });
 
 // --- chained edits through one cache directory --------------------------------
 
