@@ -1,6 +1,7 @@
 #include "crash/propagation.h"
 
 #include <array>
+#include <stdexcept>
 
 #include "crash/lookup_table.h"
 #include "obs/trace.h"
@@ -24,10 +25,11 @@ void Narrow(const ddg::Graph& graph, std::vector<Interval>& allowed, NodeId node
   allowed[node] = allowed[node].Intersect(interval);
 }
 
-}  // namespace
-
-CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ace,
-                               const CrashModel& model, int jobs) {
+/// Algorithms 1 and 2 with `bound_of(i)` as CHECK_BOUNDARY of access i,
+/// asked only for accesses inside the ACE graph.
+template <typename BoundOf>
+CrashBits Propagate(const ddg::Graph& graph, const ddg::AceResult& ace, BoundOf&& bound_of,
+                    int jobs) {
   const obs::TraceSpan span("crash-model", "propagate-crash-ranges");
   CrashBits result;
   const std::size_t n = graph.NumNodes();
@@ -39,11 +41,12 @@ CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ac
   // store memory version) is an ACE node — this is what makes ePVF's crash
   // coverage depend on the ACE fraction of the DDG, the effect the paper
   // observes for lavaMD and lulesh in Figure 8.
-  for (const ddg::AccessRecord& access : graph.accesses()) {
+  const std::vector<ddg::AccessRecord>& accesses = graph.accesses();
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    const ddg::AccessRecord& access = accesses[i];
     const ddg::DynInstr& d = graph.GetDyn(access.dyn_index);
     if (d.result_node == kNoNode || !ace.Contains(d.result_node)) continue;
-    const Interval bound = model.CheckBoundary(access);
-    Narrow(graph, result.allowed, access.addr_node, bound);
+    Narrow(graph, result.allowed, access.addr_node, bound_of(i));
     ++result.seeded_accesses;
   }
 
@@ -150,6 +153,22 @@ CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ac
   result.constrained_nodes = totals.nodes;
   result.total_crash_bits = totals.bits;
   return result;
+}
+
+}  // namespace
+
+CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ace,
+                               const CrashModel& model, int jobs) {
+  return Propagate(
+      graph, ace, [&](std::size_t i) { return model.CheckBoundary(graph.accesses()[i]); }, jobs);
+}
+
+CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ace,
+                               std::span<const Interval> bounds, int jobs) {
+  if (bounds.size() != graph.accesses().size()) {
+    throw std::invalid_argument("PropagateCrashRanges: one bound per access required");
+  }
+  return Propagate(graph, ace, [&](std::size_t i) { return bounds[i]; }, jobs);
 }
 
 }  // namespace epvf::crash

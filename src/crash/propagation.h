@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crash/crash_model.h"
@@ -54,5 +55,13 @@ struct CrashBits {
 /// thread count.
 [[nodiscard]] CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ace,
                                              const CrashModel& model, int jobs = 0);
+
+/// The same analysis with CHECK_BOUNDARY already evaluated: `bounds[i]` is
+/// the allowed interval of graph.accesses()[i]. The compositional layer
+/// (epvf/compose.h) runs it over a graph stitched from unit slices, which
+/// store each access's interval instead of the golden memory map. Throws
+/// std::invalid_argument unless there is one bound per access.
+[[nodiscard]] CrashBits PropagateCrashRanges(const ddg::Graph& graph, const ddg::AceResult& ace,
+                                             std::span<const Interval> bounds, int jobs = 0);
 
 }  // namespace epvf::crash

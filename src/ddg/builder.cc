@@ -151,16 +151,14 @@ void GraphBuilder::OnInstruction(const vm::DynContext& ctx) {
                                     ctx.map_version, ctx.esp, /*is_store=*/false});
       break;
     case Opcode::kCondBr:
-      if (op_nodes[0] != kNoNode && inst.operands[0].IsRegister()) {
-        graph_.AddControlRoot(op_nodes[0]);
-      }
+      if (IsControlRoot(inst, op_nodes[0])) graph_.AddControlRoot(op_nodes[0]);
       break;
     case Opcode::kRet:
       if (!inst.operands.empty()) pending_ret_node_ = op_nodes[0];
       break;
     case Opcode::kCall:
       if (inst.is_intrinsic) {
-        if (ir::IsOutputIntrinsic(inst.intrinsic)) graph_.AddOutputRoot(op_nodes[0]);
+        if (IsOutputRoot(inst)) graph_.AddOutputRoot(op_nodes[0]);
         break;
       }
       // User call: remember argument nodes for OnEnterFunction and where the

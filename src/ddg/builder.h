@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ddg/graph.h"
+#include "ir/intrinsics.h"
 #include "vm/trace.h"
 
 namespace epvf::ddg {
@@ -44,6 +45,16 @@ inline constexpr unsigned kMaxLoadWriters = 7;
 /// per shadowed register def.
 [[nodiscard]] inline bool MakesResultNode(const ir::Instruction& inst) {
   return inst.op == ir::Opcode::kStore || DefinesShadowedRegister(inst);
+}
+
+/// The root rule: an output intrinsic roots its payload operand (a root
+/// list entry even when the operand has no node), a conditional branch its
+/// condition when that is a register with a node.
+[[nodiscard]] inline bool IsOutputRoot(const ir::Instruction& inst) {
+  return inst.op == ir::Opcode::kCall && inst.is_intrinsic && ir::IsOutputIntrinsic(inst.intrinsic);
+}
+[[nodiscard]] inline bool IsControlRoot(const ir::Instruction& inst, NodeId condition) {
+  return inst.op == ir::Opcode::kCondBr && condition != kNoNode && inst.operands[0].IsRegister();
 }
 
 /// A node's preds; bit i of `virtual_mask` marks pred i as virtual.

@@ -32,6 +32,17 @@ void Graph::AddDynInstr(const DynInstr& header, std::span<const NodeId> operand_
   dyn_.push_back(d);
 }
 
+void Graph::Reserve(std::size_t nodes, std::size_t preds, std::size_t dyns,
+                    std::size_t operands, std::size_t accesses) {
+  nodes_.reserve(nodes);
+  pred_ranges_.reserve(nodes);
+  pred_pool_.reserve(preds);
+  dyn_.reserve(dyns);
+  operand_node_pool_.reserve(operands);
+  operand_value_pool_.reserve(operands);
+  accesses_.reserve(accesses);
+}
+
 std::uint64_t Graph::TotalRegisterBits() const {
   std::uint64_t total = 0;
   for (const Node& n : nodes_) {

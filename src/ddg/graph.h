@@ -120,6 +120,11 @@ class Graph {
   void AddDynInstr(const DynInstr& header, std::span<const NodeId> operand_nodes,
                    std::span<const std::uint64_t> operand_values);
 
+  /// Sizes the pools for a graph whose totals are known up front (one
+  /// stitched from stored parts), so building it never regrows them.
+  void Reserve(std::size_t nodes, std::size_t preds, std::size_t dyns, std::size_t operands,
+               std::size_t accesses);
+
   // --- accesses & roots -------------------------------------------------------
   [[nodiscard]] const std::vector<AccessRecord>& accesses() const { return accesses_; }
   void AddAccess(const AccessRecord& access) { accesses_.push_back(access); }

@@ -93,8 +93,8 @@ class Analysis {
  public:
   /// The shared sums behind the use-weighted metrics (crash-rate estimate,
   /// PvfUseWeighted, EpvfUseWeighted): bits over all register-operand uses of
-  /// the trace. Public so Restore can take them precomputed and the
-  /// compositional layer (compose.h) can sum them per unit.
+  /// the trace. Public so Restore can take them precomputed and ReportStats
+  /// can carry them.
   struct UseWeightedBits {
     std::uint64_t total = 0;
     std::uint64_t ace = 0;
@@ -109,8 +109,10 @@ class Analysis {
   /// Assembles an Analysis from pipeline stages the caller ran itself, without
   /// executing anything. The repository benchmark (perfbench) times the
   /// golden run, DDG build, ACE and crash propagation one layer at a time and
-  /// builds its Analysis here; `use_weighted` may be std::nullopt, in which
-  /// case the activation-walk pass runs lazily as usual. `module` must be the
+  /// builds its Analysis here; the compositional layer (compose.h) builds one
+  /// over the graph it stitches from unit slices, with only the golden run's
+  /// instruction count. `use_weighted` may be std::nullopt, in which case the
+  /// activation-walk pass runs lazily as usual. `module` must be the
   /// module the stages were computed from. A restored analysis serves every
   /// metric and downstream consumer except memory() and crash_model(), which
   /// need the live golden interpreter and therefore throw std::logic_error;

@@ -1,21 +1,20 @@
 #include "epvf/compose.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "crash/lookup_table.h"
 #include "ddg/builder.h"
-#include "epvf/walks.h"
 #include "ir/intrinsics.h"
 #include "obs/trace.h"
 #include "support/bits.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 
 namespace epvf::core {
 
@@ -29,206 +28,17 @@ const ir::Instruction& InstrOf(const ir::Module& m, ir::StaticInstrId sid) {
   return m.functions[sid.function].blocks[sid.block].instructions[sid.instr];
 }
 
-/// Width/value of a (possibly external or intern) ref, resolving slot
-/// indirection through the exporter's table.
-std::pair<unsigned, std::uint64_t> WidthValueOf(const ProgramSlices& p, std::uint32_t self,
-                                                UnitRef ref) {
-  const std::uint32_t u = RefUnit(ref);
-  if (u == kInternUnit) {
-    const InternEntry& e = p.interns[RefIndex(ref)];
-    return {e.width, e.value};
-  }
-  if (u == self) {
-    const SliceNode& n = p.units[u].slice.nodes[RefIndex(ref)];
-    return {n.width, n.value};
-  }
-  const ExportEntry& e = p.units[u].slice.exports[RefIndex(ref)];
-  const SliceNode& n = p.units[u].slice.nodes[e.local];
-  return {n.width, n.value};
-}
-
-/// Tail of the per-unit resweep: rebuilds `unit`'s crash masks and every
-/// UnitSums field from its marks and the final allowed intervals. Mirrors
-/// propagation.cc's mask sweep, ace.cc's bit accounting, report.cc's
-/// structure classification and ComputeMemoryBitsSums — all restricted to
-/// the unit's own nodes.
-void FinishUnitBackward(ProgramSlices& p, std::uint32_t unit,
-                        const std::vector<Interval>& allowed) {
-  CompiledUnit& cu = p.units[unit];
-  const UnitSlice& s = cu.slice;
-  UnitBackward& back = cu.back;
-  const ir::Module& module = *p.module;
-
-  back.crash_masks.clear();
-  UnitSums sums;
-  sums.node_count = s.nodes.size();
-
-  for (std::uint32_t local = 0; local < s.nodes.size(); ++local) {
-    const SliceNode& node = s.nodes[local];
-    const bool marked = back.Marked(local);
-    if (marked) ++sums.ace_nodes;
-    if (node.kind == ddg::NodeKind::kRegister) {
-      sums.total_bits += node.width;
-      const auto cls = static_cast<std::size_t>(
-          RegisterClassOf(InstrOf(module, s.dyn[node.dyn].sid).type));
-      sums.cls_total[cls] += node.width;
-      const std::uint64_t mask = marked ? FlipsLeaving(allowed[local], node.value, node.width) : 0;
-      if (marked) {
-        sums.ace_bits += node.width;
-        sums.cls_ace[cls] += node.width;
-        sums.crash_bits += PopCount(mask);
-        sums.cls_crash[cls] += PopCount(mask & LowMask(node.width));
-      }
-      if (mask != 0) back.crash_masks.emplace_back(local, mask);
-    } else if (node.kind == ddg::NodeKind::kMemory) {
-      sums.mem_total += node.width;
-      if (marked) {
-        sums.mem_ace += node.width;
-        sums.mem_crash += PopCount(FlipsLeaving(allowed[local], node.value, node.width));
-      }
-    }
-  }
-
-  cu.sums = std::move(sums);
-}
-
-/// The unit-restricted backward sweeps: ace.cc's ACE closure and
-/// propagation.cc's ACE-gated access seeds and descending Table III sweep,
-/// over `unit`'s local nodes. Starts from the marks already in
-/// `back.ace_marks` and the intervals in `allowed`, and leaves the closed
-/// marks and swept intervals there. Edges that leave the unit are not
-/// followed: they become `back`'s spill sets (ACE marks and pre-intersected
-/// narrowings of other units' exports) and intern marks, which the
-/// exporters' own sweeps consume. Local node ids ascend with global ids and
-/// every narrowing targets a lower id than its source, so one descending
-/// local pass reproduces the global pass exactly.
-void SweepUnit(const ProgramSlices& p, std::uint32_t unit, UnitBackward& back,
-               std::vector<Interval>& allowed) {
-  const UnitSlice& s = p.units[unit].slice;
-  const ir::Module& module = *p.module;
-  const auto num_nodes = static_cast<std::uint32_t>(s.nodes.size());
-
-  std::set<std::uint32_t> intern_set;
-  std::set<UnitRef> ace_spill_set;
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t local = 0; local < num_nodes; ++local) {
-    if (back.Marked(local)) stack.push_back(local);
-  }
-  const auto mark_ref = [&](UnitRef ref) {
-    if (ref == kNullRef) return;
-    const std::uint32_t u = RefUnit(ref);
-    if (u == kInternUnit) {
-      intern_set.insert(RefIndex(ref));
-    } else if (u != unit) {
-      ace_spill_set.insert(ref);
-    } else if (!back.Marked(RefIndex(ref))) {
-      back.Mark(RefIndex(ref));
-      stack.push_back(RefIndex(ref));
-    }
-  };
-  for (const RootRef& r : s.output_roots) mark_ref(r.node);
-  for (const RootRef& r : s.control_roots) mark_ref(r.node);
-  while (!stack.empty()) {
-    const std::uint32_t local = stack.back();
-    stack.pop_back();
-    const SlicePredRange& pr = s.pred_ranges[local];
-    for (std::uint32_t i = 0; i < pr.count; ++i) mark_ref(s.preds[pr.offset + i]);
-  }
-
-  std::map<UnitRef, Interval> spill_map;
-  const auto narrow = [&](UnitRef ref, Interval iv) {
-    if (ref == kNullRef || iv.IsFull()) return;
-    const std::uint32_t u = RefUnit(ref);
-    if (u == kInternUnit) return;  // constants/globals never narrow
-    if (u != unit) {
-      auto [it, inserted] = spill_map.try_emplace(ref, Interval::Full());
-      it->second = it->second.Intersect(iv);
-      return;
-    }
-    allowed[RefIndex(ref)] = allowed[RefIndex(ref)].Intersect(iv);
-  };
-  for (const SliceAccess& a : s.accesses) {
-    const SliceDyn& d = s.dyn[a.dyn];
-    if (d.result_node != kNoLocalNode && back.Marked(d.result_node)) narrow(a.addr_node, a.seed);
-  }
-
-  for (std::uint32_t local = num_nodes; local-- > 0;) {
-    const Interval dest_allowed = allowed[local];
-    if (dest_allowed.IsFull()) continue;
-    const SliceNode& node = s.nodes[local];
-    const SliceDyn& d = s.dyn[node.dyn];
-    const ir::Instruction& inst = InstrOf(module, d.sid);
-    const UnitRef* op_refs = s.operand_nodes.data() + d.operands_offset;
-    const std::uint64_t* op_values = s.operand_values.data() + d.operands_offset;
-    switch (inst.op) {
-      case Opcode::kStore:
-        narrow(op_refs[0], dest_allowed);
-        continue;
-      case Opcode::kLoad: {
-        const SlicePredRange& pr = s.pred_ranges[local];
-        UnitRef data_pred = kNullRef;
-        unsigned data_count = 0;
-        for (std::uint32_t i = 0; i < pr.count; ++i) {
-          if ((pr.virtual_mask & (1u << i)) == 0) {
-            data_pred = s.preds[pr.offset + i];
-            ++data_count;
-          }
-        }
-        if (data_count == 1 && data_pred != kNullRef) {
-          const auto [width, value] = WidthValueOf(p, unit, data_pred);
-          if (width == node.width && value == node.value) narrow(data_pred, dest_allowed);
-        }
-        continue;
-      }
-      case Opcode::kPhi:
-        if (d.selected_operand != 0xFF) narrow(op_refs[d.selected_operand], dest_allowed);
-        continue;
-      case Opcode::kSelect: {
-        const unsigned chosen = (op_values[0] & 1) != 0 ? 1 : 2;
-        narrow(op_refs[chosen], dest_allowed);
-        continue;
-      }
-      default:
-        break;
-    }
-    std::array<unsigned, 8> widths{};
-    for (unsigned i = 0; i < d.num_operands && i < widths.size(); ++i) {
-      widths[i] = op_refs[i] == kNullRef ? 64u : WidthValueOf(p, unit, op_refs[i]).first;
-    }
-    for (unsigned slot = 0; slot < d.num_operands; ++slot) {
-      if (op_refs[slot] == kNullRef) continue;
-      const auto interval = crash::OperandAllowedInterval(
-          inst, std::span<const std::uint64_t>(op_values, d.num_operands),
-          std::span<const unsigned>(widths.data(), d.num_operands), slot, dest_allowed);
-      if (interval.has_value()) narrow(op_refs[slot], *interval);
-    }
-  }
-
-  back.ace_spills.assign(ace_spill_set.begin(), ace_spill_set.end());
-  back.interval_spills.assign(spill_map.begin(), spill_map.end());
-  back.intern_marks.assign(intern_set.begin(), intern_set.end());
-}
-
 }  // namespace
-
-std::uint64_t UnitBackward::MaskOf(std::uint32_t local) const {
-  const auto it = std::lower_bound(
-      crash_masks.begin(), crash_masks.end(), local,
-      [](const std::pair<std::uint32_t, std::uint64_t>& e, std::uint32_t l) {
-        return e.first < l;
-      });
-  return it != crash_masks.end() && it->first == local ? it->second : 0;
-}
 
 UnitRef Canon(const ProgramSlices& p, std::uint32_t self, UnitRef ref) {
   if (ref == kNullRef) return ref;
   const std::uint32_t u = RefUnit(ref);
   if (u == kInternUnit || u == self) return ref;
-  return MakeRef(u, p.units[u].slice.exports[RefIndex(ref)].local);
+  return MakeRef(u, p.units[u].exports[RefIndex(ref)].local);
 }
 
 std::uint64_t UnitInputDigest(const ProgramSlices& p, std::uint32_t unit) {
-  const UnitSlice& s = p.units[unit].slice;
+  const UnitSlice& s = p.units[unit];
   support::Hasher h;
   for (const SegmentInfo& seg : s.segments) {
     h.Mix(seg.first_dyn).Mix(seg.num_dyn).Mix(seg.entry_block).Mix(seg.prev_block);
@@ -263,19 +73,6 @@ std::uint64_t UnitInputDigest(const ProgramSlices& p, std::uint32_t unit) {
     }
     const InternEntry& e = p.interns[id];
     h.Mix(e.is_global).Mix(e.width).Mix(e.value).Mix(e.is_global != 0 ? e.ir_index : e.type_key);
-  }
-  // The ACE marks and interval narrowings other units' sweeps push into this
-  // one: its backward results are a function of them, and an edit elsewhere
-  // can move them without touching anything above.
-  for (std::uint32_t v = 0; v < p.units.size(); ++v) {
-    if (v == unit) continue;
-    const UnitBackward& back = p.units[v].back;
-    for (const UnitRef ref : back.ace_spills) {
-      if (RefUnit(ref) == unit) h.Mix(RefIndex(ref));
-    }
-    for (const auto& [ref, iv] : back.interval_spills) {
-      if (RefUnit(ref) == unit) h.Mix(RefIndex(ref)).Mix(iv.lo).Mix(iv.hi);
-    }
   }
   return h.Digest();
 }
@@ -322,12 +119,9 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
   p.partition = std::move(partition);
   const ir::Module& module = *p.module;
   const ddg::Graph& g = analysis.graph();
-  const ddg::AceResult& ace = analysis.ace();
-  const crash::CrashBits& cb = analysis.crash_bits();
   const auto num_units = static_cast<std::uint32_t>(p.partition.NumUnits());
   p.units.clear();
   p.units.resize(num_units);
-  p.instructions_executed = analysis.golden().instructions_executed;
   p.globals_digest = GlobalsDigest(module);
 
   p.function_shape.reserve(module.functions.size());
@@ -382,7 +176,7 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     const auto& golden_output = analysis.golden().output;
 
     const auto close_segment = [&](std::uint32_t next_gd) {
-      UnitSlice& s = p.units[cur_unit].slice;
+      UnitSlice& s = p.units[cur_unit];
       SegmentInfo& seg = s.segments.back();
       const std::uint32_t seg_index = static_cast<std::uint32_t>(s.segments.size()) - 1;
       const ddg::DynInstr& last = g.GetDyn(next_gd - 1);
@@ -411,7 +205,7 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     };
 
     const auto open_segment = [&](std::uint32_t gd, std::uint32_t unit) {
-      UnitSlice& s = p.units[unit].slice;
+      UnitSlice& s = p.units[unit];
       SegmentInfo seg;
       seg.first_dyn = unit_dyn_count[unit];
       const ir::StaticInstrId sid = g.GetDyn(gd).sid;
@@ -440,9 +234,9 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
       }
       dyn_unit[gd] = unit;
       dyn_local[gd] = unit_dyn_count[unit]++;
-      dyn_seg[gd] = static_cast<std::uint32_t>(p.units[unit].slice.segments.size()) - 1;
+      dyn_seg[gd] = static_cast<std::uint32_t>(p.units[unit].segments.size()) - 1;
       const std::uint32_t seg = dyn_seg[gd];
-      UnitSlice& s = p.units[unit].slice;
+      UnitSlice& s = p.units[unit];
 
       const auto op_nodes = g.OperandNodes(gd);
       const auto op_values = g.OperandValues(gd);
@@ -594,7 +388,7 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
       e.kind = 0;
       e.key_a = g.InstructionAt(node.dyn_index).result;
     }
-    UnitSlice& s = p.units[u].slice;
+    UnitSlice& s = p.units[u];
     const auto slot = static_cast<std::uint32_t>(s.exports.size());
     slot_of[u][e.local] = slot;
     s.exports.push_back(e);
@@ -617,7 +411,7 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     const std::uint32_t u = node_unit[id];
     if (u == kInternUnit) continue;
     const ddg::Node& node = g.GetNode(id);
-    UnitSlice& s = p.units[u].slice;
+    UnitSlice& s = p.units[u];
     SliceNode sn;
     sn.kind = node.kind;
     sn.width = node.width;
@@ -640,7 +434,7 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     const ddg::DynInstr& d = g.GetDyn(gd);
     const ir::Instruction& inst = g.InstructionOf(d);
     const std::uint32_t u = dyn_unit[gd];
-    UnitSlice& s = p.units[u].slice;
+    UnitSlice& s = p.units[u];
     const auto op_nodes = g.OperandNodes(gd);
     const auto op_values = g.OperandValues(gd);
     SliceDyn sd;
@@ -671,15 +465,6 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
       }
     }
     s.dyn.push_back(sd);
-    if (inst.op == Opcode::kCall && inst.is_intrinsic &&
-        ir::IsOutputIntrinsic(inst.intrinsic)) {
-      // Mirrors AddOutputRoot's unconditional push (kNoNode roots included).
-      s.output_roots.push_back(RootRef{dyn_seg[gd], translate(op_nodes[0], u)});
-    }
-    if (inst.op == Opcode::kCondBr && !inst.operands.empty() &&
-        inst.operands[0].IsRegister() && op_nodes[0] != kNoNode) {
-      s.control_roots.push_back(RootRef{dyn_seg[gd], translate(op_nodes[0], u)});
-    }
   }
 
   for (const ddg::AccessRecord& a : g.accesses()) {
@@ -691,11 +476,11 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     sa.size = a.size;
     sa.is_store = a.is_store ? 1 : 0;
     sa.seed = analysis.crash_model().CheckBoundary(a);
-    p.units[u].slice.accesses.push_back(sa);
+    p.units[u].accesses.push_back(sa);
   }
 
   for (std::uint32_t u = 0; u < num_units; ++u) {
-    UnitSlice& s = p.units[u].slice;
+    UnitSlice& s = p.units[u];
     for (const RawRegLiveIn& li : raw_reg_li[u]) {
       s.reg_live_ins.push_back(RegLiveIn{li.segment, li.reg, li.value, translate(li.node, u)});
     }
@@ -714,298 +499,157 @@ ProgramSlices BuildProgramSlices(const Analysis& analysis, UnitPartition partiti
     }
   }
 
-  // --- pass 5: backward projection -------------------------------------------
-  // Seed every unit's own sweep with its share of the monolithic ACE marks and
-  // crash intervals. Those are already closed under the sweep's local steps,
-  // so the sweep changes nothing inside the unit; what it pushes across the
-  // boundary is exactly the unit's spill sets. Then re-derive every unit's
-  // backward results from its slice and the other units' spill sets alone:
-  // the resweep must reproduce the projection, and the diff battery asserts
-  // it does (composed == monolithic, bit for bit).
-  {
-    std::vector<std::vector<Interval>> allowed(num_units);
-    for (std::uint32_t u = 0; u < num_units; ++u) {
-      p.units[u].back.ace_marks.assign((unit_node_count[u] + 63) / 64, 0);
-      allowed[u].assign(unit_node_count[u], Interval::Full());
-    }
-    for (NodeId id = 0; id < n_nodes; ++id) {
-      const std::uint32_t u = node_unit[id];
-      if (u == kInternUnit) continue;
-      if (ace.Contains(id)) p.units[u].back.Mark(node_local[id]);
-      allowed[u][node_local[id]] = cb.allowed[id];
-    }
-    for (std::uint32_t u = 0; u < num_units; ++u) SweepUnit(p, u, p.units[u].back, allowed[u]);
-  }
-  for (std::uint32_t u = 0; u < num_units; ++u) RunUnitBackward(p, u);
   for (std::uint32_t u = 0; u < num_units; ++u) {
-    p.units[u].slice.input_digest = UnitInputDigest(p, u);
+    p.units[u].input_digest = UnitInputDigest(p, u);
   }
+  p.stats = StatsFromAnalysis(analysis);
   return p;
 }
 
-void RunUnitBackward(ProgramSlices& p, std::uint32_t unit) {
-  CompiledUnit& cu = p.units[unit];
-  const UnitSlice& s = cu.slice;
-  // The seeds: the marks and narrowings the other units' stored spill sets
-  // push into this unit's exports.
-  UnitBackward nb;
-  nb.ace_marks.assign((s.nodes.size() + 63) / 64, 0);
-  std::vector<Interval> allowed(s.nodes.size(), Interval::Full());
-  for (std::uint32_t v = 0; v < p.units.size(); ++v) {
-    if (v == unit) continue;
-    const UnitBackward& other = p.units[v].back;
-    for (const UnitRef ref : other.ace_spills) {
-      if (RefUnit(ref) == unit) nb.Mark(s.exports[RefIndex(ref)].local);
-    }
-    for (const auto& [ref, iv] : other.interval_spills) {
-      if (RefUnit(ref) != unit) continue;
-      const std::uint32_t local = s.exports[RefIndex(ref)].local;
-      allowed[local] = allowed[local].Intersect(iv);
-    }
-  }
-  SweepUnit(p, unit, nb, allowed);
-  cu.back = std::move(nb);
-  FinishUnitBackward(p, unit, allowed);
-}
+StitchedGraph StitchGraph(const ProgramSlices& p) {
+  const ir::Module& module = *p.module;
+  StitchedGraph out{ddg::Graph(&module), {}};
+  ddg::Graph& g = out.graph;
 
-namespace {
-
-/// The activation walk's input over the slices, rebuilt by every
-/// RunUnitWalks: the use index, laid out like UseIndex over one flat node
-/// numbering, and the unit and unit-local dyn of every global dyn.
-struct SliceUseIndex {
-  std::vector<std::uint32_t> node_base;  ///< per unit: flat id of its local node 0
-  std::uint32_t intern_base = 0;         ///< flat id of intern 0
-  std::vector<std::uint32_t> dyn_unit;   ///< per global dyn
-  std::vector<std::uint32_t> dyn_local;  ///< per global dyn
-  UseIndex uses;                         ///< per flat node, in global trace order
-
-  [[nodiscard]] std::uint32_t FlatId(UnitRef canon) const {
-    const std::uint32_t u = RefUnit(canon);
-    return (u == kInternUnit ? intern_base : node_base[u]) + RefIndex(canon);
-  }
-};
-
-/// Calls fn(unit, canonical operand ref, global dyn, slot) for every
-/// register-operand use of global dyns [begin, end) in trace order: the
-/// slice counterpart of ForEachUse (walks.h).
-template <typename Fn>
-void ForEachSliceUse(const ProgramSlices& p, const ir::Module& module, const SliceUseIndex& idx,
-                     std::size_t begin, std::size_t end, Fn&& fn) {
-  for (std::size_t g = begin; g < end; ++g) {
-    const std::uint32_t unit = idx.dyn_unit[g];
-    const UnitSlice& s = p.units[unit].slice;
-    const SliceDyn& d = s.dyn[idx.dyn_local[g]];
-    const ir::Instruction& inst = InstrOf(module, d.sid);
-    for (std::uint8_t slot = 0; slot < d.num_operands; ++slot) {
-      if (!inst.operands[slot].IsRegister()) continue;
-      if (inst.op == Opcode::kPhi && slot != d.selected_operand) continue;
-      const UnitRef ref = s.operand_nodes[d.operands_offset + slot];
-      if (ref == kNullRef) continue;
-      fn(unit, Canon(p, unit, ref), static_cast<std::uint32_t>(g), slot);
-    }
-  }
-}
-
-SliceUseIndex BuildSliceUseIndex(const ProgramSlices& p, const ir::Module& module) {
-  SliceUseIndex idx;
-  std::uint32_t num_nodes = 0;
-  for (const CompiledUnit& cu : p.units) {
-    idx.node_base.push_back(num_nodes);
-    num_nodes += static_cast<std::uint32_t>(cu.slice.nodes.size());
-  }
-  idx.intern_base = num_nodes;
-  num_nodes += static_cast<std::uint32_t>(p.interns.size());
-  for (const SegmentRef& sr : p.segment_order) {
-    const SegmentInfo& seg = p.units[sr.unit].slice.segments[sr.seg];
-    for (std::uint32_t ld = seg.first_dyn; ld < seg.first_dyn + seg.num_dyn; ++ld) {
-      idx.dyn_unit.push_back(sr.unit);
-      idx.dyn_local.push_back(ld);
-    }
-  }
-
-  // BuildUseIndex's two counting passes: count each node's uses, then write
-  // every use at its node's cursor. Global dyns ascend, so each node's uses
-  // land in trace order.
-  UseIndex& uses = idx.uses;
-  const std::size_t num_dyn = idx.dyn_unit.size();
-  uses.offsets.assign(std::size_t{num_nodes} + 1, 0);
-  ForEachSliceUse(p, module, idx, 0, num_dyn,
-                  [&](std::uint32_t, UnitRef canon, std::uint32_t, std::uint8_t) {
-                    ++uses.offsets[idx.FlatId(canon) + 1];
-                  });
-  for (std::size_t i = 1; i < uses.offsets.size(); ++i) uses.offsets[i] += uses.offsets[i - 1];
-  uses.use_dyn.resize(uses.offsets.back());
-  uses.use_slot.resize(uses.offsets.back());
-  std::vector<std::uint32_t> cursor(uses.offsets.begin(), uses.offsets.end() - 1);
-  ForEachSliceUse(p, module, idx, 0, num_dyn,
-                  [&](std::uint32_t, UnitRef canon, std::uint32_t dyn, std::uint8_t slot) {
-                    const std::uint32_t pos = cursor[idx.FlatId(canon)]++;
-                    uses.use_dyn[pos] = dyn;
-                    uses.use_slot[pos] = slot;
-                  });
-  return idx;
-}
-
-/// The per-unit-slice instantiation of the walk view concept (walks.h), over
-/// flat node ids.
-class SliceWalkView {
- public:
-  using NodeRef = std::uint32_t;
-  using UseCursor = std::uint32_t;
-
-  SliceWalkView(const ProgramSlices& p, const ir::Module& module, const SliceUseIndex& idx)
-      : p_(p), module_(module), idx_(idx) {}
-
-  [[nodiscard]] std::pair<UseCursor, UseCursor> UseRangeOf(NodeRef node) const {
-    return {idx_.uses.offsets[node], idx_.uses.offsets[node + 1]};
-  }
-  [[nodiscard]] std::uint64_t UseDyn(UseCursor u) const { return idx_.uses.use_dyn[u]; }
-  [[nodiscard]] std::uint8_t UseSlot(UseCursor u) const { return idx_.uses.use_slot[u]; }
-  [[nodiscard]] const ir::Instruction& InstructionAtUse(UseCursor u) const {
-    return InstrOf(module_, SidAtUse(u));
-  }
-  [[nodiscard]] ir::StaticInstrId SidAtUse(UseCursor u) const {
-    const std::uint32_t g = idx_.uses.use_dyn[u];
-    return p_.units[idx_.dyn_unit[g]].slice.dyn[idx_.dyn_local[g]].sid;
-  }
-  [[nodiscard]] bool HasRegisterResult(UseCursor u) const {
-    const std::uint32_t g = idx_.uses.use_dyn[u];
-    const UnitSlice& s = p_.units[idx_.dyn_unit[g]].slice;
-    const std::uint32_t result = s.dyn[idx_.dyn_local[g]].result_node;
-    return result != kNoLocalNode && s.nodes[result].kind == ddg::NodeKind::kRegister;
-  }
-  [[nodiscard]] NodeRef ResultNode(UseCursor u) const {
-    const std::uint32_t g = idx_.uses.use_dyn[u];
-    const std::uint32_t unit = idx_.dyn_unit[g];
-    return idx_.node_base[unit] + p_.units[unit].slice.dyn[idx_.dyn_local[g]].result_node;
-  }
-
- private:
-  const ProgramSlices& p_;
-  const ir::Module& module_;
-  const SliceUseIndex& idx_;
-};
-
-}  // namespace
-
-void RunUnitWalks(ProgramSlices& p, const ir::Module& module, int jobs) {
-  const obs::TraceSpan span("compose", "unit-walks");
-  const SliceUseIndex idx = BuildSliceUseIndex(p, module);
-  const SliceWalkView view(p, module, idx);
-  const ControlOracle control(module);
-
-  // Intern ACE membership: the union over every unit's intern marks equals
-  // the monolithic closure's marks on constant/global nodes.
-  std::vector<std::uint64_t> intern_ace((p.interns.size() + 63) / 64, 0);
-  for (const CompiledUnit& cu : p.units) {
-    for (const std::uint32_t i : cu.back.intern_marks) {
-      intern_ace[i >> 6] |= std::uint64_t{1} << (i & 63);
-    }
-  }
-
-  // Analysis::WalkUseSites over the slices, each site's sums charged to the
-  // unit of its dyn.
-  using Sums = std::vector<Analysis::UseWeightedBits>;
-  const Sums sums = ParallelReduce(
-      std::size_t{0}, idx.dyn_unit.size(), Sums(p.units.size()),
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        Sums part(p.units.size());
-        ForEachSliceUse(
-            p, module, idx, chunk_begin, chunk_end,
-            [&](std::uint32_t unit, UnitRef canon, std::uint32_t dyn, std::uint8_t) {
-              unsigned width = 0;
-              bool is_ace = false;
-              std::uint64_t mask = 0;
-              if (RefUnit(canon) == kInternUnit) {
-                // Register operands can resolve to interns (parameter
-                // registers aliasing constant arguments). Interns never carry
-                // crash masks — Narrow skips them.
-                const std::uint32_t i_id = RefIndex(canon);
-                width = p.interns[i_id].width;
-                is_ace = ((intern_ace[i_id >> 6] >> (i_id & 63)) & 1) != 0;
-              } else {
-                const CompiledUnit& owner = p.units[RefUnit(canon)];
-                const std::uint32_t local = RefIndex(canon);
-                width = owner.slice.nodes[local].width;
-                is_ace = owner.back.Marked(local);
-                mask = owner.back.MaskOf(local);
-              }
-              Analysis::UseWeightedBits& uw = part[unit];
-              uw.total += width;
-              if (!is_ace) return;
-              uw.ace += width;
-              mask &= LowMask(width);
-              if (mask == 0) return;
-              if (FirstEffect(view, control, idx.FlatId(canon), std::uint64_t{dyn},
-                              /*depth=*/6) == UseEffect::kCrash) {
-                uw.crash += PopCount(mask);
-              }
-            });
-        return part;
-      },
-      [](Sums acc, const Sums& part) {
-        for (std::size_t u = 0; u < acc.size(); ++u) {
-          acc[u].total += part[u].total;
-          acc[u].ace += part[u].ace;
-          acc[u].crash += part[u].crash;
-        }
-        return acc;
-      },
-      ParallelOptions{.jobs = jobs});
-  for (std::size_t u = 0; u < p.units.size(); ++u) p.units[u].walk = sums[u];
-}
-
-ReportStats ComposeProgram(const ProgramSlices& p) {
-  ReportStats r;
-  r.dyn_instructions = p.instructions_executed;
-  // Count only interns some unit still references: after an incremental
-  // replay swaps a constant, the superseded entry stays in the table (ids are
-  // stable) but a fresh run would not have its node.
+  // The interns some unit references come first. They have no preds, so any
+  // place before their first use keeps every edge pointing to a lower id.
   std::vector<std::uint8_t> referenced(p.interns.size(), 0);
-  std::vector<std::uint8_t> intern_ace(p.interns.size(), 0);
-  for (const CompiledUnit& cu : p.units) {
-    for (const std::uint32_t i : cu.slice.intern_refs) referenced[i] = 1;
-    for (const std::uint32_t i : cu.back.intern_marks) intern_ace[i] = 1;
+  for (const UnitSlice& s : p.units) {
+    for (const std::uint32_t id : s.intern_refs) referenced[id] = 1;
   }
-  for (std::size_t i = 0; i < p.interns.size(); ++i) {
-    r.num_nodes += referenced[i];
-    r.ace_node_count += referenced[i] != 0 && intern_ace[i] != 0 ? 1 : 0;
+  std::vector<NodeId> intern_node(p.interns.size(), kNoNode);
+  for (std::uint32_t i = 0; i < p.interns.size(); ++i) {
+    if (referenced[i] == 0) continue;
+    const InternEntry& e = p.interns[i];
+    ddg::Node node;
+    node.kind = e.is_global != 0 ? ddg::NodeKind::kGlobal : ddg::NodeKind::kConstant;
+    node.width = e.width;
+    node.value = e.value;
+    intern_node[i] = g.AddNode(node, {});
   }
-  for (std::size_t c = 0; c < kNumRegisterClasses; ++c) {
-    r.structure[c].cls = static_cast<RegisterClass>(c);
+
+  // Then the dyns in trace order. A dyn creates at most its result node, so
+  // creating it when the dyn is reached numbers the unit nodes in trace
+  // order, as the builder does.
+  std::vector<std::vector<NodeId>> node_id(p.units.size());
+  std::size_t nodes = g.NumNodes();
+  std::size_t preds_total = 0;
+  std::size_t dyns = 0;
+  std::size_t operands_total = 0;
+  std::size_t accesses = 0;
+  for (std::size_t u = 0; u < p.units.size(); ++u) {
+    const UnitSlice& s = p.units[u];
+    node_id[u].assign(s.nodes.size(), kNoNode);
+    nodes += s.nodes.size();
+    preds_total += s.preds.size();
+    dyns += s.dyn.size();
+    operands_total += s.operand_nodes.size();
+    accesses += s.accesses.size();
   }
-  for (const CompiledUnit& cu : p.units) {
-    r.num_nodes += cu.sums.node_count;
-    r.ace_node_count += cu.sums.ace_nodes;
-    r.ace_bits += cu.sums.ace_bits;
-    r.total_bits += cu.sums.total_bits;
-    r.crash_bits += cu.sums.crash_bits;
-    r.use_weighted.total += cu.walk.total;
-    r.use_weighted.ace += cu.walk.ace;
-    r.use_weighted.crash += cu.walk.crash;
-    r.mem_total += cu.sums.mem_total;
-    r.mem_ace += cu.sums.mem_ace;
-    r.mem_crash += cu.sums.mem_crash;
-    for (std::size_t c = 0; c < kNumRegisterClasses; ++c) {
-      r.structure[c].total_bits += cu.sums.cls_total[c];
-      r.structure[c].ace_bits += cu.sums.cls_ace[c];
-      r.structure[c].crash_bits += cu.sums.cls_crash[c];
+  g.Reserve(nodes, preds_total, dyns, operands_total, accesses);
+  out.bounds.reserve(accesses);
+  const auto resolve = [&](std::uint32_t self, UnitRef ref) {
+    if (ref == kNullRef) return kNoNode;
+    const UnitRef canon = Canon(p, self, ref);
+    const NodeId id = RefUnit(canon) == kInternUnit ? intern_node[RefIndex(canon)]
+                                                    : node_id[RefUnit(canon)][RefIndex(canon)];
+    if (id == kNoNode) {
+      throw std::runtime_error("StitchGraph: a reference to a node not stitched before it");
+    }
+    return id;
+  };
+  // Every slice holds at most 8 preds per node and 8 operands per dyn, as
+  // the graph does, and its accesses ascend by dyn.
+  std::vector<std::size_t> access_cursor(p.units.size(), 0);
+  std::array<NodeId, 8> preds{};
+  std::array<NodeId, 8> operands{};
+  std::uint32_t global_dyn = 0;
+  for (const SegmentRef& sr : p.segment_order) {
+    const UnitSlice& s = p.units[sr.unit];
+    const SegmentInfo& seg = s.segments[sr.seg];
+    for (std::uint32_t ld = seg.first_dyn; ld < seg.first_dyn + seg.num_dyn; ++ld, ++global_dyn) {
+      const SliceDyn& d = s.dyn[ld];
+      ddg::DynInstr header;
+      header.sid = d.sid;
+      header.selected_operand = d.selected_operand;
+      if (d.result_node != kNoLocalNode) {
+        const SliceNode& sn = s.nodes[d.result_node];
+        const SlicePredRange& pr = s.pred_ranges[d.result_node];
+        for (std::uint32_t i = 0; i < pr.count; ++i) {
+          preds[i] = resolve(sr.unit, s.preds[pr.offset + i]);
+        }
+        header.result_node =
+            g.AddNode(ddg::Node{sn.kind, sn.width, global_dyn, sn.value},
+                      std::span<const NodeId>(preds.data(), pr.count),
+                      static_cast<std::uint8_t>(pr.virtual_mask));
+        node_id[sr.unit][d.result_node] = header.result_node;
+      }
+      for (std::uint8_t slot = 0; slot < d.num_operands; ++slot) {
+        operands[slot] = resolve(sr.unit, s.operand_nodes[d.operands_offset + slot]);
+      }
+      g.AddDynInstr(header, std::span<const NodeId>(operands.data(), d.num_operands),
+                    std::span<const std::uint64_t>(s.operand_values.data() + d.operands_offset,
+                                                   d.num_operands));
+      const ir::Instruction& inst = InstrOf(module, d.sid);
+      if (ddg::IsOutputRoot(inst)) g.AddOutputRoot(operands[0]);
+      if (ddg::IsControlRoot(inst, operands[0])) g.AddControlRoot(operands[0]);
+      std::size_t& a = access_cursor[sr.unit];
+      for (; a < s.accesses.size() && s.accesses[a].dyn == ld; ++a) {
+        const SliceAccess& sa = s.accesses[a];
+        g.AddAccess(ddg::AccessRecord{global_dyn, resolve(sr.unit, sa.addr_node), sa.addr, sa.size,
+                                      /*map_version=*/0, /*esp=*/0, sa.is_store != 0});
+        out.bounds.push_back(sa.seed);
+      }
     }
   }
-  return r;
+  return out;
 }
 
-std::vector<UnitEpvf> PerUnitEpvf(const ProgramSlices& p) {
+Analysis AnalyzeStitched(const ProgramSlices& p, int jobs) {
+  StitchedGraph stitched = StitchGraph(p);
+  ddg::AceResult ace = ddg::ComputeAce(stitched.graph, jobs);
+  crash::CrashBits crash = crash::PropagateCrashRanges(stitched.graph, ace, stitched.bounds, jobs);
+  AnalysisOptions options;
+  options.jobs = jobs;
+  // The trace holds every executed instruction.
+  vm::RunResult golden;
+  golden.instructions_executed = stitched.graph.NumDynInstrs();
+  return Analysis::Restore(*p.module, options, std::move(golden), std::move(stitched.graph),
+                           std::move(ace), std::move(crash), std::nullopt);
+}
+
+ReportStats ComposeProgram(const ProgramSlices& p) { return p.stats; }
+
+std::vector<UnitEpvf> PerUnitEpvf(const ProgramSlices& p, int jobs) {
+  const Analysis a = AnalyzeStitched(p, jobs);
+  const ddg::Graph& g = a.graph();
+  std::vector<std::uint32_t> dyn_unit;
+  dyn_unit.reserve(g.NumDynInstrs());
+  for (const SegmentRef& sr : p.segment_order) {
+    dyn_unit.insert(dyn_unit.end(), p.units[sr.unit].segments[sr.seg].num_dyn, sr.unit);
+  }
+  struct Bits {
+    std::uint64_t total = 0;
+    std::uint64_t ace = 0;
+    std::uint64_t crash = 0;
+  };
+  std::vector<Bits> bits(p.units.size());
+  for (NodeId id = 0; id < g.NumNodes(); ++id) {
+    const ddg::Node& node = g.GetNode(id);
+    if (node.kind != ddg::NodeKind::kRegister) continue;
+    Bits& b = bits[dyn_unit[node.dyn_index]];
+    b.total += node.width;
+    if (!a.ace().Contains(id)) continue;
+    b.ace += node.width;
+    b.crash += PopCount(a.crash_bits().crash_mask[id]);
+  }
   std::vector<UnitEpvf> rows;
   rows.reserve(p.units.size());
   for (std::size_t u = 0; u < p.units.size(); ++u) {
-    const UnitSums& sums = p.units[u].sums;
-    const double epvf =
-        sums.total_bits == 0
-            ? 0.0
-            : static_cast<double>(sums.ace_bits - sums.crash_bits) /
-                  static_cast<double>(sums.total_bits);
+    const Bits& b = bits[u];
+    const double epvf = b.total == 0 ? 0.0
+                                     : static_cast<double>(b.ace - b.crash) /
+                                           static_cast<double>(b.total);
     rows.push_back(UnitEpvf{p.partition.units[u].name, epvf});
   }
   return rows;

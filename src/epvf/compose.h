@@ -1,11 +1,11 @@
 // Compositional per-unit ePVF: slice the whole-program analysis into
-// per-unit artifacts with explicit boundary summaries, and recompose the
-// program-level metrics from unit summaries.
+// per-unit artifacts with explicit boundary summaries, and compose the
+// program's DDG back from them.
 //
-// The monolithic pipeline (Analysis::Run) computes one global DDG, one ACE
-// closure, one crash-propagation sweep and one activation-walk pass. This
-// module re-expresses those results as a composition over the loop-nest
-// units of units.h:
+// ePVF is defined on one DDG: the ACE closure, the crash propagation and the
+// activation walks all run over the whole graph. This module keeps the
+// forward part of that graph per loop-nest unit (units.h), so an edit
+// re-derives one unit, and composes the *graph*, not per-unit numbers:
 //
 //   * UnitSlice — the unit's share of the dynamic trace: its trace segments,
 //     its DDG nodes/edges (cross-unit edges become (unit, export-slot)
@@ -13,38 +13,28 @@
 //     intervals, and the boundary summaries: per-segment live-in register /
 //     memory-byte value sets, live-out (final) value sets, write images and
 //     exit edges.
-//   * UnitBackward — the unit's share of the ACE + crash results: local ACE
-//     marks, local crash-bit masks, and the *spill sets*: marks and interval
-//     narrowings the unit's backward sweeps push across its boundary into
-//     exporter units. Spill sets are what make the backward phase
-//     composable: a unit's results are a pure function of (its slice, the
-//     spills targeting it, its seeds).
-//   * UnitSums and the walk sums — the per-unit accounting ComposeProgram
-//     adds up (ACE bits, crash bits, memory/structure triples) and the
-//     unit's use-weighted activation-walk sums.
+//   * StitchGraph — one ddg::Graph over the program rebuilt from the slices,
+//     node for node the graph Analysis::Run builds (up to the numbering of
+//     constants and globals, which come first). AnalyzeStitched runs the
+//     monolithic ACE and propagation stages on it; the report statistics
+//     are StatsFromAnalysis of that analysis.
 //
-// Cold path: run the monolithic pipeline once, then *project* its results
-// onto the partition (BuildProgramSlices). The projection is definitionally
-// consistent with the global results — tests/compose_diff_test.cc asserts
-// ComposeProgram's headline numbers are bit-identical to the monolithic
-// run's on every app.
+// Cold path: run the monolithic pipeline once, then *project* its graph onto
+// the partition (BuildProgramSlices), keeping the analysis's statistics.
+// tests/compose_diff_test.cc asserts the stitched graph of a projection is
+// the monolithic DDG and its statistics are bit-identical.
 //
 // Incremental path (see reexec.h and store/units_store.h): re-derive only an
-// edited unit's slice by replaying its segments against the new IR, re-run
-// that unit's backward sweep from the *stored* spill sets of its unchanged
-// neighbours, verify its own spill sets did not move, and re-run every
-// unit's activation walks over a use index rebuilt from the slices
-// (RunUnitWalks). The rebuild is a few linear passes over the trace's
-// operands, and an edit's walk effects reach most units, so tracking which
-// units an edit reaches would cost more than it saves. Every validation
-// failure falls back to the monolithic pipeline, so the fast path never has
-// to be correct by optimism — only by verification.
+// edited unit's slice by replaying its segments against the new IR, then
+// recompute the statistics over the stitched graph. The backward stages cost
+// a few milliseconds over the whole graph, so only the forward replay works
+// per unit. Every validation failure falls back to the monolithic pipeline,
+// so the fast path never has to be correct by optimism — only by
+// verification.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "epvf/analysis.h"
@@ -190,12 +180,6 @@ struct ExportEntry {
   bool operator==(const ExportEntry&) const = default;
 };
 
-struct RootRef {
-  std::uint32_t segment = 0;
-  UnitRef node = kNullRef;
-  bool operator==(const RootRef&) const = default;
-};
-
 struct UnitSlice {
   std::vector<SliceNode> nodes;
   std::vector<SlicePredRange> pred_ranges;  ///< parallel to nodes
@@ -204,8 +188,6 @@ struct UnitSlice {
   std::vector<UnitRef> operand_nodes;
   std::vector<std::uint64_t> operand_values;
   std::vector<SliceAccess> accesses;   ///< ascending by dyn
-  std::vector<RootRef> output_roots;   ///< trace order
-  std::vector<RootRef> control_roots;  ///< trace order
   std::vector<SegmentInfo> segments;
   std::vector<RegLiveIn> reg_live_ins;    ///< per segment, first-read order
   std::vector<ByteLiveIn> mem_live_ins;   ///< per segment, first-read order
@@ -218,52 +200,6 @@ struct UnitSlice {
   std::uint64_t input_digest = 0;
 
   bool operator==(const UnitSlice&) const = default;
-};
-
-// --- per-unit backward results -----------------------------------------------
-
-struct UnitBackward {
-  std::vector<std::uint64_t> ace_marks;  ///< bitset over local nodes
-  /// Sparse (local node, mask) pairs, ascending by node.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> crash_masks;
-  /// External targets this unit's ACE closure marks, as the *consumer-side*
-  /// refs ((exporter, slot) or intern) — sorted, unique.
-  std::vector<UnitRef> ace_spills;
-  /// Pre-intersected interval narrowings this unit's sweep pushes into each
-  /// external target — sorted by ref.
-  std::vector<std::pair<UnitRef, Interval>> interval_spills;
-  std::vector<std::uint32_t> intern_marks;  ///< sorted intern ids marked ACE
-
-  [[nodiscard]] bool Marked(std::uint32_t local) const {
-    return (ace_marks[local >> 6] >> (local & 63)) & 1;
-  }
-  void Mark(std::uint32_t local) { ace_marks[local >> 6] |= std::uint64_t{1} << (local & 63); }
-  [[nodiscard]] std::uint64_t MaskOf(std::uint32_t local) const;
-  bool operator==(const UnitBackward&) const = default;
-};
-
-/// Per-unit accounting — everything ComposeProgram sums.
-struct UnitSums {
-  std::uint64_t node_count = 0;
-  std::uint64_t total_bits = 0;
-  std::uint64_t ace_bits = 0;
-  std::uint64_t crash_bits = 0;
-  std::uint64_t ace_nodes = 0;  ///< local nodes only; interns counted once globally
-  std::uint64_t mem_total = 0;
-  std::uint64_t mem_ace = 0;
-  std::uint64_t mem_crash = 0;
-  std::array<std::uint64_t, kNumRegisterClasses> cls_total{};
-  std::array<std::uint64_t, kNumRegisterClasses> cls_ace{};
-  std::array<std::uint64_t, kNumRegisterClasses> cls_crash{};
-};
-
-struct CompiledUnit {
-  UnitSlice slice;
-  UnitBackward back;
-  UnitSums sums;
-  /// Use-weighted walk sums over the unit's register-operand uses. They read
-  /// other units' data, so RunUnitWalks recomputes them for every unit.
-  Analysis::UseWeightedBits walk;
 };
 
 // --- the program-level composition -------------------------------------------
@@ -297,10 +233,9 @@ struct ProgramSlices {
   /// (the function-shape guard forces a full fallback otherwise).
   const ir::Module* module = nullptr;
   UnitPartition partition;
-  std::vector<CompiledUnit> units;
+  std::vector<UnitSlice> units;
   std::vector<InternEntry> interns;
   std::vector<SegmentRef> segment_order;  ///< global trace order
-  std::uint64_t instructions_executed = 0;
   /// Per-function shape digest (CFG block names/edges + register types +
   /// param count): a mismatch means unit slices of the function are
   /// structurally stale — incremental analysis must fall back.
@@ -309,45 +244,54 @@ struct ProgramSlices {
   /// Global addresses are a function of this layout; replay resolves global
   /// operands from recorded addresses, so a layout change forces fallback.
   std::uint64_t globals_digest = 0;
+  /// The program's report statistics: those of the projected analysis on the
+  /// cold path, recomputed over the stitched graph after a replay that moved
+  /// a slice.
+  ReportStats stats;
 };
 
 /// Resolves a (possibly slot-indirect) ref into canonical (owner, local) form.
 [[nodiscard]] UnitRef Canon(const ProgramSlices& p, std::uint32_t self, UnitRef ref);
 
-/// Digest over everything `unit`'s slice, backward results and sums are a
-/// function of besides its own IR text: the boundary summaries (segment
-/// shapes, live-in value sets, outputs, accesses with their seeds), its
-/// export table, its intern references resolved against p.interns (ids and
-/// entry identities), and the ACE marks and interval narrowings the other
-/// units' backward results push into it. The one recipe behind
-/// UnitSlice::input_digest on the cold path, after a replay, and when the
-/// store re-verifies loaded units.
+/// Digest over everything `unit`'s slice is a function of besides its own IR
+/// text: the boundary summaries (segment shapes, live-in value sets, outputs,
+/// accesses with their seeds), its export table, and its intern references
+/// resolved against p.interns (ids and entry identities). The one recipe
+/// behind UnitSlice::input_digest on the cold path, after a replay, and when
+/// the store re-verifies loaded units.
 [[nodiscard]] std::uint64_t UnitInputDigest(const ProgramSlices& p, std::uint32_t unit);
 [[nodiscard]] std::uint64_t FunctionShapeDigest(const ir::Function& fn);
 [[nodiscard]] std::uint64_t GlobalsDigest(const ir::Module& module);
 
-/// Cold path: project a completed monolithic analysis onto `partition`.
-/// Fills every unit's slice, backward results and sums; the walk sums are
-/// computed by RunUnitWalks, which the caller invokes. Requires a live
-/// analysis (crash model) — not one built by Analysis::Restore.
+/// Cold path: project a completed monolithic analysis onto `partition`,
+/// keeping its report statistics. Requires a live analysis (crash model) —
+/// not one built by Analysis::Restore.
 [[nodiscard]] ProgramSlices BuildProgramSlices(const Analysis& analysis,
                                                UnitPartition partition);
 
-/// Recomputes `unit`'s backward results (ACE + crash) from its slice, its
-/// seeds, and the *stored* spill sets of every other unit. Mirrors the
-/// monolithic sweeps exactly; overwrites units[unit].back and .sums (walk
-/// sums untouched). BuildProgramSlices runs it over every unit, as the check
-/// that the spill sets alone reproduce the monolithic results.
-void RunUnitBackward(ProgramSlices& p, std::uint32_t unit);
+/// The program's DDG stitched from the slices, with the CHECK_BOUNDARY
+/// interval each access stored (parallel to graph.accesses()).
+struct StitchedGraph {
+  ddg::Graph graph;
+  std::vector<Interval> bounds;
+};
 
-/// Recomputes every unit's activation-walk sums over the current slices.
-/// Builds the walk's use index from the slices on every call, laid out like
-/// UseIndex (walks.h) over one flat node numbering: each unit's local nodes
-/// after the previous unit's, the interns after all units. Bit-identical to
-/// the monolithic pass at every thread count.
-void RunUnitWalks(ProgramSlices& p, const ir::Module& module, int jobs);
+/// Builds one graph over p.module: the interns some unit references, in id
+/// order; then every unit's dyns in global trace order (segment_order), each
+/// creating its result node with preds and operands resolved through Canon;
+/// the accesses in trace order; and the output and control roots by the
+/// builder's root rule. Accesses carry no map version or ESP: their bounds
+/// stand in for CHECK_BOUNDARY. The slices must hold what the builder and the
+/// store's loader guarantee: at most 8 preds per node and 8 operands per dyn,
+/// each node the result of one dyn, accesses ascending by dyn. Throws
+/// std::runtime_error when a reference names a node not stitched before it.
+[[nodiscard]] StitchedGraph StitchGraph(const ProgramSlices& p);
 
-/// Assembles the program-level report statistics from the unit summaries.
+/// ComputeAce and PropagateCrashRanges over the stitched graph, assembled by
+/// Analysis::Restore (the activation walks run lazily, on `jobs` threads).
+[[nodiscard]] Analysis AnalyzeStitched(const ProgramSlices& p, int jobs);
+
+/// The program-level report statistics, p.stats.
 [[nodiscard]] ReportStats ComposeProgram(const ProgramSlices& p);
 
 /// One unit's ePVF over its own bits — a side of an `epvf delta` row.
@@ -356,7 +300,8 @@ struct UnitEpvf {
   double epvf = 0.0;
 };
 
-/// Per-unit ePVF of one analysis state, in unit order.
-[[nodiscard]] std::vector<UnitEpvf> PerUnitEpvf(const ProgramSlices& p);
+/// Per-unit ePVF of one analysis state, in unit order: the stitched
+/// analysis's register bits summed by the unit of their creating dyn.
+[[nodiscard]] std::vector<UnitEpvf> PerUnitEpvf(const ProgramSlices& p, int jobs);
 
 }  // namespace epvf::core

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <span>
@@ -49,7 +47,7 @@ class ReplayEngine {
       : p_(p),
         unit_(unit),
         module_(new_module),
-        old_(p.units[unit].slice),
+        old_(p.units[unit]),
         info_(p.partition.units[unit]),
         fn_(new_module.functions[info_.function]) {
     regs_.resize(fn_.registers.size());
@@ -71,14 +69,7 @@ class ReplayEngine {
 
  private:
   // --- failure plumbing ------------------------------------------------------
-  // The call-site line of the first divergence is kept for EPVF_REEXEC_DEBUG
-  // diagnostics; the public result is just "diverged".
-  void Fail(int line = __builtin_LINE()) {
-    if (!failed_ && std::getenv("EPVF_REEXEC_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[reexec] unit %u diverged at reexec.cc:%d\n", unit_, line);
-    }
-    failed_ = true;
-  }
+  void Fail() { failed_ = true; }
   [[nodiscard]] bool Failed() const { return failed_; }
 
   // --- intern resolution -----------------------------------------------------
@@ -652,15 +643,6 @@ bool ReplayEngine::RunSegment(std::uint32_t seg) {
         ns_.accesses.push_back(na);
         break;
       }
-      case Opcode::kCondBr:
-        if (refs[0] != kNullRef && inst.operands[0].IsRegister()) {
-          ns_.control_roots.push_back(RootRef{seg, refs[0]});
-        }
-        break;
-      case Opcode::kCall:
-        // AddOutputRoot mirror: unconditional, null refs included.
-        if (is_output_call) ns_.output_roots.push_back(RootRef{seg, refs[0]});
-        break;
       default:
         break;
     }
@@ -824,26 +806,12 @@ std::optional<UnitSlice> ReplayEngine::Run() {
   for (const UnitRef r : ns_.preds) note(r);
   for (const UnitRef r : ns_.operand_nodes) note(r);
   for (const SliceAccess& a : ns_.accesses) note(a.addr_node);
-  for (const RootRef& r : ns_.output_roots) note(r.node);
-  for (const RootRef& r : ns_.control_roots) note(r.node);
   for (const RegLiveIn& li : ns_.reg_live_ins) note(li.node);
   for (const ByteLiveIn& li : ns_.mem_live_ins) note(li.writer);
   ns_.intern_refs.assign(intern_set.begin(), intern_set.end());
 
   if (Failed()) return std::nullopt;
   return std::move(ns_);
-}
-
-/// Intern marks restricted to ids other units can observe (their walks read
-/// the union of intern ACE marks, so only marks on interns some *other* unit
-/// references are boundary-visible).
-std::vector<std::uint32_t> FilterToShared(const std::vector<std::uint32_t>& marks,
-                                          const std::set<std::uint32_t>& shared) {
-  std::vector<std::uint32_t> out;
-  for (const std::uint32_t m : marks) {
-    if (shared.count(m) != 0) out.push_back(m);
-  }
-  return out;
 }
 
 }  // namespace
@@ -878,7 +846,6 @@ std::string_view FallbackReasonName(FallbackReason reason) {
     case FallbackReason::kMultipleDirty: return "multiple-dirty";
     case FallbackReason::kIneligibleUnit: return "ineligible-unit";
     case FallbackReason::kReplayDiverged: return "replay-diverged";
-    case FallbackReason::kSpillsMoved: return "spills-moved";
   }
   return "<bad>";
 }
@@ -956,60 +923,33 @@ IncrementalOutcome ReanalyzeIncremental(ProgramSlices& p, const ir::Module& new_
   std::optional<UnitSlice> ns = ReplayUnitSlice(p, dirty, new_module);
   if (!ns.has_value()) return fallback(FallbackReason::kReplayDiverged);
 
-  // From here on `p` is mutated; any further fallback leaves it stale and the
-  // caller must rebuild from a fresh monolithic run (documented contract).
-  CompiledUnit& cu = p.units[dirty];
-  const std::uint64_t old_dyn = cu.slice.dyn.size();
-  UnitSlice old_slice = std::move(cu.slice);
-  UnitBackward old_back = std::move(cu.back);
-
-  cu.slice = std::move(*ns);
-  cu.slice.input_digest = UnitInputDigest(p, dirty);
+  // Contained edit: the replay reproduced the unit's slice bit for bit,
+  // interned no new constant, and every instruction of the unit is what it
+  // was (its text moved only by names, e.g. a register rename). The stitched
+  // graph and everything the stages read of the module are then unchanged,
+  // and so are the statistics.
+  const ir::Function& old_fn = p.module->functions[p.partition.units[dirty].function];
+  const ir::Function& new_fn = new_module.functions[np.units[dirty].function];
+  const bool same_code = std::all_of(
+      np.units[dirty].blocks.begin(), np.units[dirty].blocks.end(), [&](std::uint32_t b) {
+        return old_fn.blocks[b].instructions == new_fn.blocks[b].instructions;
+      });
+  const UnitSlice old_slice = std::exchange(p.units[dirty], std::move(*ns));
+  UnitSlice& slice = p.units[dirty];
+  slice.input_digest = UnitInputDigest(p, dirty);
   p.module = &new_module;
   p.partition = std::move(np);
-  p.instructions_executed += cu.slice.dyn.size();
-  p.instructions_executed -= old_dyn;
-
-  // Resweep the dirty unit against the stored spills of its neighbours, then
-  // verify its own outgoing spill sets came back unchanged — otherwise the
-  // edit's backward effects cascade into other units' recorded results.
-  {
-    const obs::TraceSpan span("compose", "resweep-unit");
-    RunUnitBackward(p, dirty);
-    if (cu.back.ace_spills != old_back.ace_spills ||
-        cu.back.interval_spills != old_back.interval_spills) {
-      return fallback(FallbackReason::kSpillsMoved);
-    }
-    std::set<std::uint32_t> shared_interns;
-    for (std::uint32_t v = 0; v < p.units.size(); ++v) {
-      if (v == dirty) continue;
-      shared_interns.insert(p.units[v].slice.intern_refs.begin(),
-                            p.units[v].slice.intern_refs.end());
-    }
-    if (FilterToShared(cu.back.intern_marks, shared_interns) !=
-        FilterToShared(old_back.intern_marks, shared_interns)) {
-      return fallback(FallbackReason::kSpillsMoved);
-    }
-  }
-
-  // Contained edit: the replay and resweep reproduced the unit's slice and
-  // backward results bit for bit and interned no new strings. Everything a
-  // walk can observe — the use index, intern union, exports, and the unit's
-  // own interior traversed by FirstEffect — derives from exactly those
-  // structures (sums too), so every walk input is provably unchanged and
-  // the rewalk can be skipped. This is the common case for edits whose text
-  // moved but whose semantics didn't (e.g. a register rename: the new name
-  // never enters the slice).
   out.used_fast_path = true;
   out.units_replayed = 1;
-  if (p.interns.size() == interns_before && cu.slice == old_slice && cu.back == old_back) {
-    return out;
-  }
+  if (same_code && p.interns.size() == interns_before && slice == old_slice) return out;
 
-  // Any other edit rewalks every unit over a use index rebuilt from the
-  // slices: an edit's walk effects reach most units, and the rebuild costs
-  // less than tracking which ones.
-  RunUnitWalks(p, new_module, jobs);
+  // Any other replay recomposes: the backward and walk effects of an edit
+  // reach across units, and the monolithic stages over the stitched graph
+  // cost a few milliseconds.
+  {
+    const obs::TraceSpan span("compose", "recompose");
+    p.stats = StatsFromAnalysis(AnalyzeStitched(p, jobs));
+  }
   out.units_rewalked = out.units_total;
   return out;
 }

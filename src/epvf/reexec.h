@@ -15,17 +15,15 @@
 //      validation — exit edge (or ret), final register values, final write
 //      image, output/return events, and the exact (addr, size, is_store)
 //      access sequence — proves the edit's effects never escaped the unit,
-//      so every other unit's recorded results still hold bit for bit.
-//   3. Resweep: RunUnitBackward on the new slice against the stored spill
-//      sets. The unit's own outgoing spill sets (ACE marks, interval
-//      narrowings, shared-intern marks) must come back set-equal, else the
-//      edit's backward effects cascade and the fast path aborts.
-//   4. Rewalk: unless the replay and resweep reproduced the unit bit for bit
-//      (a contained edit, which no walk can observe), every unit re-runs its
-//      activation walks over a use index rebuilt from the slices
-//      (RunUnitWalks). An edit's walk effects reach most units, and the
-//      rebuild is a few linear passes, cheaper than tracking which units an
-//      edit reaches.
+//      so every other unit's slice still holds bit for bit.
+//   3. Contained edit: when the replay reproduced the unit's slice bit for
+//      bit, interned no new constant and left the unit's instructions equal
+//      (a register rename), nothing the statistics read moved; they stay.
+//   4. Recompose: any other replay recomputes the statistics over the graph
+//      stitched from the slices (AnalyzeStitched): the monolithic ACE,
+//      propagation and walk stages, a few milliseconds over the whole
+//      graph, where an edit's backward and walk effects reach across units
+//      without anything tracking them.
 //
 // On success the resident ProgramSlices describes the new module and
 // ComposeProgram is bit-identical to a from-scratch analysis. On fallback
@@ -49,7 +47,6 @@ enum class FallbackReason : std::uint8_t {
   kMultipleDirty,    ///< more than one unit's fingerprint moved
   kIneligibleUnit,   ///< dirty unit has user calls or allocas
   kReplayDiverged,   ///< replay hit an unsupported op or failed validation
-  kSpillsMoved,      ///< resweep changed the unit's outgoing spill sets
 };
 
 [[nodiscard]] std::string_view FallbackReasonName(FallbackReason reason);
@@ -64,7 +61,9 @@ struct IncrementalOutcome {
   FallbackReason fallback = FallbackReason::kNone;
   std::uint32_t units_total = 0;
   std::uint32_t units_replayed = 0;  ///< 0 (no-op warm hit) or 1
-  std::uint32_t units_rewalked = 0;  ///< 0 (no walk input moved) or units_total
+  /// units_total when the statistics were recomposed over the stitched
+  /// graph (its walks cover every unit), 0 when nothing they read moved.
+  std::uint32_t units_rewalked = 0;
   std::uint32_t dirty_unit = 0;      ///< valid when units_replayed == 1
 };
 

@@ -3,10 +3,10 @@
 // The walk answers: "a flip lands in a register operand at dynamic time T —
 // what does it hit first?" (a memory address → crash; a compare/branch →
 // control divergence; nothing classified → other). analysis.cc runs it over
-// the whole-program DDG; compose.cc runs the *same* algorithm over per-unit
-// slices through a different view type, which is what keeps the compositional
-// crash-rate estimate bit-identical to the monolithic one. FirstEffect is
-// therefore templated on a small view concept:
+// the whole-program DDG through GlobalWalkView, the one production view (the
+// compositional layer runs it over the graph stitched from its unit slices,
+// compose.h). FirstEffect stays templated on a small view concept so tests
+// can walk hand-built use lists:
 //
 //   struct View {
 //     using NodeRef = ...;                       // node handle
@@ -21,9 +21,8 @@
 //   };
 //
 // A node's use range must be sorted by UseDyn: the walk binary-searches it for
-// its start, so one walk costs O(log uses + uses actually examined). Both
-// views read a UseIndex laid out the same way and record nothing, so one
-// view serves every pool worker.
+// its start, so one walk costs O(log uses + uses actually examined). A view
+// records nothing, so one view serves every pool worker.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +36,7 @@
 namespace epvf::core {
 
 /// Dynamic use index: for every node, its (dyn_index, slot) register-operand
-/// uses in trace order. compose.cc fills the same layout from unit slices.
+/// uses in trace order.
 struct UseIndex {
   std::vector<std::uint32_t> offsets;  ///< per node, into the pools
   std::vector<std::uint32_t> use_dyn;
@@ -162,7 +161,7 @@ UseEffect FirstEffect(const View& view, const Oracle& control,
 }
 
 /// The whole-program view: a Graph plus its UseIndex. This is the monolithic
-/// pipeline's instantiation; compose.cc provides the sliced one.
+/// pipeline's instantiation.
 class GlobalWalkView {
  public:
   using NodeRef = ddg::NodeId;

@@ -49,6 +49,8 @@ struct Instruction {
   /// kPhi: incoming block ids, parallel to `operands`.
   std::vector<std::uint32_t> phi_blocks;
 
+  bool operator==(const Instruction&) const = default;
+
   [[nodiscard]] bool DefinesValue() const {
     return result != kNoRegister && !type.IsVoid();
   }

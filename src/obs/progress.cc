@@ -94,7 +94,7 @@ std::optional<ProgressSnapshot> ReadProgressSnapshot(const std::string& path) {
 ProgressReporter::ProgressReporter(Options options)
     : options_(std::move(options)),
       enabled_(ResolveEnabled(options_.enable)),
-      tty_(options_.sink == nullptr && isatty(STDERR_FILENO) == 1),
+      tty_(isatty(STDERR_FILENO) == 1),
       start_(std::chrono::steady_clock::now()) {
   category_counts_.reserve(options_.categories.size());
   for (std::size_t i = 0; i < options_.categories.size(); ++i) {
@@ -218,10 +218,6 @@ std::string ProgressReporter::StatusLine() const {
 
 void ProgressReporter::PrintLine(bool final_line) {
   const std::string line = StatusLine();
-  if (options_.sink) {
-    options_.sink(line, final_line);
-    return;
-  }
   if (tty_) {
     // Overwrite in place on a terminal; the final line is left standing.
     std::fprintf(stderr, "\r\033[2K%s%s", line.c_str(), final_line ? "\n" : "");

@@ -25,7 +25,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -77,12 +76,6 @@ class ProgressReporter {
     /// category counts are folded into this reporter's line/snapshot.
     /// Missing or not-yet-written files count zero.
     std::vector<std::string> aggregate_paths;
-    /// When set, each interval's status line goes to this callback instead
-    /// of stderr (still gated by `enable`). The line carries no terminator
-    /// and no `\r` rewrite codes — sinks that append to a log or stream over
-    /// a socket get clean text. Invoked from the reporting thread (and once
-    /// more from Finish's caller for the final line).
-    std::function<void(const std::string& line, bool final_line)> sink;
   };
 
   explicit ProgressReporter(Options options);

@@ -76,13 +76,7 @@ ProtectionPlan BuildDuplicationPlan(const core::Analysis& analysis,
 
   std::uint64_t extra_instructions = 0;
   std::vector<ddg::NodeId> new_nodes;
-  std::size_t considered = 0;
   for (const RankedInstr& ranked : ranking) {
-    if (options.max_instructions_considered != 0 &&
-        considered >= options.max_instructions_considered) {
-      break;
-    }
-    ++considered;
     const auto it = instances.find(ranked.sid);
     if (it == instances.end()) continue;
 

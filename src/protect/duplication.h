@@ -41,8 +41,6 @@ struct ProtectionPlan {
 
 struct PlanOptions {
   double overhead_budget = 0.24;  ///< the paper reports the 24% bound
-  /// Safety valve on the ranked prefix considered (0 = unlimited).
-  std::size_t max_instructions_considered = 0;
 };
 
 /// Builds the greedy plan over `ranking` until the overhead budget is filled.

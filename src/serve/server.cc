@@ -37,6 +37,13 @@ namespace epvf::serve {
 
 namespace {
 
+/// Cadence of kProgress frames while a worker runs.
+constexpr double kProgressIntervalSeconds = 0.25;
+/// SO_SNDTIMEO on accepted sockets: a client that stops reading fails its
+/// next frame after this bound and is latched closed, so a hostile peer can
+/// stall only its own connection, never a daemon thread.
+constexpr time_t kSendTimeoutSeconds = 10;
+
 /// One accepted socket. Job threads and the reader thread both write frames,
 /// so every send serializes on the write mutex; a failed send (including one
 /// that hits the socket's bounded send timeout — a peer that stops reading)
@@ -429,7 +436,7 @@ struct Server::Impl {
       // one connection closed instead of wedging whichever thread holds its
       // write mutex forever.
       struct timeval send_timeout;
-      send_timeout.tv_sec = static_cast<time_t>(options.send_timeout_seconds);
+      send_timeout.tv_sec = kSendTimeoutSeconds;
       send_timeout.tv_usec = 0;
       ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof send_timeout);
       auto conn = std::make_shared<Connection>();
@@ -721,8 +728,7 @@ struct Server::Impl {
     auto last_pump = std::chrono::steady_clock::now();
     sup.on_poll = [&] {
       const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(now - last_pump).count() <
-          options.progress_interval_seconds) {
+      if (std::chrono::duration<double>(now - last_pump).count() < kProgressIntervalSeconds) {
         return;
       }
       last_pump = now;

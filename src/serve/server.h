@@ -46,12 +46,6 @@ struct ServerOptions {
   int queue_limit = 16;
   /// Worker relaunch budget per inject/campaign job.
   int retries = 2;
-  /// Cadence of kProgress frames while a worker runs.
-  double progress_interval_seconds = 0.25;
-  /// SO_SNDTIMEO on accepted sockets: a client that stops reading fails its
-  /// next frame after this bound and is latched closed, so a hostile peer
-  /// can stall only its own connection, never a daemon thread.
-  int send_timeout_seconds = 10;
   /// The epvf binary to re-exec for inject/campaign workers.
   std::string exe_path;
   /// Optional one-line diagnostics sink (connection lifecycle, job events).

@@ -40,14 +40,18 @@ inline constexpr std::uint32_t kMagic = 0x46565045u;
 /// v7: the compositional layer rebuilds its walk index instead of patching
 ///     it — unit slices drop the export-by-local table, unit sums the
 ///     per-instruction rows, and manifest rows the walk dependency masks.
-inline constexpr std::uint32_t kFormatVersion = 7;
+/// v8: the compositional layer stitches the slices into one DDG and runs the
+///     monolithic stages on it — a unit entry is its slice alone (no root
+///     lists; the backward and sums sections are retired), and the manifest
+///     carries the program's report statistics instead of per-unit walk sums.
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Kind 1 was the whole-analysis artifact; it is retired and never reused.
 enum class ArtifactKind : std::uint32_t {
   kCampaign = 2,      ///< one shard's slice of a round: records + completion mask
   kPlan = 3,          ///< campaign plan kind + identity + record log (epvf-plan-v1)
   kUnitManifest = 4,  ///< per-app latest compositional state (module text + unit key table)
-  kUnit = 5,          ///< one unit's slice + backward results + sums
+  kUnit = 5,          ///< one unit's slice
 };
 
 /// The live kinds in value order; KindIndex is a kind's position here (the
@@ -61,14 +65,14 @@ inline constexpr std::size_t kNumArtifactKinds = kArtifactKinds.size();
   return static_cast<std::size_t>(kind) - static_cast<std::size_t>(ArtifactKind::kCampaign);
 }
 
-/// Ids 1-5 belonged to the retired analysis artifact and are never reused.
+/// Ids 1-5 belonged to the retired analysis artifact, and ids 10-11 to the
+/// retired per-unit backward results and sums (kUnitBackward, kUnitSums,
+/// v2-v7); none is ever reused.
 enum class SectionId : std::uint32_t {
   kCampaign = 6,      ///< slice meta + records + completion mask
   kPlan = 7,          ///< plan kind + identity + round sizes + records + completion mask
-  kUnitManifest = 8,  ///< module text, interns, segment order, unit key table + walks
+  kUnitManifest = 8,  ///< module text, interns, segment order, unit key table + stats
   kUnitSlice = 9,     ///< core::UnitSlice flat storage
-  kUnitBackward = 10, ///< core::UnitBackward (marks, masks, spill sets)
-  kUnitSums = 11,     ///< core::UnitSums (per-unit accounting)
 };
 
 inline constexpr std::size_t kHeaderBytes = 16;

@@ -1,5 +1,6 @@
 #include "store/units_store.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <utility>
 #include <variant>
@@ -93,15 +94,6 @@ void WriteSlice(const core::UnitSlice& s, ByteWriter& out) {
     out.U8(a.is_store);
     WriteInterval(a.seed, out);
   }
-  const auto write_roots = [&out](const std::vector<core::RootRef>& roots) {
-    out.U64(roots.size());
-    for (const core::RootRef& r : roots) {
-      out.U32(r.segment);
-      out.U64(r.node);
-    }
-  };
-  write_roots(s.output_roots);
-  write_roots(s.control_roots);
   out.U64(s.segments.size());
   for (const core::SegmentInfo& seg : s.segments) {
     out.U32(seg.first_dyn);
@@ -196,15 +188,6 @@ std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
     a.is_store = in.U8();
     a.seed = ReadInterval(in);
   }
-  const auto read_roots = [&in](std::vector<core::RootRef>& roots) {
-    roots.resize(in.U64());
-    for (core::RootRef& r : roots) {
-      r.segment = in.U32();
-      r.node = in.U64();
-    }
-  };
-  read_roots(s.output_roots);
-  read_roots(s.control_roots);
   s.segments.resize(in.U64());
   for (core::SegmentInfo& seg : s.segments) {
     seg.first_dyn = in.U32();
@@ -260,95 +243,101 @@ std::optional<core::UnitSlice> ReadSlice(ByteReader& in) {
   s.intern_refs.resize(in.U64());
   for (std::uint32_t& id : s.intern_refs) id = in.U32();
   if (!in.Finished()) return std::nullopt;
-  // Cross-array consistency: the structural invariants the replay and
-  // backward sweeps rely on.
+  // Cross-array consistency: the structural invariants the replay and the
+  // stitch rely on. A DDG node has at most 8 preds and a dyn 8 operands.
   if (s.pred_ranges.size() != s.nodes.size()) return std::nullopt;
   for (const core::SlicePredRange& r : s.pred_ranges) {
-    if (std::uint64_t{r.offset} + r.count > s.preds.size()) return std::nullopt;
+    if (r.count > 8 || std::uint64_t{r.offset} + r.count > s.preds.size()) return std::nullopt;
   }
-  for (const core::SliceDyn& d : s.dyn) {
-    if (std::uint64_t{d.operands_offset} + d.num_operands > s.operand_nodes.size()) {
+  // Each node is the result of exactly one dyn, the one it names.
+  std::size_t results = 0;
+  for (std::uint32_t i = 0; i < s.dyn.size(); ++i) {
+    const core::SliceDyn& d = s.dyn[i];
+    if (d.num_operands > 8 ||
+        std::uint64_t{d.operands_offset} + d.num_operands > s.operand_nodes.size() ||
+        (d.selected_operand != 0xFF && d.selected_operand >= d.num_operands)) {
       return std::nullopt;
     }
+    if (d.result_node == core::kNoLocalNode) continue;
+    if (d.result_node >= s.nodes.size() || s.nodes[d.result_node].dyn != i) return std::nullopt;
+    ++results;
   }
+  if (results != s.nodes.size()) return std::nullopt;
   if (s.operand_values.size() != s.operand_nodes.size()) return std::nullopt;
+  // At most one access per dyn, ascending.
+  for (std::size_t i = 0; i < s.accesses.size(); ++i) {
+    const std::uint32_t dyn = s.accesses[i].dyn;
+    if (dyn >= s.dyn.size() || (i > 0 && dyn <= s.accesses[i - 1].dyn)) return std::nullopt;
+  }
+  // The segments tile the dyns in order; their first nodes ascend inside the
+  // node table.
+  std::uint64_t next_dyn = 0;
+  std::uint32_t first_node = 0;
+  for (const core::SegmentInfo& seg : s.segments) {
+    if (seg.first_dyn != next_dyn || seg.first_node < first_node ||
+        seg.first_node > s.nodes.size()) {
+      return std::nullopt;
+    }
+    next_dyn += seg.num_dyn;
+    first_node = seg.first_node;
+  }
+  if (next_dyn != s.dyn.size()) return std::nullopt;
+  const auto in_segments = [&s](const auto& entries) {
+    return std::all_of(entries.begin(), entries.end(),
+                       [&s](const auto& e) { return e.segment < s.segments.size(); });
+  };
+  if (!in_segments(s.reg_live_ins) || !in_segments(s.mem_live_ins) ||
+      !in_segments(s.reg_finals) || !in_segments(s.mem_finals) || !in_segments(s.outputs) ||
+      !in_segments(s.exports)) {
+    return std::nullopt;
+  }
+  for (const core::ExportEntry& e : s.exports) {
+    if (e.local >= s.nodes.size()) return std::nullopt;
+  }
   return s;
 }
 
-void WriteBackward(const core::UnitBackward& b, ByteWriter& out) {
-  out.U64(b.ace_marks.size());
-  for (const std::uint64_t w : b.ace_marks) out.U64(w);
-  out.U64(b.crash_masks.size());
-  for (const auto& [node, mask] : b.crash_masks) {
-    out.U32(node);
-    out.U64(mask);
+void WriteStats(const core::ReportStats& r, ByteWriter& out) {
+  out.U64(r.dyn_instructions);
+  out.U64(r.num_nodes);
+  out.U64(r.ace_node_count);
+  out.U64(r.ace_bits);
+  out.U64(r.total_bits);
+  out.U64(r.crash_bits);
+  out.U64(r.use_weighted.total);
+  out.U64(r.use_weighted.ace);
+  out.U64(r.use_weighted.crash);
+  out.U64(r.mem_total);
+  out.U64(r.mem_ace);
+  out.U64(r.mem_crash);
+  for (const core::StructureVulnerability& c : r.structure) {
+    out.U64(c.total_bits);
+    out.U64(c.ace_bits);
+    out.U64(c.crash_bits);
   }
-  out.U64(b.ace_spills.size());
-  for (const core::UnitRef r : b.ace_spills) out.U64(r);
-  out.U64(b.interval_spills.size());
-  for (const auto& [ref, iv] : b.interval_spills) {
-    out.U64(ref);
-    WriteInterval(iv, out);
-  }
-  out.U64(b.intern_marks.size());
-  for (const std::uint32_t id : b.intern_marks) out.U32(id);
 }
 
-std::optional<core::UnitBackward> ReadBackward(std::size_t num_nodes, ByteReader& in) {
-  core::UnitBackward b;
-  b.ace_marks.resize(in.U64());
-  for (std::uint64_t& w : b.ace_marks) w = in.U64();
-  b.crash_masks.resize(in.U64());
-  for (auto& [node, mask] : b.crash_masks) {
-    node = in.U32();
-    mask = in.U64();
+core::ReportStats ReadStats(ByteReader& in) {
+  core::ReportStats r;
+  r.dyn_instructions = in.U64();
+  r.num_nodes = in.U64();
+  r.ace_node_count = in.U64();
+  r.ace_bits = in.U64();
+  r.total_bits = in.U64();
+  r.crash_bits = in.U64();
+  r.use_weighted.total = in.U64();
+  r.use_weighted.ace = in.U64();
+  r.use_weighted.crash = in.U64();
+  r.mem_total = in.U64();
+  r.mem_ace = in.U64();
+  r.mem_crash = in.U64();
+  for (std::size_t c = 0; c < r.structure.size(); ++c) {
+    r.structure[c].cls = static_cast<core::RegisterClass>(c);
+    r.structure[c].total_bits = in.U64();
+    r.structure[c].ace_bits = in.U64();
+    r.structure[c].crash_bits = in.U64();
   }
-  b.ace_spills.resize(in.U64());
-  for (core::UnitRef& r : b.ace_spills) r = in.U64();
-  b.interval_spills.resize(in.U64());
-  for (auto& [ref, iv] : b.interval_spills) {
-    ref = in.U64();
-    iv = ReadInterval(in);
-  }
-  b.intern_marks.resize(in.U64());
-  for (std::uint32_t& id : b.intern_marks) id = in.U32();
-  if (!in.Finished()) return std::nullopt;
-  if (b.ace_marks.size() != (num_nodes + 63) / 64) return std::nullopt;
-  for (const auto& [node, mask] : b.crash_masks) {
-    if (node >= num_nodes) return std::nullopt;
-  }
-  return b;
-}
-
-void WriteSums(const core::UnitSums& s, ByteWriter& out) {
-  out.U64(s.node_count);
-  out.U64(s.total_bits);
-  out.U64(s.ace_bits);
-  out.U64(s.crash_bits);
-  out.U64(s.ace_nodes);
-  out.U64(s.mem_total);
-  out.U64(s.mem_ace);
-  out.U64(s.mem_crash);
-  for (int c = 0; c < core::kNumRegisterClasses; ++c) out.U64(s.cls_total[c]);
-  for (int c = 0; c < core::kNumRegisterClasses; ++c) out.U64(s.cls_ace[c]);
-  for (int c = 0; c < core::kNumRegisterClasses; ++c) out.U64(s.cls_crash[c]);
-}
-
-std::optional<core::UnitSums> ReadSums(ByteReader& in) {
-  core::UnitSums s;
-  s.node_count = in.U64();
-  s.total_bits = in.U64();
-  s.ace_bits = in.U64();
-  s.crash_bits = in.U64();
-  s.ace_nodes = in.U64();
-  s.mem_total = in.U64();
-  s.mem_ace = in.U64();
-  s.mem_crash = in.U64();
-  for (int c = 0; c < core::kNumRegisterClasses; ++c) s.cls_total[c] = in.U64();
-  for (int c = 0; c < core::kNumRegisterClasses; ++c) s.cls_ace[c] = in.U64();
-  for (int c = 0; c < core::kNumRegisterClasses; ++c) s.cls_crash[c] = in.U64();
-  if (!in.Finished()) return std::nullopt;
-  return s;
+  return r;
 }
 
 }  // namespace
@@ -369,29 +358,14 @@ std::string CacheId(const ManifestKey& key) { return Hex16(Fnv1a64(CanonicalKey(
 
 // --- whole artifacts ---------------------------------------------------------
 
-void WriteUnitArtifact(const core::UnitSlice& slice, const core::UnitBackward& back,
-                       const core::UnitSums& sums, ArtifactWriter& writer) {
+void WriteUnitArtifact(const core::UnitSlice& slice, ArtifactWriter& writer) {
   WriteSlice(slice, writer.Section(SectionId::kUnitSlice));
-  WriteBackward(back, writer.Section(SectionId::kUnitBackward));
-  WriteSums(sums, writer.Section(SectionId::kUnitSums));
 }
 
-std::optional<UnitArtifact> ReadUnitArtifact(const ArtifactReader& reader) {
-  auto slice_in = reader.Section(SectionId::kUnitSlice);
-  auto back_in = reader.Section(SectionId::kUnitBackward);
-  auto sums_in = reader.Section(SectionId::kUnitSums);
-  if (!slice_in || !back_in || !sums_in) return std::nullopt;
-  UnitArtifact unit;
-  auto slice = ReadSlice(*slice_in);
-  if (!slice) return std::nullopt;
-  unit.slice = std::move(*slice);
-  auto back = ReadBackward(unit.slice.nodes.size(), *back_in);
-  if (!back) return std::nullopt;
-  unit.back = std::move(*back);
-  auto sums = ReadSums(*sums_in);
-  if (!sums) return std::nullopt;
-  unit.sums = std::move(*sums);
-  return unit;
+std::optional<core::UnitSlice> ReadUnitArtifact(const ArtifactReader& reader) {
+  auto in = reader.Section(SectionId::kUnitSlice);
+  if (!in) return std::nullopt;
+  return ReadSlice(*in);
 }
 
 void WriteUnitsManifest(const UnitsManifest& manifest, ArtifactWriter& writer) {
@@ -411,16 +385,13 @@ void WriteUnitsManifest(const UnitsManifest& manifest, ArtifactWriter& writer) {
     out.U32(r.unit);
     out.U32(r.seg);
   }
-  out.U64(manifest.instructions_executed);
   out.U64(manifest.units.size());
   for (const ManifestUnitRow& row : manifest.units) {
     out.Str(row.name);
     out.U64(row.ir_fingerprint);
     out.U64(row.input_digest);
-    out.U64(row.walk.total);
-    out.U64(row.walk.ace);
-    out.U64(row.walk.crash);
   }
+  WriteStats(manifest.stats, out);
 }
 
 std::optional<UnitsManifest> ReadUnitsManifest(const ArtifactReader& reader) {
@@ -443,16 +414,13 @@ std::optional<UnitsManifest> ReadUnitsManifest(const ArtifactReader& reader) {
     r.unit = in.U32();
     r.seg = in.U32();
   }
-  m.instructions_executed = in.U64();
   m.units.resize(in.U64());
   for (ManifestUnitRow& row : m.units) {
     row.name = in.Str();
     row.ir_fingerprint = in.U64();
     row.input_digest = in.U64();
-    row.walk.total = in.U64();
-    row.walk.ace = in.U64();
-    row.walk.crash = in.U64();
   }
+  m.stats = ReadStats(in);
   if (!in.Finished()) return std::nullopt;
   for (const core::SegmentRef& r : m.segment_order) {
     if (r.unit >= m.units.size()) return std::nullopt;
@@ -471,23 +439,19 @@ void PersistCompositionalState(const core::ProgramSlices& p, const ir::Module& m
   manifest.module_fingerprint = Fnv1a64(manifest.module_text);
   manifest.interns = p.interns;
   manifest.segment_order = p.segment_order;
-  manifest.instructions_executed = p.instructions_executed;
+  manifest.stats = p.stats;
   for (std::uint32_t u = 0; u < p.units.size(); ++u) {
     const core::UnitInfo& info = p.partition.units[u];
-    ManifestUnitRow row;
-    row.name = info.name;
-    row.ir_fingerprint = info.ir_fingerprint;
-    row.input_digest = p.units[u].slice.input_digest;
-    row.walk = p.units[u].walk;
-    manifest.units.push_back(std::move(row));
+    manifest.units.push_back(
+        ManifestUnitRow{info.name, info.ir_fingerprint, p.units[u].input_digest});
 
-    UnitKey unit_key{key, info.name, info.ir_fingerprint, p.units[u].slice.input_digest};
+    UnitKey unit_key{key, info.name, info.ir_fingerprint, p.units[u].input_digest};
     const std::string id = CacheId(unit_key);
     // Content-addressed: an existing entry already holds these bytes.
     std::error_code ec;
     if (std::filesystem::exists(cache.EntryPath(id, ArtifactKind::kUnit), ec)) continue;
     ArtifactWriter writer(ArtifactKind::kUnit);
-    WriteUnitArtifact(p.units[u].slice, p.units[u].back, p.units[u].sums, writer);
+    WriteUnitArtifact(p.units[u], writer);
     cache.Store(id, writer);
   }
   ArtifactWriter writer(ArtifactKind::kUnitManifest);
@@ -496,6 +460,61 @@ void PersistCompositionalState(const core::ProgramSlices& p, const ir::Module& m
 }
 
 namespace {
+
+/// Whether the assembled units agree with each other and with the manifest:
+/// the segment order lists every unit's segments once, in order; every
+/// reference names an intern the unit lists, its own node, or a slot of its
+/// exporter's export table; and every dyn's static id names an instruction of
+/// `module` with that many operands. ReadUnitArtifact checked each unit alone.
+bool StateIsConsistent(const core::ProgramSlices& p, const ir::Module& module) {
+  std::vector<std::size_t> next_seg(p.units.size(), 0);
+  for (const core::SegmentRef& sr : p.segment_order) {
+    if (sr.seg != next_seg[sr.unit]++) return false;
+  }
+  for (std::uint32_t u = 0; u < p.units.size(); ++u) {
+    const core::UnitSlice& s = p.units[u];
+    if (next_seg[u] != s.segments.size()) return false;
+    for (const std::uint32_t id : s.intern_refs) {
+      if (id >= p.interns.size()) return false;
+    }
+    const auto resolves = [&](core::UnitRef ref) {
+      if (ref == core::kNullRef) return true;
+      const std::uint32_t owner = core::RefUnit(ref);
+      const std::uint32_t index = core::RefIndex(ref);
+      if (owner == core::kInternUnit) {
+        return std::binary_search(s.intern_refs.begin(), s.intern_refs.end(), index);
+      }
+      if (owner == u) return index < s.nodes.size();
+      return owner < p.units.size() && index < p.units[owner].exports.size();
+    };
+    if (!std::all_of(s.preds.begin(), s.preds.end(), resolves) ||
+        !std::all_of(s.operand_nodes.begin(), s.operand_nodes.end(), resolves)) {
+      return false;
+    }
+    for (const core::RegLiveIn& li : s.reg_live_ins) {
+      if (!resolves(li.node)) return false;
+    }
+    for (const core::ByteLiveIn& li : s.mem_live_ins) {
+      if (!resolves(li.writer)) return false;
+    }
+    for (const core::SliceAccess& a : s.accesses) {
+      if (!resolves(a.addr_node)) return false;
+    }
+    for (const core::SliceDyn& d : s.dyn) {
+      const ir::StaticInstrId sid = d.sid;
+      if (sid.function >= module.functions.size() ||
+          sid.block >= module.functions[sid.function].blocks.size()) {
+        return false;
+      }
+      const auto& instructions = module.functions[sid.function].blocks[sid.block].instructions;
+      if (sid.instr >= instructions.size() ||
+          instructions[sid.instr].operands.size() != d.num_operands) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 /// Reassembles the resident ProgramSlices of `manifest` from per-unit cache
 /// entries. `old_module` must be the parsed manifest module and outlive the
@@ -517,7 +536,7 @@ std::optional<core::ProgramSlices> AssembleState(const UnitsManifest& manifest,
   p.module = &old_module;
   p.interns = manifest.interns;
   p.segment_order = manifest.segment_order;
-  p.instructions_executed = manifest.instructions_executed;
+  p.stats = manifest.stats;
   p.globals_digest = core::GlobalsDigest(old_module);
   for (const ir::Function& fn : old_module.functions) {
     p.function_shape.push_back(core::FunctionShapeDigest(fn));
@@ -528,25 +547,26 @@ std::optional<core::ProgramSlices> AssembleState(const UnitsManifest& manifest,
     UnitKey unit_key{key, info.name, info.ir_fingerprint, manifest.units[u].input_digest};
     auto reader = cache.Load(CacheId(unit_key), ArtifactKind::kUnit);
     if (!reader) return std::nullopt;
-    auto unit = ReadUnitArtifact(*reader);
-    if (!unit) {
+    auto slice = ReadUnitArtifact(*reader);
+    if (!slice) {
       LogWarn("cache: unit entry for " + info.name + " undecodable — cold rebuild");
       cache.DemoteLastHit();
       return std::nullopt;
     }
-    p.units[u].slice = std::move(unit->slice);
-    p.units[u].back = std::move(unit->back);
-    p.units[u].sums = std::move(unit->sums);
-    p.units[u].walk = manifest.units[u].walk;
+    p.units[u] = std::move(*slice);
+  }
+  if (!StateIsConsistent(p, old_module)) {
+    LogWarn("cache: stored units disagree with each other or the manifest — cold rebuild");
+    cache.DemoteLastHit();
+    return std::nullopt;
   }
   // A digest is recomputed from the loaded state rather than read from disk:
   // a payload's intern ids mean something only against the table it was
-  // written with, and its backward results only under the spills the other
-  // units push into it. A unit whose inputs here differ from the ones its
-  // key recorded is a miss, never a wrong answer.
+  // written with. A unit whose inputs here differ from the ones its key
+  // recorded is a miss, never a wrong answer.
   for (std::uint32_t u = 0; u < p.units.size(); ++u) {
-    p.units[u].slice.input_digest = core::UnitInputDigest(p, u);
-    if (p.units[u].slice.input_digest != manifest.units[u].input_digest) {
+    p.units[u].input_digest = core::UnitInputDigest(p, u);
+    if (p.units[u].input_digest != manifest.units[u].input_digest) {
       LogWarn("cache: unit entry for " + partition.units[u].name +
               " does not match the manifest — cold rebuild");
       cache.DemoteLastHit();
@@ -560,10 +580,7 @@ std::optional<core::ProgramSlices> AssembleState(const UnitsManifest& manifest,
 core::ProgramSlices ColdCompositionalState(const ir::Module& module,
                                            const core::AnalysisOptions& options) {
   const core::Analysis analysis = core::Analysis::Run(module, options);
-  core::ProgramSlices p =
-      core::BuildProgramSlices(analysis, core::PartitionModule(module));
-  core::RunUnitWalks(p, module, options.jobs);
-  return p;
+  return core::BuildProgramSlices(analysis, core::PartitionModule(module));
 }
 
 }  // namespace

@@ -4,29 +4,31 @@
 // cheaper than loading it. What this layer keeps is the compositional state
 // per *unit*, so an edit re-derives one unit instead of the program:
 //
-//   * kUnit artifacts hold one unit's slice + backward results + sums,
-//     content-addressed by (analysis identity, unit name, the unit's IR
-//     fingerprint, its input digest — core::UnitInputDigest over the
-//     boundary summaries, the export table, the intern entries the slice
-//     references and the spills other units push into it). A unit's slice
-//     and backward results are a pure function of exactly those inputs, so
-//     an edit to one kernel moves its own unit's address, and other units'
-//     only where the edit reached their inputs. A loaded entry's digest is
-//     recomputed from the loaded state, never read from disk.
+//   * kUnit artifacts hold one unit's slice, content-addressed by (analysis
+//     identity, unit name, the unit's IR fingerprint, its input digest —
+//     core::UnitInputDigest over the boundary summaries, the export table and
+//     the intern entries the slice references). A unit's slice is a pure
+//     function of exactly those inputs, so an edit to one kernel moves its
+//     own unit's address, and other units' only where the edit reached their
+//     inputs. A loaded entry's digest is recomputed from the loaded state,
+//     never read from disk.
 //   * The kUnitManifest artifact is the app's latest-state pointer (keyed by
 //     analysis identity alone): the analyzed module's canonical text, the
 //     program-level tables (interns, segment order), the unit key table, and
-//     the per-unit walk sums. Walk sums depend on *other* units, so they
-//     live here — the manifest is rewritten every run — never inside a
-//     content-addressed unit entry they could silently invalidate. No walk
-//     index is stored: every rewalk rebuilds it from the slices.
+//     the program's report statistics. The statistics depend on every unit,
+//     so they live here — the manifest is rewritten every run — never inside
+//     a content-addressed unit entry they could silently invalidate.
+//
+// Loading checks a unit entry's arrays against each other (ReadUnitArtifact)
+// and every cross-unit reference against the exporter's export table and the
+// intern table before anything stitches, replays or walks the state.
 //
 // RunAnalysisIncremental ties it together: load the manifest, reassemble the
 // resident ProgramSlices from unit artifacts (unchanged units are cache
 // hits), hand the edited module to core::ReanalyzeIncremental, and persist
 // the delta (one new unit entry + a fresh manifest). Any miss, decode
-// failure, digest mismatch, or replay fallback degrades to the monolithic
-// pipeline plus a full rewrite — never a wrong result.
+// failure, failed check, digest mismatch, or replay fallback degrades to the
+// monolithic pipeline plus a full rewrite — never a wrong result.
 #pragma once
 
 #include <cstdint>
@@ -63,21 +65,18 @@ struct ManifestKey {
 
 // --- artifact payloads -------------------------------------------------------
 
-struct UnitArtifact {
-  core::UnitSlice slice;
-  core::UnitBackward back;
-  core::UnitSums sums;
-};
-
-void WriteUnitArtifact(const core::UnitSlice& slice, const core::UnitBackward& back,
-                       const core::UnitSums& sums, ArtifactWriter& writer);
-[[nodiscard]] std::optional<UnitArtifact> ReadUnitArtifact(const ArtifactReader& reader);
+void WriteUnitArtifact(const core::UnitSlice& slice, ArtifactWriter& writer);
+/// std::nullopt when the entry does not decode or its arrays disagree: a
+/// segment table that does not tile its dyns, a node, dyn or access index out
+/// of range, a node that is not the result of the one dyn it names, or a
+/// live-in, final, output or export entry naming a segment or node the unit
+/// does not have.
+[[nodiscard]] std::optional<core::UnitSlice> ReadUnitArtifact(const ArtifactReader& reader);
 
 struct ManifestUnitRow {
   std::string name;
   std::uint64_t ir_fingerprint = 0;
   std::uint64_t input_digest = 0;
-  core::Analysis::UseWeightedBits walk;
 };
 
 struct UnitsManifest {
@@ -85,8 +84,8 @@ struct UnitsManifest {
   std::uint64_t module_fingerprint = 0;
   std::vector<core::InternEntry> interns;
   std::vector<core::SegmentRef> segment_order;
-  std::uint64_t instructions_executed = 0;
   std::vector<ManifestUnitRow> units;
+  core::ReportStats stats;
 };
 
 void WriteUnitsManifest(const UnitsManifest& manifest, ArtifactWriter& writer);
@@ -102,7 +101,7 @@ struct IncrementalStats {
   /// monolithic pipeline on a cold rebuild).
   std::uint32_t unit_misses = 0;
   std::uint32_t units_total = 0;
-  core::IncrementalOutcome outcome;  ///< fast-path verdict + rewalk counts
+  core::IncrementalOutcome outcome;  ///< fast-path verdict + recompose count
   bool cold_rebuild = false;         ///< the whole-program pipeline ran
 };
 

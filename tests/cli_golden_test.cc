@@ -492,9 +492,10 @@ TEST(CliObservability, TraceOutCoversThePipeline) {
 }
 
 TEST(CliObservability, IncrementalTraceShowsTheCompositionalStages) {
-  // A cold `analyze --incremental` projects the analysis onto units and
-  // walks them; an edited re-analyze assembles the stored units, replays and
-  // resweeps the edited one, and rewalks: each stage is a span of its own.
+  // A cold `analyze --incremental` projects the analysis onto units; an
+  // edited re-analyze assembles the stored units, replays the edited one,
+  // and recomposes the statistics over the stitched graph: each stage is a
+  // span of its own.
   TempDir tmp;
   const std::string module = tmp.path + "/k.ir";
   const CliResult printed = RunCli("print lulesh --scale 1");
@@ -511,12 +512,12 @@ TEST(CliObservability, IncrementalTraceShowsTheCompositionalStages) {
     return "\"cat\":\"" + cat + "\",\"name\":\"" + name + "\"";
   };
   const std::string cold = ReadFileOrEmpty(tmp.path + "/cold.json");
-  for (const char* name : {"build-slices", "unit-walks"}) {
-    EXPECT_NE(cold.find(span("compose", name)), std::string::npos) << "cold run: " << name;
-  }
+  EXPECT_NE(cold.find(span("compose", "build-slices")), std::string::npos);
+  EXPECT_EQ(cold.find(span("compose", "recompose")), std::string::npos)
+      << "a cold run keeps the analysis's statistics";
   const std::string edit = ReadFileOrEmpty(tmp.path + "/edit.json");
   EXPECT_NE(edit.find(span("store", "assemble-units")), std::string::npos);
-  for (const char* name : {"replay-unit", "resweep-unit", "unit-walks"}) {
+  for (const char* name : {"replay-unit", "recompose"}) {
     EXPECT_NE(edit.find(span("compose", name)), std::string::npos) << "edited run: " << name;
   }
   EXPECT_EQ(edit.find(span("compose", "build-slices")), std::string::npos)

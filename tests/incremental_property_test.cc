@@ -39,9 +39,7 @@ namespace {
 
 ProgramSlices ColdState(const ir::Module& module, int jobs) {
   const Analysis a = Analysis::Run(module, AnalysisOptions{.jobs = jobs});
-  ProgramSlices p = BuildProgramSlices(a, PartitionModule(module));
-  RunUnitWalks(p, module, jobs);
-  return p;
+  return BuildProgramSlices(a, PartitionModule(module));
 }
 
 void ExpectMatchesFresh(const ProgramSlices& p, const ir::Module& mutated, int jobs) {
@@ -67,16 +65,16 @@ void ExpectMatchesFresh(const ProgramSlices& p, const ir::Module& mutated, int j
   }
 }
 
-/// Every unit's walk sums equal those of a cold projection of `module`,
-/// which `p` must describe.
-void ExpectWalkSumsMatchAColdProjection(const ProgramSlices& p, const ir::Module& module,
-                                        int jobs) {
-  const ProgramSlices cold = ColdState(module, jobs);
-  ASSERT_EQ(p.units.size(), cold.units.size());
-  for (std::uint32_t u = 0; u < p.units.size(); ++u) {
-    EXPECT_EQ(p.units[u].walk.total, cold.units[u].walk.total) << p.partition.units[u].name;
-    EXPECT_EQ(p.units[u].walk.ace, cold.units[u].walk.ace) << p.partition.units[u].name;
-    EXPECT_EQ(p.units[u].walk.crash, cold.units[u].walk.crash) << p.partition.units[u].name;
+/// Every unit's ePVF equals that of a cold projection of `module`, which `p`
+/// must describe.
+void ExpectPerUnitEpvfMatchesAColdProjection(const ProgramSlices& p, const ir::Module& module,
+                                             int jobs) {
+  const std::vector<UnitEpvf> got = PerUnitEpvf(p, jobs);
+  const std::vector<UnitEpvf> want = PerUnitEpvf(ColdState(module, jobs), jobs);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t u = 0; u < got.size(); ++u) {
+    EXPECT_EQ(got[u].name, want[u].name);
+    EXPECT_EQ(got[u].epvf, want[u].epvf) << want[u].name;
   }
 }
 
@@ -219,7 +217,7 @@ TEST_P(ManyUnits, ALateUnitReplaysAndRecomposesLikeAFreshRun) {
   ExpectMatchesFresh(p, module, jobs);
 
   // Replay unit 64 after a real edit: the swap moves the unit's text and
-  // slice, so every unit rewalks over a rebuilt use index.
+  // slice, so the statistics are recomposed over the stitched graph.
   const std::uint32_t dirty = 64;
   ir::Module mutated = module;
   const auto m = MutateUnit(mutated, part, dirty, MutationKind::kSwapIndependent, 1);
@@ -469,7 +467,7 @@ TEST(IncrementalStore, OutOfRangeLiveInRegisterDivergesAndRebuildsCold) {
   store::IncrementalResult cold =
       store::RunAnalysisIncremental(app.module, key.options, key, cache);
   ProgramSlices& p = cold.slices;
-  UnitSlice& slice = p.units[m->unit].slice;
+  UnitSlice& slice = p.units[m->unit];
   ASSERT_FALSE(slice.reg_live_ins.empty());
   const ir::Function& fn = app.module.functions[part.units[m->unit].function];
   slice.reg_live_ins.front().reg = static_cast<std::uint32_t>(fn.registers.size());
@@ -485,14 +483,89 @@ TEST(IncrementalStore, OutOfRangeLiveInRegisterDivergesAndRebuildsCold) {
   ExpectMatchesFresh(after.slices, mutated, kJobs);
 }
 
-// --- non-contained replays rewalk every unit ---------------------------------
+/// A unit entry whose segment 0 claims 100000 more dyns than the entry holds,
+/// republished with its manifest row under the digest the tampered content
+/// hashes to (so the loader serves it), is rejected on load — nothing walks
+/// past the unit's dyns — and an edit of another unit rebuilds cold.
+TEST(IncrementalStore, SegmentPastItsUnitsDynsRebuildsCold) {
+  const apps::App app = apps::BuildApp("lulesh", apps::AppConfig{.scale = 0});
+  const UnitPartition part = PartitionModule(app.module);
+  ir::Module mutated = app.module;
+  const auto m = MutateAnywhere(mutated, part, MutationKind::kSwapIndependent, 11);
+  ASSERT_TRUE(m.has_value());
 
-/// After a fast-path replay whose slice moved, every unit rewalks over the
-/// rebuilt use index, and each unit's walk sums must equal a cold
-/// projection's — the program total alone could hide sums moved between
-/// units. Checked on the resident state and through the store, for a swap
-/// and a tweaked constant. nw has no f64 literal to tweak, and every tweak
-/// of hotspot's reaches its output, so the replay rightly diverges there.
+  const store::AnalysisKey key = KeyFor("lulesh", app.module);
+  TempDir dir;
+  store::ArtifactCache cache(dir.path);
+  store::IncrementalResult cold =
+      store::RunAnalysisIncremental(app.module, key.options, key, cache);
+  ProgramSlices& p = cold.slices;
+  const std::uint32_t victim = m->unit == 0 ? 1 : 0;
+  ASSERT_FALSE(p.units[victim].segments.empty());
+  p.units[victim].segments[0].num_dyn += 100000;
+  p.units[victim].input_digest = UnitInputDigest(p, victim);
+  store::PersistCompositionalState(p, app.module, key, cache);
+
+  const auto after = store::RunAnalysisIncremental(mutated, key.options,
+                                                   KeyFor("lulesh", mutated), cache);
+  EXPECT_TRUE(after.stats.manifest_hit);
+  EXPECT_TRUE(after.stats.cold_rebuild);
+  ExpectMatchesFresh(after.slices, mutated, kJobs);
+}
+
+/// A unit entry whose pred names an export slot past its exporter's table,
+/// written over the entry under its own key (preds do not enter the digest),
+/// is rejected when the units are assembled — nothing resolves the slot —
+/// and an edit of another unit rebuilds cold.
+TEST(IncrementalStore, PredPastItsExportersTableRebuildsCold) {
+  const apps::App app = apps::BuildApp("lulesh", apps::AppConfig{.scale = 0});
+  const UnitPartition part = PartitionModule(app.module);
+  ir::Module mutated = app.module;
+  const auto m = MutateAnywhere(mutated, part, MutationKind::kSwapIndependent, 11);
+  ASSERT_TRUE(m.has_value());
+
+  const store::AnalysisKey key = KeyFor("lulesh", app.module);
+  TempDir dir;
+  store::ArtifactCache cache(dir.path);
+  store::IncrementalResult cold =
+      store::RunAnalysisIncremental(app.module, key.options, key, cache);
+  ProgramSlices& p = cold.slices;
+  std::optional<std::uint32_t> victim;
+  for (std::uint32_t u = 0; u < p.units.size() && !victim.has_value(); ++u) {
+    if (u == m->unit) continue;
+    for (UnitRef& pred : p.units[u].preds) {
+      const std::uint32_t owner = RefUnit(pred);
+      if (pred == kNullRef || owner == kInternUnit || owner == u) continue;
+      pred = MakeRef(owner, static_cast<std::uint32_t>(p.units[owner].exports.size()));
+      victim = u;
+      break;
+    }
+  }
+  ASSERT_TRUE(victim.has_value()) << "no cross-unit pred outside the edited unit";
+  const UnitInfo& info = part.units[*victim];
+  store::ArtifactWriter writer(store::ArtifactKind::kUnit);
+  store::WriteUnitArtifact(p.units[*victim], writer);
+  ASSERT_TRUE(cache.Store(
+      store::CacheId(store::UnitKey{key, info.name, info.ir_fingerprint,
+                                    p.units[*victim].input_digest}),
+      writer));
+
+  const auto after = store::RunAnalysisIncremental(mutated, key.options,
+                                                   KeyFor("lulesh", mutated), cache);
+  EXPECT_TRUE(after.stats.manifest_hit);
+  EXPECT_TRUE(after.stats.cold_rebuild);
+  ExpectMatchesFresh(after.slices, mutated, kJobs);
+}
+
+// --- non-contained replays recompose ------------------------------------------
+
+/// After a fast-path replay whose slice moved, the statistics are recomposed
+/// over the stitched graph, and each unit's ePVF (what `epvf delta` prints)
+/// must equal a cold projection's — the program total alone could hide bits
+/// moved between units. Checked on the resident state and through the store,
+/// for a swap and a tweaked constant. nw has no f64 literal to tweak, and
+/// every tweak of hotspot's reaches its output, so the replay rightly
+/// diverges there.
 class ReplayedWalkSums : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ReplayedWalkSums, EveryUnitMatchesAColdProjection) {
@@ -517,8 +590,8 @@ TEST_P(ReplayedWalkSums, EveryUnitMatchesAColdProjection) {
       continue;
     }
     ++replays;
-    EXPECT_EQ(out.units_rewalked, out.units_total) << "the replay must move a walk input";
-    ExpectWalkSumsMatchAColdProjection(p, mutated, kJobs);
+    EXPECT_EQ(out.units_rewalked, out.units_total) << "the replay must move a slice";
+    ExpectPerUnitEpvfMatchesAColdProjection(p, mutated, kJobs);
 
     TempDir dir;
     store::ArtifactCache cache(dir.path);
@@ -529,7 +602,7 @@ TEST_P(ReplayedWalkSums, EveryUnitMatchesAColdProjection) {
     ASSERT_TRUE(warm.stats.outcome.used_fast_path)
         << FallbackReasonName(warm.stats.outcome.fallback);
     EXPECT_EQ(warm.stats.outcome.units_rewalked, warm.stats.units_total);
-    ExpectWalkSumsMatchAColdProjection(warm.slices, mutated, kJobs);
+    ExpectPerUnitEpvfMatchesAColdProjection(warm.slices, mutated, kJobs);
   }
   EXPECT_GT(replays, 0u);
 }
@@ -632,26 +705,31 @@ ir::Module BuildProducerConsumerModule(bool output_loads, std::int64_t consumed)
   return m;
 }
 
-/// A cold rebuild can change a unit's export table or backward results while
-/// its own text and boundary stay put; its old entry must not be served
-/// afterwards. Each chain: v0, then v1 = an edit of `consume` (a cold
-/// rebuild), then v2 = v1 with a swap in `tail` (the fast path, serving
-/// `produce` from the store). Besides matching a fresh run, every unit the
-/// fast path served must carry the export table a fresh projection gives it.
-///   - backward: v1 stops outputting the loads, so `consume`'s replay
-///     succeeds but its spills into `produce` move (`produce`'s stores stop
-///     being ACE);
+/// An edit can change another unit's export table or backward results while
+/// that unit's own text and boundary stay put; its old entry must not be
+/// served afterwards. Each chain: v0, then v1 = an edit of `consume`, then
+/// v2 = v1 with a swap in `tail` (the fast path, serving `produce` from the
+/// store). Besides matching a fresh run, every unit the fast path served must
+/// carry the export table a fresh projection gives it.
+///   - backward: v1 stops outputting the loads, so `produce`'s stores stop
+///     being ACE. `consume`'s replay holds and the statistics are recomposed
+///     over the stitched graph: the fast path, although the edit's backward
+///     effects cross into `produce`;
 ///   - exports: v1 loads all four slots instead of two, so `produce` exports
-///     two more stores and `consume` names them by slots v0's entry lacks.
+///     two more stores and `consume` names them by slots v0's entry lacks
+///     (the replay diverges: a cold rebuild).
 TEST(IncrementalStore, ColdRebuildsThatMoveAUnitsInputsNeverServeItStale) {
   struct Chain {
     const char* name;
     ir::Module v0;
     ir::Module v1;
+    bool v1_fast_path;
   };
   Chain chains[] = {
-      {"backward", BuildProducerConsumerModule(true, 4), BuildProducerConsumerModule(false, 4)},
-      {"exports", BuildProducerConsumerModule(false, 2), BuildProducerConsumerModule(false, 4)},
+      {"backward", BuildProducerConsumerModule(true, 4), BuildProducerConsumerModule(false, 4),
+       true},
+      {"exports", BuildProducerConsumerModule(false, 2), BuildProducerConsumerModule(false, 4),
+       false},
   };
   for (Chain& chain : chains) {
     SCOPED_TRACE(chain.name);
@@ -667,14 +745,17 @@ TEST(IncrementalStore, ColdRebuildsThatMoveAUnitsInputsNeverServeItStale) {
     TempDir dir;
     store::ArtifactCache cache(dir.path);
     EXPECT_TRUE(AnalyzeStep(ir::PrintModule(chain.v0), cache).cold_rebuild);
-    EXPECT_TRUE(AnalyzeStep(ir::PrintModule(chain.v1), cache).cold_rebuild);
+    const store::IncrementalStats v1 = AnalyzeStep(ir::PrintModule(chain.v1), cache);
+    EXPECT_EQ(v1.outcome.used_fast_path, chain.v1_fast_path)
+        << FallbackReasonName(v1.outcome.fallback);
+    EXPECT_EQ(v1.cold_rebuild, !chain.v1_fast_path);
     const auto exports_match_a_fresh_projection = [&](const ProgramSlices& p) {
       const ProgramSlices fresh = ColdState(*p.module, kJobs);
       for (std::uint32_t u = 0; u < p.units.size(); ++u) {
         if (u == swap->unit) continue;
-        EXPECT_TRUE(p.units[u].slice.exports == fresh.units[u].slice.exports)
-            << p.partition.units[u].name << ": " << p.units[u].slice.exports.size()
-            << " exports, a fresh projection has " << fresh.units[u].slice.exports.size();
+        EXPECT_TRUE(p.units[u].exports == fresh.units[u].exports)
+            << p.partition.units[u].name << ": " << p.units[u].exports.size()
+            << " exports, a fresh projection has " << fresh.units[u].exports.size();
       }
     };
     const store::IncrementalStats last =

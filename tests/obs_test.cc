@@ -349,35 +349,5 @@ TEST(Progress, SnapshotTextRoundTripsThroughFormatAndParse) {
   EXPECT_FALSE(ParseProgressSnapshot("not-a-snapshot\ndone 3\n").has_value());
 }
 
-TEST(Progress, SinkReceivesCleanLinesWithoutTtyRewriteCodes) {
-  MetricsRegistry::Global().ResetForTest();
-  ProgressReporter::Options options;
-  options.label = "inject";
-  options.total = 4;
-  options.enable = 1;  // forced on: the non-tty EPVF_PROGRESS=1 case
-  std::vector<std::string> lines;
-  std::vector<bool> finals;
-  options.sink = [&](const std::string& line, bool final_line) {
-    lines.push_back(line);
-    finals.push_back(final_line);
-  };
-  ProgressReporter progress(std::move(options));
-  EXPECT_TRUE(progress.enabled());
-  progress.Tick();
-  progress.Tick();
-  progress.Finish();
-  // At minimum the final summary line arrived through the sink.
-  ASSERT_FALSE(lines.empty());
-  EXPECT_TRUE(finals.back());
-  for (const std::string& line : lines) {
-    // Clean streamable text: no carriage-return rewrites, no clear-line
-    // escapes, no terminator (the sink owns framing).
-    EXPECT_EQ(line.find('\r'), std::string::npos);
-    EXPECT_EQ(line.find('\033'), std::string::npos);
-    EXPECT_EQ(line.find('\n'), std::string::npos);
-  }
-  EXPECT_NE(lines.back().find("2/4"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace epvf::obs

@@ -126,22 +126,23 @@ TEST(Support, AtomicWriteFileFailsGracefullyOnMissingDirectory) {
 // --- artifact container -------------------------------------------------------
 
 TEST(Artifact, SectionRoundTrip) {
-  ArtifactWriter writer(ArtifactKind::kUnit);
+  ArtifactWriter writer(ArtifactKind::kUnitManifest);
   writer.Section(SectionId::kUnitSlice).U64(42);
-  writer.Section(SectionId::kUnitBackward).Str("backward payload");
+  writer.Section(SectionId::kUnitManifest).Str("manifest payload");
   writer.Section(SectionId::kUnitSlice).U64(43);  // appends to the same section
 
-  auto reader = ArtifactReader::Parse(AsBytes(writer.Finish()), ArtifactKind::kUnit, "test");
+  auto reader =
+      ArtifactReader::Parse(AsBytes(writer.Finish()), ArtifactKind::kUnitManifest, "test");
   ASSERT_TRUE(reader.has_value());
   auto slice = reader->Section(SectionId::kUnitSlice);
   ASSERT_TRUE(slice.has_value());
   EXPECT_EQ(slice->U64(), 42u);
   EXPECT_EQ(slice->U64(), 43u);
   EXPECT_TRUE(slice->Finished());
-  auto backward = reader->Section(SectionId::kUnitBackward);
-  ASSERT_TRUE(backward.has_value());
-  EXPECT_EQ(backward->Str(), "backward payload");
-  EXPECT_FALSE(reader->Section(SectionId::kUnitSums).has_value());
+  auto manifest = reader->Section(SectionId::kUnitManifest);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->Str(), "manifest payload");
+  EXPECT_FALSE(reader->Section(SectionId::kPlan).has_value());
 }
 
 TEST(Artifact, RejectsWrongMagicVersionAndKind) {

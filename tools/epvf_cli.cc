@@ -909,7 +909,7 @@ int CmdDelta(const Options& options) {
     std::uint64_t fingerprint = 0;
   };
   std::map<std::string, OldRow> old_rows;
-  const std::vector<core::UnitEpvf> old_units = core::PerUnitEpvf(old_state->slices);
+  const std::vector<core::UnitEpvf> old_units = core::PerUnitEpvf(old_state->slices, opts.jobs);
   for (std::size_t u = 0; u < old_units.size(); ++u) {
     old_rows[old_units[u].name] = {old_units[u].epvf,
                                    old_state->slices.partition.units[u].ir_fingerprint};
@@ -917,7 +917,7 @@ int CmdDelta(const Options& options) {
 
   AsciiTable table({"unit", "old ePVF", "new ePVF", "delta", "note"});
   table.SetTitle("per-unit ePVF delta");
-  const std::vector<core::UnitEpvf> new_units = core::PerUnitEpvf(new_state->slices);
+  const std::vector<core::UnitEpvf> new_units = core::PerUnitEpvf(new_state->slices, opts.jobs);
   for (std::size_t u = 0; u < new_units.size(); ++u) {
     const core::UnitEpvf& row = new_units[u];
     const auto it = old_rows.find(row.name);
