@@ -6,15 +6,21 @@
 // Injected runs carry no trace sink, so the executor dispatches them on its
 // fast loop (src/vm/exec_bytecode.cc) between the fault and checkpoint
 // events. This bench measures runs/sec and the speedup vs. from-scratch at
-// 0/4/64/auto checkpoints, and cross-checks every repetition of every
-// checkpoint setting record for record against the 0-checkpoint campaign
-// (exit 1 on a divergence). Each campaign and planner row is timed as its
-// fastest of five repetitions: one run of a few tens of milliseconds is at
-// the mercy of the host's load. Its JSON lands at the repo root
-// (BENCH_injection_throughput.json) so the trajectory is tracked in-repo.
+// 0/4/64/auto checkpoints, plus one jittered campaign at the CLI's default
+// of 2 pages (always from scratch: jittered runs never checkpoint), and
+// cross-checks every repetition of every jitter-free setting record for
+// record against the 0-checkpoint campaign, and every jittered repetition
+// against the first (exit 1 on a divergence). Each row is timed as its
+// fastest of five repetitions, and the settings take turns repetition by
+// repetition, so every row sees the same process history (heap, caches) and
+// "vs scratch" compares work, not position in the run. Its JSON lands at the
+// repo root (BENCH_injection_throughput.json) so the trajectory is tracked
+// in-repo.
 #include <algorithm>
 #include <iostream>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "support/stopwatch.h"
@@ -38,6 +44,13 @@ bool RecordsIdentical(const fi::CampaignStats& a, const fi::CampaignStats& b) {
   return true;
 }
 
+/// One campaign setting of the throughput table.
+struct Setting {
+  std::string name;  ///< row suffix
+  int checkpoints;   ///< bench::CheckpointIntervalFor's count; -1 = auto
+  std::uint32_t jitter_pages;
+};
+
 }  // namespace
 
 int main() {
@@ -45,62 +58,72 @@ int main() {
   bench::BenchJson json("injection_throughput", /*default_to_repo_root=*/true);
   const int runs = bench::FiRuns();
   // -1 = the campaign's auto checkpoint policy (spacing derived from the
-  // golden trace length) — the setting the CLI uses by default.
-  const int checkpoint_counts[] = {0, 4, 64, -1};
+  // golden trace length) — the setting the CLI uses by default. The first
+  // setting is the from-scratch reference; the last is the CLI's default
+  // jitter, which the checkpoint fast path never serves.
+  const std::vector<Setting> settings = {
+      {"ckpt0", 0, 0}, {"ckpt4", 4, 0}, {"ckpt64", 64, 0}, {"ckptauto", -1, 0}, {"jitter2", -1, 2}};
 
-  AsciiTable table({"Benchmark", "trace", "ckpts", "runs/s", "vs scratch", "identical"});
+  AsciiTable table({"Benchmark", "trace", "setting", "runs/s", "vs scratch", "identical"});
   table.SetTitle("Injection throughput: suffix replay (" + std::to_string(runs) +
-                 " runs/campaign, fastest of " + std::to_string(kRepetitions) + ")");
+                 " runs/campaign, fastest of " + std::to_string(kRepetitions) +
+                 ", settings interleaved)");
 
   bool all_identical = true;
   for (const std::string& name :
        {std::string("lulesh"), std::string("lavaMD"), std::string("srad")}) {
     const bench::Prepared p = bench::Prepare(name);
-    // Reference for identity and speedup: the from-scratch campaign (the
-    // first checkpoint setting).
-    fi::CampaignStats baseline;
-    double scratch_runs_per_sec = 0;
-    for (const int n : checkpoint_counts) {
-      fi::CampaignOptions options;
-      options.num_runs = runs;
-      options.seed = bench::Seed();
-      // The fast path only serves jitter-free runs; keep the comparison pure.
-      options.injector.jitter_pages = 0;
-      options.num_threads = bench::Jobs();
-      options.checkpoint_interval = bench::CheckpointIntervalFor(p.analysis, n);
-      fi::CampaignStats stats;
-      double seconds = std::numeric_limits<double>::infinity();
-      bool identical = true;
-      for (int rep = 0; rep < kRepetitions; ++rep) {
+    const std::size_t n = settings.size();
+    std::vector<fi::CampaignOptions> options(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      options[s].num_runs = runs;
+      options[s].seed = bench::Seed();
+      options[s].injector.jitter_pages = settings[s].jitter_pages;
+      options[s].num_threads = bench::Jobs();
+      options[s].checkpoint_interval =
+          bench::CheckpointIntervalFor(p.analysis, settings[s].checkpoints);
+    }
+    std::vector<double> seconds(n, std::numeric_limits<double>::infinity());
+    std::vector<fi::CampaignStats> first(n);
+    std::vector<fi::CampaignPerf> perf(n);
+    std::vector<bool> identical(n, true);
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      for (std::size_t s = 0; s < n; ++s) {
         Stopwatch watch;
-        stats = fi::RunCampaign(p.app.module, p.analysis.graph(), p.analysis.golden(), options);
-        seconds = std::min(seconds, watch.ElapsedSeconds());
-        if (n == 0 && rep == 0) baseline = stats;
-        identical = identical && RecordsIdentical(stats, baseline);
+        const fi::CampaignStats stats =
+            fi::RunCampaign(p.app.module, p.analysis.graph(), p.analysis.golden(), options[s]);
+        seconds[s] = std::min(seconds[s], watch.ElapsedSeconds());
+        perf[s] = stats.perf;
+        if (rep == 0) first[s] = stats;
+        // Jitter-free settings must reproduce the from-scratch campaign; the
+        // jittered one (other layouts, other outcomes) its own first run.
+        const fi::CampaignStats& reference =
+            settings[s].jitter_pages == 0 ? first[0] : first[s];
+        identical[s] = identical[s] && RecordsIdentical(stats, reference);
       }
-      const double runs_per_sec = seconds > 0 ? runs / seconds : 0;
-      if (n == 0) scratch_runs_per_sec = runs_per_sec;
-      all_identical = all_identical && identical;
+    }
+    const double scratch_runs_per_sec = seconds[0] > 0 ? runs / seconds[0] : 0;
+    for (std::size_t s = 0; s < n; ++s) {
+      const double runs_per_sec = seconds[s] > 0 ? runs / seconds[s] : 0;
       const double vs_scratch =
           scratch_runs_per_sec > 0 ? runs_per_sec / scratch_runs_per_sec : 0;
-
-      const std::string ckpt_name = n < 0 ? std::string("auto") : std::to_string(n);
-      table.AddRow({name, std::to_string(p.analysis.TraceLength()), ckpt_name,
+      all_identical = all_identical && identical[s];
+      table.AddRow({name, std::to_string(p.analysis.TraceLength()), settings[s].name,
                     AsciiTable::Num(runs_per_sec, 1), AsciiTable::Num(vs_scratch, 2) + "x",
-                    identical ? "yes" : "NO"});
+                    identical[s] ? "yes" : "NO"});
 
-      const std::string row = name + "/ckpt" + ckpt_name;
+      const std::string row = name + "/" + settings[s].name;
       json.Add(row, "runs_per_sec", runs_per_sec);
       json.Add(row, "speedup_vs_scratch", vs_scratch);
-      json.Add(row, "checkpoints", static_cast<double>(stats.perf.checkpoints));
-      json.Add(row, "checkpointed_runs", static_cast<double>(stats.perf.checkpointed_runs));
-      json.Add(row, "skipped_instructions", static_cast<double>(stats.perf.skipped_instructions));
-      json.Add(row, "outcomes_identical", identical ? 1.0 : 0.0);
+      json.Add(row, "checkpoints", static_cast<double>(perf[s].checkpoints));
+      json.Add(row, "checkpointed_runs", static_cast<double>(perf[s].checkpointed_runs));
+      json.Add(row, "skipped_instructions", static_cast<double>(perf[s].skipped_instructions));
+      json.Add(row, "outcomes_identical", identical[s] ? 1.0 : 0.0);
     }
   }
-  table.SetFootnote("'vs scratch' compares to 0 checkpoints; 'identical' checks every record "
-                    "(site, bit, outcome) of every repetition against the 0-checkpoint "
-                    "campaign");
+  table.SetFootnote("'vs scratch' compares to 0 checkpoints (ckpt0); 'identical' checks every "
+                    "record (site, bit, outcome) of every repetition against the 0-checkpoint "
+                    "campaign (jitter2: against its own first repetition)");
   table.Print(std::cout);
 
   // Planner economy: injections the stratified planner spends to hit its CI

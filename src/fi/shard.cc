@@ -1,8 +1,22 @@
 #include "fi/shard.h"
 
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace epvf::fi {
+
+int ResolveShardCount(int flag, const char* env, PlanKind kind, int num_runs) {
+  const bool from_flag = flag > 0;
+  int shards = from_flag ? flag : env == nullptr ? 1 : std::atoi(env);
+  if (shards > kMaxShards) {
+    throw std::out_of_range((from_flag ? "--shards " : "EPVF_SHARDS=") + std::to_string(shards) +
+                            " exceeds the limit of " + std::to_string(kMaxShards) + " shards");
+  }
+  if (shards < 1) shards = 1;
+  if (kind == PlanKind::kUniform && shards > num_runs) shards = num_runs > 0 ? num_runs : 1;
+  return shards;
+}
 
 ShardRange ShardSlice(std::size_t num_runs, int shard_count, int shard_index) {
   if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {

@@ -15,8 +15,23 @@
 #include <vector>
 
 #include "fi/campaign.h"
+#include "fi/planner.h"
+#include "support/thread_pool.h"
 
 namespace epvf::fi {
+
+/// The most worker processes one sharded campaign launches: the same bound
+/// as --jobs (ThreadPool::kMaxThreads).
+inline constexpr int kMaxShards = static_cast<int>(ThreadPool::kMaxThreads);
+
+/// The shard count a campaign runs with. `flag` is --shards (<= 0 when
+/// absent) and `env` is EPVF_SHARDS (null when unset): the flag wins, then
+/// the environment, then 1, and a count below 1 is 1. A count above
+/// kMaxShards throws std::out_of_range naming the limit, under either plan
+/// and before any clamp, so the answer never depends on --runs. Under the
+/// uniform plan the count is then clamped to `num_runs` (its one round is
+/// the whole campaign); the stratified planner chooses its own round sizes.
+[[nodiscard]] int ResolveShardCount(int flag, const char* env, PlanKind kind, int num_runs);
 
 /// A half-open range of plan indices owned by one shard.
 struct ShardRange {

@@ -24,12 +24,6 @@ std::uint64_t GrowFloor(const MemoryMap& map, std::uint64_t esp, const MemoryLay
 
 }  // namespace
 
-bool IsMisaligned(std::uint64_t addr, unsigned size) {
-  // Table I: "memory accesses not aligned at four bytes". Sub-word accesses
-  // are unconstrained, wider accesses must be 4-byte aligned.
-  return size >= 4 && (addr & 0x3) != 0;
-}
-
 AccessDecision DecideAccess(const MemoryMap& map, std::uint64_t esp, std::uint64_t addr,
                             unsigned size, const MemoryLayout& layout) {
   AccessDecision decision;

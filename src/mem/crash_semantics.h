@@ -60,6 +60,10 @@ struct AccessDecision {
                                               const MemoryLayout& layout);
 
 /// Whether a misaligned-access trap applies to a `size`-byte access at `addr`.
-[[nodiscard]] bool IsMisaligned(std::uint64_t addr, unsigned size);
+/// Table I: "memory accesses not aligned at four bytes". Sub-word accesses
+/// are unconstrained, wider accesses must be 4-byte aligned.
+[[nodiscard]] inline bool IsMisaligned(std::uint64_t addr, unsigned size) {
+  return size >= 4 && (addr & 0x3) != 0;
+}
 
 }  // namespace epvf::mem

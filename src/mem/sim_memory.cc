@@ -47,13 +47,27 @@ void SimMemory::Free(std::uint64_t addr) {
   (void)addr;
 }
 
-MemFault SimMemory::CheckAccess(std::uint64_t addr, unsigned size) {
+MemFault SimMemory::CheckAccessSlow(std::uint64_t addr, unsigned size) {
   const AccessDecision decision = DecideAccess(map_, esp_, addr, size, layout_);
   if (decision.grow_stack) {
     map_.ExtendDown(SegmentKind::kStack, decision.grow_to);
     MaybeSnapshot();
   }
+  if (decision.fault == MemFault::kNone) FillTlb(addr >> kPageBits);
   return decision.fault;
+}
+
+void SimMemory::FillTlb(std::uint64_t page) {
+  // Only a page wholly inside one vma may answer for every access within it.
+  // Between restores vmas only grow, so such a page stays mapped.
+  const std::uint64_t first = page << kPageBits;
+  const Vma* vma = map_.Find(first);
+  if (vma == nullptr || vma->end - first < kPageBytes) return;
+  const auto it = pages_.find(page);
+  TlbEntry& entry = tlb_[TlbSlot(page)];
+  entry.page = page;
+  entry.bytes = it == pages_.end() ? nullptr : it->second->data();
+  entry.writable = it != pages_.end() && it->second.use_count() == 1;
 }
 
 const SimMemory::Page* SimMemory::FindPage(std::uint64_t page_index) const {
@@ -65,12 +79,20 @@ SimMemory::Page& SimMemory::TouchPage(std::uint64_t page_index) {
   std::shared_ptr<Page>& slot = pages_[page_index];
   if (slot == nullptr) {
     slot = std::make_shared<Page>(kPageBytes, std::uint8_t{0});
+    ++pages_created_;
   } else if (slot.use_count() > 1) {
     // Copy-on-write: the page is shared with a live snapshot (or with other
     // runs restored from one), so clone it before the first local mutation.
     // Safe concurrently: a snapshot always holds its own stable reference, so
     // a page visible to another thread can never read use_count() == 1 here.
     slot = std::make_shared<Page>(*slot);
+    ++pages_cloned_;
+  }
+  // The page is now this memory's own; a cached translation of it may write.
+  TlbEntry& entry = tlb_[TlbSlot(page_index)];
+  if (entry.page == page_index) {
+    entry.bytes = slot->data();
+    entry.writable = true;
   }
   return *slot;
 }
@@ -118,7 +140,7 @@ void SimMemory::WriteBytes(std::uint64_t addr, std::span<const std::uint8_t> in)
   }
 }
 
-std::uint64_t SimMemory::LoadScalar(std::uint64_t addr, unsigned size) const {
+std::uint64_t SimMemory::LoadScalarSlow(std::uint64_t addr, unsigned size) const {
   std::uint8_t buf[8] = {};
   if (size > 8) throw std::invalid_argument("LoadScalar: size > 8");
   ReadBytes(addr, std::span<std::uint8_t>(buf, size));
@@ -127,14 +149,14 @@ std::uint64_t SimMemory::LoadScalar(std::uint64_t addr, unsigned size) const {
   return v;
 }
 
-void SimMemory::StoreScalar(std::uint64_t addr, unsigned size, std::uint64_t value) {
+void SimMemory::StoreScalarSlow(std::uint64_t addr, unsigned size, std::uint64_t value) {
   if (size > 8) throw std::invalid_argument("StoreScalar: size > 8");
   std::uint8_t buf[8];
   std::memcpy(buf, &value, sizeof buf);
   WriteBytes(addr, std::span<const std::uint8_t>(buf, size));
 }
 
-MemSnapshot SimMemory::TakeSnapshot() const {
+MemSnapshot SimMemory::TakeSnapshot() {
   if (record_history_) {
     throw std::logic_error("SimMemory::TakeSnapshot: unsupported while recording map history");
   }
@@ -146,6 +168,8 @@ MemSnapshot SimMemory::TakeSnapshot() const {
   snap.brk = brk_;
   snap.esp = esp_;
   snap.bytes_allocated = bytes_allocated_;
+  // The snapshot now shares every page: the next store to each must clone it.
+  for (TlbEntry& entry : tlb_) entry.writable = false;
   return snap;
 }
 
@@ -165,6 +189,8 @@ void SimMemory::RestoreSnapshot(const MemSnapshot& snapshot) {
   brk_ = snapshot.brk;
   esp_ = snapshot.esp;
   bytes_allocated_ = snapshot.bytes_allocated;
+  // The restored map may be smaller and the pages are others: forget all.
+  tlb_.fill(TlbEntry{});
 }
 
 void SimMemory::RecordHistory(bool enable) {

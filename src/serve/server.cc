@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -17,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -34,6 +36,14 @@
 #include "support/subprocess.h"
 
 namespace epvf::serve {
+
+int ResolveSlots(int requested) {
+  if (requested > kMaxSlots) {
+    throw std::out_of_range("--slots " + std::to_string(requested) + " exceeds the limit of " +
+                            std::to_string(kMaxSlots) + " executor slots");
+  }
+  return std::max(1, requested);
+}
 
 namespace {
 

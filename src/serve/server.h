@@ -32,15 +32,25 @@
 #include <memory>
 #include <string>
 
+#include "support/thread_pool.h"
+
 namespace epvf::serve {
+
+/// The most executor threads one daemon starts: the same bound as --jobs
+/// (ThreadPool::kMaxThreads).
+inline constexpr int kMaxSlots = static_cast<int>(ThreadPool::kMaxThreads);
+
+/// The executor-thread count for `serve --slots requested`: at least 1; a
+/// count above kMaxSlots throws std::out_of_range naming the limit.
+[[nodiscard]] int ResolveSlots(int requested);
 
 struct ServerOptions {
   std::string socket_path;
   /// Artifact-store directory shared by in-process incremental analyses and
   /// worker processes. Empty = a private mkdtemp directory, removed on Stop.
   std::string cache_dir;
-  /// Executor threads — jobs running concurrently (this container has one
-  /// core, so the default is serial).
+  /// Executor threads — jobs running concurrently (default serial; see
+  /// ResolveSlots for the bound on a user-given count).
   int slots = 1;
   /// Queued-job bound; admissions beyond it get kError/kBusy.
   int queue_limit = 16;

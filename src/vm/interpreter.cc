@@ -59,7 +59,9 @@ Interpreter::Interpreter(const ir::Module& module, ExecOptions options)
 RunResult Interpreter::Run(std::string_view entry, TraceSink* sink) {
   const obs::TraceSpan span("vm", "run");
   CountRun();
-  return Execute(EntryStack(entry, sink), 0, RunResult{}, {}, nullptr, sink);
+  RunResult result = Execute(EntryStack(entry, sink), 0, RunResult{}, {}, nullptr, sink);
+  PublishPageCounts();
+  return result;
 }
 
 RunResult Interpreter::RunWithCheckpoints(std::string_view entry,
@@ -71,7 +73,10 @@ RunResult Interpreter::RunWithCheckpoints(std::string_view entry,
   }
   const obs::TraceSpan span("vm", "run-with-checkpoints");
   CountRun();
-  return Execute(EntryStack(entry, sink), 0, RunResult{}, checkpoint_at, &checkpoints, sink);
+  RunResult result =
+      Execute(EntryStack(entry, sink), 0, RunResult{}, checkpoint_at, &checkpoints, sink);
+  PublishPageCounts();
+  return result;
 }
 
 RunResult Interpreter::ResumeFrom(const Checkpoint& checkpoint, TraceSink* sink) {
@@ -83,7 +88,18 @@ RunResult Interpreter::ResumeFrom(const Checkpoint& checkpoint, TraceSink* sink)
   result.output = checkpoint.output;
   result.fault_was_applied = checkpoint.fault_was_applied;
   CountRun();
-  return Execute(checkpoint.frames, checkpoint.dyn_index, std::move(result), {}, nullptr, sink);
+  result = Execute(checkpoint.frames, checkpoint.dyn_index, std::move(result), {}, nullptr, sink);
+  PublishPageCounts();
+  return result;
+}
+
+void Interpreter::PublishPageCounts() {
+  static obs::Counter& created = obs::GetCounter("vm.pages_created");
+  static obs::Counter& cloned = obs::GetCounter("vm.pages_cloned");
+  created.Add(memory_.pages_created() - published_pages_created_);
+  cloned.Add(memory_.pages_cloned() - published_pages_cloned_);
+  published_pages_created_ = memory_.pages_created();
+  published_pages_cloned_ = memory_.pages_cloned();
 }
 
 std::vector<Interpreter::Frame> Interpreter::EntryStack(std::string_view entry, TraceSink* sink) {

@@ -150,6 +150,10 @@ class Interpreter {
                     std::span<const std::uint64_t> checkpoint_at,
                     std::vector<Checkpoint>* checkpoints, TraceSink* sink);
 
+  /// Adds the copy-on-write page work memory_ did since the last call to the
+  /// vm.pages_created and vm.pages_cloned counters (called after each run).
+  void PublishPageCounts();
+
   const ir::Module& module_;
   ExecOptions options_;
   mem::SimMemory memory_;
@@ -158,6 +162,8 @@ class Interpreter {
   /// Per-function literal pool values (constants + this instance's global
   /// addresses), appended to each frame's register file on entry.
   std::vector<std::vector<std::uint64_t>> literal_values_;
+  std::uint64_t published_pages_created_ = 0;
+  std::uint64_t published_pages_cloned_ = 0;
 };
 
 }  // namespace epvf::vm

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -79,6 +80,46 @@ TEST(ShardSlice, RejectsInvalidCoordinates) {
   EXPECT_THROW((void)ShardSlice(10, -1, 0), std::invalid_argument);
   EXPECT_THROW((void)ShardSlice(10, 4, -1), std::invalid_argument);
   EXPECT_THROW((void)ShardSlice(10, 4, 4), std::invalid_argument);
+}
+
+// --- ResolveShardCount: flag, environment and the fan-out bound ---------------
+
+TEST(ShardCount, FlagBeatsEnvAndAtLeastOne) {
+  EXPECT_EQ(ResolveShardCount(3, "5", PlanKind::kUniform, 500), 3);
+  EXPECT_EQ(ResolveShardCount(0, "5", PlanKind::kUniform, 500), 5);
+  EXPECT_EQ(ResolveShardCount(-2, nullptr, PlanKind::kUniform, 500), 1);
+  EXPECT_EQ(ResolveShardCount(0, "-7", PlanKind::kStratified, 500), 1);
+  EXPECT_EQ(ResolveShardCount(0, "junk", PlanKind::kUniform, 500), 1);
+}
+
+TEST(ShardCount, UniformClampsToRunsStratifiedDoesNot) {
+  EXPECT_EQ(ResolveShardCount(8, nullptr, PlanKind::kUniform, 3), 3);
+  EXPECT_EQ(ResolveShardCount(8, nullptr, PlanKind::kUniform, 0), 1);
+  EXPECT_EQ(ResolveShardCount(8, nullptr, PlanKind::kStratified, 3), 8);
+}
+
+TEST(ShardCount, RefusesPastTheLimitUnderEitherPlan) {
+  // Resolved, never launched: the bound is checked before any clamp, so a
+  // one-run campaign (which would run in-process) is refused all the same.
+  ASSERT_EQ(kMaxShards, 64);
+  for (const PlanKind kind : {PlanKind::kUniform, PlanKind::kStratified}) {
+    EXPECT_EQ(ResolveShardCount(kMaxShards, nullptr, kind, 1000), kMaxShards);
+    EXPECT_EQ(ResolveShardCount(0, "64", kind, 1000), kMaxShards);
+    EXPECT_THROW((void)ResolveShardCount(kMaxShards + 1, nullptr, kind, 1), std::out_of_range);
+    EXPECT_THROW((void)ResolveShardCount(0, "65", kind, 1), std::out_of_range);
+  }
+  try {
+    (void)ResolveShardCount(65, nullptr, PlanKind::kUniform, 1);
+    FAIL() << "--shards 65 was accepted";
+  } catch (const std::out_of_range& error) {
+    EXPECT_NE(std::string(error.what()).find("limit of 64"), std::string::npos) << error.what();
+  }
+  try {
+    (void)ResolveShardCount(0, "65", PlanKind::kStratified, 1);
+    FAIL() << "EPVF_SHARDS=65 was accepted";
+  } catch (const std::out_of_range& error) {
+    EXPECT_NE(std::string(error.what()).find("EPVF_SHARDS"), std::string::npos) << error.what();
+  }
 }
 
 // --- MergeShards: recombination and degradation ------------------------------

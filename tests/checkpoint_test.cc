@@ -64,6 +64,55 @@ TEST(MemSnapshot, CopyOnWriteIsolatesSnapshotFromLaterWrites) {
   EXPECT_EQ(sibling.LoadScalar(addr, 4), 0xAAAAAAAAull);
 }
 
+TEST(MemSnapshot, PageCachedWritableIsStillClonedAfterASnapshot) {
+  // Checked stores cache the page as writable while this memory owns it
+  // alone. The snapshot shares the page, so the next checked store must
+  // clone it rather than write through the cached translation.
+  mem::SimMemory memory;
+  const std::uint64_t addr = memory.Malloc(64);
+  ASSERT_EQ(memory.CheckAccess(addr, 8), mem::MemFault::kNone);
+  memory.StoreScalar(addr, 8, 0x1111111111111111ull);
+  ASSERT_EQ(memory.CheckAccess(addr, 8), mem::MemFault::kNone);
+  memory.StoreScalar(addr, 8, 0x2222222222222222ull);
+  const mem::MemSnapshot snap = memory.TakeSnapshot();
+
+  ASSERT_EQ(memory.CheckAccess(addr, 8), mem::MemFault::kNone);
+  memory.StoreScalar(addr, 8, 0x3333333333333333ull);
+  EXPECT_EQ(memory.pages_cloned(), 1u);
+  EXPECT_EQ(memory.LoadScalar(addr, 8), 0x3333333333333333ull);
+
+  mem::SimMemory sibling;
+  sibling.RestoreSnapshot(snap);
+  ASSERT_EQ(sibling.CheckAccess(addr, 8), mem::MemFault::kNone);
+  EXPECT_EQ(sibling.LoadScalar(addr, 8), 0x2222222222222222ull)
+      << "the store after the snapshot wrote into the shared page";
+}
+
+TEST(MemSnapshot, RestoreForgetsCachedPages) {
+  // A memory that cached pages and then restores a snapshot must read the
+  // snapshot's bytes, and must fault on a page the snapshot never mapped.
+  mem::SimMemory memory;
+  const std::uint64_t addr = memory.Malloc(64);
+  ASSERT_EQ(memory.CheckAccess(addr, 8), mem::MemFault::kNone);
+  memory.StoreScalar(addr, 8, 0xAAAAAAAAAAAAAAAAull);
+  const std::uint64_t heap_end = memory.map().FindKind(mem::SegmentKind::kHeap)->end;
+  const mem::MemSnapshot old_snap = memory.TakeSnapshot();
+
+  ASSERT_EQ(memory.CheckAccess(addr, 8), mem::MemFault::kNone);
+  memory.StoreScalar(addr, 8, 0xBBBBBBBBBBBBBBBBull);  // clones; the TLB caches the clone
+  (void)memory.Malloc(8 * 4096);
+  const std::uint64_t grown = heap_end + 4096;
+  ASSERT_EQ(memory.CheckAccess(grown, 8), mem::MemFault::kNone);
+  // Keep the clone alive, so a stale translation would read it, not freed memory.
+  const mem::MemSnapshot new_snap = memory.TakeSnapshot();
+
+  memory.RestoreSnapshot(old_snap);
+  ASSERT_EQ(memory.CheckAccess(addr, 8), mem::MemFault::kNone);
+  EXPECT_EQ(memory.LoadScalar(addr, 8), 0xAAAAAAAAAAAAAAAAull);
+  EXPECT_EQ(memory.CheckAccess(grown, 8), mem::MemFault::kSegFault)
+      << "a page mapped after the snapshot still answered from the TLB";
+}
+
 TEST(MemSnapshot, RejectedWhileRecordingHistory) {
   mem::SimMemory memory;
   memory.RecordHistory(true);

@@ -252,6 +252,18 @@ TEST(CliCampaign, EnvVarPicksTheShardCount) {
   EXPECT_EQ(env.stdout_text, flagged.stdout_text);
 }
 
+TEST(CliCampaign, ShardsPastTheLimitExitFourBeforeAnyWorkerStarts) {
+  // --runs 1 clamps an accepted count to one in-process shard, so neither
+  // case can start a worker process.
+  EXPECT_EQ(RunCli("campaign mm --scale 0 --runs 1 --seed 7 --shards 64 --no-cache").exit_code, 0);
+  EXPECT_EQ(RunCli("campaign mm --scale 0 --runs 1 --seed 7 --shards 65 --no-cache").exit_code, 4);
+  EXPECT_EQ(RunCli("campaign mm --scale 0 --runs 1 --seed 7 --no-cache", "EPVF_SHARDS=65")
+                .exit_code,
+            4);
+  EXPECT_EQ(RunCli("campaign mm --scale 0 --plan stratified --shards 65 --no-cache").exit_code,
+            4);
+}
+
 TEST(CliCampaign, CheckpointsMinusOneIsTheAutoDefault) {
   // The usage text documents --checkpoints -1 as "auto": a negative number
   // must parse as the flag's value, and the supervisor forwards it to its

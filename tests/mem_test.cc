@@ -1,8 +1,17 @@
-// Memory substrate tests: vma map bookkeeping and SimMemory behaviour.
+// Memory substrate tests: vma map bookkeeping and SimMemory behaviour,
+// including the page-translation cache (TLB) against the Figure 4 decision
+// logic it short-cuts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "mem/crash_semantics.h"
 #include "mem/sim_memory.h"
 
 namespace epvf::mem {
@@ -219,6 +228,211 @@ TEST(SimMemoryFlip, CowSharingWithLiveSnapshotStaysIntact) {
   SimMemory run_c;
   run_c.RestoreSnapshot(snap);
   EXPECT_EQ(run_c.LoadScalar(addr, 8), 0x0123456789ABCDEFull);
+}
+
+TEST(SimMemoryFlip, FlipOnASharedCachedPageIsSeenByTheNextLoad) {
+  // The snapshot shares the page, so the checked access caches it
+  // read-only. The flip clones the page, and the next (cached) load must
+  // read the clone, not the snapshot's copy.
+  SimMemory mem;
+  const std::uint64_t addr = mem.Malloc(64);
+  mem.StoreScalar(addr, 8, 0x0F0F0F0F0F0F0F0Full);
+  const MemSnapshot snap = mem.TakeSnapshot();
+  ASSERT_EQ(mem.CheckAccess(addr, 8), MemFault::kNone);
+  EXPECT_EQ(mem.LoadScalar(addr, 8), 0x0F0F0F0F0F0F0F0Full);
+
+  mem.FlipBits(addr, 4, 1);
+  ASSERT_EQ(mem.CheckAccess(addr, 8), MemFault::kNone);
+  EXPECT_EQ(mem.LoadScalar(addr, 8), 0x0F0F0F0F0F0F0F1Full);
+  SimMemory sibling;
+  sibling.RestoreSnapshot(snap);
+  EXPECT_EQ(sibling.LoadScalar(addr, 8), 0x0F0F0F0F0F0F0F0Full)
+      << "the flip leaked into the snapshot";
+}
+
+// --- the TLB against the decision logic -------------------------------------
+
+TEST(SimMemoryTlb, RawAccessNeverMapsAPage) {
+  // Raw stores (global initialisation, tests) never fill the TLB, so they
+  // cannot make an unmapped page look mapped to a later checked access.
+  SimMemory mem;
+  const std::uint64_t unmapped = mem.map().FindKind(SegmentKind::kHeap)->end + 4 * 4096;
+  mem.StoreScalar(unmapped, 8, 7);
+  EXPECT_EQ(mem.LoadScalar(unmapped, 8), 7u);
+  EXPECT_EQ(mem.CheckAccess(unmapped, 8), MemFault::kSegFault);
+  EXPECT_EQ(mem.CheckAccess(unmapped, 8), MemFault::kSegFault);
+}
+
+TEST(SimMemoryTlb, CountsCreatedAndClonedPages) {
+  SimMemory mem;
+  const std::uint64_t addr = mem.Malloc(2 * 4096);
+  mem.StoreScalar(addr, 8, 1);
+  mem.StoreScalar(addr, 8, 2);  // the page is already this memory's own
+  EXPECT_EQ(mem.pages_created(), 1u);
+  EXPECT_EQ(mem.pages_cloned(), 0u);
+  const MemSnapshot snap = mem.TakeSnapshot();
+  mem.StoreScalar(addr, 8, 3);
+  mem.StoreScalar(addr, 8, 4);
+  EXPECT_EQ(mem.pages_created(), 1u);
+  EXPECT_EQ(mem.pages_cloned(), 1u);
+}
+
+/// The bytes a correct memory holds: every store and flip applied in order,
+/// never-written bytes zero.
+using Shadow = std::unordered_map<std::uint64_t, std::uint8_t>;
+
+std::uint64_t ShadowLoad(const Shadow& shadow, std::uint64_t addr, unsigned size) {
+  std::uint64_t value = 0;
+  for (unsigned i = 0; i < size; ++i) {
+    const auto it = shadow.find(addr + i);
+    const std::uint64_t byte = it == shadow.end() ? 0 : it->second;
+    value |= byte << (8 * i);
+  }
+  return value;
+}
+
+bool SameMap(const MemoryMap& a, const MemoryMap& b) {
+  if (a.version() != b.version() || a.vmas().size() != b.vmas().size()) return false;
+  for (std::size_t i = 0; i < a.vmas().size(); ++i) {
+    const Vma& x = a.vmas()[i];
+    const Vma& y = b.vmas()[i];
+    if (x.start != y.start || x.end != y.end || x.kind != y.kind) return false;
+  }
+  return true;
+}
+
+/// Seeded differential run: `accesses` checked accesses of 1, 2, 4 and 8
+/// bytes within two pages of every vma edge, of the stack grow-window floor
+/// and of page edges (so some cross a page and some are misaligned),
+/// interleaved with Malloc, AllocateData, SetEsp, TakeSnapshot,
+/// RestoreSnapshot and FlipBits. Every CheckAccess must return what
+/// DecideAccess says on a copy of the map taken just before the call, the map
+/// must grow exactly as that decision says, and every load must read the
+/// shadow model.
+void RunDifferential(const MemoryLayout& layout, const LayoutJitter& jitter,
+                     std::uint64_t seed, int accesses) {
+  constexpr std::uint64_t kPage = 4096;
+  SimMemory mem(layout, jitter);
+  Shadow shadow;
+  std::vector<std::pair<MemSnapshot, Shadow>> snapshots;
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&rng](std::uint64_t n) { return rng() % n; };
+  const std::uint64_t stack_top = mem.layout().stack_top;
+
+  // An address within two pages of a random edge of the current map.
+  const auto near_an_edge = [&] {
+    std::vector<std::uint64_t> edges;
+    for (const Vma& v : mem.map().vmas()) {
+      edges.push_back(v.start);
+      edges.push_back(v.end);
+    }
+    edges.push_back(mem.esp() - mem.layout().stack_grow_window);
+    std::uint64_t addr = edges[uniform(edges.size())] - 2 * kPage + uniform(4 * kPage + 1);
+    // A third of the time land within a few bytes of a page edge.
+    if (uniform(3) == 0) addr = (addr & ~(kPage - 1)) - 8 + uniform(17);
+    return addr;
+  };
+
+  int checked = 0;
+  int allowed = 0;
+  int segfaults = 0;
+  int misaligned = 0;
+  int grows = 0;
+  int page_crossing = 0;
+  int loads = 0;
+  for (int step = 0; checked < accesses; ++step) {
+    const std::uint64_t op = uniform(100);
+    if (op < 3) {
+      (void)mem.Malloc(1 + uniform(3 * kPage));
+    } else if (op < 5) {
+      (void)mem.AllocateData(1 + uniform(2 * kPage));
+    } else if (op < 9) {
+      // ESP wanders within a few pages of where it is, 16-byte aligned and
+      // never above the stack top.
+      const std::uint64_t down = mem.esp() - 3 * kPage + uniform(6 * kPage);
+      mem.SetEsp(std::min(down, stack_top) & ~std::uint64_t{15});
+    } else if (op < 10) {
+      snapshots.emplace_back(mem.TakeSnapshot(), shadow);
+      if (snapshots.size() > 4) snapshots.erase(snapshots.begin());
+    } else if (op < 11 && !snapshots.empty()) {
+      const auto& [snap, bytes] = snapshots[uniform(snapshots.size())];
+      mem.RestoreSnapshot(snap);
+      shadow = bytes;
+    } else if (op < 13) {
+      const std::uint64_t addr = near_an_edge();
+      const unsigned bit = static_cast<unsigned>(uniform(8));
+      if (mem.map().Find(addr) == nullptr) {
+        ASSERT_THROW(mem.FlipBits(addr, bit, 1), std::out_of_range) << "step " << step;
+      } else {
+        mem.FlipBits(addr, bit, 1);
+        shadow[addr] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    } else {
+      const unsigned size = 1u << uniform(4);
+      std::uint64_t addr = near_an_edge();
+      if (uniform(2) == 0) addr &= ~std::uint64_t{size - 1};
+      const MemoryMap before = mem.map();
+      const AccessDecision want = DecideAccess(before, mem.esp(), addr, size, mem.layout());
+      const MemFault got = mem.CheckAccess(addr, size);
+      ++checked;
+      ASSERT_EQ(got, want.fault) << "step " << step << ": " << size << " bytes at 0x" << std::hex
+                                 << addr << " esp 0x" << mem.esp() << "\n"
+                                 << before.ToString();
+      MemoryMap expected = before;
+      if (want.grow_stack) expected.ExtendDown(SegmentKind::kStack, want.grow_to);
+      ASSERT_TRUE(SameMap(mem.map(), expected))
+          << "step " << step << ": map after\n" << mem.map().ToString() << "expected\n"
+          << expected.ToString();
+      segfaults += got == MemFault::kSegFault;
+      misaligned += got == MemFault::kMisaligned;
+      grows += want.grow_stack;
+      if (got != MemFault::kNone) continue;
+      ++allowed;
+      page_crossing += (addr & (kPage - 1)) + size > kPage;
+      if (uniform(2) == 0) {
+        const std::uint64_t value = rng();
+        mem.StoreScalar(addr, size, value);
+        for (unsigned i = 0; i < size; ++i) {
+          shadow[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        }
+      } else {
+        ++loads;
+        ASSERT_EQ(mem.LoadScalar(addr, size), ShadowLoad(shadow, addr, size))
+            << "step " << step << ": " << size << " bytes at 0x" << std::hex << addr;
+      }
+    }
+  }
+  // The run reached every branch of the decision, not just the common case.
+  EXPECT_GT(allowed, accesses / 10);
+  EXPECT_GT(segfaults, 0);
+  EXPECT_GT(misaligned, 0);
+  EXPECT_GT(grows, 0);
+  EXPECT_GT(page_crossing, 0);
+  EXPECT_GT(loads, 0);
+}
+
+TEST(SimMemoryTlb, MatchesTheDecisionLogicOnTheDefaultLayout) {
+  RunDifferential(MemoryLayout{}, LayoutJitter{}, 1, 12000);
+}
+
+TEST(SimMemoryTlb, MatchesTheDecisionLogicOnAJitteredLayout) {
+  LayoutJitter jitter;
+  jitter.data_shift_pages = 3;
+  jitter.heap_shift_pages = -2;
+  jitter.stack_shift_pages = 1;
+  jitter.heap_slack_shift_pages = 1;
+  RunDifferential(MemoryLayout{}, jitter, 2, 12000);
+}
+
+TEST(SimMemoryTlb, MatchesTheDecisionLogicWhenVmaEdgesSplitPages) {
+  // With 1 KiB layout pages (and a text segment and an initial stack that
+  // are not 4 KiB multiples) vma edges fall inside SimMemory's 4 KiB pages,
+  // so only a page wholly inside one vma may be cached.
+  MemoryLayout layout;
+  layout.page_size = 1024;
+  layout.text_size = 0x10400;
+  layout.stack_initial_bytes = 5 * 1024;
+  RunDifferential(layout, LayoutJitter{}, 3, 12000);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -59,6 +60,20 @@ struct SocketPair {
     if (b >= 0) ::close(b);
   }
 };
+
+TEST(ServeSlots, ResolvedAndBoundedWithoutStartingThreads) {
+  EXPECT_EQ(epvf::serve::ResolveSlots(1), 1);
+  EXPECT_EQ(epvf::serve::ResolveSlots(0), 1);
+  EXPECT_EQ(epvf::serve::ResolveSlots(-3), 1);
+  ASSERT_EQ(epvf::serve::kMaxSlots, 64);
+  EXPECT_EQ(epvf::serve::ResolveSlots(64), 64);
+  try {
+    (void)epvf::serve::ResolveSlots(65);
+    FAIL() << "--slots 65 was accepted";
+  } catch (const std::out_of_range& error) {
+    EXPECT_NE(std::string(error.what()).find("limit of 64"), std::string::npos) << error.what();
+  }
+}
 
 TEST(Wire, FrameRoundTripsOverASocket) {
   SocketPair pair;

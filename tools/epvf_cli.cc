@@ -47,7 +47,8 @@
 // status/cancel/shutdown/metrics --connect administer it.
 //
 // Exit codes: 0 success, 1 runtime error, 2 usage, 3 unknown command,
-// 4 unknown flag, 6 daemon busy (retry later).
+// 4 unknown flag (or a fan-out flag past its limit), 6 daemon busy (retry
+// later).
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -81,6 +82,7 @@
 #include "fi/campaign.h"
 #include "fi/memory_scenario.h"
 #include "fi/scenario.h"
+#include "fi/shard.h"
 #include "fi/supervisor.h"
 #include "fi/targeted.h"
 #include "ir/printer.h"
@@ -214,7 +216,8 @@ int Usage() {
                "  campaign <target> [--shards N] [--shard-timeout S] [--shard-retries R]\n"
                "                   [+ every inject flag]\n"
                "                                   inject sharded across N worker processes\n"
-               "                                   (EPVF_SHARDS default; records and statistics\n"
+               "                                   (N <= 64 under either plan, exit 4 past it;\n"
+               "                                   EPVF_SHARDS default; records and statistics\n"
                "                                   are byte-identical to --shards 1, workers\n"
                "                                   that die or hang are relaunched and resume\n"
                "                                   from their shard's completion mask)\n"
@@ -226,6 +229,8 @@ int Usage() {
                "  metrics <file.json>              pretty-print a --metrics-out dump\n"
                "  serve   <socket> [--cache-dir D] [--slots N] [--queue N] [--retries R]\n"
                "                                   resident analysis daemon on a Unix socket\n"
+               "                                   (--slots N: executor threads, N <= 64,\n"
+               "                                   exit 4 past it)\n"
                "                                   (analyses stay in memory across requests;\n"
                "                                   jobs queue up to --queue, then clients get\n"
                "                                   a busy reply with a retry hint)\n"
@@ -779,17 +784,16 @@ int CmdCampaign(const Options& options) {
   const std::optional<fi::PlanKind> kind = ResolvePlanKind(options);
   if (!kind.has_value()) return kExitUsage;
 
-  // --shards beats EPVF_SHARDS; never more shards than runs (round sizes are
-  // planner-chosen under --plan stratified, so the clamp only applies to the
-  // uniform fixed-runs campaign), never fewer than one.
-  int shards = options.Int("shards", 0);
-  if (shards <= 0) {
-    const char* env = std::getenv("EPVF_SHARDS");
-    shards = env == nullptr ? 1 : std::atoi(env);
+  // --shards beats EPVF_SHARDS; past fi::kMaxShards is refused before any
+  // worker starts.
+  int shards = 1;
+  try {
+    shards = fi::ResolveShardCount(options.Int("shards", 0), std::getenv("EPVF_SHARDS"), *kind,
+                                   options.Int("runs", 500));
+  } catch (const std::out_of_range& error) {
+    std::fprintf(stderr, "epvf: %s\n", error.what());
+    return kExitUnknownFlag;
   }
-  const int num_runs = options.Int("runs", 500);
-  if (shards < 1) shards = 1;
-  if (*kind == fi::PlanKind::kUniform && shards > num_runs) shards = num_runs > 0 ? num_runs : 1;
 
   // A single shard runs in-process and is literally `epvf inject`.
   if (shards == 1) return RunCampaignInProcess(options, *kind);
@@ -1137,7 +1141,12 @@ int CmdServe(const Options& options) {
   serve::ServerOptions sopts;
   sopts.socket_path = options.target;
   sopts.cache_dir = ResolveCacheDir(options);
-  sopts.slots = options.Int("slots", 1);
+  try {
+    sopts.slots = serve::ResolveSlots(options.Int("slots", 1));
+  } catch (const std::out_of_range& error) {
+    std::fprintf(stderr, "epvf: %s\n", error.what());
+    return kExitUnknownFlag;
+  }
   sopts.queue_limit = options.Int("queue", 16);
   sopts.retries = options.Int("retries", 2);
   sopts.exe_path = g_self_exe;
