@@ -10,9 +10,9 @@
 //   EPVF_SEED         campaign seed                 (default 42)
 //   EPVF_JOBS         analysis/campaign threads     (default 0 = hw cores;
 //                     results identical at every setting)
-//   EPVF_CHECKPOINTS  suffix-replay checkpoints per campaign (default -1 =
-//                     auto from the trace length, 0 = off; outcomes are
-//                     bit-identical at every setting — jittered campaigns
+//   EPVF_CHECKPOINTS  golden-run snapshots per campaign (default 64, the
+//                     library's; 0 = off, at most 1024; outcomes are
+//                     bit-identical at every count — jittered campaigns
 //                     never checkpoint)
 //   EPVF_BENCH_JSON   when set, each bench also writes BENCH_<name>.json
 //                     (machine-readable metrics; value = output directory,
@@ -95,17 +95,8 @@ inline int FiRuns() { return EnvInt("EPVF_FI_RUNS", 400); }
 inline int JitterPages() { return EnvInt("EPVF_JITTER_PAGES", 2); }
 inline std::uint64_t Seed() { return static_cast<std::uint64_t>(EnvInt("EPVF_SEED", 42)); }
 inline int Jobs() { return EnvInt("EPVF_JOBS", 0); }
-inline int Checkpoints() { return EnvInt("EPVF_CHECKPOINTS", -1); }
-
-/// Converts a checkpoint *count* into the CampaignOptions spacing knob:
-/// n > 0 → n evenly spaced snapshots over the golden trace, n == 0 → the
-/// fast path off, n < 0 → the campaign's auto policy.
-inline std::int64_t CheckpointIntervalFor(const core::Analysis& analysis, int checkpoints) {
-  if (checkpoints == 0) return -1;
-  if (checkpoints < 0) return 0;
-  const std::uint64_t interval =
-      analysis.TraceLength() / (static_cast<std::uint64_t>(checkpoints) + 1);
-  return static_cast<std::int64_t>(interval < 1 ? 1 : interval);
+inline std::uint32_t Checkpoints() {
+  return fi::ResolveCheckpointCount(EnvInt("EPVF_CHECKPOINTS", fi::kDefaultCheckpoints));
 }
 
 /// Analysis options every bench shares: the EPVF_JOBS knob plumbs into the
@@ -280,7 +271,7 @@ inline fi::CampaignStats Campaign(const Prepared& p, int runs = 0) {
   options.seed = Seed();
   options.injector.jitter_pages = static_cast<std::uint32_t>(JitterPages());
   options.num_threads = Jobs();
-  options.checkpoint_interval = CheckpointIntervalFor(p.analysis, Checkpoints());
+  options.injector.checkpoints = Checkpoints();
   return fi::RunCampaign(p.app.module, p.analysis.graph(), p.analysis.golden(), options);
 }
 

@@ -54,7 +54,7 @@ bool StratifiedRow(const std::string& name, double ci_target, int ref_runs,
   ref.seed = bench::Seed();
   ref.injector.jitter_pages = 0;
   ref.num_threads = bench::Jobs();
-  ref.checkpoint_interval = 0;  // auto checkpoints: the reference is the slow half
+  ref.injector.checkpoints = bench::Checkpoints();  // the reference is the slow half
   const fi::CampaignStats dense =
       fi::RunCampaign(p.app.module, p.analysis.graph(), p.analysis.golden(), ref);
 

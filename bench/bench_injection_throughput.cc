@@ -6,16 +6,16 @@
 // Injected runs carry no trace sink, so the executor dispatches them on its
 // fast loop (src/vm/exec_bytecode.cc) between the fault and checkpoint
 // events. This bench measures runs/sec and the speedup vs. from-scratch at
-// 0/4/64/auto checkpoints, plus one jittered campaign at the CLI's default
-// of 2 pages (always from scratch: jittered runs never checkpoint), and
-// cross-checks every repetition of every jitter-free setting record for
-// record against the 0-checkpoint campaign, and every jittered repetition
-// against the first (exit 1 on a divergence). Each row is timed as its
-// fastest of five repetitions, and the settings take turns repetition by
-// repetition, so every row sees the same process history (heap, caches) and
-// "vs scratch" compares work, not position in the run. Its JSON lands at the
-// repo root (BENCH_injection_throughput.json) so the trajectory is tracked
-// in-repo.
+// 0/4/64 checkpoints (64 is the default), plus one jittered campaign at the
+// CLI's default of 2 pages (always from scratch: jittered runs never
+// checkpoint), and cross-checks every repetition of every jitter-free
+// setting record for record against the 0-checkpoint campaign, and every
+// jittered repetition against the first (exit 1 on a divergence). Each row
+// is timed as its fastest of five repetitions, and the settings take turns
+// repetition by repetition, so every row sees the same process history
+// (heap, caches) and "vs scratch" compares work, not position in the run.
+// Its JSON lands at the repo root (BENCH_injection_throughput.json) so the
+// trajectory is tracked in-repo.
 #include <algorithm>
 #include <iostream>
 #include <limits>
@@ -47,7 +47,7 @@ bool RecordsIdentical(const fi::CampaignStats& a, const fi::CampaignStats& b) {
 /// One campaign setting of the throughput table.
 struct Setting {
   std::string name;  ///< row suffix
-  int checkpoints;   ///< bench::CheckpointIntervalFor's count; -1 = auto
+  std::uint32_t checkpoints;
   std::uint32_t jitter_pages;
 };
 
@@ -57,12 +57,11 @@ int main() {
   const bench::ScopedObservability observability;
   bench::BenchJson json("injection_throughput", /*default_to_repo_root=*/true);
   const int runs = bench::FiRuns();
-  // -1 = the campaign's auto checkpoint policy (spacing derived from the
-  // golden trace length) — the setting the CLI uses by default. The first
-  // setting is the from-scratch reference; the last is the CLI's default
-  // jitter, which the checkpoint fast path never serves.
+  // The first setting is the from-scratch reference and ckpt64 the default
+  // count; the last is the CLI's default jitter, which the checkpoint fast
+  // path never serves.
   const std::vector<Setting> settings = {
-      {"ckpt0", 0, 0}, {"ckpt4", 4, 0}, {"ckpt64", 64, 0}, {"ckptauto", -1, 0}, {"jitter2", -1, 2}};
+      {"ckpt0", 0, 0}, {"ckpt4", 4, 0}, {"ckpt64", 64, 0}, {"jitter2", 64, 2}};
 
   AsciiTable table({"Benchmark", "trace", "setting", "runs/s", "vs scratch", "identical"});
   table.SetTitle("Injection throughput: suffix replay (" + std::to_string(runs) +
@@ -80,8 +79,7 @@ int main() {
       options[s].seed = bench::Seed();
       options[s].injector.jitter_pages = settings[s].jitter_pages;
       options[s].num_threads = bench::Jobs();
-      options[s].checkpoint_interval =
-          bench::CheckpointIntervalFor(p.analysis, settings[s].checkpoints);
+      options[s].injector.checkpoints = settings[s].checkpoints;
     }
     std::vector<double> seconds(n, std::numeric_limits<double>::infinity());
     std::vector<fi::CampaignStats> first(n);

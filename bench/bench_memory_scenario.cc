@@ -49,7 +49,7 @@ fi::CampaignStats ScenarioCampaign(const bench::Prepared& p, fi::Scenario scenar
   options.injector.scenario = scenario;
   options.injector.jitter_pages = 0;
   options.num_threads = bench::Jobs();
-  options.checkpoint_interval = bench::CheckpointIntervalFor(p.analysis, bench::Checkpoints());
+  options.injector.checkpoints = bench::Checkpoints();
   return fi::RunCampaign(p.app.module, p.analysis.graph(), p.analysis.golden(), options);
 }
 

@@ -145,9 +145,8 @@ class Analysis {
     return ComputeUseWeightedBits();
   }
 
-  /// Dynamic-trace length of the golden run — the quantity the campaign
-  /// suffix-replay checkpoint spacing (fi::ResolveCheckpointInterval), hang
-  /// budgets, and the `--checkpoints N` → interval conversion key off.
+  /// Dynamic-trace length of the golden run — the quantity the campaign's
+  /// snapshot sites (fi::CheckpointSites) and hang budgets key off.
   [[nodiscard]] std::uint64_t TraceLength() const { return golden_.instructions_executed; }
 
   // --- headline metrics -------------------------------------------------------

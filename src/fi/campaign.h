@@ -39,14 +39,6 @@ struct CampaignOptions {
   /// observes that fault injection parallelizes trivially). <= 0 = one
   /// thread per hardware core.
   int num_threads = 0;
-  /// Spacing (in dynamic instructions) of the suffix-replay checkpoints
-  /// dropped during one extra golden replay: each zero-jitter injection then
-  /// starts from the nearest checkpoint at or before its site instead of
-  /// from instruction zero. 0 = auto from the trace length (disabled for
-  /// short traces), < 0 = disabled, > 0 = explicit spacing. Campaigns with
-  /// nonzero jitter_pages never checkpoint — jittered runs diverge from
-  /// instruction zero. Outcomes are bit-identical at every setting.
-  std::int64_t checkpoint_interval = 0;
 
   /// Progress-line gating, forwarded to RunCampaign's reporter: -1 = auto
   /// (EPVF_PROGRESS env, else tty), 0 = force off, 1 = force on.
@@ -72,7 +64,6 @@ struct CampaignPerf {
   double persist_seconds = 0;         ///< time spent persisting the plan entry
   bool cache_hit = false;             ///< every record served from the artifact store
   double cache_load_seconds = 0;      ///< artifact map + verify + deserialize
-  double cache_store_seconds = 0;     ///< serialize + atomic publish
 
   /// Folds another batch of the same campaign (a round, a worker's window)
   /// into this one: sums every counter and duration; cache_hit is kept.
@@ -99,26 +90,6 @@ struct CampaignStats {
   /// Crash-class shares *within* crashes — the rows of Table II.
   [[nodiscard]] double CrashShare(Outcome crash_class) const;
 };
-
-/// Resolves CampaignOptions::checkpoint_interval against a golden trace
-/// length: explicit spacing (> 0) passes through, auto (0) targets ~32
-/// evenly spaced snapshots on traces long enough for the extra replay to pay
-/// for itself, disabled (< 0) — and too-short traces — return 0.
-[[nodiscard]] std::uint64_t ResolveCheckpointInterval(std::int64_t checkpoint_interval,
-                                                      std::uint64_t trace_length);
-
-/// The evenly spaced checkpoint sites {interval, 2*interval, ...} inside a
-/// trace of `trace_length` dynamic instructions. The count is capped (the
-/// spacing is widened) so a tiny explicit interval on a huge trace cannot
-/// exhaust memory with snapshots.
-[[nodiscard]] std::vector<std::uint64_t> CheckpointSites(std::uint64_t trace_length,
-                                                         std::uint64_t interval);
-
-/// Loads the suffix-replay checkpoints `options` asks for into `injector`
-/// (ResolveCheckpointInterval over the golden trace; nothing for jittered
-/// campaigns or when snapshots are already loaded), adding the snapshot
-/// count and the extra replay's time to `perf`.
-void PrepareCheckpoints(Injector& injector, const CampaignOptions& options, CampaignPerf& perf);
 
 /// Progress-line options for a campaign: label "campaign", one tally per
 /// outcome class, `total` expected runs (0 = open-ended, no ETA).

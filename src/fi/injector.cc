@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "fi/memory_scenario.h"
 #include "obs/metrics.h"
@@ -31,6 +32,29 @@ std::vector<FaultSite> EnumerateFaultSites(const ddg::Graph& graph) {
     }
   }
   return sites;
+}
+
+std::vector<std::uint64_t> CheckpointSites(std::uint64_t trace_length, std::uint64_t count) {
+  count = std::min<std::uint64_t>(count, kMaxCheckpoints);
+  std::vector<std::uint64_t> sites;
+  sites.reserve(static_cast<std::size_t>(std::min(count, trace_length)));
+  for (std::uint64_t k = 1; k <= count; ++k) {
+    const std::uint64_t at = k * trace_length / (count + 1);
+    if (at != 0 && (sites.empty() || at != sites.back())) sites.push_back(at);
+  }
+  return sites;
+}
+
+std::uint32_t ResolveCheckpointCount(int requested) {
+  if (requested < 0) {
+    throw std::invalid_argument("--checkpoints " + std::to_string(requested) + " is negative");
+  }
+  if (static_cast<std::uint32_t>(requested) > kMaxCheckpoints) {
+    throw std::out_of_range("--checkpoints " + std::to_string(requested) +
+                            " exceeds the limit of " + std::to_string(kMaxCheckpoints) +
+                            " snapshots");
+  }
+  return static_cast<std::uint32_t>(requested);
 }
 
 Injector::Injector(const ir::Module& module, const vm::RunResult& golden,
@@ -80,7 +104,6 @@ const vm::Interpreter::Checkpoint* Injector::NearestCheckpoint(std::uint64_t dyn
 }
 
 std::size_t Injector::BuildCheckpoints(std::span<const std::uint64_t> at) {
-  const obs::TraceSpan span("injection", "build-checkpoints");
   checkpoints_.clear();
   if (at.empty()) return 0;
   vm::ExecOptions exec;

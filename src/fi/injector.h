@@ -41,6 +41,21 @@ struct FaultSite {
 /// incoming registers are not read).
 [[nodiscard]] std::vector<FaultSite> EnumerateFaultSites(const ddg::Graph& graph);
 
+inline constexpr std::uint32_t kDefaultCheckpoints = 64;
+/// A memory backstop for library callers; the CLI and the daemon refuse a
+/// larger --checkpoints instead.
+inline constexpr std::uint32_t kMaxCheckpoints = 1024;
+
+/// The snapshot sites of a trace of L = `trace_length` instructions: site k at
+/// floor(k * L / (count + 1)) for k = 1..count, without 0 and repeats, so
+/// min(count, L - 1) ascending sites. `count` is capped at kMaxCheckpoints.
+[[nodiscard]] std::vector<std::uint64_t> CheckpointSites(std::uint64_t trace_length,
+                                                         std::uint64_t count);
+
+/// --checkpoints passes straight through. A negative count throws
+/// std::invalid_argument, a count above kMaxCheckpoints std::out_of_range.
+[[nodiscard]] std::uint32_t ResolveCheckpointCount(int requested);
+
 struct InjectorOptions {
   std::string entry = "main";
   mem::MemoryLayout layout;
@@ -55,6 +70,11 @@ struct InjectorOptions {
   /// are absolute addresses of the golden layout — any jitter would relocate
   /// them) and an attached MemoryScenario (see AttachMemoryScenario).
   Scenario scenario = Scenario::kRegister;
+  /// Golden-run snapshots (CheckpointSites) that ExecutePlannedRuns builds
+  /// for the suffix-replay fast path; 0 = off. Jittered runs diverge from
+  /// instruction zero, so they never use them. Outcomes are bit-identical at
+  /// every count.
+  std::uint32_t checkpoints = kDefaultCheckpoints;
 };
 
 class Injector {
@@ -90,10 +110,9 @@ class Injector {
   /// dyn index in `at` (sorted ascending; indices past the trace end are
   /// ignored). The replay is verified against the golden run and the call
   /// throws if it diverges. Returns the number of checkpoints captured. The
-  /// store is immutable until the next BuildCheckpoints/ClearCheckpoints, so
-  /// concurrent Inject calls may share it.
+  /// store is immutable until the next BuildCheckpoints, so concurrent Inject
+  /// calls may share it.
   std::size_t BuildCheckpoints(std::span<const std::uint64_t> at);
-  void ClearCheckpoints() { checkpoints_.clear(); }
   [[nodiscard]] std::size_t NumCheckpoints() const { return checkpoints_.size(); }
 
   /// Draws a uniformly random jitter allowed by the options.

@@ -488,6 +488,25 @@ PlanReplay ReplayPlan(CampaignPlanner& planner, std::span<const std::uint32_t> r
   return out;
 }
 
+namespace {
+
+/// The suffix-replay fast path: one extra golden replay drops the snapshots
+/// the injector's options ask for. A jittered injector builds none (its runs
+/// diverge from instruction zero), and one that already holds snapshots (an
+/// earlier round, or sites a caller loaded) keeps them.
+void BuildCheckpointsOnce(Injector& injector, CampaignPerf& perf) {
+  const InjectorOptions& options = injector.options();
+  if (options.jitter_pages != 0 || injector.NumCheckpoints() > 0) return;
+  const std::vector<std::uint64_t> sites =
+      CheckpointSites(injector.golden().instructions_executed, options.checkpoints);
+  if (sites.empty()) return;
+  const obs::TimedSection timed("injection", "checkpoint-build", "campaign.checkpoint_build.us",
+                                &perf.checkpoint_seconds);
+  perf.checkpoints = injector.BuildCheckpoints(sites);
+}
+
+}  // namespace
+
 ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInjection> queue,
                                  const ExecuteOptions& options) {
   ExecuteResult out;
@@ -508,15 +527,6 @@ ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInje
     }
   }
 
-  // Site order keeps neighbouring runs on the same suffix checkpoint when the
-  // injector has snapshots loaded; records still land at their queue index.
-  std::vector<std::uint32_t> order(queue.size());
-  std::iota(order.begin(), order.end(), 0u);
-  if (injector.NumCheckpoints() > 0) {
-    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return queue[a].site.dyn_index < queue[b].site.dyn_index;
-    });
-  }
   // The shard window: a contiguous slice of queue indices (the whole queue
   // for shard_count 1). Everything outside it is someone else's work.
   const ShardRange window =
@@ -524,8 +534,16 @@ ExecuteResult ExecutePlannedRuns(Injector& injector, std::span<const PlannedInje
                  static_cast<int>(options.shard_index));
   std::vector<std::uint32_t> pending;
   pending.reserve(window.Size());
-  for (const std::uint32_t i : order) {
-    if (out.completed[i] == 0 && window.Contains(i)) pending.push_back(i);
+  for (std::size_t i = window.begin; i < window.end; ++i) {
+    if (out.completed[i] == 0) pending.push_back(static_cast<std::uint32_t>(i));
+  }
+  if (!pending.empty()) BuildCheckpointsOnce(injector, out.perf);
+  // Site order keeps neighbouring runs on the same suffix checkpoint when the
+  // injector has snapshots loaded; records still land at their queue index.
+  if (injector.NumCheckpoints() > 0) {
+    std::stable_sort(pending.begin(), pending.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return queue[a].site.dyn_index < queue[b].site.dyn_index;
+    });
   }
 
   // Dynamically scheduled on the shared pool, one run per task: runs that

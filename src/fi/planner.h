@@ -275,14 +275,17 @@ struct ExecuteResult {
   std::vector<FaultRecord> records;     ///< full queue length
   std::vector<std::uint8_t> completed;  ///< 1 = executed or adopted from resume
   /// Per-run accounting of this call: adopted (resumed_records), checkpointed,
-  /// full and statically masked runs, skipped prefix, injection-loop time.
+  /// full and statically masked runs, skipped prefix, injection-loop time,
+  /// and the snapshots this call built with their build time.
   CampaignPerf perf;
 };
 
-/// Executes the shard window of `queue` on `injector` (which may have suffix
-/// checkpoints loaded — runs are then executed in site order for snapshot
-/// locality, landing at their queue index). Deterministic per record at every
-/// thread count and shard geometry. Records the `inject-loop` span
+/// Executes the shard window of `queue` on `injector`. The first call with a
+/// run to execute on a zero-jitter injector that holds no snapshots builds
+/// the injector's InjectorOptions::checkpoints (the `checkpoint-build` span);
+/// with snapshots loaded, runs execute in site order for snapshot locality,
+/// landing at their queue index. Deterministic per record at every thread
+/// count, snapshot count and shard geometry. Records the `inject-loop` span
 /// and the campaign.* run metrics of the runs it executes.
 [[nodiscard]] ExecuteResult ExecutePlannedRuns(Injector& injector,
                                                std::span<const PlannedInjection> queue,

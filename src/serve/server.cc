@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -26,6 +27,7 @@
 #include "epvf/analysis.h"
 #include "epvf/compose.h"
 #include "epvf/reexec.h"
+#include "fi/shard.h"
 #include "fi/supervisor.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -696,7 +698,31 @@ struct Server::Impl {
     }
   }
 
+  /// A fan-out flag the local run refuses ends the job the same way, before
+  /// any worker starts: a worker that refused it would exit like a crashed
+  /// one and be relaunched until its retries ran out.
+  static std::optional<JobEnd> RefuseFanOutFlags(Job& job) {
+    const auto refuse = [&](const std::exception& error, std::uint64_t exit_code) {
+      job.conn->Send(FrameType::kStderr, std::string("epvf: ") + error.what() + "\n");
+      return JobEnd::Done(exit_code);
+    };
+    try {
+      if (job.args[0] == "campaign") {
+        // The limit applies before the plan kind or run count can clamp.
+        (void)fi::ResolveShardCount(std::atoi(FlagValue(job.args, "shards", "0").c_str()),
+                                    std::getenv("EPVF_SHARDS"), fi::PlanKind::kStratified, 0);
+      }
+      (void)fi::ResolveCheckpointCount(std::atoi(FlagValue(job.args, "checkpoints", "0").c_str()));
+    } catch (const std::invalid_argument& error) {
+      return refuse(error, 2);
+    } catch (const std::out_of_range& error) {
+      return refuse(error, 4);
+    }
+    return std::nullopt;
+  }
+
   JobEnd ExecuteWorker(Job& job) {
+    if (std::optional<JobEnd> refused = RefuseFanOutFlags(job)) return std::move(*refused);
     // The worker runs its own analysis (recomputing is cheaper than loading
     // a stored one), so only the target is checked here: a bad one fails
     // cheaply instead of through worker relaunch exhaustion.

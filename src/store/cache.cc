@@ -481,7 +481,6 @@ StratifiedResult RunPlannedCampaign(const core::Analysis& analysis, fi::Injector
                                        const std::vector<fi::PlannedInjection>& round_queue,
                                        std::span<const fi::FaultRecord> resume_records,
                                        std::span<const std::uint8_t> resume_completed) {
-    fi::PrepareCheckpoints(injector, options, perf);
     fi::ExecuteOptions exec;
     exec.num_threads = options.num_threads;
     exec.resume_records = resume_records;
@@ -523,7 +522,6 @@ StratifiedResult RunPlannedCampaign(const core::Analysis& analysis, fi::Injector
 
   result.stats = planner->Stats();
   perf.cache_load_seconds = load_seconds;
-  perf.cache_store_seconds = perf.persist_seconds;
   // Runs adopted from the plan entry; slices an executor merged are its own.
   perf.resumed_records = result.resumed_runs;
   perf.cache_hit = resumed_from_cache && !executed_any && planner->TotalRuns() > 0;
@@ -572,8 +570,6 @@ std::uint64_t RunPlanRoundShard(const core::Analysis& analysis, fi::Injector& in
   }
   if (planner.Done()) return 0;
   const std::vector<fi::PlannedInjection> queue = planner.BeginRound();
-  fi::CampaignPerf perf;
-  fi::PrepareCheckpoints(injector, key.campaign.options, perf);
 
   // The slice entry is a campaign artifact over the round queue.
   const std::string entry_id = PlanRoundShardId(id, round, shard_index, shard_count);

@@ -55,7 +55,7 @@ struct AnalysisKey {
 
 /// A campaign's identity: the analysis it runs against plus the
 /// outcome-affecting campaign options (seed, runs, jitter, burst, hang
-/// budget, scenario). Thread count and checkpoint spacing are excluded —
+/// budget, scenario). Thread count and snapshot count are excluded —
 /// outcomes are bit-identical at every setting.
 struct CampaignKey {
   AnalysisKey analysis;
@@ -225,8 +225,8 @@ using RoundExecutor = std::function<fi::ExecuteResult(
 /// is done, persisting the plan entry before and after every round (and, in
 /// process, every `persist_every` runs mid-round). A complete entry is
 /// served without executing anything (perf.cache_hit). `cache` may be null or
-/// disabled (no persistence, no resume); `executor` null = in process, with
-/// the suffix checkpoints the campaign options ask for; `progress` is ticked
+/// disabled (no persistence, no resume); `executor` null = in process
+/// (ExecutePlannedRuns, which builds the injector's snapshots); `progress` is ticked
 /// per run and, for a stratified plan, fed the round/strata/CI phase line.
 [[nodiscard]] StratifiedResult RunPlannedCampaign(const core::Analysis& analysis,
                                                   fi::Injector& injector, const PlanKey& plan,

@@ -200,7 +200,7 @@ TEST(MergeShards, WrongShapeShardIsSkippedNotTrusted) {
 struct ShardIdentityCase {
   const char* app;
   std::uint64_t seed;
-  std::int64_t checkpoint_interval;  // -1 = fast path off, 0 = auto
+  std::uint32_t checkpoints;  // 0 = fast path off
   std::uint32_t jitter_pages;
 };
 
@@ -215,11 +215,14 @@ TEST_P(ShardIdentity, ShardedRunsRecombineIntoTheSingleProcessStream) {
   options.num_runs = 60;
   options.seed = param.seed;
   options.num_threads = 2;
-  options.checkpoint_interval = param.checkpoint_interval;
+  options.injector.checkpoints = param.checkpoints;
   options.injector.jitter_pages = param.jitter_pages;
 
   const CampaignStats full = RunCampaign(app.module, a.graph(), a.golden(), options);
   ASSERT_EQ(full.records.size(), static_cast<std::size_t>(options.num_runs));
+  if (param.checkpoints > 0) {
+    EXPECT_GT(full.perf.checkpoints, 0u) << "the _ckpt cases must take the snapshot path";
+  }
   const auto num_runs = static_cast<std::uint32_t>(options.num_runs);
 
   for (const int shard_count : {2, 4, 8}) {
@@ -231,8 +234,6 @@ TEST_P(ShardIdentity, ShardedRunsRecombineIntoTheSingleProcessStream) {
       Injector injector(app.module, a.golden(), options.injector);
       CampaignPlanner planner(a.graph(), injector, options.seed, num_runs);
       const std::vector<PlannedInjection> queue = planner.BeginRound();
-      CampaignPerf perf;
-      PrepareCheckpoints(injector, options, perf);
       ExecuteOptions exec;
       exec.num_threads = options.num_threads;
       exec.shard_index = static_cast<std::uint32_t>(shard);
@@ -285,13 +286,13 @@ TEST_P(ShardIdentity, ShardedRunsRecombineIntoTheSingleProcessStream) {
 
 INSTANTIATE_TEST_SUITE_P(
     AppsSeedsAndCheckpoints, ShardIdentity,
-    ::testing::Values(ShardIdentityCase{"mm", 7, -1, 2},
-                      ShardIdentityCase{"mm", 11, 0, 0},
-                      ShardIdentityCase{"nw", 7, -1, 2},
-                      ShardIdentityCase{"nw", 123, 0, 0}),
+    ::testing::Values(ShardIdentityCase{"mm", 7, 0, 2},
+                      ShardIdentityCase{"mm", 11, kDefaultCheckpoints, 0},
+                      ShardIdentityCase{"nw", 7, 0, 2},
+                      ShardIdentityCase{"nw", 123, kDefaultCheckpoints, 0}),
     [](const ::testing::TestParamInfo<ShardIdentityCase>& info) {
       return std::string(info.param.app) + "_seed" + std::to_string(info.param.seed) +
-             (info.param.checkpoint_interval < 0 ? "_nockpt" : "_ckpt") +
+             (info.param.checkpoints == 0 ? "_nockpt" : "_ckpt") +
              (info.param.jitter_pages > 0 ? "_jitter" : "_nojitter");
     });
 

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/app.h"
@@ -13,6 +16,7 @@
 #include "epvf/analysis.h"
 #include "fi/campaign.h"
 #include "fi/outcome.h"
+#include "ir/parser.h"
 #include "mem/sim_memory.h"
 #include "vm/interpreter.h"
 #include "vm/trace.h"
@@ -185,8 +189,8 @@ TEST(InjectorCheckpoint, InjectionsBitIdenticalWithAndWithoutCheckpoints) {
   fi::InjectorOptions options;
   fi::Injector scratch(app.module, a.golden(), options);
   fi::Injector fast(app.module, a.golden(), options);
-  const std::uint64_t len = a.TraceLength();
-  ASSERT_EQ(fast.BuildCheckpoints(fi::CheckpointSites(len, len / 5 + 1)), 4u);
+  const std::vector<std::uint64_t> at = fi::CheckpointSites(a.TraceLength(), 4);
+  ASSERT_EQ(fast.BuildCheckpoints(at), 4u);
 
   const mem::LayoutJitter no_jitter;
   // A spread of sites across the trace, including ones before the first
@@ -203,7 +207,7 @@ TEST(InjectorCheckpoint, InjectionsBitIdenticalWithAndWithoutCheckpoints) {
       EXPECT_EQ(got.run.output, want.run.output);
       EXPECT_EQ(got.run.fault_was_applied, want.run.fault_was_applied);
       EXPECT_EQ(want.resumed_from, 0u);
-      if (site.dyn_index >= len / 5 + 1) {
+      if (site.dyn_index >= at.front()) {
         EXPECT_GT(got.resumed_from, 0u) << "site " << site.dyn_index;
         EXPECT_LE(got.resumed_from, site.dyn_index);
       }
@@ -218,8 +222,7 @@ TEST(InjectorCheckpoint, JitteredRunsBypassTheFastPath) {
   fi::InjectorOptions options;
   options.jitter_pages = 2;
   fi::Injector injector(app.module, a.golden(), options);
-  const std::uint64_t len = a.TraceLength();
-  ASSERT_GT(injector.BuildCheckpoints(fi::CheckpointSites(len, len / 5 + 1)), 0u);
+  ASSERT_GT(injector.BuildCheckpoints(fi::CheckpointSites(a.TraceLength(), 4)), 0u);
 
   mem::LayoutJitter jitter;
   jitter.heap_shift_pages = 1;
@@ -234,8 +237,6 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossAppsJobsAndJitter) {
   for (const char* name : {"mm", "pathfinder", "lud"}) {
     const apps::App app = apps::BuildApp(name, apps::AppConfig{.scale = 0});
     const core::Analysis a = core::Analysis::Run(app.module);
-    const auto interval =
-        static_cast<std::int64_t>(a.TraceLength() / 9 + 1);  // ~8 checkpoints
 
     for (const std::uint32_t jitter_pages : {0u, 2u}) {
       fi::CampaignOptions options;
@@ -243,7 +244,7 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossAppsJobsAndJitter) {
       options.seed = 13;
       options.injector.jitter_pages = jitter_pages;
       options.num_threads = 1;
-      options.checkpoint_interval = -1;  // from-scratch baseline
+      options.injector.checkpoints = 0;  // from-scratch baseline
       const fi::CampaignStats baseline =
           fi::RunCampaign(app.module, a.graph(), a.golden(), options);
       EXPECT_EQ(baseline.perf.checkpoints, 0u);
@@ -251,7 +252,7 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossAppsJobsAndJitter) {
 
       for (const int threads : {1, 2, 8}) {
         options.num_threads = threads;
-        options.checkpoint_interval = interval;
+        options.injector.checkpoints = 8;
         const fi::CampaignStats fast =
             fi::RunCampaign(app.module, a.graph(), a.golden(), options);
         EXPECT_EQ(fast.counts, baseline.counts)
@@ -266,7 +267,7 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossAppsJobsAndJitter) {
               << " threads=" << threads;
         }
         if (jitter_pages == 0) {
-          EXPECT_GT(fast.perf.checkpoints, 0u);
+          EXPECT_EQ(fast.perf.checkpoints, 8u);
           EXPECT_EQ(fast.perf.checkpointed_runs + fast.perf.full_runs, fast.Total());
         } else {
           // Jittered campaigns never checkpoint: every run diverges from
@@ -293,7 +294,7 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossExecutionTiers) {
   options.seed = 13;
   options.injector.jitter_pages = 0;
   options.num_threads = 1;
-  options.checkpoint_interval = -1;  // from-scratch baseline
+  options.injector.checkpoints = 0;  // from-scratch baseline
   const fi::CampaignStats baseline =
       fi::RunCampaign(app.module, a.graph(), a.golden(), options);
 
@@ -307,11 +308,11 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossExecutionTiers) {
         << "site " << r.site.dyn_index << " slot " << int{r.site.slot} << " bit " << int{r.bit};
   }
 
-  for (const int checkpoints : {4, 64}) {
-    options.checkpoint_interval =
-        static_cast<std::int64_t>(a.TraceLength() / (checkpoints + 1) + 1);
+  for (const std::uint32_t checkpoints : {4u, 64u}) {
+    options.injector.checkpoints = checkpoints;
     const fi::CampaignStats got = fi::RunCampaign(app.module, a.graph(), a.golden(), options);
     EXPECT_EQ(got.counts, baseline.counts) << "ckpts=" << checkpoints;
+    EXPECT_EQ(got.perf.checkpoints, checkpoints);
     ASSERT_EQ(got.records.size(), baseline.records.size());
     for (std::size_t i = 0; i < got.records.size(); ++i) {
       EXPECT_EQ(got.records[i].site.dyn_index, baseline.records[i].site.dyn_index);
@@ -323,36 +324,114 @@ TEST(CampaignCheckpoint, RecordsBitIdenticalAcrossExecutionTiers) {
   }
 }
 
-TEST(CampaignCheckpoint, IntervalLargerThanTraceDegradesToFromScratch) {
-  const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
-  const core::Analysis a = core::Analysis::Run(app.module);
+/// A straight loop whose golden run is far shorter than kMaxCheckpoints
+/// dynamic instructions, with a load and a store per iteration.
+constexpr const char* kShortLoop = R"(func @main() -> void {
+entry:
+  %buf.0 = call @!malloc(8:i64) : i8*
+  %slot.1 = bitcast %buf.0 : i64*
+  br loop
+loop:
+  %i.2 = phi [0:i64, entry], [%next.6, loop] : i64
+  %acc.3 = phi [1:i64, entry], [%acc.5, loop] : i64
+  store %acc.3, %slot.1 align 8
+  %v.4 = load %slot.1 align 8 : i64
+  %acc.5 = mul %v.4, 3:i64 : i64
+  %next.6 = add %i.2, 1:i64 : i64
+  %more.7 = icmp slt %next.6, 12:i64 : i1
+  condbr %more.7, loop, done
+done:
+  call @!output_i64(%acc.5)
+  ret
+}
+)";
+
+TEST(CampaignCheckpoint, CountPastTheTraceCapsAtOneSnapshotPerInstruction) {
+  const ir::Module module = ir::ParseModuleOrThrow(kShortLoop);
+  const core::Analysis a = core::Analysis::Run(module);
+  ASSERT_LT(a.TraceLength(), std::uint64_t{fi::kMaxCheckpoints});
   fi::CampaignOptions options;
-  options.num_runs = 8;
+  options.num_runs = 40;
+  options.seed = 5;
   options.injector.jitter_pages = 0;
-  options.checkpoint_interval = static_cast<std::int64_t>(a.TraceLength() * 2);
-  const fi::CampaignStats stats = fi::RunCampaign(app.module, a.graph(), a.golden(), options);
-  EXPECT_EQ(stats.Total(), 8u);
-  EXPECT_EQ(stats.perf.checkpoints, 0u);
-  EXPECT_EQ(stats.perf.full_runs, 8u);
+  options.injector.checkpoints = 0;  // from-scratch baseline
+  const fi::CampaignStats baseline = fi::RunCampaign(module, a.graph(), a.golden(), options);
+  ASSERT_EQ(baseline.Total(), 40u);
+  EXPECT_EQ(baseline.perf.full_runs, 40u);
+
+  options.injector.checkpoints = fi::kMaxCheckpoints;
+  const fi::CampaignStats stats = fi::RunCampaign(module, a.graph(), a.golden(), options);
+  EXPECT_EQ(stats.perf.checkpoints, a.TraceLength() - 1);
+  EXPECT_EQ(stats.counts, baseline.counts);
+  ASSERT_EQ(stats.records.size(), baseline.records.size());
+  std::uint64_t past_the_first_instruction = 0;
+  for (std::size_t i = 0; i < stats.records.size(); ++i) {
+    EXPECT_EQ(stats.records[i].site.dyn_index, baseline.records[i].site.dyn_index);
+    EXPECT_EQ(stats.records[i].bit, baseline.records[i].bit);
+    EXPECT_EQ(stats.records[i].outcome, baseline.records[i].outcome) << "run " << i;
+    if (stats.records[i].site.dyn_index > 0) ++past_the_first_instruction;
+  }
+  // Every instruction but the first has its own snapshot.
+  EXPECT_EQ(stats.perf.checkpointed_runs, past_the_first_instruction);
+  EXPECT_EQ(stats.perf.checkpointed_runs + stats.perf.full_runs, 40u);
 }
 
 // --- checkpoint-site policy ---------------------------------------------------
 
-TEST(CheckpointPolicy, ResolveInterval) {
-  EXPECT_EQ(fi::ResolveCheckpointInterval(500, 1000), 500u);  // explicit wins
-  EXPECT_EQ(fi::ResolveCheckpointInterval(-1, 1'000'000), 0u);  // disabled
-  EXPECT_EQ(fi::ResolveCheckpointInterval(0, 1'000'000), 1'000'000u / 33);  // auto
-  EXPECT_EQ(fi::ResolveCheckpointInterval(0, 1000), 0u);  // too short for auto
+TEST(CheckpointPolicy, SitesAreEvenlySpacedAndCapped) {
+  // Site k of n over a trace of L instructions is floor(k * L / (n + 1)).
+  EXPECT_EQ(fi::CheckpointSites(1000, 3), (std::vector<std::uint64_t>{250, 500, 750}));
+  EXPECT_EQ(fi::CheckpointSites(1'000'000, 1), (std::vector<std::uint64_t>{500'000}));
+  for (const std::uint64_t count : {64u, 1024u}) {
+    const std::vector<std::uint64_t> sites = fi::CheckpointSites(1'000'000, count);
+    ASSERT_EQ(sites.size(), count);
+    for (std::uint64_t k = 1; k <= count; ++k) {
+      EXPECT_EQ(sites[k - 1], k * 1'000'000 / (count + 1)) << "count " << count << " k " << k;
+    }
+  }
+  // The memory backstop: never more than kMaxCheckpoints, however many are
+  // asked for.
+  EXPECT_EQ(fi::CheckpointSites(10'000'000, 5000), fi::CheckpointSites(10'000'000, 1024));
+  EXPECT_EQ(fi::CheckpointSites(10'000'000, 5000).size(), std::size_t{fi::kMaxCheckpoints});
 }
 
-TEST(CheckpointPolicy, SitesAreEvenlySpacedAndCapped) {
-  const auto sites = fi::CheckpointSites(1000, 250);
-  ASSERT_EQ(sites.size(), 3u);
-  EXPECT_EQ(sites[0], 250u);
-  EXPECT_EQ(sites[2], 750u);
-  EXPECT_TRUE(fi::CheckpointSites(1000, 0).empty());
-  // A pathologically small interval is widened to the snapshot cap.
-  EXPECT_LE(fi::CheckpointSites(10'000'000, 1).size(), 1024u);
+TEST(CheckpointPolicy, CountAtOrPastTheTraceLengthGivesOneSitePerInstruction) {
+  // Site 0 would resume from where a from-scratch run starts, and repeats
+  // would snapshot one state twice: both are dropped.
+  std::vector<std::uint64_t> every(9);
+  std::iota(every.begin(), every.end(), std::uint64_t{1});
+  EXPECT_EQ(fi::CheckpointSites(10, 9), every);
+  EXPECT_EQ(fi::CheckpointSites(10, 10), every);
+  EXPECT_EQ(fi::CheckpointSites(10, 1000), every);
+  EXPECT_EQ(fi::CheckpointSites(2, 5), (std::vector<std::uint64_t>{1}));
+}
+
+TEST(CheckpointPolicy, ShortTracesAndACountOfZeroGiveNoSites) {
+  EXPECT_TRUE(fi::CheckpointSites(0, 64).empty());
+  EXPECT_TRUE(fi::CheckpointSites(1, 64).empty());
+  EXPECT_TRUE(fi::CheckpointSites(1, 1024).empty());
+  EXPECT_TRUE(fi::CheckpointSites(1'000'000, 0).empty());
+}
+
+TEST(CheckpointPolicy, ResolveCountRefusesNegativesAndCountsPastTheLimit) {
+  ASSERT_EQ(fi::kMaxCheckpoints, 1024u);
+  EXPECT_EQ(fi::ResolveCheckpointCount(0), 0u);
+  EXPECT_EQ(fi::ResolveCheckpointCount(64), 64u);
+  EXPECT_EQ(fi::ResolveCheckpointCount(1024), 1024u);
+  try {
+    (void)fi::ResolveCheckpointCount(1025);
+    FAIL() << "--checkpoints 1025 was accepted";
+  } catch (const std::out_of_range& error) {
+    EXPECT_NE(std::string(error.what()).find("limit of 1024"), std::string::npos)
+        << error.what();
+  }
+  try {
+    (void)fi::ResolveCheckpointCount(-1);
+    FAIL() << "--checkpoints -1 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--checkpoints -1"), std::string::npos)
+        << error.what();
+  }
 }
 
 // --- ddg::SliceVisited (epoch-stamped visited buffer) ------------------------

@@ -26,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -39,15 +40,16 @@ namespace fs = std::filesystem;
 
 struct CliResult {
   std::string stdout_text;
+  std::string stderr_text;  ///< filled by RunCliStderr only
   int exit_code = -1;
 };
 
-/// Runs `epvf <args>` capturing stdout; stderr is diagnostics-only and
-/// discarded unless the caller redirects it into stdout via `args`. `env`
+/// Runs `epvf <args> <redirect>` and returns what reaches the pipe. `env`
 /// prepends NAME=VALUE assignments to the invocation.
-CliResult RunCli(const std::string& args, const std::string& env = {}) {
+CliResult RunCliRedirected(const std::string& args, const std::string& env,
+                           const char* redirect) {
   const std::string command = (env.empty() ? std::string() : "env " + env + " ") +
-                              std::string(EPVF_CLI_PATH) + " " + args + " 2>/dev/null";
+                              std::string(EPVF_CLI_PATH) + " " + args + redirect;
   CliResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -58,6 +60,21 @@ CliResult RunCli(const std::string& args, const std::string& env = {}) {
   }
   const int status = pclose(pipe);
   if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+  return result;
+}
+
+/// Runs `epvf <args>` capturing stdout; stderr is diagnostics-only and
+/// discarded.
+CliResult RunCli(const std::string& args, const std::string& env = {}) {
+  return RunCliRedirected(args, env, " 2>/dev/null");
+}
+
+/// Runs `epvf <args>` capturing the diagnostics on stderr; stdout is
+/// discarded.
+CliResult RunCliStderr(const std::string& args) {
+  CliResult result = RunCliRedirected(args, {}, " 2>&1 >/dev/null");
+  result.stderr_text = std::move(result.stdout_text);
+  result.stdout_text.clear();
   return result;
 }
 
@@ -264,20 +281,42 @@ TEST(CliCampaign, ShardsPastTheLimitExitFourBeforeAnyWorkerStarts) {
             4);
 }
 
-TEST(CliCampaign, CheckpointsMinusOneIsTheAutoDefault) {
-  // The usage text documents --checkpoints -1 as "auto": a negative number
-  // must parse as the flag's value, and the supervisor forwards it to its
-  // workers verbatim.
+TEST(CliCampaign, CheckpointsFlagIsRangeCheckedAndForwardedToWorkers) {
+  // A negative number must parse as the flag's value, so the refusal names
+  // --checkpoints instead of calling -1 a stray argument.
+  const CliResult negative =
+      RunCliStderr("inject mm --scale 0 --runs 8 --no-cache --checkpoints -1");
+  EXPECT_EQ(negative.exit_code, 2);
+  EXPECT_NE(negative.stderr_text.find("--checkpoints -1"), std::string::npos)
+      << negative.stderr_text;
+  EXPECT_EQ(negative.stderr_text.find("unexpected argument"), std::string::npos)
+      << negative.stderr_text;
+  const CliResult past =
+      RunCliStderr("inject mm --scale 0 --runs 8 --no-cache --checkpoints 1025");
+  EXPECT_EQ(past.exit_code, 4);
+  EXPECT_NE(past.stderr_text.find("limit of 1024"), std::string::npos) << past.stderr_text;
+
+  // The default is 64 snapshots, spelled out or not.
   const CliResult fallback = RunCli("inject mm --scale 0 --runs 8 --no-cache");
-  const CliResult explicit_auto =
-      RunCli("inject mm --scale 0 --runs 8 --no-cache --checkpoints -1");
+  const CliResult explicit_default =
+      RunCli("inject mm --scale 0 --runs 8 --no-cache --checkpoints 64");
   ASSERT_EQ(fallback.exit_code, 0);
-  ASSERT_EQ(explicit_auto.exit_code, 0);
-  EXPECT_EQ(explicit_auto.stdout_text, fallback.stdout_text);
+  ASSERT_EQ(explicit_default.exit_code, 0);
+  EXPECT_EQ(explicit_default.stdout_text, fallback.stdout_text);
+
+  // The supervisor forwards the flag to its workers verbatim.
   const CliResult sharded =
-      RunCli("campaign mm --scale 0 --runs 40 --seed 7 --shards 2 --checkpoints -1");
+      RunCli("campaign mm --scale 0 --runs 40 --seed 7 --shards 2 --checkpoints 4");
   ASSERT_EQ(sharded.exit_code, 0);
   ExpectMatchesGolden("inject_mm.txt", sharded.stdout_text);
+}
+
+TEST(CliCampaign, CheckpointsBuildsExactlyTheRequestedSnapshots) {
+  const CliResult r = RunCliStderr(
+      "inject lulesh --scale 0 --runs 8 --jitter 0 --checkpoints 64 --no-cache");
+  ASSERT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.stderr_text.find("checkpoint fast path : 64 snapshots"), std::string::npos)
+      << r.stderr_text;
 }
 
 TEST(CliCampaign, ExitCodeContractsMatchTheOtherCommands) {

@@ -229,14 +229,14 @@ std::vector<std::uint64_t> RecordFingerprint(const CampaignStats& stats) {
   return fp;
 }
 
-CampaignOptions MemoryCampaign(int threads, std::int64_t checkpoints) {
+CampaignOptions MemoryCampaign(int threads, std::uint32_t checkpoints) {
   CampaignOptions options;
   options.num_runs = 60;
   options.seed = 9;
   options.num_threads = threads;
   options.injector.scenario = Scenario::kMemory;
   options.injector.jitter_pages = 0;
-  options.checkpoint_interval = checkpoints;
+  options.injector.checkpoints = checkpoints;
   return options;
 }
 
@@ -245,23 +245,26 @@ TEST(MemoryCampaignDeterminism, RecordsAreIdenticalAcrossJobsEnginesAndCheckpoin
   const core::Analysis a = core::Analysis::Run(app.module);
 
   const CampaignStats baseline =
-      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(1, -1));
+      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(1, 0));
   ASSERT_EQ(baseline.records.size(), 60u);
   const std::vector<std::uint64_t> expected = RecordFingerprint(baseline);
 
   const CampaignStats threaded =
-      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(4, -1));
+      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(4, 0));
   EXPECT_EQ(RecordFingerprint(threaded), expected) << "--jobs must not move a record";
-
-  const CampaignStats checkpointed =
-      RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(2, 0));
-  EXPECT_EQ(RecordFingerprint(checkpointed), expected)
-      << "checkpoint suffix-replay must not move a record";
-
   // The static-mask count is a function of the drawn plan, never of the
   // execution configuration.
   EXPECT_EQ(threaded.perf.statically_masked_runs, baseline.perf.statically_masked_runs);
-  EXPECT_EQ(checkpointed.perf.statically_masked_runs, baseline.perf.statically_masked_runs);
+
+  for (const std::uint32_t checkpoints : {4u, kMaxCheckpoints}) {
+    const CampaignStats checkpointed =
+        RunCampaign(app.module, a.graph(), a.golden(), MemoryCampaign(2, checkpoints));
+    EXPECT_EQ(checkpointed.perf.checkpoints, checkpoints);
+    EXPECT_GT(checkpointed.perf.checkpointed_runs, 0u);
+    EXPECT_EQ(RecordFingerprint(checkpointed), expected)
+        << "checkpoint suffix-replay must not move a record (" << checkpoints << " snapshots)";
+    EXPECT_EQ(checkpointed.perf.statically_masked_runs, baseline.perf.statically_masked_runs);
+  }
 
   // Every executed record matches its flip re-run with a sink attached (the
   // careful step throughout) and classified afresh.

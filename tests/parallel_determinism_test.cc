@@ -4,6 +4,8 @@
 // numbers cannot depend on the machine the reproduction runs on.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "apps/app.h"
 #include "epvf/analysis.h"
 #include "fi/campaign.h"
@@ -73,7 +75,8 @@ TEST(ParallelDeterminism, CampaignStatsIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminism, CheckpointedCampaignIdenticalAcrossThreadCounts) {
   // The suffix-replay fast path re-orders execution (runs sorted by injection
   // site, resumed from snapshots) — records must still be bit-identical to
-  // the from-scratch serial campaign at every thread count.
+  // the from-scratch serial campaign at every thread count, with a few
+  // snapshots or with the most an injector holds.
   const apps::App app = apps::BuildApp("mm", apps::AppConfig{.scale = 0});
   const core::Analysis a = Analyze(app.module, 1);
   fi::CampaignOptions options;
@@ -81,15 +84,15 @@ TEST(ParallelDeterminism, CheckpointedCampaignIdenticalAcrossThreadCounts) {
   options.seed = 7;
   options.injector.jitter_pages = 0;
   options.num_threads = 1;
-  options.checkpoint_interval = -1;  // from-scratch baseline
+  options.injector.checkpoints = 0;  // from-scratch baseline
   const fi::CampaignStats serial = fi::RunCampaign(app.module, a.graph(), a.golden(), options);
-  options.checkpoint_interval =
-      static_cast<std::int64_t>(a.TraceLength() / 9 + 1);  // ~8 checkpoints
-  for (const int threads : {1, 2, 8}) {
+  for (const auto& [threads, checkpoints] :
+       {std::pair{1, 8u}, std::pair{2, 8u}, std::pair{8, 8u}, std::pair{4, 1024u}}) {
     options.num_threads = threads;
+    options.injector.checkpoints = checkpoints;
     const fi::CampaignStats fast = fi::RunCampaign(app.module, a.graph(), a.golden(), options);
-    EXPECT_EQ(serial.counts, fast.counts) << "threads=" << threads;
-    EXPECT_GT(fast.perf.checkpoints, 0u);
+    EXPECT_EQ(serial.counts, fast.counts) << "threads=" << threads << " ckpts=" << checkpoints;
+    EXPECT_EQ(fast.perf.checkpoints, checkpoints);
     ASSERT_EQ(serial.records.size(), fast.records.size());
     for (std::size_t i = 0; i < serial.records.size(); ++i) {
       EXPECT_EQ(serial.records[i].site.dyn_index, fast.records[i].site.dyn_index);

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "fi/supervisor.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -484,6 +486,53 @@ std::pair<std::uint64_t, std::uint64_t> StatusCounts(const std::string& status) 
     ADD_FAILURE() << "no job counts in\n" << status;
   }
   return {completed, cancelled};
+}
+
+TEST(Serve, OutOfRangeFanOutFlagsEndTheJobBeforeAnyWorkerStarts) {
+  // A worker that refuses a flag exits like a crashed one, so the daemon
+  // must refuse the flag itself: the job ends as the local run ends, with
+  // the limit named on stderr, no worker launched and no relaunch backoff
+  // waited out.
+  const std::string socket_path = TestSocketPath("fanout");
+  Server server(InProcessOptions(socket_path));
+  ASSERT_TRUE(server.Start());
+  std::optional<ServeClient> client = ServeClient::Connect(socket_path);
+  ASSERT_TRUE(client.has_value());
+  const auto launches = [&] {
+    const std::optional<std::string> metrics = client->Metrics();
+    EXPECT_TRUE(metrics.has_value());
+    return metrics.has_value() ? CounterValue(*metrics, "campaign.shard.launches") : 0;
+  };
+  const std::uint64_t launches_before = launches();
+
+  struct Refusal {
+    std::vector<std::string> args;
+    std::uint64_t exit_code;
+    std::string named;
+  };
+  const std::vector<Refusal> refusals = {
+      {{"campaign", "mm", "--scale", "0", "--runs", "1", "--shards", "65"}, 4, "limit of 64"},
+      {{"inject", "mm", "--scale", "0", "--checkpoints", "1025"}, 4, "limit of 1024"},
+      {{"campaign", "mm", "--scale", "0", "--checkpoints", "-1"}, 2, "--checkpoints -1"},
+  };
+  for (const Refusal& refusal : refusals) {
+    RunRequest request;
+    request.args = refusal.args;
+    std::string stderr_text;
+    const auto start = std::chrono::steady_clock::now();
+    const ServeClient::RunResult result = client->Run(
+        request, nullptr, [&](std::string_view bytes) { stderr_text.append(bytes); }, nullptr);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    ASSERT_TRUE(result.transport_ok) << refusal.named;
+    ASSERT_FALSE(result.error.has_value()) << refusal.named;
+    EXPECT_EQ(result.exit_code, refusal.exit_code) << stderr_text;
+    EXPECT_NE(stderr_text.find(refusal.named), std::string::npos) << stderr_text;
+    EXPECT_LT(seconds, fi::SupervisorOptions{}.backoff_initial_seconds)
+        << refusal.named << ": the job waited like a relaunched worker";
+  }
+  EXPECT_EQ(launches(), launches_before);
+  server.Stop();
 }
 
 TEST(Serve, AJobIsCountedBeforeItsTerminalFrameGoesOut) {

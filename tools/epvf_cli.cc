@@ -132,8 +132,9 @@ struct Options {
     return it == flags.end() ? fallback : it->second;
   }
 
-  /// Resolved --scenario value (validated in main).
+  /// Resolved --scenario and --checkpoints values (validated in main).
   fi::Scenario scenario = fi::Scenario::kRegister;
+  std::uint32_t checkpoints = fi::kDefaultCheckpoints;
 };
 
 /// Flags each command accepts — anything else is rejected with the offending
@@ -199,10 +200,13 @@ int Usage() {
                "                                   at CI half-width --ci-target (default 0.05);\n"
                "                                   --max-runs caps total injections, 0 = none;\n"
                "                                   --runs is ignored under the planner)\n"
-               "                                   (--checkpoints: suffix-replay snapshots per\n"
-               "                                   campaign; -1 = auto, 0 = off; outcomes are\n"
-               "                                   identical at every setting; needs --jitter 0,\n"
-               "                                   jittered runs always execute from scratch)\n"
+               "                                   (--checkpoints N: golden-run snapshots per\n"
+               "                                   campaign, 0..1024, default 64, 0 = off;\n"
+               "                                   outcomes are identical at every N; jittered\n"
+               "                                   runs always execute from scratch: --jitter 2\n"
+               "                                   spreads runs over 625 layouts, too few runs\n"
+               "                                   per layout to pay for its own snapshots, and\n"
+               "                                   a snapshot cannot move to another layout)\n"
                "                                   (--scenario memory: flips land in simulated\n"
                "                                   heap/stack bytes instead of register slots;\n"
                "                                   sites are store-written bytes weighted by\n"
@@ -354,7 +358,7 @@ int CmdAnalyze(const Options& options) {
 /// Campaign options shared by inject and campaign — same flags, same
 /// defaults, so the two commands print byte-identical reports for the same
 /// invocation parameters.
-fi::CampaignOptions MakeCampaignOptions(const Options& options, const core::Analysis& a) {
+fi::CampaignOptions MakeCampaignOptions(const Options& options) {
   fi::CampaignOptions campaign;
   campaign.num_runs = options.Int("runs", 500);
   campaign.seed = static_cast<std::uint64_t>(options.Int("seed", 42));
@@ -364,17 +368,8 @@ fi::CampaignOptions MakeCampaignOptions(const Options& options, const core::Anal
   const bool memory = options.scenario == fi::Scenario::kMemory;
   campaign.injector.jitter_pages = static_cast<std::uint32_t>(options.Int("jitter", memory ? 0 : 2));
   campaign.injector.burst_length = static_cast<std::uint8_t>(options.Int("burst", 1));
+  campaign.injector.checkpoints = options.checkpoints;
   campaign.num_threads = options.Int("jobs", 0);
-  // --checkpoints N = snapshots to spread over the golden trace (N > 0),
-  // 0 = fast path off, -1 (default) = auto from the trace length.
-  const int checkpoints = options.Int("checkpoints", -1);
-  if (checkpoints == 0) {
-    campaign.checkpoint_interval = -1;
-  } else if (checkpoints > 0) {
-    const std::uint64_t interval =
-        a.TraceLength() / (static_cast<std::uint64_t>(checkpoints) + 1);
-    campaign.checkpoint_interval = static_cast<std::int64_t>(interval < 1 ? 1 : interval);
-  }
   return campaign;
 }
 
@@ -424,12 +419,12 @@ std::optional<fi::PlanKind> ResolvePlanKind(const Options& options) {
 
 /// The campaign this invocation asks for: its analysis identity (default
 /// when nothing is cached), campaign options, plan kind and planner options.
-store::PlanKey MakePlanKey(const Options& options, const core::Analysis& a,
-                           const store::AnalysisKey& analysis_key, fi::PlanKind kind) {
+store::PlanKey MakePlanKey(const Options& options, const store::AnalysisKey& analysis_key,
+                           fi::PlanKind kind) {
   fi::StratifiedOptions plan;
   plan.ci_target = options.Double("ci-target", 0.05);
   plan.max_runs = static_cast<std::uint32_t>(std::max(0, options.Int("max-runs", 0)));
-  return store::PlanKey{store::CampaignKey{analysis_key, MakeCampaignOptions(options, a)}, plan,
+  return store::PlanKey{store::CampaignKey{analysis_key, MakeCampaignOptions(options)}, plan,
                         kind};
 }
 
@@ -489,7 +484,7 @@ void FinishCampaign(const core::Analysis& a, const store::PlanKey& plan,
   if (report_cache) {
     std::fprintf(stderr, "cache: %s %s (plan, load %.2f ms, store %.2f ms)\n",
                  perf.cache_hit ? "hit" : "miss", store::CacheId(plan).c_str(),
-                 perf.cache_load_seconds * 1e3, perf.cache_store_seconds * 1e3);
+                 perf.cache_load_seconds * 1e3, perf.persist_seconds * 1e3);
     if (!perf.cache_hit && result.resumed_runs > 0) {
       std::fprintf(stderr, "cache: resumed %llu completed runs from a prior plan\n",
                    static_cast<unsigned long long>(result.resumed_runs));
@@ -521,7 +516,7 @@ int RunCampaignInProcess(const Options& options, fi::PlanKind kind) {
   store::AnalysisKey key;
   if (cache.enabled()) key = MakeAnalysisKey(options, module, opts);
   const core::Analysis a = core::Analysis::Run(module, opts);
-  const store::PlanKey plan = MakePlanKey(options, a, key, kind);
+  const store::PlanKey plan = MakePlanKey(options, key, kind);
   fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
   AttachScenario(injector, plan.campaign.options, a);
 
@@ -576,7 +571,7 @@ int CmdCampaignWorker(const Options& options) {
   const core::AnalysisOptions opts = AnalysisOpts(options);
   const store::AnalysisKey key = MakeAnalysisKey(options, module, opts);
   const core::Analysis a = core::Analysis::Run(module, opts);
-  const store::PlanKey plan = MakePlanKey(options, a, key, *kind);
+  const store::PlanKey plan = MakePlanKey(options, key, *kind);
   fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
   AttachScenario(injector, plan.campaign.options, a);
 
@@ -643,7 +638,7 @@ int CmdCampaignSharded(const Options& options, fi::PlanKind kind, int shards) {
   store::ArtifactCache& cache = *cache_slot;
   const store::AnalysisKey key = MakeAnalysisKey(options, module, opts);
   const core::Analysis a = core::Analysis::Run(module, opts);
-  const store::PlanKey plan = MakePlanKey(options, a, key, kind);
+  const store::PlanKey plan = MakePlanKey(options, key, kind);
   const std::string plan_id = store::CacheId(plan);
   fi::Injector injector(module, a.golden(), plan.campaign.options.injector);
   AttachScenario(injector, plan.campaign.options, a);
@@ -729,13 +724,7 @@ int CmdCampaignSharded(const Options& options, fi::PlanKind kind, int shards) {
         exec.resume_records = merged.records;
         exec.resume_completed = merged.completed;
         exec.progress = &progress;
-        fi::CampaignPerf checkpoints;
-        if (std::find(merged.completed.begin(), merged.completed.end(), 0) !=
-            merged.completed.end()) {
-          fi::PrepareCheckpoints(injector, plan.campaign.options, checkpoints);
-        }
-        fi::ExecuteResult full = fi::ExecutePlannedRuns(injector, queue, exec);
-        full.perf.Add(checkpoints);
+        const fi::ExecuteResult full = fi::ExecutePlannedRuns(injector, queue, exec);
         std::fprintf(stderr,
                      "campaign: round %u: %zu runs, %llu merged from %d shard(s), %llu "
                      "executed in-process\n",
@@ -1338,7 +1327,8 @@ void ExportObservability(const std::string& trace_out, const std::string& metric
 
 /// Whether the argument after a flag is that flag's value rather than the
 /// next flag: anything not starting with '-', and negative numbers
-/// (`--checkpoints -1`).
+/// (`--seed -1`), so a negative count such as `--checkpoints -1` reaches its
+/// resolver and is refused by name rather than as a stray argument.
 bool IsFlagValue(const char* arg) {
   return arg[0] != '-' || std::isdigit(static_cast<unsigned char>(arg[1])) != 0;
 }
@@ -1404,6 +1394,18 @@ int main(int argc, char** argv) {
                  "epvf: --scenario memory requires --jitter 0 (memory sites are absolute "
                  "addresses of the golden layout)\n");
     return kExitUsage;
+  }
+  // Refused here, before any analysis runs, any worker starts or a daemon
+  // sees the request.
+  try {
+    options.checkpoints =
+        fi::ResolveCheckpointCount(options.Int("checkpoints", fi::kDefaultCheckpoints));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "epvf: %s\n", error.what());
+    return kExitUsage;
+  } catch (const std::out_of_range& error) {
+    std::fprintf(stderr, "epvf: %s\n", error.what());
+    return kExitUnknownFlag;
   }
 
   const std::string trace_out = ResolveTraceOut(options);
